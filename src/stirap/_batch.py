@@ -2,21 +2,26 @@
 
 Integrates a batch of independent systems that share the time grid and
 dissipator but differ in their pulse sequences (amplitudes, detunings,
-timing).  Cells are processed in fixed-size chunks so results are
-bit-identical regardless of how chunks are distributed over workers.
-Numerics match lindblad.evolve step for step.
+timing).  The state is held cells-last, shape (dim*dim, n_cells), and the
+right-hand side is written out entry by entry from the fixed sparsity of
+H and of the dissipator, so no step calls BLAS and each cell's arithmetic
+does not depend on the other cells of its chunk.  Cells are processed in
+fixed-size chunks so results are bit-identical regardless of how chunks
+are distributed over workers.  For sequences of Gaussian pulses the
+numerics match lindblad.evolve step for step; the batch does not split
+the grid at FastPulse edges as evolve does, so HYBRID sequences differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
-from .lindblad import LindbladSpec, TimeGrid, build_dissipators
+from .lindblad import LindbladSpec, TimeGrid, build_dissipators, check_step
 from .pulses import PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
@@ -38,47 +43,51 @@ class BatchResult:
         return self.populations[:, -1, level]
 
 
+def _couplings(dim: int, params: TransmonParams):
+    """(row, col, transition, weight) with H[row, col] = weight * A_transition / 2.
+
+    The only dimension-specific data of the kernel; H[col, row] is the
+    complex conjugate.
+    """
+    if dim == 3:
+        return ((1, 0, 0, 1.0), (1, 2, 1, 1.0))
+    wa, wb = params.split.branch_weights
+    return ((1, 0, 0, wa), (2, 0, 0, wb), (1, 3, 1, wa), (2, 3, 1, wb))
+
+
+def _envelopes(seq: PulseSequence) -> tuple:
+    """The pulses without their detunings, which enter only the diagonal of H."""
+    return tuple(replace(p, detuning=0.0) for p in seq.pulses)
+
+
 def _chunk_drive(seqs: Sequence[PulseSequence], t_half: np.ndarray, dim: int,
                  params: TransmonParams):
-    """Complex drive amplitudes on the half-step grid plus static diagonals."""
-    n_cells = len(seqs)
-    a01 = np.empty((n_cells, t_half.size), dtype=complex)
-    a12 = np.empty((n_cells, t_half.size), dtype=complex)
-    diag = np.zeros((n_cells, dim), dtype=complex)
+    """Drive amplitudes on the half-step grid and level energies, cells last.
+
+    a01 and a12 have shape (n_sub, m): m = 1 when every cell's pulses are
+    equal apart from their detunings, so the cells share one drive, and
+    m = n_cells otherwise.  The energies have shape (dim, n_cells).
+    """
+    shared = _envelopes(seqs[0])
+    drive_seqs = seqs[:1] if all(_envelopes(s) == shared for s in seqs[1:]) else seqs
+    a01 = np.empty((t_half.size, len(drive_seqs)), dtype=complex)
+    a12 = np.empty_like(a01)
+    for c, seq in enumerate(drive_seqs):
+        a01[:, c] = seq.complex_amplitude(Transition.T01, t_half)
+        a12[:, c] = seq.complex_amplitude(Transition.T12, t_half)
+    energies = np.zeros((dim, len(seqs)))
     for c, seq in enumerate(seqs):
-        a01[c] = seq.complex_amplitude(Transition.T01, t_half)
-        a12[c] = seq.complex_amplitude(Transition.T12, t_half)
         d01 = seq.detuning(Transition.T01)
         d12 = seq.detuning(Transition.T12)
         if dim == 3:
-            diag[c, 1] = d01
-            diag[c, 2] = d01 + d12
+            energies[1, c] = d01
+            energies[2, c] = d01 + d12
         else:
             omega_split = mhz_to_rad_ns(params.split.delta_split_mhz)
-            diag[c, 1] = d01 - omega_split / 2.0
-            diag[c, 2] = d01 + omega_split / 2.0
-            diag[c, 3] = d01 + d12
-    return a01, a12, diag
-
-
-def _fill_h(out: np.ndarray, a01: np.ndarray, a12: np.ndarray, dim: int,
-            weights: Optional[Tuple[float, float]]):
-    """Write the coupling entries for one substep into out (n,dim,dim)."""
-    if dim == 3:
-        out[:, 1, 0] = 0.5 * a01
-        out[:, 0, 1] = np.conj(out[:, 1, 0])
-        out[:, 1, 2] = 0.5 * a12
-        out[:, 2, 1] = np.conj(out[:, 1, 2])
-    else:
-        wa, wb = weights
-        out[:, 1, 0] = 0.5 * wa * a01
-        out[:, 2, 0] = 0.5 * wb * a01
-        out[:, 1, 3] = 0.5 * wa * a12
-        out[:, 2, 3] = 0.5 * wb * a12
-        out[:, 0, 1] = np.conj(out[:, 1, 0])
-        out[:, 0, 2] = np.conj(out[:, 2, 0])
-        out[:, 3, 1] = np.conj(out[:, 1, 3])
-        out[:, 3, 2] = np.conj(out[:, 2, 3])
+            energies[1, c] = d01 - omega_split / 2.0
+            energies[2, c] = d01 + omega_split / 2.0
+            energies[3, c] = d01 + d12
+    return a01, a12, energies
 
 
 def evolve_chunk(
@@ -89,28 +98,34 @@ def evolve_chunk(
     dissipative: bool = True,
     rho0: Optional[np.ndarray] = None,
 ) -> BatchResult:
-    """Integrate one chunk of cells on a shared grid; density-matrix path."""
+    """Integrate one chunk of cells on a shared grid; density-matrix path.
+
+    A cell whose state stops being finite is recorded as failed at the
+    first sampled step where that shows; the other cells run on.
+    """
+    if dim == 4 and params.split is None:
+        raise ConfigurationError("4-level batch needs transmon split parameters")
     n_cells = len(seqs)
     n = grid.n_steps
     dt = grid.dt
     t_half = grid.t_start + 0.5 * dt * np.arange(2 * n + 1)
-    a01, a12, diag = _chunk_drive(seqs, t_half, dim, params)
-    weights = params.split.branch_weights if (dim == 4 and params.split) else None
-    if dim == 4 and params.split is None:
-        raise ConfigurationError("4-level batch needs transmon split parameters")
+    a01, a12, energies = _chunk_drive(seqs, t_half, dim, params)
+    drives = (a01, a12)
+    couplings = _couplings(dim, params)
 
     spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
-    dsup_t = np.ascontiguousarray(spec.superoperator(dim).T)
-    have_dissipator = bool(spec.jumps)
+    dsup = spec.superoperator(dim)
+    # Liouvillian diagonal at vec index a*dim + b: -i(E_a - E_b) + D[k, k]
+    ldiag = (-1j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
+    ldiag += np.diag(dsup)[:, None]
+    off = dsup != 0
+    np.fill_diagonal(off, False)
+    jumps = [(k, l, dsup[k, l]) for k, l in zip(*np.nonzero(off))]
 
     if rho0 is None:
         rho0 = np.zeros((dim, dim), dtype=complex)
         rho0[0, 0] = 1.0
-    rho = np.broadcast_to(rho0, (n_cells, dim, dim)).astype(complex).copy()
-
-    hb = np.zeros((n_cells, dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    hb[:, idx, idx] = diag
+    rho = np.repeat(np.asarray(rho0, dtype=complex).reshape(-1, 1), n_cells, axis=1)
 
     sample_steps = set(range(0, n + 1, grid.sample_stride)) | {n}
     n_samples = len(sample_steps)
@@ -118,44 +133,86 @@ def evolve_chunk(
     pops = np.empty((n_cells, n_samples, dim))
     max_drift = np.zeros(n_cells)
     min_eig = np.zeros(n_cells)
+    diverged = {}
 
-    def rhs(i_sub: int, y: np.ndarray) -> np.ndarray:
-        _fill_h(hb, a01[:, i_sub], a12[:, i_sub], dim, weights)
-        out = hb @ y
-        out -= y @ hb
-        out *= -1j
-        if have_dissipator:
-            out += (y.reshape(n_cells, -1) @ dsup_t).reshape(n_cells, dim, dim)
-        return out
+    tmp = np.empty((dim, n_cells), dtype=complex)
+
+    def coefficients(i_sub: int):
+        """(-i H[row, col], -i H[col, row]) per coupling at one substep."""
+        return [((-0.5j * w) * drives[tr][i_sub], (-0.5j * w) * np.conj(drives[tr][i_sub]))
+                for _, _, tr, w in couplings]
+
+    def views(a: np.ndarray):
+        """The array with its rows [k, :] and columns [:, k] as (dim, n_cells) views."""
+        a3 = a.reshape(dim, dim, n_cells)
+        return a, [a3[k] for k in range(dim)], [a3[:, k] for k in range(dim)]
+
+    def rhs(coefs, y, out):
+        (ya, yr, yc), (oa, orow, ocol) = y, out
+        np.multiply(ldiag, ya, out=oa)
+        for (r, c, _, _), (p, q) in zip(couplings, coefs):
+            np.add(orow[r], np.multiply(yr[c], p, out=tmp), out=orow[r])
+            np.add(orow[c], np.multiply(yr[r], q, out=tmp), out=orow[c])
+            np.subtract(ocol[c], np.multiply(yc[r], p, out=tmp), out=ocol[c])
+            np.subtract(ocol[r], np.multiply(yc[c], q, out=tmp), out=ocol[r])
+        for k, l, v in jumps:
+            np.add(oa[k], np.multiply(ya[l], v, out=tmp[0]), out=oa[k])
 
     sample_i = 0
 
     def record(step: int):
         nonlocal sample_i
-        tr = np.einsum("cii->c", rho)
+        t = grid.t_start + step * dt
+        finite = np.isfinite(rho).all(axis=0)
+        for c in np.flatnonzero(~finite):
+            diverged.setdefault(int(c), f"non-finite state at step {step} (t = {t:.3f} ns)")
+        diag = rho[::dim + 1]
+        tr = diag.sum(axis=0)
         drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-        herm = 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
+        r = rho.reshape(dim, dim, n_cells)[:, :, finite].transpose(2, 0, 1)
+        herm = 0.5 * (r + np.conj(np.swapaxes(r, 1, 2)))
         eigs = np.linalg.eigvalsh(herm)
         np.maximum(max_drift, drift, out=max_drift)
-        np.minimum(min_eig, eigs[:, 0], out=min_eig)
-        times[sample_i] = grid.t_start + step * dt
-        pops[:, sample_i, :] = np.einsum("cii->ci", rho).real
+        min_eig[finite] = np.minimum(min_eig[finite], eigs[:, 0])
+        times[sample_i] = t
+        pops[:, sample_i, :] = diag.real.T
         sample_i += 1
 
-    record(0)
-    for step in range(n):
-        i = 2 * step
-        k1 = rhs(i, rho)
-        k2 = rhs(i + 1, rho + (0.5 * dt) * k1)
-        k3 = rhs(i + 1, rho + (0.5 * dt) * k2)
-        k4 = rhs(i + 2, rho + dt * k3)
-        rho += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) in sample_steps:
-            record(step + 1)
+    k1, k2, k3, k4, yt = (np.empty_like(rho) for _ in range(5))
+    v_rho, v_yt, v1, v2, v3, v4 = (views(a) for a in (rho, yt, k1, k2, k3, k4))
+    c_next = coefficients(0)
+    # a diverged cell overflows on its way to inf/nan; record() reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0)
+        for step in range(n):
+            i = 2 * step
+            c_start, c_mid, c_next = c_next, coefficients(i + 1), coefficients(i + 2)
+            rhs(c_start, v_rho, v1)
+            np.multiply(k1, 0.5 * dt, out=yt)
+            yt += rho
+            rhs(c_mid, v_yt, v2)
+            np.multiply(k2, 0.5 * dt, out=yt)
+            yt += rho
+            rhs(c_mid, v_yt, v3)
+            np.multiply(k3, dt, out=yt)
+            yt += rho
+            rhs(c_next, v_yt, v4)
+            # rho += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            rho += k1
+            if (step + 1) in sample_steps:
+                record(step + 1)
 
     failures = []
     for c in range(n_cells):
-        if max_drift[c] > 1e-6:
+        if c in diverged:
+            failures.append((c, diverged[c]))
+        elif max_drift[c] > 1e-6:
             failures.append((c, f"trace drift {max_drift[c]:.3e}"))
         elif min_eig[c] < -1e-6:
             failures.append((c, f"negative eigenvalue {min_eig[c]:.3e}"))
@@ -165,74 +222,6 @@ def evolve_chunk(
         trace_drift=max_drift,
         min_eig=min_eig,
         failures=tuple(failures),
-    )
-
-
-def evolve_chunk_ket(
-    seqs: Sequence[PulseSequence],
-    params: TransmonParams,
-    grid: TimeGrid,
-    dim: int = 3,
-    psi0: Optional[np.ndarray] = None,
-) -> BatchResult:
-    """Dissipationless Schrodinger propagation for one chunk of cells."""
-    n_cells = len(seqs)
-    n = grid.n_steps
-    dt = grid.dt
-    t_half = grid.t_start + 0.5 * dt * np.arange(2 * n + 1)
-    a01, a12, diag = _chunk_drive(seqs, t_half, dim, params)
-    weights = params.split.branch_weights if (dim == 4 and params.split) else None
-
-    if psi0 is None:
-        psi0 = np.zeros(dim, dtype=complex)
-        psi0[0] = 1.0
-    psi = np.broadcast_to(psi0.reshape(1, dim, 1), (n_cells, dim, 1)).astype(complex).copy()
-
-    hb = np.zeros((n_cells, dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    hb[:, idx, idx] = diag
-
-    sample_steps = set(range(0, n + 1, grid.sample_stride)) | {n}
-    n_samples = len(sample_steps)
-    times = np.empty(n_samples)
-    pops = np.empty((n_cells, n_samples, dim))
-    max_drift = np.zeros(n_cells)
-
-    def rhs(i_sub: int, y: np.ndarray) -> np.ndarray:
-        _fill_h(hb, a01[:, i_sub], a12[:, i_sub], dim, weights)
-        return -1j * (hb @ y)
-
-    sample_i = 0
-
-    def record(step: int):
-        nonlocal sample_i
-        p = np.abs(psi[:, :, 0]) ** 2
-        drift = np.abs(p.sum(axis=1) - 1.0)
-        np.maximum(max_drift, drift, out=max_drift)
-        times[sample_i] = grid.t_start + step * dt
-        pops[:, sample_i, :] = p
-        sample_i += 1
-
-    record(0)
-    for step in range(n):
-        i = 2 * step
-        k1 = rhs(i, psi)
-        k2 = rhs(i + 1, psi + (0.5 * dt) * k1)
-        k3 = rhs(i + 1, psi + (0.5 * dt) * k2)
-        k4 = rhs(i + 2, psi + dt * k3)
-        psi += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) in sample_steps:
-            record(step + 1)
-
-    failures = tuple(
-        (c, f"norm drift {max_drift[c]:.3e}") for c in range(n_cells) if max_drift[c] > 1e-6
-    )
-    return BatchResult(
-        times=times,
-        populations=pops,
-        trace_drift=max_drift,
-        min_eig=np.zeros(n_cells),
-        failures=failures,
     )
 
 
@@ -251,6 +240,8 @@ def run_batch(
     The chunk partition is independent of the worker count, so serial and
     parallel runs produce identical bytes.
     """
+    for seq in seqs:
+        check_step(seq, grid)
     chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
     args = [([seqs[i] for i in ch], params, grid, dim, dissipative, rho0) for ch in chunks]
     if workers > 1 and len(chunks) > 1:

@@ -168,6 +168,15 @@ def _min_sigma(seq: PulseSequence) -> Optional[float]:
     return min(sigmas) if sigmas else None
 
 
+def check_step(seq: PulseSequence, grid: TimeGrid) -> None:
+    """Reject a grid step coarser than sigma/50 of the narrowest Gaussian pulse."""
+    sig = _min_sigma(seq)
+    if sig is not None and grid.dt > sig / 50.0 + 1e-12:
+        raise ConfigurationError(
+            f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"
+        )
+
+
 def _segment_bounds(seq: PulseSequence, grid: TimeGrid) -> List[float]:
     """Split the grid at FastPulse edges that sit on grid points.
 
@@ -258,11 +267,7 @@ def evolve(
     Raises IntegrationFailureError if the trace drifts by more than 1e-6
     or an eigenvalue drops below -1e-6 at any sampled step.
     """
-    sig = _min_sigma(seq)
-    if sig is not None and grid.dt > sig / 50.0 + 1e-12:
-        raise ConfigurationError(
-            f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"
-        )
+    check_step(seq, grid)
 
     if isinstance(state0, Ket):
         dim = state0.dim

@@ -259,17 +259,43 @@ class TestBatchAgreement:
         from stirap._batch import run_batch
 
         grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=25)
-        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0)]
-        batch = run_batch(seqs, device_params, grid)
-        for i, seq in enumerate(seqs):
-            single = evolve(dm_from_ket(basis_ket(0)), seq, device_params, grid,
-                            store_states=False)
-            assert np.max(np.abs(batch.populations[i] - single.populations)) < 1e-12
+        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        mixed = np.diag([0.7, 0.3, 0.0]).astype(complex)
+
+        def detuned(ts, d01_mhz, d12_mhz, om01=OM01, om12=OM12):
+            return two_pulse_sequence(om01, om12, 45.0, ts, delta01=mhz_to_rad_ns(d01_mhz),
+                                      delta12=mhz_to_rad_ns(d12_mhz))
+
+        cases = {
+            "separations": (device_params, 3, True, None,
+                            [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0)]),
+            # one shared drive, dim-4 coupling list and dissipator
+            "split system": (split, 4, True, None,
+                             [detuned(-90.0, d, -d, mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0))
+                              for d in (-6.0, 0.0, 4.0)]),
+            # a mixed state keeps evolve on its density-matrix path
+            "dissipationless": (device_params, 3, False, mixed,
+                                [detuned(-90.0, d, 2.0) for d in (-3.0, 5.0)]),
+            # equal envelopes at several detunings beside other separations
+            "shared and unshared": (device_params, 3, True, None,
+                                    [detuned(-90.0, -4.0, 1.0), detuned(-90.0, 3.0, 0.0),
+                                     detuned(-60.0, -4.0, 1.0), detuned(-120.0, 0.0, 0.0)]),
+        }
+        for name, (params, dim, dissipative, rho0, seqs) in cases.items():
+            batch = run_batch(seqs, params, grid, dim=dim, dissipative=dissipative, rho0=rho0)
+            state0 = (dm_from_ket(basis_ket(0, dim=dim)) if rho0 is None
+                      else DensityMatrix(rho0))
+            assert not batch.failures, name
+            for i, seq in enumerate(seqs):
+                single = evolve(state0, seq, params, grid, dissipative=dissipative,
+                                store_states=False)
+                err = np.max(np.abs(batch.populations[i] - single.populations))
+                assert err < 1e-12, (name, i, err)
 
     def test_batch_rerun_is_bitwise_identical(self, device_params):
         # chunk partition is fixed, so reruns (and worker splits) reproduce
-        # bit for bit; across different chunk sizes BLAS kernel selection
-        # may reorder sums, so only close agreement is guaranteed there
+        # bit for bit; each cell's arithmetic is independent of its chunk,
+        # so different chunk sizes reproduce bit for bit too
         from stirap._batch import run_batch
 
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
@@ -279,4 +305,23 @@ class TestBatchAgreement:
         b = run_batch(seqs, device_params, grid, chunk_size=3)
         assert np.array_equal(a.populations, b.populations)
         c = run_batch(seqs, device_params, grid, chunk_size=100)
-        assert np.max(np.abs(a.populations - c.populations)) < 1e-12
+        assert np.array_equal(a.populations, c.populations)
+
+    def test_diverged_cell_is_isolated(self, device_params):
+        from stirap._batch import run_batch
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
+        good = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
+        wild = two_pulse_sequence(mhz_to_rad_ns(5000.0), mhz_to_rad_ns(5000.0), 45.0, -90.0)
+        batch = run_batch([good, wild], device_params, grid)
+        alone = run_batch([good], device_params, grid)
+        assert np.array_equal(batch.populations[0], alone.populations[0])
+        assert [c for c, _ in batch.failures] == [1]
+        assert "non-finite state at step" in batch.failures[0][1]
+
+    def test_batch_rejects_coarse_step(self, device_params):
+        from stirap._batch import run_batch
+
+        grid = TimeGrid(-225.0, 225.0, dt=2.0, sample_stride=10)
+        with pytest.raises(ConfigurationError, match="sigma/50"):
+            run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0)], device_params, grid)
