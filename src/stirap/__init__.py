@@ -9,7 +9,6 @@ from .core import (  # noqa: F401
     ValidityReport,
     basis_ket,
     dm_from_ket,
-    jacobi_eigh,
     populations,
     sigma_op,
     validate_density_matrix,

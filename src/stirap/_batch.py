@@ -1,46 +1,64 @@
-"""Vectorized many-trajectory RK4 for parameter sweeps.
+"""Vectorized many-trajectory RK4: the package's one integrator.
 
 Integrates a batch of independent systems that share the time grid and
 dissipator but differ in their pulse sequences (amplitudes, detunings,
-timing).  The state is held cells-last, shape (dim*dim, n_cells), and the
-right-hand side is written out entry by entry from the fixed sparsity of
-H and of the dissipator, so no step calls BLAS and each cell's arithmetic
-does not depend on the other cells of its chunk.  Cells are processed in
+timing).  A density matrix is held cells-last, shape (dim*dim, n_cells);
+a dissipationless run from a state vector propagates the vector, shape
+(dim, n_cells), by the Schrodinger equation.  The right-hand side is
+written out entry by entry from the fixed sparsity of H and of the
+dissipator, so no step calls BLAS and each cell's arithmetic does not
+depend on the other cells of its chunk.  Cells are processed in
 fixed-size chunks so results are bit-identical regardless of how chunks
-are distributed over workers.  For sequences of Gaussian pulses the
-numerics match lindblad.evolve step for step; the batch does not split
-the grid at FastPulse edges as evolve does, so HYBRID sequences differ.
+are distributed over workers.  lindblad.evolve is a chunk of one cell.
+
+H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
+the scheme 4th order for smooth drives.  At a FastPulse edge that sits on
+a grid point, the step ending there takes its last stage from the left
+limit of the drive and the next step its first stage from the right
+limit, so no stage straddles the discontinuity; edges off the grid are
+integrated through (with the associated local error).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntegrationFailureError
 from .hamiltonian import TransmonParams
 from .lindblad import LindbladSpec, TimeGrid, build_dissipators, check_step
-from .pulses import PulseSequence, Transition
+from .pulses import FastPulse, PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
+EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 
 
 @dataclass
 class BatchResult:
     times: np.ndarray  # (n_samples,)
     populations: np.ndarray  # (n_cells, n_samples, dim)
-    trace_drift: np.ndarray  # (n_cells,)
+    trace_drift: np.ndarray  # (n_cells,) max |trace - 1|, or |norm^2 - 1| for a ket
     min_eig: np.ndarray  # (n_cells,)
+    failed_step: np.ndarray  # (n_cells,) first sampled step failing a check, -1 if none
     failures: Tuple[Tuple[int, str], ...] = ()
+    states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim)
 
     def peak(self, level: int) -> np.ndarray:
         return self.populations[:, :, level].max(axis=1)
 
     def final(self, level: int) -> np.ndarray:
         return self.populations[:, -1, level]
+
+
+def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
+    """Raise IntegrationFailureError for the first cell when every cell failed."""
+    if len(result.failures) == len(result.failed_step):
+        cell, message = result.failures[0]
+        step = int(result.failed_step[cell])
+        raise IntegrationFailureError(message, step, grid.t_start + step * grid.dt)
 
 
 def _couplings(dim: int, params: TransmonParams):
@@ -60,14 +78,29 @@ def _envelopes(seq: PulseSequence) -> tuple:
     return tuple(replace(p, detuning=0.0) for p in seq.pulses)
 
 
-def _chunk_drive(seqs: Sequence[PulseSequence], t_half: np.ndarray, dim: int,
+def _edge_steps(seq: PulseSequence, grid: TimeGrid) -> List[int]:
+    """Steps k, 0 < k < n_steps, whose grid point is a FastPulse edge."""
+    steps = set()
+    for p in seq.pulses:
+        if isinstance(p, FastPulse):
+            for e in (p.start_ns, p.start_ns + p.duration_ns):
+                k = round((e - grid.t_start) / grid.dt)
+                if 0 < k < grid.n_steps and abs(grid.t_start + k * grid.dt - e) < 1e-9:
+                    steps.add(k)
+    return sorted(steps)
+
+
+def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
                  params: TransmonParams):
     """Drive amplitudes on the half-step grid and level energies, cells last.
 
     a01 and a12 have shape (n_sub, m): m = 1 when every cell's pulses are
     equal apart from their detunings, so the cells share one drive, and
-    m = n_cells otherwise.  The energies have shape (dim, n_cells).
+    m = n_cells otherwise.  At a FastPulse edge of column c on substep i,
+    a01[i, c] holds the right limit, and left[i] the rows (a01, a12) with
+    the left limit in column c.  The energies have shape (dim, n_cells).
     """
+    t_half = grid.t_start + 0.5 * grid.dt * np.arange(2 * grid.n_steps + 1)
     shared = _envelopes(seqs[0])
     drive_seqs = seqs[:1] if all(_envelopes(s) == shared for s in seqs[1:]) else seqs
     a01 = np.empty((t_half.size, len(drive_seqs)), dtype=complex)
@@ -75,6 +108,15 @@ def _chunk_drive(seqs: Sequence[PulseSequence], t_half: np.ndarray, dim: int,
     for c, seq in enumerate(drive_seqs):
         a01[:, c] = seq.complex_amplitude(Transition.T01, t_half)
         a12[:, c] = seq.complex_amplitude(Transition.T12, t_half)
+    left: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    for c, seq in enumerate(drive_seqs):
+        for k in _edge_steps(seq, grid):
+            i = 2 * k
+            if i not in left:
+                left[i] = (a01[i].copy(), a12[i].copy())
+            t_lr = grid.t_start + k * grid.dt + EDGE_CLIP * grid.dt * np.array([-1.0, 1.0])
+            left[i][0][c], a01[i, c] = seq.complex_amplitude(Transition.T01, t_lr)
+            left[i][1][c], a12[i, c] = seq.complex_amplitude(Transition.T12, t_lr)
     energies = np.zeros((dim, len(seqs)))
     for c, seq in enumerate(seqs):
         d01 = seq.detuning(Transition.T01)
@@ -87,7 +129,7 @@ def _chunk_drive(seqs: Sequence[PulseSequence], t_half: np.ndarray, dim: int,
             energies[1, c] = d01 - omega_split / 2.0
             energies[2, c] = d01 + omega_split / 2.0
             energies[3, c] = d01 + d12
-    return a01, a12, energies
+    return a01, a12, left, energies
 
 
 def evolve_chunk(
@@ -97,131 +139,155 @@ def evolve_chunk(
     dim: int = 3,
     dissipative: bool = True,
     rho0: Optional[np.ndarray] = None,
+    store_states: bool = False,
 ) -> BatchResult:
-    """Integrate one chunk of cells on a shared grid; density-matrix path.
+    """Integrate one chunk of cells on a shared grid.
 
-    A cell whose state stops being finite is recorded as failed at the
-    first sampled step where that shows; the other cells run on.
+    rho0 is every cell's initial state, |0><0| by default.  A state vector
+    without dissipation is propagated as a ket; with dissipation it stands
+    for its projector.  Each cell's first sampled step with a non-finite
+    state, a trace (or norm) drift above 1e-6 or an eigenvalue below -1e-6
+    is recorded as its failure; the other cells run on.
     """
+    if dim not in (3, 4):
+        raise ConfigurationError(f"unsupported dimension {dim}")
     if dim == 4 and params.split is None:
         raise ConfigurationError("4-level batch needs transmon split parameters")
-    n_cells = len(seqs)
-    n = grid.n_steps
-    dt = grid.dt
-    t_half = grid.t_start + 0.5 * dt * np.arange(2 * n + 1)
-    a01, a12, energies = _chunk_drive(seqs, t_half, dim, params)
-    drives = (a01, a12)
-    couplings = _couplings(dim, params)
-
-    spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
-    dsup = spec.superoperator(dim)
-    # Liouvillian diagonal at vec index a*dim + b: -i(E_a - E_b) + D[k, k]
-    ldiag = (-1j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
-    ldiag += np.diag(dsup)[:, None]
-    off = dsup != 0
-    np.fill_diagonal(off, False)
-    jumps = [(k, l, dsup[k, l]) for k, l in zip(*np.nonzero(off))]
-
     if rho0 is None:
         rho0 = np.zeros((dim, dim), dtype=complex)
         rho0[0, 0] = 1.0
-    rho = np.repeat(np.asarray(rho0, dtype=complex).reshape(-1, 1), n_cells, axis=1)
+    init = np.asarray(rho0, dtype=complex)
+    if init.ndim == 1 and dissipative:
+        init = np.outer(init, init.conj())
+    ket = init.ndim == 1
+    n_cells = len(seqs)
+    n = grid.n_steps
+    dt = grid.dt
+    a01, a12, left, energies = _chunk_drive(seqs, grid, dim, params)
+    couplings = _couplings(dim, params)
+
+    if ket:
+        ldiag = -1j * energies
+        jumps = []
+    else:
+        spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
+        dsup = spec.superoperator(dim)
+        # Liouvillian diagonal at vec index a*dim + b: -i(E_a - E_b) + D[k, k]
+        ldiag = (-1j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
+        ldiag += np.diag(dsup)[:, None]
+        off = dsup != 0
+        np.fill_diagonal(off, False)
+        jumps = [(k, l, dsup[k, l]) for k, l in zip(*np.nonzero(off))]
+
+    y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
 
     sample_steps = set(range(0, n + 1, grid.sample_stride)) | {n}
     n_samples = len(sample_steps)
     times = np.empty(n_samples)
     pops = np.empty((n_cells, n_samples, dim))
+    states = np.empty((n_cells, n_samples, y.shape[0]), dtype=complex) if store_states else None
     max_drift = np.zeros(n_cells)
     min_eig = np.zeros(n_cells)
-    diverged = {}
+    failed_step = np.full(n_cells, -1)
+    messages: Dict[int, str] = {}
 
-    tmp = np.empty((dim, n_cells), dtype=complex)
-
-    def coefficients(i_sub: int):
+    def coefficients(row01: np.ndarray, row12: np.ndarray):
         """(-i H[row, col], -i H[col, row]) per coupling at one substep."""
-        return [((-0.5j * w) * drives[tr][i_sub], (-0.5j * w) * np.conj(drives[tr][i_sub]))
+        drive = (row01, row12)
+        return [((-0.5j * w) * drive[tr], (-0.5j * w) * np.conj(drive[tr]))
                 for _, _, tr, w in couplings]
 
     def views(a: np.ndarray):
-        """The array with its rows [k, :] and columns [:, k] as (dim, n_cells) views."""
-        a3 = a.reshape(dim, dim, n_cells)
-        return a, [a3[k] for k in range(dim)], [a3[:, k] for k in range(dim)]
+        """The array with its rows [k, :] and, for a density matrix, its
+        columns [:, k] as views; a ket's rows are its amplitudes."""
+        a3 = a.reshape(dim, -1, n_cells)
+        return a, [a3[k] for k in range(dim)], [a3[:, k] for k in range(a3.shape[1])]
 
-    def rhs(coefs, y, out):
-        (ya, yr, yc), (oa, orow, ocol) = y, out
+    tmp = np.empty((y.shape[0] // dim, n_cells), dtype=complex)
+
+    def rhs(coefs, src, out):
+        (ya, yr, yc), (oa, orow, ocol) = src, out
         np.multiply(ldiag, ya, out=oa)
         for (r, c, _, _), (p, q) in zip(couplings, coefs):
             np.add(orow[r], np.multiply(yr[c], p, out=tmp), out=orow[r])
             np.add(orow[c], np.multiply(yr[r], q, out=tmp), out=orow[c])
-            np.subtract(ocol[c], np.multiply(yc[r], p, out=tmp), out=ocol[c])
-            np.subtract(ocol[r], np.multiply(yc[c], q, out=tmp), out=ocol[r])
+            if not ket:
+                np.subtract(ocol[c], np.multiply(yc[r], p, out=tmp), out=ocol[c])
+                np.subtract(ocol[r], np.multiply(yc[c], q, out=tmp), out=ocol[r])
         for k, l, v in jumps:
             np.add(oa[k], np.multiply(ya[l], v, out=tmp[0]), out=oa[k])
 
     sample_i = 0
 
+    def fail(mask: np.ndarray, what, step: int, t: float):
+        for c in np.flatnonzero(mask & (failed_step < 0)):
+            failed_step[c] = step
+            messages[int(c)] = f"{what(c)} at step {step} (t = {t:.3f} ns)"
+
     def record(step: int):
         nonlocal sample_i
         t = grid.t_start + step * dt
-        finite = np.isfinite(rho).all(axis=0)
-        for c in np.flatnonzero(~finite):
-            diverged.setdefault(int(c), f"non-finite state at step {step} (t = {t:.3f} ns)")
-        diag = rho[::dim + 1]
-        tr = diag.sum(axis=0)
-        drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
-        r = rho.reshape(dim, dim, n_cells)[:, :, finite].transpose(2, 0, 1)
-        herm = 0.5 * (r + np.conj(np.swapaxes(r, 1, 2)))
-        eigs = np.linalg.eigvalsh(herm)
+        finite = np.isfinite(y).all(axis=0)
+        if ket:
+            p = np.abs(y) ** 2
+            drift = np.abs(p.sum(axis=0) - 1.0)
+        else:
+            p = y[::dim + 1].real
+            tr = y[::dim + 1].sum(axis=0)
+            drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+            r = y.reshape(dim, dim, n_cells)[:, :, finite].transpose(2, 0, 1)
+            eigs = np.linalg.eigvalsh(0.5 * (r + np.conj(np.swapaxes(r, 1, 2))))
+            min_eig[finite] = np.minimum(min_eig[finite], eigs[:, 0])
         np.maximum(max_drift, drift, out=max_drift)
-        min_eig[finite] = np.minimum(min_eig[finite], eigs[:, 0])
+        fail(~finite, lambda c: "non-finite state", step, t)
+        fail(drift > 1e-6, lambda c: f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}", step, t)
+        fail(min_eig < -1e-6, lambda c: f"negative eigenvalue {min_eig[c]:.3e}", step, t)
         times[sample_i] = t
-        pops[:, sample_i, :] = diag.real.T
+        pops[:, sample_i, :] = p.T
+        if store_states:
+            states[:, sample_i, :] = y.T
         sample_i += 1
 
-    k1, k2, k3, k4, yt = (np.empty_like(rho) for _ in range(5))
-    v_rho, v_yt, v1, v2, v3, v4 = (views(a) for a in (rho, yt, k1, k2, k3, k4))
-    c_next = coefficients(0)
+    k1, k2, k3, k4, yt = (np.empty_like(y) for _ in range(5))
+    v_y, v_yt, v1, v2, v3, v4 = (views(a) for a in (y, yt, k1, k2, k3, k4))
+    c_next = coefficients(a01[0], a12[0])
     # a diverged cell overflows on its way to inf/nan; record() reports it
     with np.errstate(over="ignore", invalid="ignore"):
         record(0)
         for step in range(n):
             i = 2 * step
-            c_start, c_mid, c_next = c_next, coefficients(i + 1), coefficients(i + 2)
-            rhs(c_start, v_rho, v1)
+            c_start, c_mid = c_next, coefficients(a01[i + 1], a12[i + 1])
+            c_next = coefficients(a01[i + 2], a12[i + 2])
+            c_end = coefficients(*left[i + 2]) if i + 2 in left else c_next
+            rhs(c_start, v_y, v1)
             np.multiply(k1, 0.5 * dt, out=yt)
-            yt += rho
+            yt += y
             rhs(c_mid, v_yt, v2)
             np.multiply(k2, 0.5 * dt, out=yt)
-            yt += rho
+            yt += y
             rhs(c_mid, v_yt, v3)
             np.multiply(k3, dt, out=yt)
-            yt += rho
-            rhs(c_next, v_yt, v4)
-            # rho += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            yt += y
+            rhs(c_end, v_yt, v4)
+            # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
             k2 *= 2.0
             k1 += k2
             k3 *= 2.0
             k1 += k3
             k1 += k4
             k1 *= dt / 6.0
-            rho += k1
+            y += k1
             if (step + 1) in sample_steps:
                 record(step + 1)
 
-    failures = []
-    for c in range(n_cells):
-        if c in diverged:
-            failures.append((c, diverged[c]))
-        elif max_drift[c] > 1e-6:
-            failures.append((c, f"trace drift {max_drift[c]:.3e}"))
-        elif min_eig[c] < -1e-6:
-            failures.append((c, f"negative eigenvalue {min_eig[c]:.3e}"))
     return BatchResult(
         times=times,
         populations=pops,
         trace_drift=max_drift,
         min_eig=min_eig,
-        failures=tuple(failures),
+        failed_step=failed_step,
+        failures=tuple(sorted(messages.items())),
+        states=states,
     )
 
 
@@ -238,7 +304,9 @@ def run_batch(
     """Run all cells chunk by chunk, optionally over a process pool.
 
     The chunk partition is independent of the worker count, so serial and
-    parallel runs produce identical bytes.
+    parallel runs produce identical bytes.  A failed cell is recorded in
+    failures while the others run on; when every cell fails,
+    IntegrationFailureError names the first one's step and time.
     """
     for seq in seqs:
         check_step(seq, grid)
@@ -252,15 +320,19 @@ def run_batch(
     else:
         results = [_run_one_chunk(a) for a in args]
 
-    times = results[0].times
-    pops = np.concatenate([r.populations for r in results], axis=0)
-    drift = np.concatenate([r.trace_drift for r in results])
-    min_eig = np.concatenate([r.min_eig for r in results])
     failures: List[Tuple[int, str]] = []
     for ch, r in zip(chunks, results):
         failures.extend((ch[c], msg) for c, msg in r.failures)
-    return BatchResult(times=times, populations=pops, trace_drift=drift,
-                       min_eig=min_eig, failures=tuple(failures))
+    result = BatchResult(
+        times=results[0].times,
+        populations=np.concatenate([r.populations for r in results], axis=0),
+        trace_drift=np.concatenate([r.trace_drift for r in results]),
+        min_eig=np.concatenate([r.min_eig for r in results]),
+        failed_step=np.concatenate([r.failed_step for r in results]),
+        failures=tuple(failures),
+    )
+    raise_if_all_failed(result, grid)
+    return result
 
 
 def _run_one_chunk(args) -> BatchResult:

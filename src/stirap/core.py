@@ -90,7 +90,7 @@ def validate_density_matrix(
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
     trace_dev = float(abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag))
     herm = 0.5 * (m + m.conj().T)
-    min_eig = float(jacobi_eigh(herm)[0][0])
+    min_eig = float(np.linalg.eigvalsh(herm)[0])
     violations = []
     if herm_dev > tol_herm:
         violations.append(f"hermiticity deviation {herm_dev:.3e} > {tol_herm:.1e}")
@@ -148,53 +148,3 @@ def populations(rho: DensityMatrix) -> np.ndarray:
         raise InvalidStateError("populations of invalid state: " + "; ".join(report.violations))
     return np.real(np.diag(rho.matrix)).copy()
 
-
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Convergence
-    when the off-diagonal Frobenius norm drops below tol * max(1, ||a||).
-    Intended for the tiny (3x3 / 4x4) matrices this package works with;
-    robustness over speed.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def offdiag_norm(m):
-        off = m - np.diag(np.diag(m))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # Unitary 2x2 rotation zeroing a[p,q]: phase strips the
-                # complex argument, then a real Jacobi angle does the rest.
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = -np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Columns p,q of the rotation (acting from the right on V).
-                rp = np.zeros(n, dtype=complex)
-                rq = np.zeros(n, dtype=complex)
-                rp[p], rp[q] = c, s * np.conj(phase)
-                rq[p], rq[q] = -s * phase, c
-                g = np.column_stack([rp, rq])  # n x 2, nonzero only in rows p,q
-                cols = a[:, (p, q)] @ g[(p, q), :]
-                a[:, p], a[:, q] = cols[:, 0], cols[:, 1]
-                rows = g[(p, q), :].conj().T @ a[(p, q), :]
-                a[p, :], a[q, :] = rows[0], rows[1]
-                vcols = v[:, (p, q)] @ g[(p, q), :]
-                v[:, p], v[:, q] = vcols[:, 0], vcols[:, 1]
-    eigvals = np.real(np.diag(a))
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]

@@ -9,7 +9,6 @@ Time axes of emitted series are measured from the 01-pulse peak.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,13 +145,6 @@ def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> int:
     """Connected regions above threshold, 4-connectivity."""
     labeled, n = ndimage.label(map2d > threshold)
     return int(n)
-
-
-def _map_cells(fn, items: Sequence, workers: int):
-    if workers > 1 and len(items) > 1:
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +358,24 @@ def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_THETA_AXIS = tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 20.0))
 
 
-def _run_hybrid_cell(args):
-    theta, kw, transmon, grid_cfg, dissipative = args
-    seq = build_sequence(SequenceKind.HYBRID, theta_fast=float(theta), **kw)
-    grid = TimeGrid(seq.window[0], seq.window[1], dt=grid_cfg.dt_ns,
-                    sample_stride=grid_cfg.sample_stride)
-    state0 = dm_from_ket(basis_ket(0)) if dissipative else basis_ket(0)
-    res = evolve(state0, seq, transmon, grid, dissipative=dissipative, store_states=False)
-    t01 = _t01_peak(seq)
-    late = res.times >= t01
-    return (res.times, res.populations, t01,
-            count_alternations(res.populations[late, 0], threshold=1e-3))
-
-
 def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
     """Fast 01 rotation followed by STIRAP, swept over the rotation angle."""
     thetas = cfg.axis("theta_fast_rad", DEFAULT_THETA_AXIS)
-    kw = _seq_kwargs(cfg)
-    kw["fast_duration"] = cfg.pulses.fast_duration_ns
-    cells = [(float(th), kw, cfg.transmon, cfg.grid, cfg.dissipative) for th in thetas]
-    results = _map_cells(_run_hybrid_cell, cells, cfg.workers)
+    seqs = [build_sequence(SequenceKind.HYBRID, theta_fast=float(th),
+                           fast_duration=cfg.pulses.fast_duration_ns, **_seq_kwargs(cfg))
+            for th in thetas]
+    grid = _grid_for(seqs[0], cfg)
+    rho0 = None if cfg.dissipative else basis_ket(0).amplitudes
+    batch = run_batch(seqs, cfg.transmon, grid, dim=3, dissipative=cfg.dissipative,
+                      rho0=rho0, workers=cfg.workers)
+    t01 = _t01_peak(seqs[0])
+    late = batch.times >= t01
 
     series_rows, summary_rows = [], []
-    for theta, (times, pops, t01, alternations) in zip(thetas, results):
-        series_rows.append(_timeseries_rows([float(theta)], times, pops, t01))
+    for theta, pops in zip(thetas, batch.populations):
+        series_rows.append(_timeseries_rows([float(theta)], batch.times, pops, t01))
         p2 = pops[:, 2]
+        alternations = count_alternations(pops[late, 0], threshold=1e-3)
         summary_rows.append([float(theta), p2[-1], p2.max(), float(alternations)])
     summary = Table("hybrid",
                     ("theta_fast_rad", "final_p2", "peak_p2", "late_p0_alternations"),
@@ -398,8 +383,10 @@ def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
     series = Table("hybrid_timeseries",
                    ("theta_fast_rad", "t_ns", "p0", "p1", "p2"),
                    np.vstack(series_rows))
+    failures = [{"cell": int(c), "theta_fast_rad": float(thetas[c]), "error": msg}
+                for c, msg in batch.failures]
     return SweepResult(Experiment.HYBRID.value, {"theta_fast_rad": thetas},
-                       [summary, series], {"config_hash": config_hash(cfg)})
+                       [summary, series], {"config_hash": config_hash(cfg)}, failures)
 
 
 def run_reversal(cfg: ExperimentConfig) -> SweepResult:

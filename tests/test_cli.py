@@ -78,6 +78,33 @@ class TestNumericalFailures:
         })
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
+    def test_sweep_with_every_cell_failed_exits_3(self, tmp_path, capsys):
+        # a 5000 MHz drive at dt 0.5 ns diverges in every cell
+        cfg = write_config(tmp_path, {
+            "pulses": {"omega01_mhz": 5000.0, "omega12_mhz": 5000.0},
+            "grid": {"dt_ns": 0.5, "sample_stride": 50},
+            "sweep": {"detuning_sum_mhz": [-2.0, 0.0, 2.0], "detuning_diff_mhz": [-2.0, 0.0, 2.0]},
+        })
+        out = tmp_path / "o"
+        assert main(["sweep-detuning", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "at step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_failed_cell_is_named_in_manifest(self, tmp_path, capsys):
+        # a 2500 MHz one-photon detuning is unstable for RK4 at dt 0.5 ns
+        cfg = write_config(tmp_path, {
+            "grid": {"dt_ns": 0.5, "sample_stride": 50},
+            "sweep": {"detuning_sum_mhz": [0.0, 5000.0], "detuning_diff_mhz": [0.0]},
+        })
+        out = tmp_path / "o"
+        assert main(["sweep-detuning", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert "1 cell(s) failed" in capsys.readouterr().err
+        manifest = json.loads((out / "detuning_map_manifest.json").read_text())
+        assert [f["cell"] for f in manifest["failures"]] == [1]
+        assert " at step " in manifest["failures"][0]["error"]
+        rows = (out / "detuning_map.csv").read_text().splitlines()
+        assert float(rows[1].split(",")[5]) > 0.8  # the healthy cell still transfers (peak_p2)
+
 
 class TestSweepCommands:
     def test_sweep_separation_small(self, tmp_path):

@@ -6,7 +6,6 @@ from stirap.core import (
     Ket,
     basis_ket,
     dm_from_ket,
-    jacobi_eigh,
     populations,
     validate_density_matrix,
 )
@@ -16,6 +15,14 @@ from stirap.errors import InvalidStateError
 def random_ket(rng, dim=3):
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return Ket(amps / np.linalg.norm(amps))
+
+
+def charpoly_roots(h):
+    """Independent eigenvalue oracle: roots of det(h - x I)."""
+    coeffs = np.poly(h)
+    roots = np.roots(coeffs)
+    assert np.max(np.abs(roots.imag)) < 1e-8
+    return np.sort(roots.real)
 
 
 class TestDmFromKet:
@@ -35,7 +42,7 @@ class TestDmFromKet:
         # oracle: eigendecomposition must give spectrum {1, 0, 0}
         for _ in range(20):
             rho = dm_from_ket(random_ket(rng))
-            vals, _ = jacobi_eigh(rho.matrix)
+            vals = np.linalg.eigvalsh(rho.matrix)
             assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
             assert np.allclose(np.sort(vals), [0.0, 0.0, 1.0], atol=1e-10)
 
@@ -70,6 +77,14 @@ class TestValidateDensityMatrix:
     def test_never_raises(self):
         validate_density_matrix(np.full((3, 3), 7.0 + 3.0j))  # wildly invalid, no exception
 
+    def test_min_eigenvalue_matches_characteristic_polynomial(self, rng):
+        for dim in (3, 4):
+            for _ in range(50):
+                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                h = m + m.conj().T
+                report = validate_density_matrix(h)
+                assert abs(report.min_eigenvalue - charpoly_roots(h)[0]) < 1e-9
+
 
 class TestPopulations:
     def test_basis_state(self):
@@ -99,38 +114,6 @@ class TestPopulations:
             psi = random_ket(rng, dim=int(rng.integers(2, 5)))
             p = populations(dm_from_ket(psi))
             assert np.max(np.abs(p - np.abs(psi.amplitudes) ** 2)) < 1e-12
-
-
-def charpoly_roots(h):
-    """Independent eigenvalue oracle: roots of det(h - x I)."""
-    coeffs = np.poly(h)
-    roots = np.roots(coeffs)
-    assert np.max(np.abs(roots.imag)) < 1e-8
-    return np.sort(roots.real)
-
-
-class TestJacobiEigh:
-    def test_against_characteristic_polynomial(self, rng):
-        for dim in (3, 4):
-            for _ in range(50):
-                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                h = m + m.conj().T
-                vals, vecs = jacobi_eigh(h)
-                assert np.max(np.abs(vals - charpoly_roots(h))) < 1e-9
-                # eigenvector residual and orthonormality
-                assert np.max(np.abs(h @ vecs - vecs * vals)) < 1e-9
-                assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-10
-
-    def test_against_numpy(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = m + m.conj().T
-        vals, _ = jacobi_eigh(h)
-        assert np.allclose(vals, np.linalg.eigvalsh(h), atol=1e-11)
-
-    def test_diagonal_input(self):
-        vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(vals, [1.0, 2.0, 3.0])
-        assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
 
 class TestImmutability:

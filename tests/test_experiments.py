@@ -262,6 +262,15 @@ class TestHybrid:
         assert summary.column("late_p0_alternations")[0] >= 2
 
 
+    def test_failed_cell_is_recorded_and_the_rest_run(self):
+        # a 1000 rad fast pulse in 10 ns is far beyond RK4 stability at dt 0.5 ns
+        cfg = cfg_with(sweep={"theta_fast_rad": (0.0, 1000.0)})
+        result = run_hybrid(cfg)
+        assert [(f["cell"], f["theta_fast_rad"]) for f in result.failures] == [(1, 1000.0)]
+        assert " at step " in result.failures[0]["error"]
+        assert result.table("hybrid").column("final_p2")[0] > 0.2
+
+
 class TestReversal:
     def test_dissipationless_round_trip(self):
         cfg = cfg_with(grid=GridConfig(dt_ns=0.1, sample_stride=20), dissipative=False)

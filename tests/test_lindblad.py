@@ -5,7 +5,13 @@ import pytest
 
 from stirap.core import DensityMatrix, Ket, basis_ket, dm_from_ket, sigma_op
 from stirap.errors import ConfigurationError, IntegrationFailureError
-from stirap.hamiltonian import TransmonParams, SplitSpec, adiabatic_frame
+from stirap.hamiltonian import (
+    SplitSpec,
+    TransmonParams,
+    adiabatic_frame,
+    build_rotating_hamiltonian,
+    build_split_hamiltonian,
+)
 from stirap.lindblad import (
     Jump,
     LindbladSpec,
@@ -14,7 +20,7 @@ from stirap.lindblad import (
     evolve,
     lindblad_rhs,
 )
-from stirap.pulses import two_pulse_sequence
+from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
 OM01 = mhz_to_rad_ns(43.4)
@@ -254,58 +260,108 @@ class TestEvolve:
         assert err.value.step == 0
 
 
+def dop853_populations(seq, params, times, dim=3, ket=False, edges=()):
+    """Populations at the given times from scipy's DOP853 (rtol 1e-11).
+
+    An independent oracle for the batch kernel: the dense Hamiltonian of
+    build_rotating_hamiltonian (or build_split_hamiltonian) with lindblad_rhs,
+    or the Schrodinger equation for a ket.  The integration restarts at each
+    time in edges, and inside a piece the drive is sampled 1e-9 ns inside it,
+    so no step straddles a FastPulse edge.
+    """
+    from scipy.integrate import solve_ivp
+
+    spec = build_dissipators(params, dim)
+    y = np.zeros(dim if ket else dim * dim, dtype=complex)
+    y[0] = 1.0
+    bounds = [times[0], *edges, times[-1]]
+    pops = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        def rhs(t, yr, lo=lo, hi=hi):
+            sample = seq.drive_sample(min(max(t, lo + 1e-9), hi - 1e-9))
+            h = (build_rotating_hamiltonian(sample) if dim == 3
+                 else build_split_hamiltonian(sample, params.split))
+            z = yr.view(complex)
+            out = -1j * (h @ z) if ket else lindblad_rhs(z.reshape(dim, dim), h, spec).ravel()
+            return out.view(float)
+
+        inside = times[(times >= lo) & (times < hi)] if hi < times[-1] else times[times >= lo]
+        sol = solve_ivp(rhs, (lo, hi), y.view(float), method="DOP853", rtol=1e-11,
+                        atol=1e-13, t_eval=inside, dense_output=True)
+        assert sol.success
+        states = sol.y.T.copy().view(complex)
+        pops.append(np.abs(states) ** 2 if ket else states[:, ::dim + 1].real)
+        y = sol.sol(hi).view(complex)
+    return np.vstack(pops)
+
+
 class TestBatchAgreement:
-    def test_batch_matches_single(self, device_params):
+    def test_split_system_matches_dop853(self):
+        # one shared drive at several detunings, dim-4 coupling list and dissipator
+        from stirap._batch import run_batch
+
+        params = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=25)
+        seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
+                                   delta01=mhz_to_rad_ns(d), delta12=mhz_to_rad_ns(-d))
+                for d in (-6.0, 4.0)]
+        batch = run_batch(seqs, params, grid, dim=4)
+        assert not batch.failures
+        for i, seq in enumerate(seqs):
+            want = dop853_populations(seq, params, batch.times, dim=4)
+            assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
+
+    def test_dissipationless_ket_matches_dop853(self, device_params):
+        # a state vector without dissipation is propagated by the Schrodinger
+        # equation; a winding drive phase makes the populations depend on the
+        # sign of the detunings
         from stirap._batch import run_batch
 
         grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=25)
-        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
-        mixed = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts, delta01=mhz_to_rad_ns(d),
+                                   delta12=mhz_to_rad_ns(2.0), phase_ramp12=ramp)
+                for ts, d, ramp in ((-90.0, -3.0, None),
+                                    (-60.0, 5.0, PhaseRamp(-45.0, 45.0, math.pi)))]
+        batch = run_batch(seqs, device_params, grid, dissipative=False,
+                          rho0=basis_ket(0).amplitudes)
+        assert not batch.failures
+        for i, seq in enumerate(seqs):
+            want = dop853_populations(seq, device_params, batch.times, ket=True)
+            assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
 
-        def detuned(ts, d01_mhz, d12_mhz, om01=OM01, om12=OM12):
-            return two_pulse_sequence(om01, om12, 45.0, ts, delta01=mhz_to_rad_ns(d01_mhz),
-                                      delta12=mhz_to_rad_ns(d12_mhz))
+    def test_hybrid_matches_piecewise_dop853(self, device_params):
+        # the fast pulse ends on a grid point; no RK4 stage may straddle that edge
+        from stirap._batch import run_batch
 
-        cases = {
-            "separations": (device_params, 3, True, None,
-                            [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0)]),
-            # one shared drive, dim-4 coupling list and dissipator
-            "split system": (split, 4, True, None,
-                             [detuned(-90.0, d, -d, mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0))
-                              for d in (-6.0, 0.0, 4.0)]),
-            # a mixed state keeps evolve on its density-matrix path
-            "dissipationless": (device_params, 3, False, mixed,
-                                [detuned(-90.0, d, 2.0) for d in (-3.0, 5.0)]),
-            # equal envelopes at several detunings beside other separations
-            "shared and unshared": (device_params, 3, True, None,
-                                    [detuned(-90.0, -4.0, 1.0), detuned(-90.0, 3.0, 0.0),
-                                     detuned(-60.0, -4.0, 1.0), detuned(-120.0, 0.0, 0.0)]),
-        }
-        for name, (params, dim, dissipative, rho0, seqs) in cases.items():
-            batch = run_batch(seqs, params, grid, dim=dim, dissipative=dissipative, rho0=rho0)
-            state0 = (dm_from_ket(basis_ket(0, dim=dim)) if rho0 is None
-                      else DensityMatrix(rho0))
-            assert not batch.failures, name
-            for i, seq in enumerate(seqs):
-                single = evolve(state0, seq, params, grid, dissipative=dissipative,
-                                store_states=False)
-                err = np.max(np.abs(batch.populations[i] - single.populations))
-                assert err < 1e-12, (name, i, err)
+        seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
+                             t_s=-90.0, theta_fast=math.pi)
+        grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=50)
+        batch = run_batch([seq], device_params, grid)
+        fast = seq.pulses[0]
+        want = dop853_populations(seq, device_params, batch.times,
+                                  edges=(fast.start_ns + fast.duration_ns,))
+        assert np.max(np.abs(batch.populations[0] - want)) <= 5e-8
 
     def test_batch_rerun_is_bitwise_identical(self, device_params):
         # chunk partition is fixed, so reruns (and worker splits) reproduce
-        # bit for bit; each cell's arithmetic is independent of its chunk,
-        # so different chunk sizes reproduce bit for bit too
+        # bit for bit; each cell's arithmetic, FastPulse edges included, is
+        # independent of its chunk, so every cell equals a run of itself alone
         from stirap._batch import run_batch
 
-        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
+        grid = TimeGrid(-235.0, 225.0, dt=0.5, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts)
                 for ts in np.linspace(-120, -30, 7)]
+        for k, theta in ((2, math.pi / 2), (5, math.pi)):
+            seqs.insert(k, build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
+                                          sigma=45.0, t_s=-90.0, theta_fast=theta))
         a = run_batch(seqs, device_params, grid, chunk_size=3)
         b = run_batch(seqs, device_params, grid, chunk_size=3)
         assert np.array_equal(a.populations, b.populations)
         c = run_batch(seqs, device_params, grid, chunk_size=100)
         assert np.array_equal(a.populations, c.populations)
+        for i, seq in enumerate(seqs):
+            alone = run_batch([seq], device_params, grid)
+            assert np.array_equal(c.populations[i], alone.populations[0]), i
 
     def test_diverged_cell_is_isolated(self, device_params):
         from stirap._batch import run_batch
@@ -317,7 +373,31 @@ class TestBatchAgreement:
         alone = run_batch([good], device_params, grid)
         assert np.array_equal(batch.populations[0], alone.populations[0])
         assert [c for c, _ in batch.failures] == [1]
-        assert "non-finite state at step" in batch.failures[0][1]
+        # the message names the first sampled step where the cell failed a check
+        drift = np.abs(batch.populations[1].sum(axis=1) - 1.0)
+        first = int(np.argmax(~(drift <= 1e-6)))
+        step = first * grid.sample_stride
+        assert first > 0 and batch.failed_step[1] == step
+        assert batch.failures[0][1].endswith(
+            f" at step {step} (t = {grid.t_start + step * grid.dt:.3f} ns)")
+        # when every cell fails, the run raises for the first one
+        with pytest.raises(IntegrationFailureError) as err:
+            run_batch([wild, wild], device_params, grid)
+        assert err.value.step == step
+        assert err.value.t_ns == grid.t_start + step * grid.dt
+        assert str(err.value) == batch.failures[0][1]
+
+    def test_drift_failure_names_step(self, device_params):
+        # a state off unit trace (or norm) fails the drift check at step 0
+        from stirap._batch import run_batch
+
+        grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10)
+        seq = no_drive_sequence()
+        for rho0, dissipative, what in ((np.diag([1.5, 0.0, 0.0]), True, "trace drift"),
+                                        (np.array([1.2, 0.0, 0.0]), False, "norm drift")):
+            with pytest.raises(IntegrationFailureError, match=f"^{what} .* at step 0 ") as err:
+                run_batch([seq], device_params, grid, dissipative=dissipative, rho0=rho0)
+            assert err.value.step == 0 and err.value.t_ns == 0.0
 
     def test_batch_rejects_coarse_step(self, device_params):
         from stirap._batch import run_batch
