@@ -74,6 +74,14 @@ class TomographyConfig:
     noise_std_rel: float = 0.01  # fraction of the reference trace scale
     decoherence_corrected_refs: bool = False
 
+    def __post_init__(self):
+        if self.tau_max_ns <= 0 or not 0 < self.dtau_ns <= self.tau_max_ns:
+            raise ConfigurationError("tomography needs tau_max_ns > 0 and 0 < dtau_ns <= tau_max_ns")
+        if self.weight_ns <= 0:
+            raise ConfigurationError("tomography weight_ns must be positive")
+        if self.noise_std_rel < 0:
+            raise ConfigurationError("tomography noise_std_rel must be nonnegative")
+
 
 @dataclass(frozen=True)
 class BerryConfig:

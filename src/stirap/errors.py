@@ -55,7 +55,10 @@ class SingularDesignError(NumericalError):
 
 
 class MaxIterationsError(NumericalError):
-    """Iterative solver hit its iteration cap; best result attached."""
+    """Iterative solver hit its iteration cap; best result attached.
+
+    No solver in the package raises it; kept while perfbench imports it.
+    """
 
     def __init__(self, message: str, result=None):
         super().__init__(message)

@@ -460,10 +460,9 @@ def run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
     shift = _t01_peak(seq)
     rows = []
     for t, p_true, rec in zip(sim.times, sim.populations, results):
-        rows.append([t - shift, *p_true, *rec.p, rec.residual, float(rec.iterations)])
+        rows.append([t - shift, *p_true, *rec.p, rec.residual])
     table = Table("tomography_timeline",
-                  ("t_ns", "p0", "p1", "p2", "p0_hat", "p1_hat", "p2_hat",
-                   "residual", "iterations"),
+                  ("t_ns", "p0", "p1", "p2", "p0_hat", "p1_hat", "p2_hat", "residual"),
                   np.asarray(rows))
     err = np.max(np.abs(table.rows[:, 4:7] - table.rows[:, 1:4]))
     return SweepResult(Experiment.TOMOGRAPHY_TIMELINE.value,

@@ -4,8 +4,9 @@ Reference traces come from the classical driven-damped cavity amplitude
 da/dtau = -i*Delta_j*a - (kappa/2)*a - i*eps, a(0) = 0, with the
 state-dependent dispersive pull Delta_j.  A measured trace is a convex
 combination of the references weighted by the populations; inversion is
-exponentially-weighted least squares on the probability simplex, solved
-by Levenberg-Marquardt with an exact active-set polish at the bounds.
+exponentially-weighted least squares on the probability simplex, a convex
+QP in two variables that is solved exactly by active-set enumeration
+(interior optimum, else the best edge minimum), with no iteration.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, MaxIterationsError, SingularDesignError
+from .errors import ConfigurationError, SingularDesignError
 from .hamiltonian import CavityParams, TransmonParams, dispersive_shifts
 from .lindblad import SimResult
 from .units import mhz_to_rad_ns
@@ -55,7 +56,7 @@ class MeasuredTrace:
 class TomographyResult:
     p: Tuple[float, float, float]
     residual: float  # weighted RMS over I and Q samples
-    iterations: int
+    iterations: int = 0  # always 0 (exact solve); kept while perfbench reads it
 
 
 def _cavity_amplitude(taus: np.ndarray, delta: float, kappa: float, eps: float) -> np.ndarray:
@@ -203,73 +204,46 @@ def design_condition(refs: Sequence[ReferenceTrace], weight_ns: float = DEFAULT_
     return float(np.linalg.cond(design_matrix(refs, weight_ns)))
 
 
-def _project_triangle(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x0 >= 0, x1 >= 0, x0 + x1 <= 1}."""
-    x = np.clip(x, 0.0, None)
-    if x[0] + x[1] > 1.0:
-        # project onto the hypotenuse segment from (1,0) to (0,1)
-        t = min(max((x[0] - x[1] + 1.0) / 2.0, 0.0), 1.0)
-        x = np.array([t, 1.0 - t])
-    return x
+def _cost(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    r = b - a @ x
+    return float(r @ r)
 
 
-def _active_set_polish(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact minimizer of ||b - A x||^2 over the triangle (convex QP, tiny).
+def _simplex_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact minimizer of ||b - A x||^2 over {x0 >= 0, x1 >= 0, x0 + x1 <= 1}.
 
-    Tries the unconstrained optimum, each edge, and each vertex; returns
-    the feasible candidate with the lowest cost.
+    A convex QP in two variables: the unconstrained optimum when it is
+    feasible, otherwise the best of the three edge minima, each a 1-D
+    least-squares solve clamped to its edge, which covers the vertices
+    (active-set enumeration; Nocedal & Wright, Numerical Optimization,
+    ch. 16).  A must have full column rank.
     """
-    candidates = []
-    ata = a.T @ a
-    atb = a.T @ b
-    try:
-        xu = np.linalg.solve(ata, atb)
-        if xu[0] >= -1e-14 and xu[1] >= -1e-14 and xu.sum() <= 1.0 + 1e-14:
-            candidates.append(np.clip(xu, 0.0, 1.0))
-    except np.linalg.LinAlgError:
-        pass
-    # edges: x0 = 0; x1 = 0; x0 + x1 = 1
-    for edge in range(3):
-        if edge == 0:
-            col = a[:, 1]
-            t = float(col @ b) / float(col @ col) if col @ col > 0 else 0.0
-            cand = np.array([0.0, min(max(t, 0.0), 1.0)])
-        elif edge == 1:
-            col = a[:, 0]
-            t = float(col @ b) / float(col @ col) if col @ col > 0 else 0.0
-            cand = np.array([min(max(t, 0.0), 1.0), 0.0])
-        else:
-            col = a[:, 0] - a[:, 1]
-            rhs = b - a[:, 1]
-            t = float(col @ rhs) / float(col @ col) if col @ col > 0 else 0.0
-            t = min(max(t, 0.0), 1.0)
-            cand = np.array([t, 1.0 - t])
-        candidates.append(cand)
-    candidates.extend([np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    candidates.append(x)
-
-    def cost(xc):
-        r = b - a @ xc
-        return float(r @ r)
-
-    best = min(candidates, key=cost)
-    return best
+    x = np.linalg.solve(a.T @ a, a.T @ b)
+    if x[0] >= 0.0 and x[1] >= 0.0 and x[0] + x[1] <= 1.0:
+        return x
+    edges = []
+    # x = start + t * step, t in [0, 1], on x0 = 0, x1 = 0 and x0 + x1 = 1
+    for start, step in (((0.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, 0.0)),
+                        ((0.0, 1.0), (1.0, -1.0))):
+        start, step = np.array(start), np.array(step)
+        col = a @ step
+        t = float(col @ (b - a @ start)) / float(col @ col)
+        edges.append(start + min(max(t, 0.0), 1.0) * step)
+    return min(edges, key=lambda xe: _cost(a, b, xe))
 
 
 def reconstruct_populations(
     meas: MeasuredTrace,
     refs: Sequence[ReferenceTrace],
     weight_ns: float = DEFAULT_WEIGHT,
-    max_iterations: int = 200,
-    lambda_init: float = 1e-3,
-    step_tol: float = 1e-10,
 ) -> TomographyResult:
     """Invert a measured trace to populations on the probability simplex.
 
     Minimizes sum_tau exp(-2 tau / w) * |r_meas - sum_j p_j r_j|^2 in the
-    reduced coordinates (p0, p1), p2 = 1 - p0 - p1, by Levenberg-Marquardt
-    (lambda up/down factor 10) with projection onto the simplex and a
-    final exact active-set solve when the optimum sits on a bound.
+    reduced coordinates (p0, p1), p2 = 1 - p0 - p1, exactly by
+    ``_simplex_solve``.  Raises SingularDesignError when the weighted
+    design's condition number exceeds 1e6; below that the reduced design
+    has full column rank.
     """
     _check_grids(list(refs) + [ReferenceTrace(meas.taus, meas.I, meas.Q, -1)])
     full_design = design_matrix(refs, weight_ns)
@@ -282,53 +256,13 @@ def reconstruct_populations(
     r2col = full_design[:, 2]
     a = np.column_stack([full_design[:, 0] - r2col, full_design[:, 1] - r2col])
     b = wb - r2col
-
-    def cost(x):
-        r = b - a @ x
-        return float(r @ r)
-
-    ata = a.T @ a
-    x = np.array([1.0 / 3.0, 1.0 / 3.0])
-    f = cost(x)
-    lam = lambda_init
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        g = a.T @ (b - a @ x)
-        try:
-            delta = np.linalg.solve(ata + lam * np.eye(2), g)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        x_new = _project_triangle(x + delta)
-        f_new = cost(x_new)
-        if f_new <= f:
-            step = float(np.linalg.norm(x_new - x))
-            x, f = x_new, f_new
-            lam = max(lam / 10.0, 1e-300)
-            if step < step_tol:
-                converged = True
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e15:
-                converged = True  # stuck at a constrained point; polish below
-                break
-
-    x = _active_set_polish(a, b, x)
-    f = cost(x)
+    x = _simplex_solve(a, b)
     n_eff = 2 * np.sum(w**2)
     # p2 computed against the rounded sum keeps p0 + p1 + p2 == 1 exactly
-    result = TomographyResult(
+    return TomographyResult(
         p=(float(x[0]), float(x[1]), float(1.0 - (float(x[0]) + float(x[1])))),
-        residual=float(np.sqrt(f / n_eff)),
-        iterations=iterations,
+        residual=float(np.sqrt(_cost(a, b, x) / n_eff)),
     )
-    if not converged and iterations >= max_iterations:
-        raise MaxIterationsError(
-            f"Levenberg-Marquardt did not converge in {max_iterations} iterations", result=result
-        )
-    return result
 
 
 def tomography_timeline(

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from stirap.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -10,6 +13,7 @@ def write_config(tmp_path, data, name="cfg.json"):
 
 
 FAST = {"grid": {"dt_ns": 0.5, "sample_stride": 50}}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestValidateConfig:
@@ -64,6 +68,24 @@ class TestRun:
     def test_dt_too_coarse_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": {"dt_ns": 1.5, "sample_stride": 10}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        ("dtau_ns", 0.0), ("weight_ns", 0.0), ("tau_max_ns", -10.0), ("dtau_ns", -5.0),
+        ("weight_ns", -5.0), ("noise_std_rel", -0.5),
+    ])
+    def test_invalid_tomography_config(self, tmp_path, key, value):
+        cfg = write_config(tmp_path, {"grid": {"dt_ns": 0.5, "sample_stride": 100},
+                                      "tomography": {key: value}})
+        assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_shipped_tomography_config(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = str(CONFIGS / "tomography.json")
+        assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        header, *rows = (out / "tomography_timeline.csv").read_text().splitlines()
+        assert len(rows) == 181
+        assert header.split(",") == ["t_ns", "p0", "p1", "p2", "p0_hat", "p1_hat",
+                                     "p2_hat", "residual"]
 
 
 class TestNumericalFailures:

@@ -198,6 +198,44 @@ class TestReconstruction:
         n_eff = 2.0 * w.sum() ** 2 / np.sum(w**2)
         assert np.all(mean_err <= noise / np.sqrt(n_eff))
 
+    def test_matches_slsqp_oracle(self, refs, rng):
+        # independent solver on the full 3-population simplex; SLSQP itself
+        # converges to about 1e-8 in p, so the bound on p is 1e-7.  Sparse
+        # Dirichlet truths put about a third of the optima on an edge, and
+        # noisy pure states put some on a vertex.
+        from scipy.optimize import minimize
+
+        from stirap.tomography import design_matrix
+
+        a_full = design_matrix(refs)
+        w = np.exp(-refs[0].taus / 700.0)
+        noise = 0.02 * trace_scale(refs)
+        truths = [*np.eye(3), *np.eye(3), *rng.dirichlet([0.3, 0.3, 0.3], size=44)]
+        zeros = set()
+        for seed, truth in enumerate(truths):
+            meas = mix_traces(truth, refs, noise_std=noise, seed=seed)
+            b = np.concatenate([w * meas.I, w * meas.Q])
+            scale = 1.0 / float(b @ b)
+
+            def cost(p):
+                r = b - a_full @ p
+                return scale * float(r @ r)
+
+            def grad(p):
+                return -2.0 * scale * (a_full.T @ (b - a_full @ p))
+
+            oracle = minimize(cost, np.full(3, 1.0 / 3.0), jac=grad, method="SLSQP",
+                              bounds=[(0.0, 1.0)] * 3,
+                              constraints=[{"type": "eq", "fun": lambda p: p.sum() - 1.0,
+                                            "jac": lambda p: np.ones(3)}],
+                              options={"ftol": 1e-16, "maxiter": 500})
+            assert oracle.success, oracle.message
+            res = reconstruct_populations(meas, refs)
+            assert cost(np.array(res.p)) <= cost(oracle.x) * (1.0 + 1e-12)
+            assert np.max(np.abs(np.array(res.p) - oracle.x)) <= 1e-7
+            zeros.add(res.p.count(0.0))
+        assert zeros == {0, 1, 2}  # interior, edge and vertex optima all occur
+
     def test_degenerate_design_raises(self, refs):
         same = [ReferenceTrace(refs[0].taus, refs[0].I, refs[0].Q, j) for j in range(3)]
         with pytest.raises(SingularDesignError):
