@@ -4,12 +4,14 @@ Integrates a batch of independent systems that share the time grid and
 dissipator but differ in their pulse sequences (amplitudes, detunings,
 timing).  A density matrix is held cells-last, shape (dim*dim, n_cells);
 a dissipationless run from a state vector propagates the vector, shape
-(dim, n_cells), by the Schrodinger equation.  The right-hand side is
-written out entry by entry from the fixed sparsity of H and of the
-dissipator, so no step calls BLAS and each cell's arithmetic does not
-depend on the other cells of its chunk.  Cells are processed in
-fixed-size chunks so results are bit-identical regardless of how chunks
-are distributed over workers.  lindblad.evolve is a chunk of one cell.
+(dim, n_cells), by the Schrodinger equation, with RHS -iH psi.  The
+Lindblad generator preserves Hermiticity, so a density matrix's RHS is
+X + X^H with X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric
+in (a, b) and its jumps move population only): both modes run only row
+updates from the fixed sparsity of H and D, and every state is exactly
+Hermitian.  No step calls BLAS and each cell's arithmetic is independent
+of its chunk, so with fixed-size chunks results are bit-identical however
+chunks are distributed over workers.  lindblad.evolve is a chunk of one.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  At a FastPulse edge that sits on
@@ -26,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationFailureError
+from .core import HERMITICITY_TOL
+from .errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from .hamiltonian import TransmonParams
 from .lindblad import LindbladSpec, TimeGrid, build_dissipators, check_step
 from .pulses import FastPulse, PulseSequence, Transition
@@ -143,49 +146,48 @@ def evolve_chunk(
 ) -> BatchResult:
     """Integrate one chunk of cells on a shared grid.
 
-    rho0 is every cell's initial state, |0><0| by default.  A state vector
-    without dissipation is propagated as a ket; with dissipation it stands
-    for its projector.  Each cell's first sampled step with a non-finite
-    state, a trace (or norm) drift above 1e-6 or an eigenvalue below -1e-6
-    is recorded as its failure; the other cells run on.
+    rho0 is every cell's initial state, |0><0| by default; a matrix not
+    Hermitian to core.HERMITICITY_TOL raises InvalidStateError.  A state
+    vector without dissipation is propagated as a ket; with dissipation it
+    stands for its projector.  Each cell's first sampled step with a
+    non-finite state, a trace (or norm) drift above 1e-6 or an eigenvalue
+    below -1e-6 is recorded as its failure; the other cells run on.
     """
     if dim not in (3, 4):
         raise ConfigurationError(f"unsupported dimension {dim}")
     if dim == 4 and params.split is None:
         raise ConfigurationError("4-level batch needs transmon split parameters")
     if rho0 is None:
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        rho0[0, 0] = 1.0
+        rho0 = np.diag(np.eye(dim)[0])
     init = np.asarray(rho0, dtype=complex)
     if init.ndim == 1 and dissipative:
         init = np.outer(init, init.conj())
     ket = init.ndim == 1
+    if not ket:
+        if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
+            raise InvalidStateError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
+        init = 0.5 * (init + init.conj().T)  # exactly Hermitian, which X + X^H keeps
     n_cells = len(seqs)
-    n = grid.n_steps
-    dt = grid.dt
+    n, dt = grid.n_steps, grid.dt
     a01, a12, left, energies = _chunk_drive(seqs, grid, dim, params)
     couplings = _couplings(dim, params)
 
     if ket:
-        ldiag = -1j * energies
-        jumps = []
+        ldiag, jumps = -1j * energies, []
     else:
         spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
         dsup = spec.superoperator(dim)
-        # Liouvillian diagonal at vec index a*dim + b: -i(E_a - E_b) + D[k, k]
-        ldiag = (-1j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
-        ldiag += np.diag(dsup)[:, None]
-        off = dsup != 0
-        np.fill_diagonal(off, False)
-        jumps = [(k, l, dsup[k, l]) for k, l in zip(*np.nonzero(off))]
+        # X's diagonal at vec index a*dim + b: (-i(E_a - E_b) + D[k, k]) / 2
+        ldiag = (-0.5j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
+        ldiag += 0.5 * np.diag(dsup)[:, None]
+        jumps = [(k, l, 0.5 * dsup[k, l]) for k, l in zip(*np.nonzero(dsup)) if k != l]
 
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
 
     sample_steps = set(range(0, n + 1, grid.sample_stride)) | {n}
-    n_samples = len(sample_steps)
-    times = np.empty(n_samples)
-    pops = np.empty((n_cells, n_samples, dim))
-    states = np.empty((n_cells, n_samples, y.shape[0]), dtype=complex) if store_states else None
+    times = np.empty(len(sample_steps))
+    pops = np.empty((n_cells, times.size, dim))
+    states = np.empty((n_cells, times.size, y.shape[0]), dtype=complex) if store_states else None
     max_drift = np.zeros(n_cells)
     min_eig = np.zeros(n_cells)
     failed_step = np.full(n_cells, -1)
@@ -198,24 +200,25 @@ def evolve_chunk(
                 for _, _, tr, w in couplings]
 
     def views(a: np.ndarray):
-        """The array with its rows [k, :] and, for a density matrix, its
-        columns [:, k] as views; a ket's rows are its amplitudes."""
+        """The array, its rows [k, :] as views and its (dim, -1, n_cells) form."""
         a3 = a.reshape(dim, -1, n_cells)
-        return a, [a3[k] for k in range(dim)], [a3[:, k] for k in range(a3.shape[1])]
+        return a, [a3[k] for k in range(dim)], a3
 
     tmp = np.empty((y.shape[0] // dim, n_cells), dtype=complex)
+    scratch = None if ket else views(np.empty_like(y))
 
     def rhs(coefs, src, out):
-        (ya, yr, yc), (oa, orow, ocol) = src, out
-        np.multiply(ldiag, ya, out=oa)
+        """A ket's X into out; a density matrix's into scratch, then out = X + X^H."""
+        (ya, yr, _), (xa, xr, x3) = src, scratch or out
+        np.multiply(ldiag, ya, out=xa)
         for (r, c, _, _), (p, q) in zip(couplings, coefs):
-            np.add(orow[r], np.multiply(yr[c], p, out=tmp), out=orow[r])
-            np.add(orow[c], np.multiply(yr[r], q, out=tmp), out=orow[c])
-            if not ket:
-                np.subtract(ocol[c], np.multiply(yc[r], p, out=tmp), out=ocol[c])
-                np.subtract(ocol[r], np.multiply(yc[c], q, out=tmp), out=ocol[r])
+            np.add(xr[r], np.multiply(yr[c], p, out=tmp), out=xr[r])
+            np.add(xr[c], np.multiply(yr[r], q, out=tmp), out=xr[c])
         for k, l, v in jumps:
-            np.add(oa[k], np.multiply(ya[l], v, out=tmp[0]), out=oa[k])
+            np.add(xa[k], np.multiply(ya[l], v, out=tmp[0]), out=xa[k])
+        if scratch:
+            np.conjugate(x3.swapaxes(0, 1), out=out[2])
+            np.add(out[0], xa, out=out[0])
 
     sample_i = 0
 
@@ -230,14 +233,11 @@ def evolve_chunk(
         finite = np.isfinite(y).all(axis=0)
         if ket:
             p = np.abs(y) ** 2
-            drift = np.abs(p.sum(axis=0) - 1.0)
         else:
             p = y[::dim + 1].real
-            tr = y[::dim + 1].sum(axis=0)
-            drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
             r = y.reshape(dim, dim, n_cells)[:, :, finite].transpose(2, 0, 1)
-            eigs = np.linalg.eigvalsh(0.5 * (r + np.conj(np.swapaxes(r, 1, 2))))
-            min_eig[finite] = np.minimum(min_eig[finite], eigs[:, 0])
+            min_eig[finite] = np.minimum(min_eig[finite], np.linalg.eigvalsh(r)[:, 0])
+        drift = np.abs(p.sum(axis=0) - 1.0)
         np.maximum(max_drift, drift, out=max_drift)
         fail(~finite, lambda c: "non-finite state", step, t)
         fail(drift > 1e-6, lambda c: f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}", step, t)

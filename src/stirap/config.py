@@ -92,6 +92,13 @@ class BerryConfig:
     sigma_ns: float = 45.0
     metric_threshold: float = 10.0
 
+    def __post_init__(self):
+        # phrased so that NaN, which JSON accepts, fails as well
+        if not self.metric_threshold > 0:
+            raise ConfigurationError("berry metric_threshold must be positive")
+        if not all(v > 0 for v in (self.sigma_ns, self.ramp_span_ns, self.omega_rms_mhz)):
+            raise ConfigurationError("berry sigma_ns, ramp_span_ns and omega_rms_mhz must be positive")
+
 
 @dataclass(frozen=True)
 class OutputConfig:

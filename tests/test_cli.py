@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from stirap.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from stirap.config import config_hash, load_config
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -78,6 +82,19 @@ class TestRun:
                                       "tomography": {key: value}})
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["validate-config", "berry"])
+    @pytest.mark.parametrize("key, value", [
+        ("metric_threshold", -1.0), ("metric_threshold", 0.0), ("metric_threshold", float("nan")),
+        ("sigma_ns", 0.0), ("ramp_span_ns", -90.0), ("omega_rms_mhz", -200.0),
+    ])
+    def test_invalid_berry_config(self, tmp_path, command, key, value):
+        # a threshold <= 0 would pass the adiabaticity precondition for any drive
+        cfg = write_config(tmp_path, {"berry": {key: value}})
+        out = tmp_path / "o"
+        extra = [] if command == "validate-config" else ["--out", str(out)]
+        assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_shipped_tomography_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = str(CONFIGS / "tomography.json")
@@ -146,3 +163,13 @@ class TestSweepCommands:
         header, values = rows[0].split(","), [float(v) for v in rows[1].split(",")]
         rec = dict(zip(header, values))
         assert rec["mismatch_rad"] <= 1e-2
+
+
+def test_python_m_stirap():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = CONFIGS / "paper_defaults.json"
+    proc = subprocess.run([sys.executable, "-m", "stirap", "validate-config", "--config", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == f"ok {config_hash(load_config(path))}\n"

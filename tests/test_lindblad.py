@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stirap.core import DensityMatrix, Ket, basis_ket, dm_from_ket, sigma_op
-from stirap.errors import ConfigurationError, IntegrationFailureError
+from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import (
     SplitSpec,
     TransmonParams,
@@ -398,6 +398,45 @@ class TestBatchAgreement:
             with pytest.raises(IntegrationFailureError, match=f"^{what} .* at step 0 ") as err:
                 run_batch([seq], device_params, grid, dissipative=dissipative, rho0=rho0)
             assert err.value.step == 0 and err.value.t_ns == 0.0
+
+    def test_non_hermitian_rho0_is_rejected(self, device_params):
+        from stirap._batch import run_batch
+
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        rho0[0, 1], rho0[1, 0] = 0.1, 0.2
+        with pytest.raises(InvalidStateError, match="not Hermitian: deviation 1.000e-01"):
+            run_batch([no_drive_sequence()], device_params, TimeGrid(0.0, 100.0, dt=0.5), rho0=rho0)
+
+    def test_dissipator_has_the_structure_the_kernel_assumes(self, device_params):
+        # the kernel's RHS X + X^H with X = -iH rho + D(rho)/2 is exact only when
+        # D's diagonal is real and symmetric in (a, b) and its off-diagonal
+        # entries are real rates from one population to another
+        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        for params, dim in ((device_params, 3), (split, 4)):
+            sup = build_dissipators(params, dim).superoperator(dim)
+            diag = np.diag(sup).reshape(dim, dim)
+            assert np.all(diag.imag == 0.0) and np.array_equal(diag, diag.T)
+            k, l = np.nonzero(sup - np.diag(np.diag(sup)))
+            assert len(k) == 2 * (dim - 2)
+            assert np.all(k % (dim + 1) == 0) and np.all(l % (dim + 1) == 0)
+            assert np.all(sup[k, l].imag == 0.0)
+
+    def test_density_matrix_states_are_exactly_hermitian(self, device_params):
+        # with RHS X + X^H every stored state is Hermitian bit for bit and its
+        # trace exactly real, at 3 levels and on the 4-level split
+        from stirap._batch import evolve_chunk
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=25)
+        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        for params, dim in ((device_params, 3), (split, 4)):
+            seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(d),
+                                       delta12=mhz_to_rad_ns(-d))
+                    for d in (-6.0, 0.0, 4.0)]
+            res = evolve_chunk(seqs, params, grid, dim=dim, store_states=True)
+            assert not res.failures
+            rho = res.states.reshape(len(seqs), -1, dim, dim)
+            assert np.array_equal(rho, np.conj(np.swapaxes(rho, 2, 3)))
+            assert np.all(np.trace(rho, axis1=2, axis2=3).imag == 0.0)
 
     def test_batch_rejects_coarse_step(self, device_params):
         from stirap._batch import run_batch
