@@ -11,7 +11,13 @@ in (a, b) and its jumps move population only): both modes run only row
 updates from the fixed sparsity of H and D, and every state is exactly
 Hermitian.  No step calls BLAS and each cell's arithmetic is independent
 of its chunk, so with fixed-size chunks results are bit-identical however
-chunks are distributed over workers.  lindblad.evolve is a chunk of one.
+chunks are distributed over workers.
+
+lindblad.evolve runs one cell through evolve_cell, the same RK4 written as
+step matrices: for a linear system one RK4 step is y <- M y, and the M of
+a block of steps come from a few batched matrix products instead of about
+85 small numpy calls per step.  It uses the kernel's drive rows, couplings,
+energies and dissipator, and both paths judge a sample by _sample_checks.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  At a FastPulse edge that sits on
@@ -36,6 +42,7 @@ from .pulses import FastPulse, PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
+STEP_BLOCK = 256  # RK4 step matrices evolve_cell builds at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 
 
@@ -135,6 +142,121 @@ def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
     return a01, a12, left, energies
 
 
+def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
+                   rho0: Optional[np.ndarray]):
+    """The validated initial state and the dissipator superoperator, None for a ket.
+
+    rho0 is |0><0| by default; a matrix not Hermitian to core.HERMITICITY_TOL
+    raises InvalidStateError.  A state vector without dissipation is
+    propagated as a ket; with dissipation it stands for its projector.
+    """
+    if dim not in (3, 4):
+        raise ConfigurationError(f"unsupported dimension {dim}")
+    if dim == 4 and params.split is None:
+        raise ConfigurationError("4-level batch needs transmon split parameters")
+    if rho0 is None:
+        rho0 = np.diag(np.eye(dim)[0])
+    init = np.asarray(rho0, dtype=complex)
+    if init.ndim == 1 and dissipative:
+        init = np.outer(init, init.conj())
+    if init.ndim == 1:
+        return init, None
+    if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
+        raise InvalidStateError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
+    spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
+    # exactly Hermitian, which X + X^H keeps
+    return 0.5 * (init + init.conj().T), spec.superoperator(dim)
+
+
+def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: TimeGrid):
+    """Check each column of y, the state (vec of rho, or a ket) at step steps[i].
+
+    Returns the populations (dim, m), the trace (or norm) drift and the
+    minimum eigenvalue (0 for a ket or a non-finite state) per column, and
+    {column: message} for the columns with a non-finite state, a drift
+    above 1e-6 or an eigenvalue below -1e-6, checked in that order.
+    """
+    finite = np.isfinite(y).all(axis=0)
+    eig = np.zeros(y.shape[1])
+    if ket:
+        p = np.abs(y) ** 2
+    else:
+        p = y[::dim + 1].real
+        eig[finite] = np.linalg.eigvalsh(y.reshape(dim, dim, -1)[:, :, finite].transpose(2, 0, 1))[:, 0]
+    drift = np.abs(p.sum(axis=0) - 1.0)
+    bad = {}
+    for c in np.flatnonzero(~finite | (drift > 1e-6) | (eig < -1e-6)):
+        what = ("non-finite state" if not finite[c]
+                else f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}" if drift[c] > 1e-6
+                else f"negative eigenvalue {eig[c]:.3e}")
+        bad[int(c)] = f"{what} at step {steps[c]} (t = {grid.t_start + steps[c] * grid.dt:.3f} ns)"
+    return p, drift, eig, bad
+
+
+def evolve_cell(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int = 3,
+                dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
+    """evolve_chunk([seq], ..., store_states=True) by RK4 step matrices.
+
+    For y' = G(t) y (G = -iH for a ket, the Liouvillian
+    -i(H (x) I - I (x) H^T) + D on the row-major vec of rho) one RK4 step is
+    y <- M y, M = I + dt/6 (G_a + 2 G_b B1 + 2 G_b B2 + G_c B3) with
+    B1 = I + dt/2 G_a, B2 = I + dt/2 G_b B1, B3 = I + dt G_b B2 (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.1), built STEP_BLOCK steps at a time.
+    """
+    init, dsup = _initial_state(params, dim, dissipative, rho0)
+    n, dt = grid.n_steps, grid.dt
+    a01, a12, left, energies = _chunk_drive([seq], grid, dim, params)
+    # (A01, A12) rows on the half-step grid, and at each step's end with left limits
+    drive, ends = np.stack([a01[:, 0], a12[:, 0]]), np.stack([a01[2::2, 0], a12[2::2, 0]])
+    for i, rows in left.items():
+        ends[:, i // 2 - 1] = np.ravel(rows)
+    eye_h = np.eye(dim)
+
+    def liouvillian(h: np.ndarray) -> np.ndarray:
+        """-iH for a ket; -i(H (x) I - I (x) H^T) on the row-major vec of rho."""
+        return -1j * h if dsup is None else -1j * (np.kron(h, eye_h) - np.kron(eye_h, h.T))
+
+    # H is linear in the drive, so G(t) = G0 + sum_j (A_j(t) P_j + conj(A_j(t)) Q_j)
+    g0 = liouvillian(np.diag(energies[:, 0])) + (0.0 if dsup is None else dsup)
+    couplings = _couplings(dim, params)
+    basis = np.array([liouvillian(0.5 * w * np.outer(eye_h[i], eye_h[j])).ravel()
+                      for r, c, _, w in couplings for i, j in ((r, c), (c, r))])
+
+    def generators(rows: np.ndarray) -> np.ndarray:
+        coefs = np.stack([f(rows[tr]) for _, _, tr, _ in couplings for f in (np.asarray, np.conj)], axis=1)
+        return g0 + (coefs @ basis).reshape(-1, *g0.shape)
+
+    eye = np.eye(init.size)
+    y = init.reshape(-1)
+    steps = np.array(sorted(set(range(0, n + 1, grid.sample_stride)) | {n}))
+    samples = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n, STEP_BLOCK):
+            stop = min(k0 + STEP_BLOCK, n)
+            ga = generators(drive[:, 2 * k0:2 * stop:2])
+            gb = generators(drive[:, 2 * k0 + 1:2 * stop:2])
+            gb_b1 = gb @ (eye + (0.5 * dt) * ga)
+            gb_b2 = gb @ (eye + (0.5 * dt) * gb_b1)
+            gc_b3 = generators(ends[:, k0:stop]) @ (eye + dt * gb_b2)
+            m = eye + (dt / 6.0) * (ga + 2.0 * gb_b1 + 2.0 * gb_b2 + gc_b3)
+            for k, mk in zip(range(k0 + 1, stop + 1), m):
+                y = mk @ y
+                if k % grid.sample_stride == 0 or k == n:
+                    samples.append(y)
+    states = np.array(samples).T
+    p, drift, eig, bad = _sample_checks(states, dim, dsup is None, steps, grid)
+    first = min(bad, default=None)  # the cell's failure is its first failing sample
+    return BatchResult(
+        times=grid.t_start + steps * dt,
+        populations=p.T[None],
+        trace_drift=np.array([drift.max()]),
+        min_eig=np.array([min(0.0, eig.min())]),
+        failed_step=np.array([-1 if first is None else steps[first]]),
+        failures=() if first is None else ((0, bad[first]),),
+        states=states.T[None],
+    )
+
+
 def evolve_chunk(
     seqs: Sequence[PulseSequence],
     params: TransmonParams,
@@ -146,27 +268,12 @@ def evolve_chunk(
 ) -> BatchResult:
     """Integrate one chunk of cells on a shared grid.
 
-    rho0 is every cell's initial state, |0><0| by default; a matrix not
-    Hermitian to core.HERMITICITY_TOL raises InvalidStateError.  A state
-    vector without dissipation is propagated as a ket; with dissipation it
-    stands for its projector.  Each cell's first sampled step with a
-    non-finite state, a trace (or norm) drift above 1e-6 or an eigenvalue
-    below -1e-6 is recorded as its failure; the other cells run on.
+    rho0 is every cell's initial state, read as _initial_state says.  Each
+    cell's first sample failing _sample_checks is recorded as its failure;
+    the other cells run on.
     """
-    if dim not in (3, 4):
-        raise ConfigurationError(f"unsupported dimension {dim}")
-    if dim == 4 and params.split is None:
-        raise ConfigurationError("4-level batch needs transmon split parameters")
-    if rho0 is None:
-        rho0 = np.diag(np.eye(dim)[0])
-    init = np.asarray(rho0, dtype=complex)
-    if init.ndim == 1 and dissipative:
-        init = np.outer(init, init.conj())
-    ket = init.ndim == 1
-    if not ket:
-        if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
-            raise InvalidStateError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
-        init = 0.5 * (init + init.conj().T)  # exactly Hermitian, which X + X^H keeps
+    init, dsup = _initial_state(params, dim, dissipative, rho0)
+    ket = dsup is None
     n_cells = len(seqs)
     n, dt = grid.n_steps, grid.dt
     a01, a12, left, energies = _chunk_drive(seqs, grid, dim, params)
@@ -175,8 +282,6 @@ def evolve_chunk(
     if ket:
         ldiag, jumps = -1j * energies, []
     else:
-        spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
-        dsup = spec.superoperator(dim)
         # X's diagonal at vec index a*dim + b: (-i(E_a - E_b) + D[k, k]) / 2
         ldiag = (-0.5j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
         ldiag += 0.5 * np.diag(dsup)[:, None]
@@ -222,27 +327,16 @@ def evolve_chunk(
 
     sample_i = 0
 
-    def fail(mask: np.ndarray, what, step: int, t: float):
-        for c in np.flatnonzero(mask & (failed_step < 0)):
-            failed_step[c] = step
-            messages[int(c)] = f"{what(c)} at step {step} (t = {t:.3f} ns)"
-
     def record(step: int):
         nonlocal sample_i
-        t = grid.t_start + step * dt
-        finite = np.isfinite(y).all(axis=0)
-        if ket:
-            p = np.abs(y) ** 2
-        else:
-            p = y[::dim + 1].real
-            r = y.reshape(dim, dim, n_cells)[:, :, finite].transpose(2, 0, 1)
-            min_eig[finite] = np.minimum(min_eig[finite], np.linalg.eigvalsh(r)[:, 0])
-        drift = np.abs(p.sum(axis=0) - 1.0)
+        p, drift, eig, bad = _sample_checks(y, dim, ket, np.full(n_cells, step), grid)
         np.maximum(max_drift, drift, out=max_drift)
-        fail(~finite, lambda c: "non-finite state", step, t)
-        fail(drift > 1e-6, lambda c: f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}", step, t)
-        fail(min_eig < -1e-6, lambda c: f"negative eigenvalue {min_eig[c]:.3e}", step, t)
-        times[sample_i] = t
+        np.minimum(min_eig, eig, out=min_eig)
+        for c, message in bad.items():
+            if failed_step[c] < 0:
+                failed_step[c] = step
+                messages[c] = message
+        times[sample_i] = grid.t_start + step * dt
         pops[:, sample_i, :] = p.T
         if store_states:
             states[:, sample_i, :] = y.T

@@ -238,13 +238,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _reject_constant(name: str):
+    # JSON parsers accept NaN and +-Infinity, which slip past every "<= 0" check
+    raise ConfigurationError(f"config values must be finite numbers, got {name}")
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)

@@ -63,7 +63,7 @@ class TransmonParams:
 
     def __post_init__(self):
         for name in ("gamma10_mhz", "gamma21_mhz", "gamma_phi10_mhz", "gamma_phi21_mhz"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails too, so no jump is dropped
                 raise ConfigurationError(f"{name} must be nonnegative")
         if not self.f01_mhz > self.f12_mhz:
             raise ConfigurationError("need f01 > f12 (negative anharmonicity)")

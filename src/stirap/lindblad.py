@@ -5,8 +5,9 @@ drho/dt = -i[H(t), rho] + sum_k rate_k * (L rho L^dag - {L^dag L, rho}/2)
 This module holds the dissipators, the time grid, the step guard and the
 sampled result of one run.  lindblad_rhs is the dense form of the
 equation, the reference the tests check the batch kernel against.  The
-one integrator is the fixed-step RK4 of _batch; evolve() runs it on a
-chunk of one cell.  A Ket without dissipation is propagated by the
+one integrator is the fixed-step RK4 of _batch; evolve() runs it on one
+cell as RK4 step matrices (_batch.evolve_cell), which equal a one-cell
+chunk up to round-off.  A Ket without dissipation is propagated by the
 Schrodinger equation instead.
 """
 
@@ -190,16 +191,17 @@ def evolve(
     """Integrate one cell over the grid, sampling every sample_stride steps.
 
     A Ket without dissipation is propagated as a state vector, every other
-    input as a density matrix, by the batch kernel on a chunk of one.
-    Raises IntegrationFailureError at the first sampled step where the
-    trace (or norm) drifts by more than 1e-6 or an eigenvalue drops below
-    -1e-6.
+    input as a density matrix, by the batch kernel's RK4 written as one
+    step matrix per step, built a block of steps at a time.  Raises
+    IntegrationFailureError at the first sample that fails the kernel's
+    checks (_batch._sample_checks): a non-finite state, a trace (or norm)
+    drift above 1e-6 or an eigenvalue below -1e-6.
     """
     from . import _batch  # _batch imports this module
 
     check_step(seq, grid)
     init = state0.amplitudes if isinstance(state0, Ket) else state0.matrix
-    res = _batch.evolve_chunk([seq], params, grid, state0.dim, dissipative, init, store_states)
+    res = _batch.evolve_cell(seq, params, grid, state0.dim, dissipative, init)
     _batch.raise_if_all_failed(res, grid)
     states: tuple = ()
     if store_states:

@@ -95,6 +95,21 @@ class TestRun:
         assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("pulses", "sigma_ns", float("nan")), ("grid", "dt_ns", float("nan")),
+        ("tomography", "weight_ns", float("nan")), ("pulses", "omega01_mhz", float("nan")),
+        ("transmon", "gamma10_mhz", float("nan")), ("pulses", "t_separation_ns", float("inf")),
+    ])
+    def test_non_finite_config(self, tmp_path, command, section, key, value):
+        # json.dumps writes NaN and Infinity, and Python's JSON parser reads them
+        cfg = write_config(tmp_path, {section: {key: value}})
+        assert "NaN" in Path(cfg).read_text() or "Infinity" in Path(cfg).read_text()
+        out = tmp_path / "o"
+        extra = [] if command == "validate-config" else ["--out", str(out)]
+        assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_shipped_tomography_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = str(CONFIGS / "tomography.json")

@@ -260,6 +260,11 @@ class TestTransmonParams:
         with pytest.raises(ConfigurationError):
             TransmonParams(gamma10_mhz=-0.1)
 
+    def test_nan_rate_rejected(self):
+        # build_dissipators keeps rates > 0, so a NaN rate would drop its jump
+        with pytest.raises(ConfigurationError, match="gamma_phi21_mhz"):
+            TransmonParams(gamma_phi21_mhz=float("nan"))
+
     def test_anharmonicity_sign(self):
         with pytest.raises(ConfigurationError):
             TransmonParams(f01_mhz=4000.0, f12_mhz=5000.0)

@@ -363,6 +363,88 @@ class TestBatchAgreement:
             alone = run_batch([seq], device_params, grid)
             assert np.array_equal(c.populations[i], alone.populations[0]), i
 
+    def test_evolve_matches_one_cell_chunk(self, device_params):
+        # evolve's RK4 step matrices are the kernel's RK4 on one cell, with the
+        # same drive samples, FastPulse edges and checks, equal up to round-off
+        from stirap._batch import _edge_steps, evolve_chunk
+
+        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        stirap = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
+        hybrid = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
+                                t_s=-90.0, theta_fast=math.pi)
+        cases = (
+            (dm_from_ket(basis_ket(0)), stirap, device_params, True),
+            (basis_ket(0), stirap, device_params, False),
+            (dm_from_ket(basis_ket(0, dim=4)),
+             two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0), split, True),
+            (dm_from_ket(basis_ket(0)), hybrid, device_params, True),
+        )
+        for state0, seq, params, dissipative in cases:
+            grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=25)
+            if seq is hybrid:
+                assert _edge_steps(seq, grid)  # the fast pulse's edge lies on the grid
+            got = evolve(state0, seq, params, grid, dissipative=dissipative)
+            ket = isinstance(state0, Ket)
+            want = evolve_chunk([seq], params, grid, state0.dim, dissipative,
+                                state0.amplitudes if ket else state0.matrix, store_states=True)
+            assert not want.failures
+            if ket:  # evolve returns normalised kets
+                want_states = want.states[0] / np.linalg.norm(want.states[0], axis=1)[:, None]
+                got_states = np.array([k.amplitudes for k in got.states])
+            else:
+                want_states = want.states[0]
+                got_states = np.array([r.matrix.ravel() for r in got.states])
+            assert np.array_equal(got.times, want.times)
+            assert np.max(np.abs(got_states - want_states)) <= 1e-12
+            assert np.max(np.abs(got.populations - want.populations[0])) <= 1e-12
+            assert abs(got.trace_drift - want.trace_drift[0]) <= 1e-12
+            assert abs(got.min_eig - want.min_eig[0]) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["trace", "eigenvalue", "diverging drive"])
+    def test_evolve_fails_like_one_cell_chunk(self, device_params, case):
+        # evolve raises for the sample, with the message, that the kernel records.
+        # Samples every 10 steps catch the divergence while the state is still
+        # of order 1; every 50 steps the first failing sample holds entries
+        # near 3e56, and the drift it reports is round-off in either method
+        from stirap._batch import evolve_chunk
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=10)
+        seq, rho0 = two_pulse_sequence(OM01, OM12, 45.0, -90.0), np.diag([1.0, 0.0, 0.0])
+        if case == "trace":
+            rho0 = np.diag([1.5, 0.0, 0.0])
+        elif case == "eigenvalue":
+            rho0 = np.diag([1.2, -0.2, 0.0])
+        else:
+            seq = two_pulse_sequence(mhz_to_rad_ns(5000.0), mhz_to_rad_ns(5000.0), 45.0, -90.0)
+        want = evolve_chunk([seq], device_params, grid, rho0=rho0)
+        assert len(want.failures) == 1
+        with pytest.raises(IntegrationFailureError) as err:
+            evolve(DensityMatrix(rho0.astype(complex), check=False), seq, device_params, grid)
+        step = int(want.failed_step[0])
+        assert str(err.value) == want.failures[0][1]
+        assert err.value.step == step and err.value.t_ns == grid.t_start + step * grid.dt
+        assert str(err.value).startswith({"trace": "trace drift 5.000e-01 at step 0 ",
+                                          "eigenvalue": "negative eigenvalue -2.000e-01 at step 0 ",
+                                          "diverging drive": "negative eigenvalue "}[case])
+
+    def test_evolve_memory_is_bounded_by_time_blocks(self):
+        # the step matrices are built in time blocks: a whole 22 500-step run of
+        # 16 x 16 matrices would hold 92 MB per array; only the drive samples
+        # (about 3 MB here) grow with the run
+        import tracemalloc
+
+        params = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        seq = two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0)
+        grid = TimeGrid(-2250.0, 2250.0, dt=0.2, sample_stride=100)
+        assert grid.n_steps >= 20000
+        tracemalloc.start()
+        try:
+            evolve(dm_from_ket(basis_ket(0, dim=4)), seq, params, grid, store_states=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_diverged_cell_is_isolated(self, device_params):
         from stirap._batch import run_batch
 
