@@ -72,8 +72,6 @@ def main(argv=None) -> int:
 
         replacements = {"experiment": _SUBCOMMANDS[args.command]}
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigurationError("--workers must be >= 1")
             replacements["workers"] = args.workers
         if args.no_dissipation:
             replacements["dissipative"] = False

@@ -1,9 +1,13 @@
-"""Experiment configuration: JSON schema, validation, canonical hashing.
+"""Experiment configuration: parsing, validation, canonical hashing.
 
-Config files are plain JSON with units spelled out in the key names
-(sigma_ns, omega01_mhz, ...).  Unknown keys are rejected so typos fail
-loudly at parse time.  Axes are either explicit value lists or
-{"start", "stop", "step"} ranges.
+The dataclasses below (with TransmonParams, SplitSpec and CavityParams)
+are the only schema.  Config files are plain JSON with units spelled out
+in the key names (sigma_ns, omega01_mhz, ...); config_from_dict walks
+the dataclass fields and their type hints, so unknown keys are rejected,
+value types are checked (a bool is not a number, an int field takes no
+float) and each section then validates its own values.  Axes are either
+explicit value lists or {"start", "stop", "step"} ranges.  The config
+hash covers every field but workers and output.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,9 +52,10 @@ class PulseConfig:
     reversal_spacing_ns: Optional[float] = None
 
     def __post_init__(self):
-        if self.omega01_mhz < 0 or self.omega12_mhz < 0:
+        # phrased so that NaN fails as well
+        if not (self.omega01_mhz >= 0 and self.omega12_mhz >= 0):
             raise ConfigurationError("pulse amplitudes must be nonnegative")
-        if self.sigma_ns <= 0:
+        if not self.sigma_ns > 0:
             raise ConfigurationError("sigma_ns must be positive")
 
 
@@ -60,9 +65,9 @@ class GridConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
-        if self.dt_ns <= 0:
+        if not self.dt_ns > 0:
             raise ConfigurationError("dt_ns must be positive")
-        if self.sample_stride < 1:
+        if not self.sample_stride >= 1:
             raise ConfigurationError("sample_stride must be >= 1")
 
 
@@ -75,11 +80,11 @@ class TomographyConfig:
     decoherence_corrected_refs: bool = False
 
     def __post_init__(self):
-        if self.tau_max_ns <= 0 or not 0 < self.dtau_ns <= self.tau_max_ns:
+        if not (self.tau_max_ns > 0 and 0 < self.dtau_ns <= self.tau_max_ns):
             raise ConfigurationError("tomography needs tau_max_ns > 0 and 0 < dtau_ns <= tau_max_ns")
-        if self.weight_ns <= 0:
+        if not self.weight_ns > 0:
             raise ConfigurationError("tomography weight_ns must be positive")
-        if self.noise_std_rel < 0:
+        if not self.noise_std_rel >= 0:
             raise ConfigurationError("tomography noise_std_rel must be nonnegative")
 
 
@@ -125,6 +130,12 @@ class ExperimentConfig:
     berry: BerryConfig = field(default_factory=BerryConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def __post_init__(self):
+        if not self.workers >= 1:
+            raise ConfigurationError("workers must be >= 1")
+        if not self.seed >= 0:  # numpy seeds are nonnegative
+            raise ConfigurationError("seed must be >= 0")
+
     def axis(self, name: str, default: Tuple[float, ...]) -> np.ndarray:
         values = self.sweep.get(name, default)
         if len(values) == 0:
@@ -135,18 +146,29 @@ class ExperimentConfig:
 _SWEEP_AXES = {"t_separation_ns", "detuning_sum_mhz", "detuning_diff_mhz", "theta_fast_rad"}
 
 
+def _number(value, key: str):
+    # JSON parsers accept NaN, +-Infinity and overflowing literals such as 1e400
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def _resolve_axis(name: str, spec) -> Tuple[float, ...]:
+    if name not in _SWEEP_AXES:
+        raise ConfigurationError(f"unknown sweep axis {name!r}; expected one of {sorted(_SWEEP_AXES)}")
+    key = f"sweep.{name}"
     if isinstance(spec, (list, tuple)):
-        values = tuple(float(v) for v in spec)
+        values = tuple(float(_number(v, key)) for v in spec)
     elif isinstance(spec, dict):
         unknown = set(spec) - {"start", "stop", "step"}
         if unknown:
             raise ConfigurationError(f"axis {name!r}: unknown keys {sorted(unknown)}")
         try:
-            start, stop, step = float(spec["start"]), float(spec["stop"]), float(spec["step"])
+            start, stop, step = (float(_number(spec[k], f"{key}.{k}")) for k in ("start", "stop", "step"))
         except KeyError as missing:
             raise ConfigurationError(f"axis {name!r}: missing {missing}") from None
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise ConfigurationError(f"axis {name!r}: need step > 0 and stop >= start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = tuple(start + k * step for k in range(n))
@@ -157,90 +179,57 @@ def _resolve_axis(name: str, spec) -> Tuple[float, ...]:
     return values
 
 
-def _build(section_cls, data: dict, context: str):
-    import dataclasses
+def _parse(tp, value, key: str):
+    """Check one JSON value against a field's type hint and convert it.
 
-    names = {f.name for f in dataclasses.fields(section_cls)}
-    unknown = set(data) - names
+    Ints stay ints in float fields, so a config's hash keeps its bytes.
+    """
+    if is_dataclass(tp):
+        return _build(tp, value, key)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _parse(args[0], value, key)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{key} must be a list of numbers, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigurationError(f"{key} must hold {len(args)} numbers, got {len(value)}")
+        return tuple(float(_number(v, key)) for v in value)
+    if origin is dict:  # the sweep axes
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{key} must be an object of axes, got {value!r}")
+        return {name: _resolve_axis(name, spec) for name, spec in value.items()}
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            names = sorted(e.value for e in tp)
+            raise ConfigurationError(f"unknown {key} {value!r}; expected one of {names}") from None
+    if tp is float:
+        return _number(value, key)
+    if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+        raise ConfigurationError(f"{key} must be {tp.__name__}, got {value!r}")
+    return value
+
+
+def _build(cls, data, key: str = ""):
+    """Build dataclass cls from a JSON object, walking its fields' type hints."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{key or 'config root'} must be a JSON object, got {data!r}")
+    hints = get_type_hints(cls)
+    unknown = data.keys() - hints.keys()
     if unknown:
-        raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ConfigurationError(f"{key or 'config'}: unknown keys {sorted(unknown)}")
+    kwargs = {name: _parse(hints[name], value, f"{key}.{name}" if key else name)
+              for name, value in data.items()}
     try:
-        return section_cls(**data)
-    except TypeError as exc:
-        raise ConfigurationError(f"{context}: {exc}") from None
-
-
-_TOP_KEYS = {
-    "experiment", "seed", "dissipative", "workers", "transmon", "pulses",
-    "grid", "sweep", "cavity", "tomography", "berry", "output",
-}
+        return cls(**kwargs)
+    except TypeError as exc:  # a required field is missing
+        raise ConfigurationError(f"{key}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigurationError(f"config: unknown keys {sorted(unknown)}")
-
-    kwargs = {}
-    if "experiment" in data:
-        try:
-            kwargs["experiment"] = Experiment(data["experiment"])
-        except ValueError:
-            names = sorted(e.value for e in Experiment)
-            raise ConfigurationError(
-                f"unknown experiment {data['experiment']!r}; expected one of {names}"
-            ) from None
-    for key in ("seed", "workers"):
-        if key in data:
-            if not isinstance(data[key], int):
-                raise ConfigurationError(f"{key} must be an integer")
-            kwargs[key] = data[key]
-    if "dissipative" in data:
-        if not isinstance(data["dissipative"], bool):
-            raise ConfigurationError("dissipative must be a boolean")
-        kwargs["dissipative"] = data["dissipative"]
-
-    if "transmon" in data:
-        tdata = dict(data["transmon"])
-        split = tdata.pop("split", None)
-        if split is not None:
-            sdata = dict(split)
-            if "branch_weights" in sdata:
-                sdata["branch_weights"] = tuple(float(w) for w in sdata["branch_weights"])
-            split = _build(SplitSpec, sdata, "transmon.split")
-        tdata["split"] = split
-        kwargs["transmon"] = _build(TransmonParams, tdata, "transmon")
-    if "pulses" in data:
-        kwargs["pulses"] = _build(PulseConfig, dict(data["pulses"]), "pulses")
-    if "grid" in data:
-        kwargs["grid"] = _build(GridConfig, dict(data["grid"]), "grid")
-    if "cavity" in data:
-        cdata = dict(data["cavity"])
-        if "g_mhz" in cdata:
-            cdata["g_mhz"] = tuple(float(g) for g in cdata["g_mhz"])
-        kwargs["cavity"] = _build(CavityParams, cdata, "cavity")
-    if "tomography" in data:
-        kwargs["tomography"] = _build(TomographyConfig, dict(data["tomography"]), "tomography")
-    if "berry" in data:
-        kwargs["berry"] = _build(BerryConfig, dict(data["berry"]), "berry")
-    if "output" in data:
-        kwargs["output"] = _build(OutputConfig, dict(data["output"]), "output")
-
-    sweep = {}
-    for name, spec in (data.get("sweep") or {}).items():
-        if name not in _SWEEP_AXES:
-            raise ConfigurationError(f"unknown sweep axis {name!r}; expected one of {sorted(_SWEEP_AXES)}")
-        sweep[name] = _resolve_axis(name, spec)
-    kwargs["sweep"] = sweep
-
-    return ExperimentConfig(**kwargs)
-
-
-def _reject_constant(name: str):
-    # JSON parsers accept NaN and +-Infinity, which slip past every "<= 0" check
-    raise ConfigurationError(f"config values must be finite numbers, got {name}")
+    return _build(ExperimentConfig, data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -249,75 +238,21 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
 
 
 def canonical_dict(cfg: ExperimentConfig) -> dict:
-    """Fully resolved, order-independent representation used for hashing."""
-    t = cfg.transmon
-    split = None
-    if t.split is not None:
-        split = {
-            "delta_split_mhz": t.split.delta_split_mhz,
-            "branch_weights": list(t.split.branch_weights),
-        }
-    return {
-        "experiment": cfg.experiment.value,
-        "seed": cfg.seed,
-        "dissipative": cfg.dissipative,
-        "transmon": {
-            "f01_mhz": t.f01_mhz,
-            "f12_mhz": t.f12_mhz,
-            "gamma10_mhz": t.gamma10_mhz,
-            "gamma21_mhz": t.gamma21_mhz,
-            "gamma_phi10_mhz": t.gamma_phi10_mhz,
-            "gamma_phi21_mhz": t.gamma_phi21_mhz,
-            "split": split,
-        },
-        "pulses": {
-            "omega01_mhz": cfg.pulses.omega01_mhz,
-            "omega12_mhz": cfg.pulses.omega12_mhz,
-            "sigma_ns": cfg.pulses.sigma_ns,
-            "t_separation_ns": cfg.pulses.t_separation_ns,
-            "delta01_mhz": cfg.pulses.delta01_mhz,
-            "delta12_mhz": cfg.pulses.delta12_mhz,
-            "phi01_rad": cfg.pulses.phi01_rad,
-            "phi12_rad": cfg.pulses.phi12_rad,
-            "theta_fast_rad": cfg.pulses.theta_fast_rad,
-            "fast_duration_ns": cfg.pulses.fast_duration_ns,
-            "reversal_spacing_ns": cfg.pulses.reversal_spacing_ns,
-        },
-        "grid": {"dt_ns": cfg.grid.dt_ns, "sample_stride": cfg.grid.sample_stride},
-        "sweep": {name: list(vals) for name, vals in sorted(cfg.sweep.items())},
-        "cavity": {
-            "f_res_mhz": cfg.cavity.f_res_mhz,
-            "kappa_mhz": cfg.cavity.kappa_mhz,
-            "g_mhz": list(cfg.cavity.g_mhz),
-            "epsilon_mhz": cfg.cavity.epsilon_mhz,
-            "eta": cfg.cavity.eta,
-            "f_meas_mhz": cfg.cavity.f_meas_mhz,
-        },
-        "tomography": {
-            "tau_max_ns": cfg.tomography.tau_max_ns,
-            "dtau_ns": cfg.tomography.dtau_ns,
-            "weight_ns": cfg.tomography.weight_ns,
-            "noise_std_rel": cfg.tomography.noise_std_rel,
-            "decoherence_corrected_refs": cfg.tomography.decoherence_corrected_refs,
-        },
-        "berry": {
-            "theta_rad": cfg.berry.theta_rad,
-            "phi_total_rad": cfg.berry.phi_total_rad,
-            "omega_rms_mhz": cfg.berry.omega_rms_mhz,
-            "ramp_span_ns": cfg.berry.ramp_span_ns,
-            "sigma_ns": cfg.berry.sigma_ns,
-            "metric_threshold": cfg.berry.metric_threshold,
-        },
-    }
+    """Every field but workers and output: what the run computes from."""
+    d = asdict(cfg)
+    del d["workers"], d["output"]
+    d["experiment"] = cfg.experiment.value
+    return d
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"))
+    # default=list: tuple fields built through the Python API may hold numpy arrays
+    blob = json.dumps(canonical_dict(cfg), sort_keys=True, separators=(",", ":"), default=list)
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -9,11 +9,12 @@ Time axes of emitted series are measured from the 01-pulse peak.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -174,14 +175,10 @@ def _t01_peak(seq: PulseSequence) -> float:
     return centers[0] if centers else 0.0
 
 
-def _timeseries_rows(prefix_vals: Sequence[float], times: np.ndarray,
-                     pops: np.ndarray, t_shift: float) -> np.ndarray:
-    n, dim = pops.shape
-    p2 = pops[:, -1] if dim == 4 else pops[:, 2]
-    p1 = pops[:, 1] + pops[:, 2] if dim == 4 else pops[:, 1]
-    cols = [np.full(n, v) for v in prefix_vals]
-    cols += [times - t_shift, pops[:, 0], p1, p2]
-    return np.column_stack(cols)
+def _timeseries_rows(value: float, times: np.ndarray, pops: np.ndarray,
+                     t_shift: float) -> np.ndarray:
+    """One 3-level sweep cell's samples as (value, t, p0, p1, p2) rows."""
+    return np.column_stack([np.full(len(times), value), times - t_shift, pops])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,7 @@ def run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
     for i, ts in enumerate(ts_axis):
         pops = batch.populations[i]
         shift = -float(ts) / 2.0  # the 01-pulse peak
-        series_rows.append(_timeseries_rows([float(ts)], batch.times, pops, shift))
+        series_rows.append(_timeseries_rows(float(ts), batch.times, pops, shift))
         p2 = pops[:, 2]
         summary_rows.append([
             float(ts),
@@ -290,46 +287,40 @@ def run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
 
 
-def _detuning_seqs(cfg: ExperimentConfig, sums: np.ndarray, diffs: np.ndarray):
+def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
+    """Batch the (sum, difference) detuning plane on one common window.
+
+    Returns the two axes, the per-cell table of final and peak
+    populations, and the failed cells.
+    """
+    sums = cfg.axis("detuning_sum_mhz", default_axis)
+    diffs = cfg.axis("detuning_diff_mhz", default_axis)
     kw = _seq_kwargs(cfg)
     del kw["delta01"], kw["delta12"]
-    seqs = []
-    for s in sums:
-        for d in diffs:
-            seqs.append(two_pulse_sequence(
-                delta01=mhz_to_rad_ns((s + d) / 2.0),
-                delta12=mhz_to_rad_ns((s - d) / 2.0),
-                **kw,
-            ))
-    return seqs
-
-
-def _map_tables(name: str, sums, diffs, batch, dim: int) -> Table:
+    seqs = [two_pulse_sequence(delta01=mhz_to_rad_ns((s + d) / 2.0),
+                               delta12=mhz_to_rad_ns((s - d) / 2.0), **kw)
+            for s in sums for d in diffs]
+    p = cfg.pulses
+    span = abs(p.t_separation_ns) / 2.0 + 4.0 * p.sigma_ns
+    grid = TimeGrid(-span, span, dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
+    batch = run_batch(seqs, cfg.transmon, grid, dim=dim, dissipative=cfg.dissipative,
+                      workers=cfg.workers)
     rows = []
-    n_diff = len(diffs)
-    for i, s in enumerate(sums):
-        for j, d in enumerate(diffs):
-            pops = batch.populations[i * n_diff + j]
-            p2 = pops[:, -1] if dim == 4 else pops[:, 2]
-            p1 = pops[-1, 1] + pops[-1, 2] if dim == 4 else pops[-1, 1]
-            rows.append([s, d, pops[-1, 0], p1, p2[-1], p2.max()])
-    return Table(name,
-                 ("detuning_sum_mhz", "detuning_diff_mhz",
-                  "final_p0", "final_p1", "final_p2", "peak_p2"),
-                 np.asarray(rows))
+    for (s, d), pops in zip(itertools.product(sums, diffs), batch.populations):
+        p2 = pops[:, -1]
+        p1 = pops[-1, 1] + pops[-1, 2] if dim == 4 else pops[-1, 1]  # both branches of |1>
+        rows.append([s, d, pops[-1, 0], p1, p2[-1], p2.max()])
+    table = Table(name,
+                  ("detuning_sum_mhz", "detuning_diff_mhz",
+                   "final_p0", "final_p1", "final_p2", "peak_p2"),
+                  np.asarray(rows))
+    failures = [{"cell": int(c), "error": msg} for c, msg in batch.failures]
+    return sums, diffs, table, failures
 
 
 def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
     """Final and peak populations over the (sum, difference) detuning plane."""
-    sums = cfg.axis("detuning_sum_mhz", DEFAULT_DETUNING_AXIS)
-    diffs = cfg.axis("detuning_diff_mhz", DEFAULT_DETUNING_AXIS)
-    seqs = _detuning_seqs(cfg, sums, diffs)
-    p = cfg.pulses
-    span = abs(p.t_separation_ns) / 2.0 + 4.0 * p.sigma_ns
-    grid = TimeGrid(-span, span, dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
-    batch = run_batch(seqs, cfg.transmon, grid, dim=3, dissipative=cfg.dissipative,
-                      workers=cfg.workers)
-    table = _map_tables("detuning_map", sums, diffs, batch, dim=3)
+    sums, diffs, table, failures = _run_plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS, dim=3)
 
     diag_rows = []
     n_diff = len(diffs)
@@ -347,8 +338,6 @@ def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
         ("fwhm_sum_mhz", "fwhm_sum_censored", "fwhm_diff_mhz",
          "fwhm_diff_censored", "fwhm_ratio", "diff_mirror_asymmetry"),
         np.asarray(diag_rows))
-
-    failures = [{"cell": int(c), "error": msg} for c, msg in batch.failures]
     return SweepResult(Experiment.DETUNING_MAP.value,
                        {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
                        [table, diagnostics],
@@ -373,7 +362,7 @@ def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
 
     series_rows, summary_rows = [], []
     for theta, pops in zip(thetas, batch.populations):
-        series_rows.append(_timeseries_rows([float(theta)], batch.times, pops, t01))
+        series_rows.append(_timeseries_rows(float(theta), batch.times, pops, t01))
         p2 = pops[:, 2]
         alternations = count_alternations(pops[late, 0], threshold=1e-3)
         summary_rows.append([float(theta), p2[-1], p2.max(), float(alternations)])
@@ -415,15 +404,7 @@ def run_split_map(cfg: ExperimentConfig) -> SweepResult:
     """Detuning map with the split intermediate level (4-level system)."""
     if cfg.transmon.split is None:
         raise ConfigurationError("split_map needs transmon.split parameters")
-    sums = cfg.axis("detuning_sum_mhz", DEFAULT_SPLIT_AXIS)
-    diffs = cfg.axis("detuning_diff_mhz", DEFAULT_SPLIT_AXIS)
-    seqs = _detuning_seqs(cfg, sums, diffs)
-    p = cfg.pulses
-    span = abs(p.t_separation_ns) / 2.0 + 4.0 * p.sigma_ns
-    grid = TimeGrid(-span, span, dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
-    batch = run_batch(seqs, cfg.transmon, grid, dim=4, dissipative=cfg.dissipative,
-                      workers=cfg.workers)
-    table = _map_tables("split_map", sums, diffs, batch, dim=4)
+    sums, diffs, table, failures = _run_plane(cfg, "split_map", DEFAULT_SPLIT_AXIS, dim=4)
 
     peak_map = table.column("peak_p2").reshape(len(sums), len(diffs))
     final_map = table.column("final_p2").reshape(len(sums), len(diffs))
@@ -436,7 +417,6 @@ def run_split_map(cfg: ExperimentConfig) -> SweepResult:
          "max_peak_p2", "midpoint_suppression"),
         np.array([[float(blob_count(peak_map)), float(blob_count(final_map)),
                    midpoint, float(peak_map.max()), float(peak_map.max() - midpoint)]]))
-    failures = [{"cell": int(c), "error": msg} for c, msg in batch.failures]
     return SweepResult(Experiment.SPLIT_MAP.value,
                        {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
                        [table, diagnostics],

@@ -37,10 +37,11 @@ class SplitSpec:
     branch_weights: Tuple[float, float] = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
     def __post_init__(self):
-        if self.delta_split_mhz < 0:
+        # phrased so that NaN fails as well
+        if not self.delta_split_mhz >= 0:
             raise ConfigurationError("delta_split must be nonnegative")
         wa, wb = self.branch_weights
-        if abs(wa * wa + wb * wb - 1.0) > 1e-9:
+        if not abs(wa * wa + wb * wb - 1.0) <= 1e-9:
             raise ConfigurationError("branch weights must satisfy wa^2 + wb^2 = 1")
 
 
@@ -201,9 +202,9 @@ class CavityParams:
     f_meas_mhz: Optional[float] = None
 
     def __post_init__(self):
-        if self.kappa_mhz <= 0:
+        if not self.kappa_mhz > 0:  # NaN fails too
             raise ConfigurationError("cavity linewidth kappa must be positive")
-        if any(g < 0 for g in self.g_mhz):
+        if not all(g >= 0 for g in self.g_mhz):
             raise ConfigurationError("couplings g must be nonnegative")
 
     @property

@@ -110,6 +110,36 @@ class TestRun:
         assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("data, key", [
+        ({"pulses": 5}, "pulses"),
+        ({"transmon": {"split": 5}}, "transmon.split"),
+        ({"sweep": [1]}, "sweep"),
+        ({"cavity": {"g_mhz": 5}}, "cavity.g_mhz"),
+        ({"sweep": {"t_separation_ns": ["x"]}}, "t_separation_ns"),
+        ({"sweep": {"t_separation_ns": {"start": 0, "stop": "a", "step": 1}}}, "stop"),
+        ({"grid": {"sample_stride": 2.5}}, "grid.sample_stride"),
+        ({"seed": True}, "seed"),
+        ({"output": {"dir": 5}}, "output.dir"),
+    ])
+    def test_malformed_config(self, tmp_path, capsys, command, data, key):
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        extra = [] if command == "validate-config" else ["--out", str(out)]
+        assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err, err
+        assert not out.exists()
+
+    def test_zero_workers_in_file_or_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, {"workers": 0})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert main(["run", "--out", str(out), "--workers", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("workers must be >= 1") == 3
+        assert not out.exists()
+
     def test_shipped_tomography_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = str(CONFIGS / "tomography.json")
