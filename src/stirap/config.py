@@ -16,7 +16,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
@@ -52,7 +52,10 @@ class PulseConfig:
     reversal_spacing_ns: Optional[float] = None
 
     def __post_init__(self):
-        # phrased so that NaN fails as well
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"pulses.{f.name} must be finite, got {value!r}")
         if not (self.omega01_mhz >= 0 and self.omega12_mhz >= 0):
             raise ConfigurationError("pulse amplitudes must be nonnegative")
         if not self.sigma_ns > 0:
@@ -135,6 +138,9 @@ class ExperimentConfig:
             raise ConfigurationError("workers must be >= 1")
         if not self.seed >= 0:  # numpy seeds are nonnegative
             raise ConfigurationError("seed must be >= 0")
+        for name, values in self.sweep.items():
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigurationError(f"sweep axis {name!r} holds a non-finite value")
 
     def axis(self, name: str, default: Tuple[float, ...]) -> np.ndarray:
         values = self.sweep.get(name, default)

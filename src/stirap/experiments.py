@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from . import __version__
 from ._batch import run_batch
@@ -143,9 +142,19 @@ def fwhm(x: np.ndarray, y: np.ndarray) -> Tuple[float, bool]:
 
 
 def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> int:
-    """Connected regions above threshold, 4-connectivity."""
-    labeled, n = ndimage.label(map2d > threshold)
-    return int(n)
+    """Connected regions above threshold, 4-connectivity (a flood fill)."""
+    unseen = set(map(tuple, np.argwhere(map2d > threshold).tolist()))
+    n = 0
+    while unseen:
+        n += 1
+        stack = [unseen.pop()]
+        while stack:
+            i, j = stack.pop()
+            for cell in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if cell in unseen:
+                    unseen.remove(cell)
+                    stack.append(cell)
+    return n
 
 
 # ---------------------------------------------------------------------------

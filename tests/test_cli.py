@@ -218,3 +218,14 @@ def test_python_m_stirap():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout == f"ok {config_hash(load_config(path))}\n"
+
+
+def test_import_loads_no_scipy():
+    # a structural guard: scipy is only an oracle of the tests
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stirap, stirap.experiments, stirap.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

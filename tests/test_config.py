@@ -1,5 +1,6 @@
 """Config schema: pinned hashes, type checks and NaN-safe validation."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from stirap.config import (
     BerryConfig,
+    Experiment,
     ExperimentConfig,
     GridConfig,
     PulseConfig,
@@ -67,10 +69,11 @@ NAN = float("nan")
 
 
 class TestNanThroughPythonApi:
-    @pytest.mark.parametrize("key", ["omega01_mhz", "omega12_mhz", "sigma_ns"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PulseConfig)])
     def test_pulse_config(self, key):
-        with pytest.raises(ConfigurationError):
-            PulseConfig(**{key: NAN})
+        for value in (NAN, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match=f"pulses\\.{key}"):
+                PulseConfig(**{key: value})
 
     @pytest.mark.parametrize("key", ["dt_ns", "sample_stride"])
     def test_grid_config(self, key):
@@ -95,6 +98,20 @@ class TestNanThroughPythonApi:
     def test_nan_grid_fails_before_the_run(self):
         with pytest.raises(ConfigurationError):
             run_experiment(ExperimentConfig(grid=GridConfig(dt_ns=NAN)))
+
+    @pytest.mark.parametrize("key", ["t_separation_ns", "delta01_mhz"])
+    def test_nan_pulse_fails_before_the_run(self, key):
+        # unchecked, a NaN separation reaches TimeGrid.n_steps and a NaN detuning fails as numerics
+        with pytest.raises(ConfigurationError, match=key):
+            run_experiment(ExperimentConfig(pulses=PulseConfig(**{key: NAN}),
+                                            grid=GridConfig(dt_ns=0.5)))
+
+    @pytest.mark.parametrize("values", [(NAN,), (-90.0, math.inf), np.array([-90.0, NAN])])
+    def test_nan_sweep_value_fails_before_the_run(self, values):
+        with pytest.raises(ConfigurationError, match="t_separation_ns"):
+            run_experiment(ExperimentConfig(experiment=Experiment.SEPARATION_SWEEP,
+                                            sweep={"t_separation_ns": values},
+                                            grid=GridConfig(dt_ns=0.5)))
 
 
 class TestTypeChecks:

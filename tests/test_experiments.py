@@ -81,6 +81,23 @@ class TestHelpers:
         m[1, 1] = 1.0  # diagonal neighbor does not connect under 4-connectivity
         assert blob_count(m, 0.5) == 3
 
+    def test_blob_count_matches_scipy_label(self):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(2024)
+        maps = [(rng.random(tuple(rng.integers(1, 50, size=2))), rng.random()) for _ in range(200)]
+        maps += [(rng.random((1, 40)), 0.5), (rng.random((40, 1)), 0.5), (rng.random((1, 1)), 0.5)]
+        maps += [(np.zeros((7, 9)), 0.5), (np.ones((7, 9)), 0.5)]
+        i, j = np.indices((12, 15))
+        maps.append((((i + j) % 2).astype(float), 0.5))  # checkerboard: every cell its own blob
+        snake = np.zeros((15, 15))
+        snake[::2] = 1.0
+        snake[1::4, -1] = snake[3::4, 0] = 1.0  # one path of 127 cells, turning at alternate ends
+        maps.append((snake, 0.5))
+        for m, t in maps:
+            assert blob_count(m, t) == ndimage.label(m > t)[1]
+        assert blob_count(maps[-2][0], 0.5) == 90 and blob_count(snake, 0.5) == 1
+
 
 class TestTimeEvolution:
     def test_paper_defaults_summary(self):
