@@ -69,7 +69,6 @@ from .pulses import (  # noqa: F401
     SequenceKind,
     Transition,
     build_sequence,
-    gaussian_envelope,
     global_adiabaticity_metric,
     local_adiabaticity,
     two_pulse_sequence,
@@ -83,4 +82,4 @@ from .tomography import (  # noqa: F401
     synth_reference_traces,
     tomography_timeline,
 )
-from .units import mhz_to_rad_ns, rad_ns_to_mhz, rate_mhz_to_per_ns  # noqa: F401
+from .units import mhz_to_rad_ns, rate_mhz_to_per_ns  # noqa: F401

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HERMITICITY_TOL
+from .core import HERMITICITY_TOL, INTEGRATION_TOL
 from .errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from .hamiltonian import TransmonParams
 from .lindblad import LindbladSpec, TimeGrid, build_dissipators, check_step
@@ -55,12 +55,6 @@ class BatchResult:
     failed_step: np.ndarray  # (n_cells,) first sampled step failing a check, -1 if none
     failures: Tuple[Tuple[int, str], ...] = ()
     states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim)
-
-    def peak(self, level: int) -> np.ndarray:
-        return self.populations[:, :, level].max(axis=1)
-
-    def final(self, level: int) -> np.ndarray:
-        return self.populations[:, -1, level]
 
 
 def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
@@ -174,7 +168,8 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
     Returns the populations (dim, m), the trace (or norm) drift and the
     minimum eigenvalue (0 for a ket or a non-finite state) per column, and
     {column: message} for the columns with a non-finite state, a drift
-    above 1e-6 or an eigenvalue below -1e-6, checked in that order.
+    above core.INTEGRATION_TOL or an eigenvalue below -INTEGRATION_TOL,
+    checked in that order.
     """
     finite = np.isfinite(y).all(axis=0)
     eig = np.zeros(y.shape[1])
@@ -185,9 +180,9 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
         eig[finite] = np.linalg.eigvalsh(y.reshape(dim, dim, -1)[:, :, finite].transpose(2, 0, 1))[:, 0]
     drift = np.abs(p.sum(axis=0) - 1.0)
     bad = {}
-    for c in np.flatnonzero(~finite | (drift > 1e-6) | (eig < -1e-6)):
+    for c in np.flatnonzero(~finite | (drift > INTEGRATION_TOL) | (eig < -INTEGRATION_TOL)):
         what = ("non-finite state" if not finite[c]
-                else f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}" if drift[c] > 1e-6
+                else f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}" if drift[c] > INTEGRATION_TOL
                 else f"negative eigenvalue {eig[c]:.3e}")
         bad[int(c)] = f"{what} at step {steps[c]} (t = {grid.t_start + steps[c] * grid.dt:.3f} ns)"
     return p, drift, eig, bad

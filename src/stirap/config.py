@@ -149,7 +149,18 @@ class ExperimentConfig:
         return np.asarray(values, dtype=float)
 
 
-_SWEEP_AXES = {"t_separation_ns", "detuning_sum_mhz", "detuning_diff_mhz", "theta_fast_rad"}
+# The sweep axes each experiment's runner reads; run_experiment rejects any other.
+EXPERIMENT_AXES: Dict[Experiment, Tuple[str, ...]] = {
+    Experiment.TIME_EVOLUTION: (),
+    Experiment.SEPARATION_SWEEP: ("t_separation_ns",),
+    Experiment.DETUNING_MAP: ("detuning_sum_mhz", "detuning_diff_mhz"),
+    Experiment.HYBRID: ("theta_fast_rad",),
+    Experiment.REVERSAL: (),
+    Experiment.SPLIT_MAP: ("detuning_sum_mhz", "detuning_diff_mhz"),
+    Experiment.TOMOGRAPHY_TIMELINE: (),
+    Experiment.BERRY: (),
+}
+_SWEEP_AXES = set().union(*EXPERIMENT_AXES.values())
 
 
 def _number(value, key: str):

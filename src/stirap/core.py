@@ -17,6 +17,11 @@ from .errors import InvalidStateError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-9
+# Bound on an integrated state's trace (or norm) drift and negative
+# eigenvalues.  Looser than the construction tolerances above: fixed-step
+# RK4 is not positivity-preserving and a run adds round-off over thousands
+# of steps, so only a run going unstable leaves it.
+INTEGRATION_TOL = 1e-6
 
 ComplexMatrix = np.ndarray
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._batch import run_batch
-from .config import Experiment, ExperimentConfig, config_hash
+from .config import EXPERIMENT_AXES, Experiment, ExperimentConfig, config_hash
 from .core import basis_ket, dm_from_ket
 from .errors import ConfigurationError
 from .holonomy import berry_vs_oracle, plateau_phase_sequence, realized_path
@@ -493,15 +493,18 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
+    """Run cfg.experiment; a sweep axis that experiment does not read is an error."""
+    reads = EXPERIMENT_AXES[cfg.experiment]
+    for name in cfg.sweep:
+        if name not in reads:
+            raise ConfigurationError(
+                f"sweep axis {name!r} is not read by {cfg.experiment.value}; "
+                f"it reads {list(reads) if reads else 'no sweep axis'}")
     return _RUNNERS[cfg.experiment](cfg)
 
 
 # ---------------------------------------------------------------------------
 # emission
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
 
 def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
     """Write tables plus a manifest; byte-deterministic given config+seed."""
@@ -516,7 +519,7 @@ def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
             path = out / f"{table.name}.csv"
             lines = [",".join(table.columns)]
             for row in table.rows:
-                lines.append(",".join(_format_float(v) for v in row))
+                lines.append(",".join(repr(float(v)) for v in row))
             path.write_text("\n".join(lines) + "\n")
             written.append(path)
     else:

@@ -86,10 +86,6 @@ class TransmonParams:
     def gamma_phi21(self) -> float:
         return rate_mhz_to_per_ns(self.gamma_phi21_mhz)
 
-    @property
-    def dim(self) -> int:
-        return 4 if self.split is not None else 3
-
 
 @dataclass(frozen=True)
 class DriveSample:

@@ -46,10 +46,6 @@ class ParameterPath:
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
-    def reversed(self) -> "ParameterPath":
-        s = self.samples
-        return ParameterPath(np.column_stack([-s[::-1, 0], s[::-1, 1], s[::-1, 2]]))
-
 
 @dataclass(frozen=True)
 class PhaseResult:

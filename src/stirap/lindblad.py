@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import DensityMatrix, Ket, sigma_op
+from .core import INTEGRATION_TOL, DensityMatrix, Ket, sigma_op
 from .errors import ConfigurationError, InvalidStateError
 from .hamiltonian import TransmonParams
 from .pulses import GaussianPulse, PulseSequence
@@ -151,19 +151,12 @@ class SimResult:
 
     def __post_init__(self):
         sums = np.sum(self.populations, axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-6:
-            raise InvalidStateError("population rows do not sum to 1 within 1e-6")
-        if self.trace_drift > 1e-6:
-            raise InvalidStateError(f"trace drift {self.trace_drift:.3e} exceeds 1e-6")
-        if self.min_eig < -1e-6:
-            raise InvalidStateError(f"negative eigenvalue {self.min_eig:.3e} below -1e-6")
-
-    @property
-    def dim(self) -> int:
-        return self.populations.shape[1]
-
-    def population(self, level: int) -> np.ndarray:
-        return self.populations[:, level]
+        if np.max(np.abs(sums - 1.0)) > INTEGRATION_TOL:
+            raise InvalidStateError(f"population rows do not sum to 1 within {INTEGRATION_TOL:g}")
+        if self.trace_drift > INTEGRATION_TOL:
+            raise InvalidStateError(f"trace drift {self.trace_drift:.3e} exceeds {INTEGRATION_TOL:g}")
+        if self.min_eig < -INTEGRATION_TOL:
+            raise InvalidStateError(f"negative eigenvalue {self.min_eig:.3e} below -{INTEGRATION_TOL:g}")
 
 
 def _min_sigma(seq: PulseSequence) -> Optional[float]:
@@ -195,7 +188,7 @@ def evolve(
     step matrix per step, built a block of steps at a time.  Raises
     IntegrationFailureError at the first sample that fails the kernel's
     checks (_batch._sample_checks): a non-finite state, a trace (or norm)
-    drift above 1e-6 or an eigenvalue below -1e-6.
+    drift above core.INTEGRATION_TOL or an eigenvalue below -INTEGRATION_TOL.
     """
     from . import _batch  # _batch imports this module
 

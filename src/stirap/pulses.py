@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -97,11 +97,6 @@ class GaussianPulse:
                 self.center_ns + WINDOW_SIGMAS * self.sigma_ns)
 
 
-def gaussian_envelope(t, pulse: GaussianPulse):
-    """Omega * exp[-(t - t0)^2 / (2 sigma^2)], in rad/ns."""
-    return pulse.envelope(t)
-
-
 @dataclass(frozen=True)
 class FastPulse:
     """Rectangular pulse of area theta: Omega = theta / duration."""
@@ -137,9 +132,6 @@ class FastPulse:
     @property
     def window(self):
         return (self.start_ns, self.start_ns + self.duration_ns)
-
-
-Pulse = Union[GaussianPulse, FastPulse]
 
 
 @dataclass(frozen=True)
@@ -360,15 +352,9 @@ def global_adiabaticity_metric(
     ts = np.linspace(seq.window[0], seq.window[1], 4001)
     o01, _ = seq.envelope_and_derivative(Transition.T01, ts)
     o12, _ = seq.envelope_and_derivative(Transition.T12, ts)
-    denom2 = o01**2 + o12**2
-    mask = denom2 >= 1e-24
-    local_vals = np.zeros_like(denom2)
-    if np.any(mask):
-        o01d = seq.envelope_and_derivative(Transition.T01, ts[mask])
-        o12d = seq.envelope_and_derivative(Transition.T12, ts[mask])
-        num = np.abs(o01d[1] * o12d[0] - o01d[0] * o12d[1])
-        local_vals[mask] = num / denom2[mask] ** 1.5
-    local_max = float(np.max(local_vals))
+    # skip the points where both envelopes vanish, at which local_adiabaticity raises
+    mask = o01**2 + o12**2 >= 1e-24
+    local_max = float(np.max(local_adiabaticity(ts[mask], seq), initial=0.0))
 
     return AdiabaticityReport(
         local_max=local_max,

@@ -11,7 +11,6 @@ QP in two variables that is solved exactly by active-set enumeration
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -200,10 +199,6 @@ def design_matrix(refs: Sequence[ReferenceTrace], weight_ns: float = DEFAULT_WEI
     return np.column_stack([np.concatenate([w * r.I, w * r.Q]) for r in refs])
 
 
-def design_condition(refs: Sequence[ReferenceTrace], weight_ns: float = DEFAULT_WEIGHT) -> float:
-    return float(np.linalg.cond(design_matrix(refs, weight_ns)))
-
-
 def _cost(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     r = b - a @ x
     return float(r @ r)
@@ -287,30 +282,3 @@ def tomography_timeline(
         meas = mix_traces(p, refs, noise_std=noise_std, seed=int(cell_seed))
         results.append(reconstruct_populations(meas, refs, weight_ns=weight_ns))
     return results
-
-
-def traces_to_csv(path, traces: Sequence) -> None:
-    """Write reference/measured traces as tau_ns, I, Q, state_label rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_ns", "I", "Q", "state_label"])
-        for tr in traces:
-            label = getattr(tr, "state_label", -1)
-            for tau, iv, qv in zip(tr.taus, tr.I, tr.Q):
-                writer.writerow([repr(float(tau)), repr(float(iv)), repr(float(qv)), label])
-
-
-def traces_from_csv(path) -> List[ReferenceTrace]:
-    """Read traces back, grouped by state_label (measured traces as -1)."""
-    groups = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            groups.setdefault(int(row["state_label"]), []).append(
-                (float(row["tau_ns"]), float(row["I"]), float(row["Q"]))
-            )
-    out = []
-    for label in sorted(groups):
-        rows = np.array(groups[label])
-        out.append(ReferenceTrace(taus=rows[:, 0], I=rows[:, 1], Q=rows[:, 2], state_label=label))
-    return out

@@ -20,11 +20,6 @@ def mhz_to_rad_ns(f_mhz: float) -> float:
     return TWO_PI * f_mhz * 1e-3
 
 
-def rad_ns_to_mhz(omega: float) -> float:
-    """Angular frequency in rad/ns -> ordinary frequency in MHz."""
-    return omega / (TWO_PI * 1e-3)
-
-
 def rate_mhz_to_per_ns(rate_mhz: float) -> float:
     """Decay/dephasing rate in MHz (1e6/s) -> 1/ns.  No 2pi factor."""
     return rate_mhz * 1e-3

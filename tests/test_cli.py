@@ -201,6 +201,13 @@ class TestSweepCommands:
                      "--workers", "2"]) == EXIT_OK
         assert (out / "separation_sweep.csv").exists()
 
+    def test_axis_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"sweep": {"t_separation_ns": [-90]}})
+        out = tmp_path / "out"
+        assert main(["reversal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "'t_separation_ns' is not read by reversal" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_berry_default_runs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["berry", "--out", str(out)]) == EXIT_OK

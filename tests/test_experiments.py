@@ -421,3 +421,14 @@ class TestConfigParsing:
     def test_experiment_name_validation(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"experiment": "nonexistent"})
+
+    def test_axis_the_experiment_does_not_read_fails_before_the_run(self, monkeypatch):
+        # the Python API takes any axis name; the runner would sweep its default axis
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr("stirap.experiments.run_batch", no_integration)
+        cfg = ExperimentConfig(experiment=Experiment.SEPARATION_SWEEP,
+                               sweep={"t_separaton_ns": (-90.0,)})
+        with pytest.raises(ConfigurationError, match=r"'t_separaton_ns'.*\['t_separation_ns'\]"):
+            run_experiment(cfg)

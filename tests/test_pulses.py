@@ -12,7 +12,6 @@ from stirap.pulses import (
     SequenceKind,
     Transition,
     build_sequence,
-    gaussian_envelope,
     global_adiabaticity_metric,
     local_adiabaticity,
     two_pulse_sequence,
@@ -27,16 +26,16 @@ class TestGaussianEnvelope:
     def test_peak_value_is_calibrated_amplitude(self):
         pulse = GaussianPulse(Transition.T01, OM01, center_ns=10.0, sigma_ns=45.0)
         # 2*pi*43.4 MHz = 0.27269 rad/ns at the pulse center
-        assert abs(gaussian_envelope(10.0, pulse) - 0.2727) < 2e-4
-        assert gaussian_envelope(10.0, pulse) == pulse.amplitude
+        assert abs(pulse.envelope(10.0) - 0.2727) < 2e-4
+        assert pulse.envelope(10.0) == pulse.amplitude
 
     def test_one_sigma_point(self):
         pulse = GaussianPulse(Transition.T01, 1.0, 0.0, sigma_ns=20.0)
-        assert abs(gaussian_envelope(20.0, pulse) - math.exp(-0.5)) < 1e-12
+        assert abs(pulse.envelope(20.0) - math.exp(-0.5)) < 1e-12
 
     def test_far_tail(self):
         pulse = GaussianPulse(Transition.T01, 1.0, 0.0, sigma_ns=5.0)
-        assert gaussian_envelope(50.0, pulse) < 2e-22
+        assert pulse.envelope(50.0) < 2e-22
 
     def test_invalid_sigma(self):
         with pytest.raises(InvalidPulseError):
@@ -177,6 +176,13 @@ class TestGlobalAdiabaticity:
         rep = global_adiabaticity_metric(seq)
         assert rep.area_lower * (1 - 1e-4) <= rep.pulse_area_integral
         assert rep.pulse_area_integral <= rep.area_upper * (1 + 1e-4)
+
+    @pytest.mark.parametrize("t_s", [-90.0, 150.0])
+    def test_local_max_is_max_of_local_adiabaticity(self, t_s):
+        seq = two_pulse_sequence(OM01, OM12, 45.0, t_s)
+        ts = np.linspace(seq.window[0], seq.window[1], 4001)
+        rep = global_adiabaticity_metric(seq)
+        assert rep.local_max == float(np.max(local_adiabaticity(ts, seq)))
 
     def test_wrong_pulse_count(self):
         seq = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,

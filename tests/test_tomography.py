@@ -8,14 +8,12 @@ from stirap.lindblad import TimeGrid, evolve
 from stirap.pulses import SequenceKind, build_sequence
 from stirap.tomography import (
     ReferenceTrace,
-    design_condition,
+    design_matrix,
     mix_traces,
     reconstruct_populations,
     synth_reference_traces,
     tomography_timeline,
     trace_scale,
-    traces_from_csv,
-    traces_to_csv,
 )
 from stirap.units import mhz_to_rad_ns
 
@@ -49,13 +47,13 @@ class TestSynthReferenceTraces:
             assert np.abs(r.Q).max() <= bound
 
     def test_default_conditioning(self, refs):
-        assert design_condition(refs) < 1e3
+        assert np.linalg.cond(design_matrix(refs)) < 1e3
 
     def test_equal_pulls_are_degenerate(self):
         cav = CavityParams(g_mhz=(0.0, 0.0, 0.0))
         same = synth_reference_traces(cav, TransmonParams())
         assert np.array_equal(same[0].I, same[1].I)
-        assert design_condition(same) > 1e6
+        assert np.linalg.cond(design_matrix(same)) > 1e6
 
     def test_matches_numerical_integration(self, refs):
         # oracle: integrate the cavity ODE with an independent integrator
@@ -279,23 +277,3 @@ class TestTimeline:
         a = tomography_timeline(stirap_sim, refs, noise_std=noise, seed=3)
         b = tomography_timeline(stirap_sim, refs, noise_std=noise, seed=3)
         assert [r.p for r in a] == [r.p for r in b]
-
-
-class TestCsvRoundTrip:
-    def test_reference_traces(self, tmp_path, refs):
-        path = tmp_path / "refs.csv"
-        traces_to_csv(path, refs)
-        back = traces_from_csv(path)
-        for orig, rt in zip(refs, back):
-            assert rt.state_label == orig.state_label
-            assert np.array_equal(rt.taus, orig.taus)
-            assert np.array_equal(rt.I, orig.I)
-            assert np.array_equal(rt.Q, orig.Q)
-
-    def test_measured_trace_label(self, tmp_path, refs):
-        meas = mix_traces((0.5, 0.5, 0.0), refs)
-        path = tmp_path / "meas.csv"
-        traces_to_csv(path, [meas])
-        back = traces_from_csv(path)
-        assert back[0].state_label == -1
-        assert np.array_equal(back[0].I, meas.I)
