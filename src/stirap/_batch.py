@@ -44,6 +44,9 @@ from .units import mhz_to_rad_ns
 CHUNK_SIZE = 128
 STEP_BLOCK = 256  # RK4 step matrices evolve_cell builds at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
+# no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
+# about 1 + 4e-6, so this names a divergence before round-off hides it
+DIVERGED = 2.0
 
 
 @dataclass
@@ -167,11 +170,12 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
 
     Returns the populations (dim, m), the trace (or norm) drift and the
     minimum eigenvalue (0 for a ket or a non-finite state) per column, and
-    {column: message} for the columns with a non-finite state, a drift
-    above core.INTEGRATION_TOL or an eigenvalue below -INTEGRATION_TOL,
-    checked in that order.
+    {column: message} for the columns with a non-finite state, an entry
+    above DIVERGED in magnitude, a drift above core.INTEGRATION_TOL or an
+    eigenvalue below -INTEGRATION_TOL, checked in that order.
     """
     finite = np.isfinite(y).all(axis=0)
+    peak = np.abs(y).max(axis=0)
     eig = np.zeros(y.shape[1])
     if ket:
         p = np.abs(y) ** 2
@@ -180,8 +184,10 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
         eig[finite] = np.linalg.eigvalsh(y.reshape(dim, dim, -1)[:, :, finite].transpose(2, 0, 1))[:, 0]
     drift = np.abs(p.sum(axis=0) - 1.0)
     bad = {}
-    for c in np.flatnonzero(~finite | (drift > INTEGRATION_TOL) | (eig < -INTEGRATION_TOL)):
+    for c in np.flatnonzero(~finite | (peak > DIVERGED) | (drift > INTEGRATION_TOL)
+                            | (eig < -INTEGRATION_TOL)):
         what = ("non-finite state" if not finite[c]
+                else f"diverged: max |entry| {peak[c]:.3e}" if peak[c] > DIVERGED
                 else f"{'norm' if ket else 'trace'} drift {drift[c]:.3e}" if drift[c] > INTEGRATION_TOL
                 else f"negative eigenvalue {eig[c]:.3e}")
         bad[int(c)] = f"{what} at step {steps[c]} (t = {grid.t_start + steps[c] * grid.dt:.3f} ns)"

@@ -306,16 +306,17 @@ def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
     diffs = cfg.axis("detuning_diff_mhz", default_axis)
     kw = _seq_kwargs(cfg)
     del kw["delta01"], kw["delta12"]
+    cells = list(itertools.product(sums, diffs))
     seqs = [two_pulse_sequence(delta01=mhz_to_rad_ns((s + d) / 2.0),
                                delta12=mhz_to_rad_ns((s - d) / 2.0), **kw)
-            for s in sums for d in diffs]
+            for s, d in cells]
     p = cfg.pulses
     span = abs(p.t_separation_ns) / 2.0 + 4.0 * p.sigma_ns
     grid = TimeGrid(-span, span, dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
     batch = run_batch(seqs, cfg.transmon, grid, dim=dim, dissipative=cfg.dissipative,
                       workers=cfg.workers)
     rows = []
-    for (s, d), pops in zip(itertools.product(sums, diffs), batch.populations):
+    for (s, d), pops in zip(cells, batch.populations):
         p2 = pops[:, -1]
         p1 = pops[-1, 1] + pops[-1, 2] if dim == 4 else pops[-1, 1]  # both branches of |1>
         rows.append([s, d, pops[-1, 0], p1, p2[-1], p2.max()])
@@ -323,7 +324,8 @@ def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
                   ("detuning_sum_mhz", "detuning_diff_mhz",
                    "final_p0", "final_p1", "final_p2", "peak_p2"),
                   np.asarray(rows))
-    failures = [{"cell": int(c), "error": msg} for c, msg in batch.failures]
+    failures = [{"cell": int(c), "detuning_sum_mhz": float(cells[c][0]),
+                 "detuning_diff_mhz": float(cells[c][1]), "error": msg} for c, msg in batch.failures]
     return sums, diffs, table, failures
 
 

@@ -1,8 +1,9 @@
 """Berry phase of the dark state along (Theta, phi) control paths.
 
-gamma = -integral of sin^2(Theta) dphi along the path, with a brute-force
-oracle that propagates the Schrodinger equation and reads the phase picked
-up relative to the instantaneous dark state.
+gamma = -integral of sin^2(Theta) dphi along the path, in closed form on
+each piecewise-linear segment, with a brute-force oracle that propagates
+the Schrodinger equation and reads the phase picked up relative to the
+instantaneous dark state.
 """
 
 from __future__ import annotations
@@ -60,35 +61,15 @@ def wrap_angle(x: float) -> float:
     return float(-((-x + math.pi) % TWO_PI - math.pi))
 
 
-def _trapezoid_gamma(theta: np.ndarray, phi: np.ndarray) -> float:
-    s2 = np.sin(theta) ** 2
-    return float(-np.sum(0.5 * (s2[:-1] + s2[1:]) * np.diff(phi)))
+def berry_phase(path: ParameterPath) -> float:
+    """-integral of sin^2(Theta) dphi along the piecewise-linear path.
 
-
-def berry_phase(path: ParameterPath, tol: float = 1e-8, max_refinements: int = 24) -> float:
-    """-integral of sin^2(Theta) dphi, trapezoid with midpoint refinement.
-
-    The sampled path is treated as piecewise linear in t; subdivision
-    continues until successive estimates agree to tol.
+    Exact per segment: with Theta linear from a to b, the mean of sin^2 is
+    (1 - cos(a + b) sinc((b - a)/pi))/2, np.sinc being exact at b = a.
     """
-    theta = path.samples[:, 1].copy()
-    phi = path.samples[:, 2].copy()
-    gamma = _trapezoid_gamma(theta, phi)
-    for _ in range(max_refinements):
-        mid_theta = 0.5 * (theta[:-1] + theta[1:])
-        mid_phi = 0.5 * (phi[:-1] + phi[1:])
-        new_theta = np.empty(theta.size * 2 - 1)
-        new_phi = np.empty_like(new_theta)
-        new_theta[0::2] = theta
-        new_theta[1::2] = mid_theta
-        new_phi[0::2] = phi
-        new_phi[1::2] = mid_phi
-        theta, phi = new_theta, new_phi
-        refined = _trapezoid_gamma(theta, phi)
-        if abs(refined - gamma) < tol:
-            return refined
-        gamma = refined
-    return gamma
+    theta, phi = path.samples[:, 1], path.samples[:, 2]
+    mean_s2 = 0.5 * (1.0 - np.cos(theta[:-1] + theta[1:]) * np.sinc(np.diff(theta) / math.pi))
+    return float(-np.sum(mean_s2 * np.diff(phi)))
 
 
 def realized_path(seq: PulseSequence, times: np.ndarray) -> ParameterPath:

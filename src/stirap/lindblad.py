@@ -187,8 +187,9 @@ def evolve(
     input as a density matrix, by the batch kernel's RK4 written as one
     step matrix per step, built a block of steps at a time.  Raises
     IntegrationFailureError at the first sample that fails the kernel's
-    checks (_batch._sample_checks): a non-finite state, a trace (or norm)
-    drift above core.INTEGRATION_TOL or an eigenvalue below -INTEGRATION_TOL.
+    checks (_batch._sample_checks): a non-finite or diverged state, a trace
+    (or norm) drift above core.INTEGRATION_TOL or an eigenvalue below
+    -INTEGRATION_TOL.
     """
     from . import _batch  # _batch imports this module
 

@@ -2,11 +2,13 @@
 
 Reference traces come from the classical driven-damped cavity amplitude
 da/dtau = -i*Delta_j*a - (kappa/2)*a - i*eps, a(0) = 0, with the
-state-dependent dispersive pull Delta_j.  A measured trace is a convex
-combination of the references weighted by the populations; inversion is
-exponentially-weighted least squares on the probability simplex, a convex
-QP in two variables that is solved exactly by active-set enumeration
-(interior optimum, else the best edge minimum), with no iteration.
+state-dependent dispersive pull Delta_j, solved exactly (jointly with the
+populations by an exact propagator when |1> and |2> relax during readout,
+at any dtau).  A measured trace is a convex combination of the references
+weighted by the populations; inversion is exponentially-weighted least
+squares on the probability simplex, a convex QP in two variables that is
+solved exactly by active-set enumeration (interior optimum, else the best
+edge minimum), with no iteration.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def synth_reference_traces(
     I = -2 eta Re<a>, Q = +2 eta Im<a>; the overall homodyne sign is part
     of the conversion factor eta.  With decoherence_corrected=True the
     |1> and |2> references include relaxation during readout: the cavity
-    amplitude is propagated jointly with the decaying level occupations.
+    amplitude is propagated exactly, jointly with the decaying level
+    occupations, at any dtau.
     """
     taus = np.arange(0.0, tau_max + dtau / 2, dtau)
     shifts = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz)))
@@ -100,7 +103,7 @@ def synth_reference_traces(
     traces = []
     for j in range(3):
         if decoherence_corrected and j > 0:
-            amp = _decaying_state_amplitude(taus, j, deltas, kappa, eps, trans)
+            amp = _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans)
         else:
             amp = _cavity_amplitude(taus, deltas[j], kappa, eps)
         traces.append(
@@ -114,50 +117,37 @@ def synth_reference_traces(
     return tuple(traces)
 
 
-def _decaying_state_amplitude(taus, j, deltas, kappa, eps, trans: TransmonParams):
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): 18 Taylor terms of a / 2^s (norm <= 1/2, truncation below
+    1e-22), squared s times (Moler & Van Loan, SIAM Review 45, 3 (2003))."""
+    s = max(0, int(np.frexp(np.abs(a).sum(axis=1).max())[1]) + 1)
+    a = a / 2.0**s
+    term = out = np.eye(len(a), dtype=a.dtype)
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans: TransmonParams):
     """<a>(tau) for a transmon prepared in |j> that relaxes during readout.
 
     Tracks alpha_k = Tr[a rho |k><k|]; relaxation transfers amplitude
     weight down the ladder while each component rings up at its own pull.
+    With the populations p, z = (alpha, p) obeys z' = M z, a constant
+    linear system, so z steps exactly by exp(M dtau) from sample to sample.
     """
-    g10, g21 = trans.gamma10, trans.gamma21
-
-    def pops(tau):
-        if j == 1:
-            p1 = np.exp(-g10 * tau)
-            return np.array([1.0 - p1, p1, 0.0])
-        p2 = np.exp(-g21 * tau)
-        if abs(g10 - g21) < 1e-12:
-            p1 = g21 * tau * np.exp(-g10 * tau)
-        else:
-            p1 = g21 / (g10 - g21) * (np.exp(-g21 * tau) - np.exp(-g10 * tau))
-        return np.array([1.0 - p1 - p2, p1, p2])
-
-    poles = np.array([1j * d + 0.5 * kappa for d in deltas])
-
-    def rhs(tau, alpha):
-        p = pops(tau)
-        out = -poles * alpha - 1j * eps * p
-        out[0] += g10 * alpha[1]
-        out[1] += -g10 * alpha[1] + g21 * alpha[2]
-        out[2] += -g21 * alpha[2]
-        return out
-
-    n_sub = 10  # RK4 substeps per tau sample
-    alpha = np.zeros(3, dtype=complex)
-    out = np.empty(taus.size, dtype=complex)
-    out[0] = 0.0
+    g = np.diag([trans.gamma10, trans.gamma21], 1) - np.diag([0.0, trans.gamma10, trans.gamma21])
+    m = np.block([[g - np.diag(1j * np.asarray(deltas) + 0.5 * kappa), -1j * eps * np.eye(3)],
+                  [np.zeros((3, 3)), g]])
+    step = _expm(m * dtau)
+    z = np.eye(6, dtype=complex)[3 + j]
+    out = np.zeros(taus.size, dtype=complex)
     for i in range(1, taus.size):
-        h = (taus[i] - taus[i - 1]) / n_sub
-        tau = taus[i - 1]
-        for _ in range(n_sub):
-            k1 = rhs(tau, alpha)
-            k2 = rhs(tau + h / 2, alpha + h / 2 * k1)
-            k3 = rhs(tau + h / 2, alpha + h / 2 * k2)
-            k4 = rhs(tau + h, alpha + h * k3)
-            alpha = alpha + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            tau += h
-        out[i] = alpha.sum()
+        z = step @ z
+        out[i] = z[:3].sum()
     return out
 
 

@@ -222,6 +222,14 @@ class TestDetuningMap:
         m = table.column("peak_p2").reshape(5, 5)
         assert np.all(m[2, :] >= 0.8 * m[2, 2])
 
+    def test_failed_cell_is_recorded_with_its_detunings(self):
+        # a 1e5 MHz two-photon detuning is far beyond RK4 stability at dt 0.5 ns
+        cfg = cfg_with(sweep={"detuning_sum_mhz": (0.0, 1e5), "detuning_diff_mhz": (0.0,)})
+        result = run_detuning_map(cfg)
+        assert [(f["cell"], f["detuning_sum_mhz"], f["detuning_diff_mhz"])
+                for f in result.failures] == [(1, 1e5, 0.0)]
+        assert " at step " in result.failures[0]["error"]
+
 
 @pytest.fixture(scope="module")
 def hybrid_result():

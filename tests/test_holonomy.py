@@ -80,9 +80,8 @@ class TestPathProperties:
         whole = path_from(theta, phi, t)
         first = path_from(theta[:41], phi[:41], t[:41])
         second = path_from(theta[40:], phi[40:], t[40:])
-        # refine far past the default so all three integrals are converged
-        total = berry_phase(first, tol=1e-13) + berry_phase(second, tol=1e-13)
-        assert abs(total - berry_phase(whole, tol=1e-13)) < 1e-12
+        total = berry_phase(first) + berry_phase(second)
+        assert abs(total - berry_phase(whole)) < 1e-12
 
     def test_gauge_invariance_zero_winding(self):
         # closed theta loop with zero net phi winding; constant phi offset

@@ -400,22 +400,26 @@ class TestBatchAgreement:
             assert abs(got.trace_drift - want.trace_drift[0]) <= 1e-12
             assert abs(got.min_eig - want.min_eig[0]) <= 1e-12
 
-    @pytest.mark.parametrize("case", ["trace", "eigenvalue", "diverging drive"])
+    @pytest.mark.parametrize("case", ["trace", "eigenvalue", "diverging drive",
+                                      "diverged 5000 MHz", "diverged 1000 MHz"])
     def test_evolve_fails_like_one_cell_chunk(self, device_params, case):
         # evolve raises for the sample, with the message, that the kernel records.
         # Samples every 10 steps catch the divergence while the state is still
         # of order 1; every 50 steps the first failing sample holds entries
-        # near 3e56, and the drift it reports is round-off in either method
+        # near 3e56 (5000 MHz) or 3e9 (1000 MHz), whose drift and eigenvalue
+        # are round-off in either method, so both report the entry
         from stirap._batch import evolve_chunk
 
-        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=10)
+        stride = 50 if case.startswith("diverged") else 10
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=stride)
         seq, rho0 = two_pulse_sequence(OM01, OM12, 45.0, -90.0), np.diag([1.0, 0.0, 0.0])
         if case == "trace":
             rho0 = np.diag([1.5, 0.0, 0.0])
         elif case == "eigenvalue":
             rho0 = np.diag([1.2, -0.2, 0.0])
         else:
-            seq = two_pulse_sequence(mhz_to_rad_ns(5000.0), mhz_to_rad_ns(5000.0), 45.0, -90.0)
+            drive = mhz_to_rad_ns(1000.0 if "1000" in case else 5000.0)
+            seq = two_pulse_sequence(drive, drive, 45.0, -90.0)
         want = evolve_chunk([seq], device_params, grid, rho0=rho0)
         assert len(want.failures) == 1
         with pytest.raises(IntegrationFailureError) as err:
@@ -423,9 +427,12 @@ class TestBatchAgreement:
         step = int(want.failed_step[0])
         assert str(err.value) == want.failures[0][1]
         assert err.value.step == step and err.value.t_ns == grid.t_start + step * grid.dt
-        assert str(err.value).startswith({"trace": "trace drift 5.000e-01 at step 0 ",
-                                          "eigenvalue": "negative eigenvalue -2.000e-01 at step 0 ",
-                                          "diverging drive": "negative eigenvalue "}[case])
+        assert str(err.value).startswith({
+            "trace": "trace drift 5.000e-01 at step 0 ",
+            "eigenvalue": "negative eigenvalue -2.000e-01 at step 0 ",
+            "diverging drive": "negative eigenvalue ",
+            "diverged 5000 MHz": "diverged: max |entry| 2.821e+56 at step 250 ",
+            "diverged 1000 MHz": "diverged: max |entry| 2.656e+09 at step 400 "}[case])
 
     def test_evolve_memory_is_bounded_by_time_blocks(self):
         # the step matrices are built in time blocks: a whole 22 500-step run of

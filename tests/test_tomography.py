@@ -92,6 +92,53 @@ class TestSynthReferenceTraces:
         assert gap_corr < 0.2 * gap_plain
         assert np.array_equal(corr[0].I, plain[0].I)  # |0> reference unchanged
 
+    @pytest.mark.parametrize("dtau", [5.0, 300.0])
+    @pytest.mark.parametrize("rates", [{}, {"gamma10_mhz": 5.2, "gamma21_mhz": 5.2},
+                                       {"gamma10_mhz": 0.0}], ids=["default", "equal", "no-t1"])
+    def test_decoherence_corrected_refs_match_dop853(self, dtau, rates):
+        # oracle: the amplitudes alone, driven by populations written out in
+        # closed form, alpha' = -P alpha + G alpha - i eps p(tau), by DOP853
+        from scipy.integrate import solve_ivp
+
+        from stirap.hamiltonian import dispersive_shifts
+        from stirap.tomography import _ladder_transitions
+
+        cav, trans = CavityParams(), TransmonParams(**rates)
+        refs = synth_reference_traces(cav, trans, dtau=dtau, decoherence_corrected=True)
+        pulls = dispersive_shifts(cav, _ladder_transitions(trans, 3)).pulls_mhz[:3]
+        poles = np.array([1j * mhz_to_rad_ns(cav.f_res_mhz + pull - cav.f_meas)
+                          + 0.5 * mhz_to_rad_ns(cav.kappa_mhz) for pull in pulls])
+        eps = mhz_to_rad_ns(cav.epsilon_mhz)
+        g10, g21 = trans.gamma10, trans.gamma21
+
+        def pops(j, tau):
+            if j == 1:
+                p1 = np.exp(-g10 * tau)
+                return np.array([1.0 - p1, p1, 0.0])
+            p2 = np.exp(-g21 * tau)
+            if g10 == g21:
+                p1 = g21 * tau * np.exp(-g10 * tau)
+            else:
+                p1 = g21 / (g10 - g21) * (np.exp(-g21 * tau) - np.exp(-g10 * tau))
+            return np.array([1.0 - p1 - p2, p1, p2])
+
+        for j in (1, 2):
+            def rhs(tau, y):
+                alpha = y[:3] + 1j * y[3:]
+                da = -poles * alpha - 1j * eps * pops(j, tau)
+                da[0] += g10 * alpha[1]
+                da[1] += -g10 * alpha[1] + g21 * alpha[2]
+                da[2] += -g21 * alpha[2]
+                return np.concatenate([da.real, da.imag])
+
+            taus = refs[j].taus
+            sol = solve_ivp(rhs, (0.0, taus[-1]), np.zeros(6), method="DOP853", t_eval=taus,
+                            rtol=1e-12, atol=1e-15)
+            a = (sol.y[:3] + 1j * sol.y[3:]).sum(axis=0)
+            err = max(np.max(np.abs(refs[j].I - (-2.0 * cav.eta * a.real))),
+                      np.max(np.abs(refs[j].Q - 2.0 * cav.eta * a.imag)))
+            assert err <= 1e-9 * trace_scale(refs)
+
 
 class TestMixTraces:
     def test_pure_state_identity(self, refs):
