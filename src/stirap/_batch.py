@@ -8,16 +8,17 @@ a dissipationless run from a state vector propagates the vector, shape
 Lindblad generator preserves Hermiticity, so a density matrix's RHS is
 X + X^H with X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric
 in (a, b) and its jumps move population only): both modes run only row
-updates from the fixed sparsity of H and D, and every state is exactly
-Hermitian.  No step calls BLAS and each cell's arithmetic is independent
-of its chunk, so with fixed-size chunks results are bit-identical however
-chunks are distributed over workers.
+updates from the fixed sparsity of H and D, a run of evenly spaced rows per
+call (_row_groups), and every state is exactly Hermitian.  No step calls
+BLAS and each cell's arithmetic is independent of its chunk, so with
+fixed-size chunks results are bit-identical however chunks are distributed
+over workers.
 
 lindblad.evolve runs one cell through evolve_cell, the same RK4 written as
-step matrices: for a linear system one RK4 step is y <- M y, and the M of
-a block of steps come from a few batched matrix products instead of about
-85 small numpy calls per step.  It uses the kernel's drive rows, couplings,
-energies and dissipator, and both paths judge a sample by _sample_checks.
+step matrices (y <- M y per step), whose M for a block of steps come from a
+few batched matrix products instead of evolve_chunk's 57 (dim 3) or 81
+(dim 4) numpy calls per density-matrix step.  It uses the kernel's drive
+rows, couplings, energies and dissipator; both judge a sample by _sample_checks.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  At a FastPulse edge that sits on
@@ -43,6 +44,7 @@ from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
 STEP_BLOCK = 256  # RK4 step matrices evolve_cell builds at a time
+DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
 # about 1 + 4e-6, so this names a divergence before round-off hides it
@@ -78,6 +80,30 @@ def _couplings(dim: int, params: TransmonParams):
         return ((1, 0, 0, 1.0), (1, 2, 1, 1.0))
     wa, wb = params.split.branch_weights
     return ((1, 0, 0, wa), (2, 0, 0, wb), (1, 3, 1, wa), (2, 3, 1, wb))
+
+
+def _row_groups(terms: Sequence[Tuple[int, int]]):
+    """(out slice, source slice, term indices) per run of (out row, source row) terms.
+
+    Pass k takes each out row's k-th term and splits those rows into runs whose
+    out and source rows both step evenly, so a run is one multiply-add on basic
+    slices and every out row still sums its terms in list order."""
+    runs: list = []
+    for k, row, src, j in sorted((sum(r == row for r, _ in terms[:j]), row, src, j)
+                                 for j, (row, src) in enumerate(terms)):
+        run = runs[-1] if runs and runs[-1][0][0] == k else []
+        if not run or len(run) > 1 and (row - run[-1][1], src - run[-1][2]) != \
+                (run[1][1] - run[0][1], run[1][2] - run[0][2]):
+            runs.append([])
+        runs[-1].append((k, row, src, j))
+    return [(_slice(rows), _slice(srcs), idx) for _, rows, srcs, idx in (zip(*run) for run in runs)]
+
+
+def _slice(rows: Sequence[int]) -> slice:
+    """The basic slice through evenly stepped rows; one row for a step of 0."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 0
+    stop = rows[-1] + (step or 1)
+    return slice(rows[0], stop if stop >= 0 else None, step or None)
 
 
 def _envelopes(seq: PulseSequence) -> tuple:
@@ -299,32 +325,45 @@ def evolve_chunk(
     failed_step = np.full(n_cells, -1)
     messages: Dict[int, str] = {}
 
+    # term 2j adds -i H[r, c] y[c, :] to row r of X and term 2j + 1 -i H[c, r] y[r, :]
+    # to row c, for coupling j, and a jump its rate times rho_ll to rho_kk; a row of X
+    # sums its diagonal term, then its coupling terms and its jumps, each in list order
+    runs = _row_groups([t for r, c, _, _ in couplings for t in ((r, c), (c, r))])
+    jump_runs = _row_groups([(k // (dim + 1), l // (dim + 1)) for k, l, _ in jumps])
+
     def coefficients(row01: np.ndarray, row12: np.ndarray):
-        """(-i H[row, col], -i H[col, row]) per coupling at one substep."""
-        drive = (row01, row12)
-        return [((-0.5j * w) * drive[tr], (-0.5j * w) * np.conj(drive[tr]))
-                for _, _, tr, w in couplings]
+        """Per run, its terms' -i H[row, col] on each substep, shape (substeps, terms, 1, m)."""
+        drive, tabs = (row01, row12), []
+        for _, _, terms in runs:
+            tabs.append(np.empty((len(row01), len(terms), 1, row01.shape[1]), dtype=complex))
+            for t, j in enumerate(terms):
+                _, _, tr, w = couplings[j // 2]
+                np.multiply(-0.5j * w, np.conj(drive[tr]) if j % 2 else drive[tr], out=tabs[-1][:, t, 0])
+        return tabs
 
-    def views(a: np.ndarray):
-        """The array, its rows [k, :] as views and its (dim, -1, n_cells) form."""
-        a3 = a.reshape(dim, -1, n_cells)
-        return a, [a3[k] for k in range(dim)], a3
+    tmp = np.empty((dim, y.shape[0] // dim, n_cells), dtype=complex)
+    scratch = None if ket else np.empty_like(y)
 
-    tmp = np.empty((y.shape[0] // dim, n_cells), dtype=complex)
-    scratch = None if ket else views(np.empty_like(y))
+    def views(src: np.ndarray, k: np.ndarray):
+        """The views one RHS from src into k reads and writes; X is k itself for a ket."""
+        x = k if ket else scratch
+        s3, x3 = src.reshape(dim, -1, n_cells), x.reshape(dim, -1, n_cells)
+        diag = [(x[::dim + 1][o], src[::dim + 1][s], np.array([[jumps[j][2]] for j in terms]),
+                 tmp[0, :len(terms)]) for o, s, terms in jump_runs]
+        return (src, x, [(x3[o], s3[s], tmp[:len(terms)]) for o, s, terms in runs], diag,
+                k, k.reshape(dim, -1, n_cells), x3.swapaxes(0, 1))
 
-    def rhs(coefs, src, out):
-        """A ket's X into out; a density matrix's into scratch, then out = X + X^H."""
-        (ya, yr, _), (xa, xr, x3) = src, scratch or out
+    def rhs(coefs, i, v):
+        """A ket's X into k; a density matrix's into scratch, then k = X + X^H."""
+        ya, xa, couple, diag, k, k3, xt = v
         np.multiply(ldiag, ya, out=xa)
-        for (r, c, _, _), (p, q) in zip(couplings, coefs):
-            np.add(xr[r], np.multiply(yr[c], p, out=tmp), out=xr[r])
-            np.add(xr[c], np.multiply(yr[r], q, out=tmp), out=xr[c])
-        for k, l, v in jumps:
-            np.add(xa[k], np.multiply(ya[l], v, out=tmp[0]), out=xa[k])
-        if scratch:
-            np.conjugate(x3.swapaxes(0, 1), out=out[2])
-            np.add(out[0], xa, out=out[0])
+        for (x, ys, t), c in zip(couple, coefs):
+            np.add(x, np.multiply(ys, c[i], out=t), out=x)
+        for x, ys, rate, t in diag:
+            np.add(x, np.multiply(ys, rate, out=t), out=x)
+        if not ket:
+            np.conjugate(xt, out=k3)
+            np.add(k, xa, out=k)
 
     sample_i = 0
 
@@ -344,26 +383,27 @@ def evolve_chunk(
         sample_i += 1
 
     k1, k2, k3, k4, yt = (np.empty_like(y) for _ in range(5))
-    v_y, v_yt, v1, v2, v3, v4 = (views(a) for a in (y, yt, k1, k2, k3, k4))
-    c_next = coefficients(a01[0], a12[0])
+    v1, v2, v3, v4 = (views(src, k) for src, k in ((y, k1), (yt, k2), (yt, k3), (yt, k4)))
+    left_coefs = {i: coefficients(r01[None], r12[None]) for i, (r01, r12) in left.items()}
     # a diverged cell overflows on its way to inf/nan; record() reports it
     with np.errstate(over="ignore", invalid="ignore"):
         record(0)
         for step in range(n):
-            i = 2 * step
-            c_start, c_mid = c_next, coefficients(a01[i + 1], a12[i + 1])
-            c_next = coefficients(a01[i + 2], a12[i + 2])
-            c_end = coefficients(*left[i + 2]) if i + 2 in left else c_next
-            rhs(c_start, v_y, v1)
+            if step % DRIVE_BLOCK == 0:  # the block's substeps, two per step, and its end
+                lo, hi = 2 * step, 2 * min(step + DRIVE_BLOCK, n) + 1
+                coefs = coefficients(a01[lo:hi], a12[lo:hi])
+            i = 2 * step - lo
+            rhs(coefs, i, v1)
             np.multiply(k1, 0.5 * dt, out=yt)
             yt += y
-            rhs(c_mid, v_yt, v2)
+            rhs(coefs, i + 1, v2)
             np.multiply(k2, 0.5 * dt, out=yt)
             yt += y
-            rhs(c_mid, v_yt, v3)
+            rhs(coefs, i + 1, v3)
             np.multiply(k3, dt, out=yt)
             yt += y
-            rhs(c_end, v_yt, v4)
+            end = 2 * step + 2  # on a FastPulse edge, the last stage takes the left limit
+            rhs(*((left_coefs[end], 0) if end in left_coefs else (coefs, i + 2)), v4)
             # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
             k2 *= 2.0
             k1 += k2
@@ -410,7 +450,7 @@ def run_batch(
     if workers > 1 and len(chunks) > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+        with cf.ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_run_one_chunk, args))
     else:
         results = [_run_one_chunk(a) for a in args]

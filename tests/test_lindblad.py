@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -311,22 +312,24 @@ class TestBatchAgreement:
             want = dop853_populations(seq, params, batch.times, dim=4)
             assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
 
-    def test_dissipationless_ket_matches_dop853(self, device_params):
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_dissipationless_ket_matches_dop853(self, device_params, dim):
         # a state vector without dissipation is propagated by the Schrodinger
-        # equation; a winding drive phase makes the populations depend on the
-        # sign of the detunings
+        # equation, at 3 levels and on the 4-level split; a winding drive phase
+        # makes the populations depend on the sign of the detunings
         from stirap._batch import run_batch
 
+        params = device_params if dim == 3 else TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=25)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts, delta01=mhz_to_rad_ns(d),
                                    delta12=mhz_to_rad_ns(2.0), phase_ramp12=ramp)
                 for ts, d, ramp in ((-90.0, -3.0, None),
                                     (-60.0, 5.0, PhaseRamp(-45.0, 45.0, math.pi)))]
-        batch = run_batch(seqs, device_params, grid, dissipative=False,
-                          rho0=basis_ket(0).amplitudes)
+        batch = run_batch(seqs, params, grid, dim=dim, dissipative=False,
+                          rho0=basis_ket(0, dim=dim).amplitudes)
         assert not batch.failures
         for i, seq in enumerate(seqs):
-            want = dop853_populations(seq, device_params, batch.times, ket=True)
+            want = dop853_populations(seq, params, batch.times, dim=dim, ket=True)
             assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
 
     def test_hybrid_matches_piecewise_dop853(self, device_params):
@@ -362,6 +365,53 @@ class TestBatchAgreement:
         for i, seq in enumerate(seqs):
             alone = run_batch([seq], device_params, grid)
             assert np.array_equal(c.populations[i], alone.populations[0]), i
+
+    def test_shared_drive_split_plane_is_chunk_independent(self):
+        # 4-level cells that differ only in detuning share one drive column;
+        # every field is the same at any chunk width, serial or over a pool
+        from stirap._batch import _chunk_drive, run_batch
+
+        params = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
+        seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
+                                   delta01=mhz_to_rad_ns(d01), delta12=mhz_to_rad_ns(d12))
+                for d01 in (-6.0, 0.0, 4.0) for d12 in (-3.0, 5.0)]
+        assert _chunk_drive(seqs, grid, 4, params)[0].shape[1] == 1
+        want = run_batch(seqs, params, grid, dim=4, chunk_size=len(seqs))
+        for chunk in (1, 3, len(seqs)):
+            for workers in (1, 2):
+                got = run_batch(seqs, params, grid, dim=4, workers=workers, chunk_size=chunk)
+                for f in dataclasses.fields(want):
+                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
+
+    def test_pool_is_capped_at_the_chunk_count(self, device_params, monkeypatch):
+        # a fork-started pool starts all max_workers processes at the first
+        # submit, so workers beyond the chunk count would only sit idle
+        import concurrent.futures
+
+        from stirap._batch import run_batch
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
+        got = run_batch(seqs, device_params, grid, workers=8, chunk_size=2)
+        assert asked == [2]
+        assert np.array_equal(got.populations, run_batch(seqs, device_params, grid).populations)
 
     def test_evolve_matches_one_cell_chunk(self, device_params):
         # evolve's RK4 step matrices are the kernel's RK4 on one cell, with the
