@@ -21,11 +21,11 @@ few batched matrix products instead of evolve_chunk's 57 (dim 3) or 81
 rows, couplings, energies and dissipator; both judge a sample by _sample_checks.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
-the scheme 4th order for smooth drives.  At a FastPulse edge that sits on
-a grid point, the step ending there takes its last stage from the left
-limit of the drive and the next step its first stage from the right
-limit, so no stage straddles the discontinuity; edges off the grid are
-integrated through (with the associated local error).
+the scheme 4th order for smooth drives.  Both realisations sample it one
+block of steps at a time (_drive_block), and a FastPulse edge on a grid point
+starts a block: the block ending there takes its last sample from the left
+limit of the drive and the next its first from the right limit, so no stage
+straddles the discontinuity; edges off the grid are integrated through.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .pulses import FastPulse, PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
-STEP_BLOCK = 256  # RK4 step matrices evolve_cell builds at a time
+BLOCK = 256  # steps whose drive is sampled, and whose step matrices evolve_cell builds, at a time
 DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
@@ -125,31 +125,19 @@ def _edge_steps(seq: PulseSequence, grid: TimeGrid) -> List[int]:
 
 def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
                  params: TransmonParams):
-    """Drive amplitudes on the half-step grid and level energies, cells last.
+    """The drive columns, the time blocks and the level energies, cells last.
 
-    a01 and a12 have shape (n_sub, m): m = 1 when every cell's pulses are
-    equal apart from their detunings, so the cells share one drive, and
-    m = n_cells otherwise.  At a FastPulse edge of column c on substep i,
-    a01[i, c] holds the right limit, and left[i] the rows (a01, a12) with
-    the left limit in column c.  The energies have shape (dim, n_cells).
+    A column is (sequence, its edge steps): one column when every cell's
+    pulses are equal apart from their detunings, so the cells share one
+    drive, and one per cell otherwise.  The blocks [k0, k1) are cut every
+    BLOCK steps and at every column's edge steps.  The energies have shape
+    (dim, n_cells).
     """
-    t_half = grid.t_start + 0.5 * grid.dt * np.arange(2 * grid.n_steps + 1)
     shared = _envelopes(seqs[0])
     drive_seqs = seqs[:1] if all(_envelopes(s) == shared for s in seqs[1:]) else seqs
-    a01 = np.empty((t_half.size, len(drive_seqs)), dtype=complex)
-    a12 = np.empty_like(a01)
-    for c, seq in enumerate(drive_seqs):
-        a01[:, c] = seq.complex_amplitude(Transition.T01, t_half)
-        a12[:, c] = seq.complex_amplitude(Transition.T12, t_half)
-    left: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for c, seq in enumerate(drive_seqs):
-        for k in _edge_steps(seq, grid):
-            i = 2 * k
-            if i not in left:
-                left[i] = (a01[i].copy(), a12[i].copy())
-            t_lr = grid.t_start + k * grid.dt + EDGE_CLIP * grid.dt * np.array([-1.0, 1.0])
-            left[i][0][c], a01[i, c] = seq.complex_amplitude(Transition.T01, t_lr)
-            left[i][1][c], a12[i, c] = seq.complex_amplitude(Transition.T12, t_lr)
+    drive = [(seq, _edge_steps(seq, grid)) for seq in drive_seqs]
+    cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
+    blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
     energies = np.zeros((dim, len(seqs)))
     for c, seq in enumerate(seqs):
         d01 = seq.detuning(Transition.T01)
@@ -162,7 +150,25 @@ def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
             energies[1, c] = d01 - omega_split / 2.0
             energies[2, c] = d01 + omega_split / 2.0
             energies[3, c] = d01 + d12
-    return a01, a12, left, energies
+    return drive, blocks, energies
+
+
+def _drive_block(drive, grid: TimeGrid, k0: int, k1: int) -> np.ndarray:
+    """(A01, A12) at t_start + dt/2 * j for j = 2 k0 ... 2 k1, shape (2, 2 (k1 - k0) + 1, m).
+
+    In a column with an edge at k0 the first sample lies EDGE_CLIP * dt right
+    of it, and with an edge at k1 the last sample EDGE_CLIP * dt left of it.
+    """
+    t = grid.t_start + 0.5 * grid.dt * np.arange(2 * k0, 2 * k1 + 1)
+    rows = np.empty((2, t.size, len(drive)), dtype=complex)
+    for c, (seq, edges) in enumerate(drive):
+        tc = t.copy()  # t[0] is t_start + k0 dt and t[-1] t_start + k1 dt, exactly
+        if k0 in edges:
+            tc[0] += EDGE_CLIP * grid.dt
+        if k1 in edges:
+            tc[-1] -= EDGE_CLIP * grid.dt
+        rows[:, :, c] = [seq.complex_amplitude(tr, tc) for tr in (Transition.T01, Transition.T12)]
+    return rows
 
 
 def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
@@ -228,15 +234,11 @@ def evolve_cell(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim:
     -i(H (x) I - I (x) H^T) + D on the row-major vec of rho) one RK4 step is
     y <- M y, M = I + dt/6 (G_a + 2 G_b B1 + 2 G_b B2 + G_c B3) with
     B1 = I + dt/2 G_a, B2 = I + dt/2 G_b B1, B3 = I + dt G_b B2 (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.1), built STEP_BLOCK steps at a time.
+    Norsett & Wanner, Solving ODEs I, II.1), built one _chunk_drive block at a time.
     """
     init, dsup = _initial_state(params, dim, dissipative, rho0)
     n, dt = grid.n_steps, grid.dt
-    a01, a12, left, energies = _chunk_drive([seq], grid, dim, params)
-    # (A01, A12) rows on the half-step grid, and at each step's end with left limits
-    drive, ends = np.stack([a01[:, 0], a12[:, 0]]), np.stack([a01[2::2, 0], a12[2::2, 0]])
-    for i, rows in left.items():
-        ends[:, i // 2 - 1] = np.ravel(rows)
+    drive, blocks, energies = _chunk_drive([seq], grid, dim, params)
     eye_h = np.eye(dim)
 
     def liouvillian(h: np.ndarray) -> np.ndarray:
@@ -258,15 +260,15 @@ def evolve_cell(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim:
     steps = np.array(sorted(set(range(0, n + 1, grid.sample_stride)) | {n}))
     samples = [y]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n, STEP_BLOCK):
-            stop = min(k0 + STEP_BLOCK, n)
-            ga = generators(drive[:, 2 * k0:2 * stop:2])
-            gb = generators(drive[:, 2 * k0 + 1:2 * stop:2])
+        for k0, k1 in blocks:
+            rows = _drive_block(drive, grid, k0, k1)[:, :, 0]  # each step's start, midpoint, end
+            ga = generators(rows[:, :-1:2])
+            gb = generators(rows[:, 1::2])
             gb_b1 = gb @ (eye + (0.5 * dt) * ga)
             gb_b2 = gb @ (eye + (0.5 * dt) * gb_b1)
-            gc_b3 = generators(ends[:, k0:stop]) @ (eye + dt * gb_b2)
+            gc_b3 = generators(rows[:, 2::2]) @ (eye + dt * gb_b2)
             m = eye + (dt / 6.0) * (ga + 2.0 * gb_b1 + 2.0 * gb_b2 + gc_b3)
-            for k, mk in zip(range(k0 + 1, stop + 1), m):
+            for k, mk in zip(range(k0 + 1, k1 + 1), m):
                 y = mk @ y
                 if k % grid.sample_stride == 0 or k == n:
                     samples.append(y)
@@ -303,7 +305,7 @@ def evolve_chunk(
     ket = dsup is None
     n_cells = len(seqs)
     n, dt = grid.n_steps, grid.dt
-    a01, a12, left, energies = _chunk_drive(seqs, grid, dim, params)
+    drive, blocks, energies = _chunk_drive(seqs, grid, dim, params)
     couplings = _couplings(dim, params)
 
     if ket:
@@ -331,14 +333,14 @@ def evolve_chunk(
     runs = _row_groups([t for r, c, _, _ in couplings for t in ((r, c), (c, r))])
     jump_runs = _row_groups([(k // (dim + 1), l // (dim + 1)) for k, l, _ in jumps])
 
-    def coefficients(row01: np.ndarray, row12: np.ndarray):
+    def coefficients(rows: np.ndarray):
         """Per run, its terms' -i H[row, col] on each substep, shape (substeps, terms, 1, m)."""
-        drive, tabs = (row01, row12), []
+        tabs = []
         for _, _, terms in runs:
-            tabs.append(np.empty((len(row01), len(terms), 1, row01.shape[1]), dtype=complex))
+            tabs.append(np.empty((rows.shape[1], len(terms), 1, rows.shape[2]), dtype=complex))
             for t, j in enumerate(terms):
                 _, _, tr, w = couplings[j // 2]
-                np.multiply(-0.5j * w, np.conj(drive[tr]) if j % 2 else drive[tr], out=tabs[-1][:, t, 0])
+                np.multiply(-0.5j * w, np.conj(rows[tr]) if j % 2 else rows[tr], out=tabs[-1][:, t, 0])
         return tabs
 
     tmp = np.empty((dim, y.shape[0] // dim, n_cells), dtype=complex)
@@ -384,36 +386,35 @@ def evolve_chunk(
 
     k1, k2, k3, k4, yt = (np.empty_like(y) for _ in range(5))
     v1, v2, v3, v4 = (views(src, k) for src, k in ((y, k1), (yt, k2), (yt, k3), (yt, k4)))
-    left_coefs = {i: coefficients(r01[None], r12[None]) for i, (r01, r12) in left.items()}
     # a diverged cell overflows on its way to inf/nan; record() reports it
     with np.errstate(over="ignore", invalid="ignore"):
         record(0)
-        for step in range(n):
-            if step % DRIVE_BLOCK == 0:  # the block's substeps, two per step, and its end
-                lo, hi = 2 * step, 2 * min(step + DRIVE_BLOCK, n) + 1
-                coefs = coefficients(a01[lo:hi], a12[lo:hi])
-            i = 2 * step - lo
-            rhs(coefs, i, v1)
-            np.multiply(k1, 0.5 * dt, out=yt)
-            yt += y
-            rhs(coefs, i + 1, v2)
-            np.multiply(k2, 0.5 * dt, out=yt)
-            yt += y
-            rhs(coefs, i + 1, v3)
-            np.multiply(k3, dt, out=yt)
-            yt += y
-            end = 2 * step + 2  # on a FastPulse edge, the last stage takes the left limit
-            rhs(*((left_coefs[end], 0) if end in left_coefs else (coefs, i + 2)), v4)
-            # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= dt / 6.0
-            y += k1
-            if (step + 1) in sample_steps:
-                record(step + 1)
+        for start, stop in blocks:
+            rows = _drive_block(drive, grid, start, stop)
+            for step in range(start, stop):
+                i = 2 * ((step - start) % DRIVE_BLOCK)
+                if i == 0:  # the next DRIVE_BLOCK steps' substeps, two per step, and their end
+                    coefs = coefficients(rows[:, 2 * (step - start):2 * (step - start + DRIVE_BLOCK) + 1])
+                rhs(coefs, i, v1)
+                np.multiply(k1, 0.5 * dt, out=yt)
+                yt += y
+                rhs(coefs, i + 1, v2)
+                np.multiply(k2, 0.5 * dt, out=yt)
+                yt += y
+                rhs(coefs, i + 1, v3)
+                np.multiply(k3, dt, out=yt)
+                yt += y
+                rhs(coefs, i + 2, v4)
+                # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                k2 *= 2.0
+                k1 += k2
+                k3 *= 2.0
+                k1 += k3
+                k1 += k4
+                k1 *= dt / 6.0
+                y += k1
+                if (step + 1) in sample_steps:
+                    record(step + 1)
 
     return BatchResult(
         times=times,

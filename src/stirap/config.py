@@ -16,14 +16,14 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .hamiltonian import CavityParams, SplitSpec, TransmonParams
+from .hamiltonian import CavityParams, SplitSpec, TransmonParams, require_finite
 
 
 class Experiment(enum.Enum):
@@ -52,10 +52,7 @@ class PulseConfig:
     reversal_spacing_ns: Optional[float] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"pulses.{f.name} must be finite, got {value!r}")
+        require_finite(self, "pulses")
         if not (self.omega01_mhz >= 0 and self.omega12_mhz >= 0):
             raise ConfigurationError("pulse amplitudes must be nonnegative")
         if not self.sigma_ns > 0:

@@ -10,7 +10,7 @@ two-photon resonance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +25,14 @@ from .errors import (
 from .units import mhz_to_rad_ns, rate_mhz_to_per_ns
 
 
+def require_finite(params, section: str) -> None:
+    """Reject NaN and +-inf in every number field of a dataclass, tuple entries included."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if value is not None and not is_dataclass(value) and not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ConfigurationError(f"{section}.{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Quasi-degenerate intermediate level: |1> split into |1a>, |1b>.
@@ -37,7 +45,7 @@ class SplitSpec:
     branch_weights: Tuple[float, float] = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
     def __post_init__(self):
-        # phrased so that NaN fails as well
+        require_finite(self, "transmon.split")
         if not self.delta_split_mhz >= 0:
             raise ConfigurationError("delta_split must be nonnegative")
         wa, wb = self.branch_weights
@@ -63,8 +71,9 @@ class TransmonParams:
     split: Optional[SplitSpec] = None
 
     def __post_init__(self):
+        require_finite(self, "transmon")
         for name in ("gamma10_mhz", "gamma21_mhz", "gamma_phi10_mhz", "gamma_phi21_mhz"):
-            if not getattr(self, name) >= 0:  # NaN fails too, so no jump is dropped
+            if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be nonnegative")
         if not self.f01_mhz > self.f12_mhz:
             raise ConfigurationError("need f01 > f12 (negative anharmonicity)")
@@ -198,7 +207,8 @@ class CavityParams:
     f_meas_mhz: Optional[float] = None
 
     def __post_init__(self):
-        if not self.kappa_mhz > 0:  # NaN fails too
+        require_finite(self, "cavity")
+        if not self.kappa_mhz > 0:
             raise ConfigurationError("cavity linewidth kappa must be positive")
         if not all(g >= 0 for g in self.g_mhz):
             raise ConfigurationError("couplings g must be nonnegative")

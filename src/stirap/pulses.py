@@ -87,9 +87,7 @@ class GaussianPulse:
         return -((t - self.center_ns) / self.sigma_ns**2) * self.envelope(t)
 
     def phase_at(self, t):
-        if self.phase_ramp is None:
-            return np.broadcast_to(np.float64(self.phase), np.shape(t)).copy() if np.ndim(t) else self.phase
-        return self.phase + self.phase_ramp.value(t)
+        return self.phase if self.phase_ramp is None else self.phase + self.phase_ramp.value(t)
 
     @property
     def window(self):
@@ -127,7 +125,7 @@ class FastPulse:
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def phase_at(self, t):
-        return np.broadcast_to(np.float64(self.phase), np.shape(t)).copy() if np.ndim(t) else self.phase
+        return self.phase
 
     @property
     def window(self):
@@ -169,7 +167,7 @@ class PulseSequence:
         return 0.0
 
     def complex_amplitude(self, transition: Transition, t):
-        """Sum of Omega_p(t) exp(-i phi_p(t)) over pulses on the transition."""
+        """Sum of Omega_p(t) exp(-i phi_p(t)) over the transition's pulses; a constant phase is one exp."""
         t = np.asarray(t, dtype=float)
         total = np.zeros(t.shape, dtype=complex)
         for p in self.pulses_on(transition):

@@ -75,6 +75,21 @@ class TestNanThroughPythonApi:
             with pytest.raises(ConfigurationError, match=f"pulses\\.{key}"):
                 PulseConfig(**{key: value})
 
+    @pytest.mark.parametrize("cls, section, key", [
+        (cls, section, f.name)
+        for cls, section in ((TransmonParams, "transmon"), (SplitSpec, "transmon.split"),
+                             (CavityParams, "cavity"))
+        for f in dataclasses.fields(cls) if f.name != "split"])
+    def test_device_params(self, cls, section, key):
+        # every number field, each entry of a tuple field included, names itself
+        base = {"delta_split_mhz": 15.0} if cls is SplitSpec else {}
+        for value in (NAN, math.inf, -math.inf):
+            default = getattr(cls(**base), key)
+            for v in ([default[:j] + (value,) + default[j + 1:] for j in range(len(default))]
+                      if isinstance(default, tuple) else [value]):
+                with pytest.raises(ConfigurationError, match=f"^{section}\\.{key} must be finite"):
+                    cls(**{**base, key: v})
+
     @pytest.mark.parametrize("key", ["dt_ns", "sample_stride"])
     def test_grid_config(self, key):
         with pytest.raises(ConfigurationError):
@@ -94,6 +109,12 @@ class TestNanThroughPythonApi:
             CavityParams(kappa_mhz=NAN)
         with pytest.raises(ConfigurationError):
             CavityParams(g_mhz=(80.0, NAN, 138.6))
+
+    def test_nan_cavity_fails_before_the_run(self):
+        # unchecked, a NaN eta reaches the tomography inversion as an SVD failure
+        with pytest.raises(ConfigurationError, match="cavity.eta"):
+            run_experiment(ExperimentConfig(experiment=Experiment.TOMOGRAPHY_TIMELINE,
+                                            cavity=CavityParams(eta=NAN)))
 
     def test_nan_grid_fails_before_the_run(self):
         with pytest.raises(ConfigurationError):

@@ -332,12 +332,14 @@ class TestBatchAgreement:
             want = dop853_populations(seq, params, batch.times, dim=dim, ket=True)
             assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
 
-    def test_hybrid_matches_piecewise_dop853(self, device_params):
-        # the fast pulse ends on a grid point; no RK4 stage may straddle that edge
+    @pytest.mark.parametrize("fast_duration", [10.0, 25.6])
+    def test_hybrid_matches_piecewise_dop853(self, device_params, fast_duration):
+        # the fast pulse ends on a grid point; no RK4 stage may straddle that edge.
+        # At 25.6 ns the edge is step 256, which is also the first BLOCK boundary
         from stirap._batch import run_batch
 
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
-                             t_s=-90.0, theta_fast=math.pi)
+                             t_s=-90.0, theta_fast=math.pi, fast_duration=fast_duration)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=50)
         batch = run_batch([seq], device_params, grid)
         fast = seq.pulses[0]
@@ -348,15 +350,17 @@ class TestBatchAgreement:
     def test_batch_rerun_is_bitwise_identical(self, device_params):
         # chunk partition is fixed, so reruns (and worker splits) reproduce
         # bit for bit; each cell's arithmetic, FastPulse edges included, is
-        # independent of its chunk, so every cell equals a run of itself alone
+        # independent of its chunk, so every cell equals a run of itself alone.
+        # The t_s = -60 cell's fast pulse runs from step 30 to 50, edges that
+        # cut its chunk's blocks but are no edge of the other hybrid cells (step 20)
         from stirap._batch import run_batch
 
         grid = TimeGrid(-235.0, 225.0, dt=0.5, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts)
                 for ts in np.linspace(-120, -30, 7)]
-        for k, theta in ((2, math.pi / 2), (5, math.pi)):
+        for k, theta, ts in ((2, math.pi / 2, -90.0), (5, math.pi, -90.0), (7, math.pi, -60.0)):
             seqs.insert(k, build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
-                                          sigma=45.0, t_s=-90.0, theta_fast=theta))
+                                          sigma=45.0, t_s=ts, theta_fast=theta))
         a = run_batch(seqs, device_params, grid, chunk_size=3)
         b = run_batch(seqs, device_params, grid, chunk_size=3)
         assert np.array_equal(a.populations, b.populations)
@@ -376,7 +380,7 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
                                    delta01=mhz_to_rad_ns(d01), delta12=mhz_to_rad_ns(d12))
                 for d01 in (-6.0, 0.0, 4.0) for d12 in (-3.0, 5.0)]
-        assert _chunk_drive(seqs, grid, 4, params)[0].shape[1] == 1
+        assert len(_chunk_drive(seqs, grid, 4, params)[0]) == 1  # one drive column
         want = run_batch(seqs, params, grid, dim=4, chunk_size=len(seqs))
         for chunk in (1, 3, len(seqs)):
             for workers in (1, 2):
@@ -484,10 +488,28 @@ class TestBatchAgreement:
             "diverged 5000 MHz": "diverged: max |entry| 2.821e+56 at step 250 ",
             "diverged 1000 MHz": "diverged: max |entry| 2.656e+09 at step 400 "}[case])
 
+    def test_drive_is_sampled_one_block_at_a_time(self, device_params, monkeypatch):
+        # neither realisation holds the drive of the whole run (2401 half steps here)
+        from stirap import _batch
+        from stirap.pulses import PulseSequence
+
+        sizes = []
+        sample = PulseSequence.complex_amplitude
+
+        def spy(self, transition, t):
+            sizes.append(np.size(t))
+            return sample(self, transition, t)
+
+        monkeypatch.setattr(PulseSequence, "complex_amplitude", spy)
+        grid = TimeGrid(-240.0, 240.0, dt=0.4, sample_stride=50)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-120.0, -90.0, -60.0)]
+        _batch.run_batch(seqs, device_params, grid)
+        evolve(dm_from_ket(basis_ket(0)), seqs[1], device_params, grid)
+        assert sizes and max(sizes) <= 2 * _batch.BLOCK + 1
+
     def test_evolve_memory_is_bounded_by_time_blocks(self):
-        # the step matrices are built in time blocks: a whole 22 500-step run of
-        # 16 x 16 matrices would hold 92 MB per array; only the drive samples
-        # (about 3 MB here) grow with the run
+        # the step matrices and the drive samples are built in time blocks: a
+        # whole 22 500-step run of 16 x 16 matrices would hold 92 MB per array
         import tracemalloc
 
         params = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
