@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from ._batch import BatchResult, evolve, run_batch  # noqa: F401
 from .core import (  # noqa: F401
     ComplexMatrix,
     DensityMatrix,
@@ -53,10 +54,8 @@ from .holonomy import (  # noqa: F401
 from .lindblad import (  # noqa: F401
     Jump,
     LindbladSpec,
-    SimResult,
     TimeGrid,
     build_dissipators,
-    evolve,
     lindblad_rhs,
 )
 from .pulses import (  # noqa: F401

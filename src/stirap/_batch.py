@@ -14,11 +14,13 @@ BLAS and each cell's arithmetic is independent of its chunk, so with
 fixed-size chunks results are bit-identical however chunks are distributed
 over workers.
 
-lindblad.evolve runs one cell through evolve_cell, the same RK4 written as
-step matrices (y <- M y per step), whose M for a block of steps come from a
-few batched matrix products instead of evolve_chunk's 57 (dim 3) or 81
-(dim 4) numpy calls per density-matrix step.  It uses the kernel's drive
-rows, couplings, energies and dissipator; both judge a sample by _sample_checks.
+evolve runs one cell as the same RK4 written as step matrices (y <- M y per
+step), whose M for a block of steps come from a few batched matrix products
+instead of evolve_chunk's 57 (dim 3) or 81 (dim 4) numpy calls per
+density-matrix step.  It takes run_batch's arguments for one sequence,
+returns the same BatchResult with every sample's state, and uses the
+kernel's drive rows, couplings, energies and dissipator; both judge a sample
+by _sample_checks.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  Both realisations sample it one
@@ -43,7 +45,7 @@ from .pulses import FastPulse, PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
-BLOCK = 256  # steps whose drive is sampled, and whose step matrices evolve_cell builds, at a time
+BLOCK = 256  # steps whose drive is sampled, and whose step matrices evolve builds, at a time
 DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
@@ -59,7 +61,7 @@ class BatchResult:
     min_eig: np.ndarray  # (n_cells,)
     failed_step: np.ndarray  # (n_cells,) first sampled step failing a check, -1 if none
     failures: Tuple[Tuple[int, str], ...] = ()
-    states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim)
+    states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim); evolve keeps them
 
 
 def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
@@ -175,9 +177,10 @@ def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
                    rho0: Optional[np.ndarray]):
     """The validated initial state and the dissipator superoperator, None for a ket.
 
-    rho0 is |0><0| by default; a matrix not Hermitian to core.HERMITICITY_TOL
-    raises InvalidStateError.  A state vector without dissipation is
-    propagated as a ket; with dissipation it stands for its projector.
+    rho0 is |0><0| by default; one of a shape other than (dim,) or (dim, dim)
+    raises ConfigurationError, a matrix not Hermitian to core.HERMITICITY_TOL
+    InvalidStateError.  A state vector without dissipation is propagated as
+    a ket; with dissipation it stands for its projector.
     """
     if dim not in (3, 4):
         raise ConfigurationError(f"unsupported dimension {dim}")
@@ -186,6 +189,8 @@ def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
     if rho0 is None:
         rho0 = np.diag(np.eye(dim)[0])
     init = np.asarray(rho0, dtype=complex)
+    if init.shape not in ((dim,), (dim, dim)):
+        raise ConfigurationError(f"rho0 of shape {init.shape} does not fit dimension {dim}")
     if init.ndim == 1 and dissipative:
         init = np.outer(init, init.conj())
     if init.ndim == 1:
@@ -226,16 +231,19 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
     return p, drift, eig, bad
 
 
-def evolve_cell(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int = 3,
-                dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
-    """evolve_chunk([seq], ..., store_states=True) by RK4 step matrices.
+def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int = 3,
+           dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
+    """Integrate one cell, keeping every sample's state: a batch of one.
 
-    For y' = G(t) y (G = -iH for a ket, the Liouvillian
+    rho0 is read as _initial_state says.  Raises IntegrationFailureError at
+    the first sample that fails _sample_checks.  The kernel's RK4 is written
+    as step matrices: for y' = G(t) y (G = -iH for a ket, the Liouvillian
     -i(H (x) I - I (x) H^T) + D on the row-major vec of rho) one RK4 step is
     y <- M y, M = I + dt/6 (G_a + 2 G_b B1 + 2 G_b B2 + G_c B3) with
     B1 = I + dt/2 G_a, B2 = I + dt/2 G_b B1, B3 = I + dt G_b B2 (Hairer,
     Norsett & Wanner, Solving ODEs I, II.1), built one _chunk_drive block at a time.
     """
+    check_step(seq, grid)
     init, dsup = _initial_state(params, dim, dissipative, rho0)
     n, dt = grid.n_steps, grid.dt
     drive, blocks, energies = _chunk_drive([seq], grid, dim, params)
@@ -275,7 +283,7 @@ def evolve_cell(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim:
     states = np.array(samples).T
     p, drift, eig, bad = _sample_checks(states, dim, dsup is None, steps, grid)
     first = min(bad, default=None)  # the cell's failure is its first failing sample
-    return BatchResult(
+    result = BatchResult(
         times=grid.t_start + steps * dt,
         populations=p.T[None],
         trace_drift=np.array([drift.max()]),
@@ -284,6 +292,8 @@ def evolve_cell(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim:
         failures=() if first is None else ((0, bad[first]),),
         states=states.T[None],
     )
+    raise_if_all_failed(result, grid)
+    return result
 
 
 def evolve_chunk(
@@ -444,6 +454,8 @@ def run_batch(
     failures while the others run on; when every cell fails,
     IntegrationFailureError names the first one's step and time.
     """
+    if not seqs:
+        raise ConfigurationError("run_batch needs at least one pulse sequence")
     for seq in seqs:
         check_step(seq, grid)
     chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]

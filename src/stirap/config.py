@@ -161,9 +161,13 @@ _SWEEP_AXES = set().union(*EXPERIMENT_AXES.values())
 
 
 def _number(value, key: str):
-    # JSON parsers accept NaN, +-Infinity and overflowing literals such as 1e400
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not math.isfinite(value)):
+    # JSON parsers accept NaN, +-Infinity, overflowing literals such as 1e400
+    # and integers too large for a float, on which math.isfinite overflows
+    try:
+        finite = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
     return value
 
@@ -253,7 +257,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
     return config_from_dict(data)
 

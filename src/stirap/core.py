@@ -7,7 +7,7 @@ concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,16 +117,14 @@ class DensityMatrix:
     """An N x N density matrix, validated at construction."""
 
     matrix: np.ndarray
-    check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError("density matrix must be square")
-        if self.check:
-            report = validate_density_matrix(m)
-            if not report.valid:
-                raise InvalidStateError("invalid density matrix: " + "; ".join(report.violations))
+        report = validate_density_matrix(m)
+        if not report.valid:
+            raise InvalidStateError("invalid density matrix: " + "; ".join(report.violations))
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property

@@ -19,12 +19,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import __version__
-from ._batch import run_batch
+from ._batch import evolve, run_batch
 from .config import EXPERIMENT_AXES, Experiment, ExperimentConfig, config_hash
-from .core import basis_ket, dm_from_ket
+from .core import basis_ket
 from .errors import ConfigurationError
 from .holonomy import berry_vs_oracle, plateau_phase_sequence, realized_path
-from .lindblad import SimResult, TimeGrid, evolve
+from .lindblad import TimeGrid
 from .pulses import (
     GaussianPulse,
     PulseSequence,
@@ -200,41 +200,31 @@ def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
     grid = _grid_for(seq, cfg)
     shift = _t01_peak(seq)
 
-    res_d = evolve(dm_from_ket(basis_ket(0)), seq, cfg.transmon, grid,
-                   dissipative=cfg.dissipative, store_states=False)
-    res_u = evolve(basis_ket(0), seq, cfg.transmon, grid,
-                   dissipative=False, store_states=False)
+    res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
+    res_u = evolve(seq, cfg.transmon, grid, dissipative=False, rho0=basis_ket(0).amplitudes)
+    times, pd, pu = res_d.times, res_d.populations[0], res_u.populations[0]
 
-    def drift_col(r: SimResult) -> np.ndarray:
-        return np.abs(r.populations.sum(axis=1) - 1.0)
+    def series(name: str, pops: np.ndarray) -> Table:
+        return Table(name, ("t_ns", "p0", "p1", "p2", "trace_drift"),
+                     np.column_stack([times - shift, pops, np.abs(pops.sum(axis=1) - 1.0)]))
 
-    main = Table(
-        name="time_evolution",
-        columns=("t_ns", "p0", "p1", "p2", "trace_drift"),
-        rows=np.column_stack([res_d.times - shift, res_d.populations, drift_col(res_d)]),
-    )
-    unitary = Table(
-        name="time_evolution_unitary",
-        columns=("t_ns", "p0", "p1", "p2", "trace_drift"),
-        rows=np.column_stack([res_u.times - shift, res_u.populations, drift_col(res_u)]),
-    )
-
+    main, unitary = series("time_evolution", pd), series("time_evolution_unitary", pu)
     lo, hi = overlap_window(seq)
-    in_overlap = (res_d.times >= lo) & (res_d.times <= hi)
-    between = (res_d.times >= min(seq.gaussian_centers(Transition.T12))) & (
-        res_d.times <= max(seq.gaussian_centers(Transition.T01)))
-    i_peak = int(res_d.populations[:, 2].argmax())
+    in_overlap = (times >= lo) & (times <= hi)
+    between = (times >= min(seq.gaussian_centers(Transition.T12))) & (
+        times <= max(seq.gaussian_centers(Transition.T01)))
+    i_peak = int(pd[:, 2].argmax())
     summary = Table(
         name="time_evolution_summary",
         columns=("peak_p2", "t_peak_ns", "final_p2", "p1_max_overlap",
                  "p1_max_between_peaks", "unitary_final_p2"),
         rows=np.array([[
-            res_d.populations[i_peak, 2],
-            res_d.times[i_peak] - shift,
-            res_d.populations[-1, 2],
-            res_d.populations[in_overlap, 1].max(),
-            res_d.populations[between, 1].max(),
-            res_u.populations[-1, 2],
+            pd[i_peak, 2],
+            times[i_peak] - shift,
+            pd[-1, 2],
+            pd[in_overlap, 1].max(),
+            pd[between, 1].max(),
+            pu[-1, 2],
         ]]),
     )
     return SweepResult(
@@ -395,15 +385,14 @@ def run_reversal(cfg: ExperimentConfig) -> SweepResult:
     seq = build_sequence(SequenceKind.REVERSAL,
                          reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)
     grid = _grid_for(seq, cfg)
-    state0 = dm_from_ket(basis_ket(0)) if cfg.dissipative else basis_ket(0)
-    res = evolve(state0, seq, cfg.transmon, grid, dissipative=cfg.dissipative,
-                 store_states=False)
+    rho0 = None if cfg.dissipative else basis_ket(0).amplitudes
+    res = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative, rho0=rho0)
+    pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),
-                   np.column_stack([res.times, res.populations]))
+                   np.column_stack([res.times, pops]))
     summary = Table("reversal",
                     ("max_p2", "final_p0", "final_p1", "final_p2"),
-                    np.array([[res.populations[:, 2].max(), res.populations[-1, 0],
-                               res.populations[-1, 1], res.populations[-1, 2]]]))
+                    np.array([[pops[:, 2].max(), pops[-1, 0], pops[-1, 1], pops[-1, 2]]]))
     return SweepResult(Experiment.REVERSAL.value, {"t_ns": res.times},
                        [summary, series], {"config_hash": config_hash(cfg)})
 
@@ -439,18 +428,18 @@ def run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
     state through the mix-and-invert measurement pipeline."""
     seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
     grid = _grid_for(seq, cfg)
-    sim = evolve(dm_from_ket(basis_ket(0)), seq, cfg.transmon, grid,
-                 dissipative=cfg.dissipative, store_states=False)
+    sim = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
+    pops = sim.populations[0]
     refs = synth_reference_traces(cfg.cavity, cfg.transmon,
                                   tau_max=cfg.tomography.tau_max_ns,
                                   dtau=cfg.tomography.dtau_ns,
                                   decoherence_corrected=cfg.tomography.decoherence_corrected_refs)
     noise_std = cfg.tomography.noise_std_rel * trace_scale(refs)
-    results = tomography_timeline(sim, refs, noise_std=noise_std,
+    results = tomography_timeline(pops, refs, noise_std=noise_std,
                                   weight_ns=cfg.tomography.weight_ns, seed=cfg.seed)
     shift = _t01_peak(seq)
     rows = []
-    for t, p_true, rec in zip(sim.times, sim.populations, results):
+    for t, p_true, rec in zip(sim.times, pops, results):
         rows.append([t - shift, *p_true, *rec.p, rec.residual])
     table = Table("tomography_timeline",
                   ("t_ns", "p0", "p1", "p2", "p0_hat", "p1_hat", "p2_hat", "residual"),

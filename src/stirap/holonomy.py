@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
+from ._batch import evolve
 from .errors import ConfigurationError, NonAdiabaticRunError, PreconditionError
 from .hamiltonian import TransmonParams, adiabatic_frame, build_rotating_hamiltonian
-from .lindblad import TimeGrid, evolve
+from .lindblad import TimeGrid
 from .pulses import (
     Convention,
     GaussianPulse,
@@ -116,14 +117,14 @@ def adiabatic_phase_oracle(
         )
 
     psi0 = adiabatic_frame(seq.drive_sample(grid.t_start)).dark
-    sim = evolve(psi0, seq, params, grid, dissipative=False, store_states=True)
+    sim = evolve(seq, params, grid, dissipative=False, rho0=psi0.amplitudes)
 
-    overlaps = np.empty(len(sim.states), dtype=complex)
-    energies = np.empty(len(sim.states))
-    for k, (t, state) in enumerate(zip(sim.times, sim.states)):
+    overlaps = np.empty(len(sim.times), dtype=complex)
+    energies = np.empty(len(sim.times))
+    for k, (t, psi) in enumerate(zip(sim.times, sim.states[0])):
         sample = seq.drive_sample(t)
         dark = adiabatic_frame(sample).dark
-        overlaps[k] = dark.overlap(state)
+        overlaps[k] = np.vdot(dark.amplitudes, psi / math.sqrt(float(np.sum(np.abs(psi) ** 2))))
         h = build_rotating_hamiltonian(sample)
         energies[k] = float(np.real(np.vdot(dark.amplitudes, h @ dark.amplitudes)))
 

@@ -1,26 +1,22 @@
-"""The Lindblad master equation and single-trajectory integration.
+"""The Lindblad master equation: dissipators, time grid and step guard.
 
 drho/dt = -i[H(t), rho] + sum_k rate_k * (L rho L^dag - {L^dag L, rho}/2)
 
-This module holds the dissipators, the time grid, the step guard and the
-sampled result of one run.  lindblad_rhs is the dense form of the
-equation, the reference the tests check the batch kernel against.  The
-one integrator is the fixed-step RK4 of _batch; evolve() runs it on one
-cell as RK4 step matrices (_batch.evolve_cell), which equal a one-cell
-chunk up to round-off.  A Ket without dissipation is propagated by the
-Schrodinger equation instead.
+lindblad_rhs is the dense form of the equation, the reference the tests
+check the batch kernel against.  The one integrator is the fixed-step RK4
+of _batch, which runs a sweep (run_batch) or one cell (evolve).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import INTEGRATION_TOL, DensityMatrix, Ket, sigma_op
-from .errors import ConfigurationError, InvalidStateError
+from .core import DensityMatrix, sigma_op
+from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
 from .pulses import GaussianPulse, PulseSequence
 
@@ -139,26 +135,6 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass
-class SimResult:
-    """Sampled trajectory of one evolve() call."""
-
-    times: np.ndarray
-    states: tuple
-    populations: np.ndarray  # (n_samples, dim)
-    trace_drift: float
-    min_eig: float
-
-    def __post_init__(self):
-        sums = np.sum(self.populations, axis=1)
-        if np.max(np.abs(sums - 1.0)) > INTEGRATION_TOL:
-            raise InvalidStateError(f"population rows do not sum to 1 within {INTEGRATION_TOL:g}")
-        if self.trace_drift > INTEGRATION_TOL:
-            raise InvalidStateError(f"trace drift {self.trace_drift:.3e} exceeds {INTEGRATION_TOL:g}")
-        if self.min_eig < -INTEGRATION_TOL:
-            raise InvalidStateError(f"negative eigenvalue {self.min_eig:.3e} below -{INTEGRATION_TOL:g}")
-
-
 def _min_sigma(seq: PulseSequence) -> Optional[float]:
     sigmas = [p.sigma_ns for p in seq.pulses if isinstance(p, GaussianPulse)]
     return min(sigmas) if sigmas else None
@@ -172,44 +148,3 @@ def check_step(seq: PulseSequence, grid: TimeGrid) -> None:
             f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"
         )
 
-
-def evolve(
-    state0: Union[DensityMatrix, Ket],
-    seq: PulseSequence,
-    params: TransmonParams,
-    grid: TimeGrid,
-    dissipative: bool = True,
-    store_states: bool = True,
-) -> SimResult:
-    """Integrate one cell over the grid, sampling every sample_stride steps.
-
-    A Ket without dissipation is propagated as a state vector, every other
-    input as a density matrix, by the batch kernel's RK4 written as one
-    step matrix per step, built a block of steps at a time.  Raises
-    IntegrationFailureError at the first sample that fails the kernel's
-    checks (_batch._sample_checks): a non-finite or diverged state, a trace
-    (or norm) drift above core.INTEGRATION_TOL or an eigenvalue below
-    -INTEGRATION_TOL.
-    """
-    from . import _batch  # _batch imports this module
-
-    check_step(seq, grid)
-    init = state0.amplitudes if isinstance(state0, Ket) else state0.matrix
-    res = _batch.evolve_cell(seq, params, grid, state0.dim, dissipative, init)
-    _batch.raise_if_all_failed(res, grid)
-    states: tuple = ()
-    if store_states:
-        dim = state0.dim
-        if res.states.shape[2] == dim:  # propagated as a ket
-            states = tuple(Ket(psi / math.sqrt(float(np.sum(np.abs(psi) ** 2))))
-                           for psi in res.states[0])
-        else:
-            states = tuple(DensityMatrix(r.reshape(dim, dim), check=False)
-                           for r in res.states[0])
-    return SimResult(
-        times=res.times,
-        states=states,
-        populations=res.populations[0],
-        trace_drift=float(res.trace_drift[0]),
-        min_eig=float(res.min_eig[0]),
-    )

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError
 from .hamiltonian import CavityParams, TransmonParams, dispersive_shifts
-from .lindblad import SimResult
 from .units import mhz_to_rad_ns
 
 DEFAULT_TAU_MAX = 1500.0  # ns
@@ -251,22 +250,23 @@ def reconstruct_populations(
 
 
 def tomography_timeline(
-    sim: SimResult,
+    populations: np.ndarray,
     refs: Sequence[ReferenceTrace],
     noise_std: float = 0.0,
     weight_ns: float = DEFAULT_WEIGHT,
     seed: int = 0,
 ) -> List[TomographyResult]:
-    """Mix-and-invert at every sampled simulation time.
+    """Mix-and-invert at every sample of a 3-level run's (n_samples, 3) populations.
 
     Emulates the measurement pipeline end to end, including its bias;
     per-time noise seeds derive deterministically from (seed, index).
     """
-    if sim.populations.shape[1] != 3:
-        raise ConfigurationError("tomography timeline needs a 3-level simulation")
+    pops = np.asarray(populations, dtype=float)
+    if pops.ndim != 2 or pops.shape[1] != 3 or not len(pops):
+        raise ConfigurationError(f"tomography timeline needs (n, 3) populations, got shape {pops.shape}")
     results = []
-    for idx in range(sim.populations.shape[0]):
-        p = np.clip(sim.populations[idx], 0.0, None)
+    for idx in range(pops.shape[0]):
+        p = np.clip(pops[idx], 0.0, None)
         p = p / p.sum()
         cell_seed = np.random.SeedSequence([seed, idx]).generate_state(1)[0]
         meas = mix_traces(p, refs, noise_std=noise_std, seed=int(cell_seed))

@@ -14,22 +14,21 @@ import time
 import numpy as np
 import pytest
 
+from stirap._batch import evolve
 from stirap.config import Experiment, ExperimentConfig, GridConfig, PulseConfig
 from stirap.core import basis_ket, dm_from_ket
 from stirap.experiments import (
     blob_count,
     count_alternations,
-    emit,
     fwhm,
     overlap_window,
     run_detuning_map,
     run_separation_sweep,
     run_split_map,
-    run_tomography_timeline,
 )
 from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
 from stirap.holonomy import ParameterPath, berry_phase, berry_vs_oracle, plateau_phase_sequence
-from stirap.lindblad import TimeGrid, evolve
+from stirap.lindblad import TimeGrid
 from stirap.pulses import Convention, SequenceKind, build_sequence, global_adiabaticity_metric
 from stirap.tomography import (
     mix_traces,
@@ -57,17 +56,16 @@ def default_cfg():
 def stirap_run(device_params, stirap_sequence):
     t0 = time.monotonic()
     grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=10)
-    res = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, device_params, grid,
-                 store_states=False)
+    res = evolve(stirap_sequence, device_params, grid, rho0=dm_from_ket(basis_ket(0)).matrix)
     return res, time.monotonic() - t0
 
 
 def test_criterion_1_stirap_transfer(stirap_run, stirap_sequence):
     res, runtime = stirap_run
-    peak = float(res.populations[:, 2].max())
+    peak = float(res.populations[0][:, 2].max())
     lo, hi = overlap_window(stirap_sequence)
     mask = (res.times >= lo) & (res.times <= hi)
-    p1_max = float(res.populations[mask, 1].max())
+    p1_max = float(res.populations[0][mask, 1].max())
     ok = (0.78 <= peak <= 0.88) and p1_max <= 0.1 and runtime < 5.0
     report("1 (STIRAP transfer)", ok,
            f"peak p2 = {peak:.4f} (target 0.83 +- 0.05), "
@@ -211,18 +209,17 @@ def test_criterion_4_global_adiabaticity(stirap_sequence):
 
 def test_criterion_5_dissipationless_suite(device_params, stirap_sequence):
     grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=10)
-    res = evolve(basis_ket(0), stirap_sequence, device_params, grid,
-                 dissipative=False, store_states=True)
-    final_p2 = float(res.populations[-1, 2])
-    purity_dev = max(abs(float(np.sum(np.abs(s.amplitudes) ** 2)) ** 2 - 1.0)
-                     for s in res.states)
-    drift = res.trace_drift
+    res = evolve(stirap_sequence, device_params, grid, dissipative=False,
+                 rho0=basis_ket(0).amplitudes)
+    final_p2 = float(res.populations[0][-1, 2])
+    purity_dev = max(abs(float(np.sum(np.abs(s) ** 2)) ** 2 - 1.0)
+                     for s in res.states[0])
+    drift = res.trace_drift[0]
 
     def final_state(dt):
         g = TimeGrid(-225.0, 225.0, dt=dt, sample_stride=10**9)
-        r = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, device_params, g,
-                   store_states=True)
-        return r.states[-1].matrix
+        r = evolve(stirap_sequence, device_params, g, rho0=dm_from_ket(basis_ket(0)).matrix)
+        return r.states[0][-1].reshape(3, 3)
 
     ref = final_state(0.9 / 8.0)
     ratio = float(np.max(np.abs(final_state(0.9) - ref))
@@ -241,19 +238,19 @@ def test_criterion_6_lindblad_analytic_oracles():
 
     silent = two_pulse_sequence(0.0, 0.0, 45.0, 0.0)
     grid = TimeGrid(0.0, 400.0, dt=0.5, sample_stride=20)
-    res = evolve(dm_from_ket(basis_ket(1)), silent, params1, grid)
-    err_single = float(np.max(np.abs(res.populations[:, 1]
+    res = evolve(silent, params1, grid, rho0=dm_from_ket(basis_ket(1)).matrix)
+    err_single = float(np.max(np.abs(res.populations[0][:, 1]
                                      - np.exp(-params1.gamma10 * res.times))))
 
     params2 = TransmonParams(gamma10_mhz=2.4, gamma21_mhz=5.2,
                              gamma_phi10_mhz=0.0, gamma_phi21_mhz=0.0)
     g10, g21 = params2.gamma10, params2.gamma21
-    res2 = evolve(dm_from_ket(basis_ket(2)), silent, params2, grid)
+    res2 = evolve(silent, params2, grid, rho0=dm_from_ket(basis_ket(2)).matrix)
     t = res2.times
     p2 = np.exp(-g21 * t)
     p1 = g21 / (g10 - g21) * (np.exp(-g21 * t) - np.exp(-g10 * t))
     expected = np.column_stack([1.0 - p1 - p2, p1, p2])
-    err_cascade = float(np.max(np.abs(res2.populations - expected)))
+    err_cascade = float(np.max(np.abs(res2.populations[0] - expected)))
     ok = err_single < 1e-6 and err_cascade < 1e-6
     report("6 (Lindblad analytic oracles)", ok,
            f"single-channel error = {err_single:.2e}, cascade error = "
@@ -352,13 +349,11 @@ def test_criterion_10_reversal(device_params):
     seq = build_sequence(SequenceKind.REVERSAL, omega01=mhz_to_rad_ns(43.4),
                          omega12=mhz_to_rad_ns(38.2), sigma=45.0, t_s=-90.0)
     grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=10)
-    ideal = evolve(basis_ket(0), seq, device_params, grid, dissipative=False,
-                   store_states=False)
-    lossy = evolve(dm_from_ket(basis_ket(0)), seq, device_params, grid,
-                   store_states=False)
-    final_p0_ideal = float(ideal.populations[-1, 0])
-    peak_p2 = float(lossy.populations[:, 2].max())
-    p0f, p1f, p2f = (float(v) for v in lossy.populations[-1])
+    ideal = evolve(seq, device_params, grid, dissipative=False, rho0=basis_ket(0).amplitudes)
+    lossy = evolve(seq, device_params, grid, rho0=dm_from_ket(basis_ket(0)).matrix)
+    final_p0_ideal = float(ideal.populations[0][-1, 0])
+    peak_p2 = float(lossy.populations[0][:, 2].max())
+    p0f, p1f, p2f = (float(v) for v in lossy.populations[0][-1])
     structure = peak_p2 > 0.5 and p0f > p1f and p0f > p2f
     ok = final_p0_ideal >= 0.98 and structure
     report("10 (reversal)", ok,
@@ -367,31 +362,41 @@ def test_criterion_10_reversal(device_params):
            f"({p0f:.2f}, {p1f:.2f}, {p2f:.2f}) with p0 dominant")
 
 
-def test_criterion_11_determinism(tmp_path):
-    cfg = ExperimentConfig(
-        experiment=Experiment.SEPARATION_SWEEP,
-        grid=GridConfig(dt_ns=0.5, sample_stride=50),
-        sweep={"t_separation_ns": (-120.0, -90.0, -60.0)},
-    )
-    pairs = []
-    for fmt in ("csv", "json"):
-        f1 = emit(run_separation_sweep(cfg), tmp_path / f"a_{fmt}", fmt)
-        f2 = emit(run_separation_sweep(cfg), tmp_path / f"b_{fmt}", fmt)
-        pairs.append(all(x.read_bytes() == y.read_bytes() for x, y in zip(f1, f2)))
-    serial = emit(run_separation_sweep(cfg), tmp_path / "s", "csv")
-    parallel = emit(run_separation_sweep(dataclasses.replace(cfg, workers=2)),
-                    tmp_path / "p", "csv")
-    pairs.append(all(x.read_bytes() == y.read_bytes() for x, y in zip(serial, parallel)))
+# One coarse config per subcommand.  The two planes hold 13 x 11 = 143 cells,
+# more than one 128-cell chunk, so that --workers 2 runs them over a pool.
+COARSE_PLANE = {"detuning_sum_mhz": {"start": -6.0, "stop": 6.0, "step": 1.0},
+                "detuning_diff_mhz": {"start": -5.0, "stop": 5.0, "step": 1.0}}
+DETERMINISM_CONFIGS = {
+    "run": {},
+    "sweep-separation": {"sweep": {"t_separation_ns": [-120.0, -90.0, -60.0]}},
+    "sweep-detuning": {"sweep": COARSE_PLANE},
+    "hybrid": {"sweep": {"theta_fast_rad": [0.0, 1.5, 3.0]}},
+    "reversal": {},
+    "split": {"transmon": {"split": {"delta_split_mhz": 15.0, "branch_weights": [0.8, 0.6]}},
+              "sweep": COARSE_PLANE},
+    "tomography": {"seed": 777, "grid": {"dt_ns": 0.5, "sample_stride": 100}},
+    "berry": {},
+}
 
-    tomo_cfg = ExperimentConfig(
-        experiment=Experiment.TOMOGRAPHY_TIMELINE,
-        grid=GridConfig(dt_ns=0.5, sample_stride=100),
-        seed=777,
-    )
-    t1 = emit(run_tomography_timeline(tomo_cfg), tmp_path / "t1", "csv")
-    t2 = emit(run_tomography_timeline(tomo_cfg), tmp_path / "t2", "csv")
-    pairs.append(all(x.read_bytes() == y.read_bytes() for x, y in zip(t1, t2)))
-    ok = all(pairs)
-    report("11 (determinism)", ok,
-           f"csv rerun identical = {pairs[0]}, json rerun identical = {pairs[1]}, "
-           f"serial == parallel = {pairs[2]}, seeded tomography rerun identical = {pairs[3]}")
+
+def test_criterion_11_determinism(tmp_path):
+    from stirap.cli import EXIT_OK, main
+
+    def run(command, name, *extra):
+        out = tmp_path / command / name
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    differ = []
+    for command, data in DETERMINISM_CONFIGS.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({"grid": {"dt_ns": 0.5, "sample_stride": 50}, **data}))
+        for fmt in ("csv", "json"):
+            first = run(command, fmt, "--format", fmt)
+            if run(command, f"{fmt}_rerun", "--format", fmt) != first:
+                differ.append(f"{command} {fmt} rerun")
+            if run(command, f"{fmt}_workers", "--format", fmt, "--workers", "2") != first:
+                differ.append(f"{command} {fmt} --workers 2")
+    report("11 (determinism)", not differ,
+           f"{len(DETERMINISM_CONFIGS)} subcommands on coarse grids, csv and json: "
+           f"reruns and --workers 2 write the same bytes; differing: {differ or 'none'}")

@@ -35,6 +35,13 @@ class TestValidateConfig:
         path.write_text("{not json")
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_integer_past_the_parser_digit_limit(self, tmp_path, capsys):
+        # Python's JSON parser refuses integers of more than 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text('{"pulses": {"sigma_ns": ' + "1" * 5000 + "}}")
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "is not valid JSON" in capsys.readouterr().err
+
     def test_unknown_key(self, tmp_path):
         cfg = write_config(tmp_path, {"grids": {}})
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
@@ -121,6 +128,9 @@ class TestRun:
         ({"grid": {"sample_stride": 2.5}}, "grid.sample_stride"),
         ({"seed": True}, "seed"),
         ({"output": {"dir": 5}}, "output.dir"),
+        # integers too large for a float, which JSON allows without an exponent
+        ({"pulses": {"sigma_ns": 10**400}}, "pulses.sigma_ns"),
+        ({"sweep": {"t_separation_ns": [10**400]}}, "sweep.t_separation_ns"),
     ])
     def test_malformed_config(self, tmp_path, capsys, command, data, key):
         cfg = write_config(tmp_path, data)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stirap._batch import evolve
 from stirap.core import DensityMatrix, Ket, basis_ket, dm_from_ket, sigma_op
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import (
@@ -18,7 +19,6 @@ from stirap.lindblad import (
     LindbladSpec,
     TimeGrid,
     build_dissipators,
-    evolve,
     lindblad_rhs,
 )
 from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
@@ -38,29 +38,29 @@ class TestBuildDissipators:
         params = TransmonParams(gamma10_mhz=2.4, gamma21_mhz=0.0,
                                 gamma_phi10_mhz=0.0, gamma_phi21_mhz=0.0)
         grid = TimeGrid(0.0, 400.0, dt=0.5, sample_stride=20)
-        res = evolve(dm_from_ket(basis_ket(1)), no_drive_sequence(), params, grid)
+        res = evolve(no_drive_sequence(), params, grid, rho0=dm_from_ket(basis_ket(1)).matrix)
         expected = np.exp(-params.gamma10 * res.times)
-        assert np.max(np.abs(res.populations[:, 1] - expected)) < 1e-6
+        assert np.max(np.abs(res.populations[0][:, 1] - expected)) < 1e-6
 
     def test_zero_rates_match_unitary(self, stirap_sequence):
         params = TransmonParams(gamma10_mhz=0.0, gamma21_mhz=0.0,
                                 gamma_phi10_mhz=0.0, gamma_phi21_mhz=0.0)
         grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=50)
-        res_dm = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, params, grid,
-                        dissipative=True)
-        res_ket = evolve(basis_ket(0), stirap_sequence, params, grid, dissipative=False)
-        assert np.max(np.abs(res_dm.populations - res_ket.populations)) < 1e-9
+        res_dm = evolve(stirap_sequence, params, grid, dissipative=True)
+        res_ket = evolve(stirap_sequence, params, grid, dissipative=False,
+                         rho0=basis_ket(0).amplitudes)
+        assert np.max(np.abs(res_dm.populations[0] - res_ket.populations[0])) < 1e-9
 
     def test_cascade_two_stage_decay(self):
         # Gamma21 only, initial |2>: p2 = e^{-G21 t}, p1 = 1 - e^{-G21 t}
         params = TransmonParams(gamma10_mhz=0.0, gamma21_mhz=5.2,
                                 gamma_phi10_mhz=0.0, gamma_phi21_mhz=0.0)
         grid = TimeGrid(0.0, 400.0, dt=0.5, sample_stride=20)
-        res = evolve(dm_from_ket(basis_ket(2)), no_drive_sequence(), params, grid)
+        res = evolve(no_drive_sequence(), params, grid, rho0=dm_from_ket(basis_ket(2)).matrix)
         p2 = np.exp(-params.gamma21 * res.times)
-        assert np.max(np.abs(res.populations[:, 2] - p2)) < 1e-6
-        assert np.max(np.abs(res.populations[:, 1] - (1 - p2))) < 1e-6
-        assert np.max(np.abs(res.populations[:, 0])) < 1e-9
+        assert np.max(np.abs(res.populations[0][:, 2] - p2)) < 1e-6
+        assert np.max(np.abs(res.populations[0][:, 1] - (1 - p2))) < 1e-6
+        assert np.max(np.abs(res.populations[0][:, 0])) < 1e-9
 
     def test_full_cascade_closed_form(self):
         # both relaxation channels: the classic two-exponential solution
@@ -68,12 +68,12 @@ class TestBuildDissipators:
                                 gamma_phi10_mhz=0.0, gamma_phi21_mhz=0.0)
         g10, g21 = params.gamma10, params.gamma21
         grid = TimeGrid(0.0, 600.0, dt=0.5, sample_stride=20)
-        res = evolve(dm_from_ket(basis_ket(2)), no_drive_sequence(), params, grid)
+        res = evolve(no_drive_sequence(), params, grid, rho0=dm_from_ket(basis_ket(2)).matrix)
         t = res.times
         p2 = np.exp(-g21 * t)
         p1 = g21 / (g10 - g21) * (np.exp(-g21 * t) - np.exp(-g10 * t))
         p0 = 1.0 - p1 - p2
-        assert np.max(np.abs(res.populations - np.column_stack([p0, p1, p2]))) < 1e-6
+        assert np.max(np.abs(res.populations[0] - np.column_stack([p0, p1, p2]))) < 1e-6
 
     def test_dephasing_rate_on_01_coherence(self):
         # projector jump at rate 2*gamma_phi makes rho01 decay at gamma_phi
@@ -81,9 +81,8 @@ class TestBuildDissipators:
                                 gamma_phi10_mhz=0.4, gamma_phi21_mhz=0.0)
         psi = Ket(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
         grid = TimeGrid(0.0, 500.0, dt=0.5, sample_stride=100)
-        res = evolve(dm_from_ket(psi), no_drive_sequence(), params, grid,
-                     store_states=True)
-        rho01 = np.array([s.matrix[0, 1] for s in res.states])
+        res = evolve(no_drive_sequence(), params, grid, rho0=dm_from_ket(psi).matrix)
+        rho01 = np.array([s.reshape(3, 3)[0, 1] for s in res.states[0]])
         expected = 0.5 * np.exp(-params.gamma_phi10 * res.times)
         assert np.max(np.abs(rho01 - expected)) < 1e-8
 
@@ -145,54 +144,54 @@ class TestLindbladRhs:
 class TestEvolve:
     def test_ground_state_stationary(self, device_params):
         grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10)
-        res = evolve(dm_from_ket(basis_ket(0)), no_drive_sequence(), device_params, grid)
-        assert res.trace_drift < 1e-12
-        assert np.max(np.abs(res.populations[:, 0] - 1.0)) < 1e-12
+        res = evolve(no_drive_sequence(), device_params, grid)
+        assert res.trace_drift[0] < 1e-12
+        assert np.max(np.abs(res.populations[0][:, 0] - 1.0)) < 1e-12
 
     def test_dissipationless_transfer(self, device_params, stirap_sequence):
         grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=10)
-        res = evolve(basis_ket(0), stirap_sequence, device_params, grid, dissipative=False)
-        assert res.populations[-1, 2] >= 0.99
+        res = evolve(stirap_sequence, device_params, grid, dissipative=False,
+                     rho0=basis_ket(0).amplitudes)
+        assert res.populations[0][-1, 2] >= 0.99
         # cross-check with halved step
-        res2 = evolve(basis_ket(0), stirap_sequence, device_params,
-                      TimeGrid(-225.0, 225.0, dt=0.05, sample_stride=20), dissipative=False)
-        assert abs(res.populations[-1, 2] - res2.populations[-1, 2]) < 1e-9
+        res2 = evolve(stirap_sequence, device_params,
+                      TimeGrid(-225.0, 225.0, dt=0.05, sample_stride=20), dissipative=False,
+                      rho0=basis_ket(0).amplitudes)
+        assert abs(res.populations[0][-1, 2] - res2.populations[0][-1, 2]) < 1e-9
 
     def test_paper_rates_transfer(self, device_params, stirap_sequence):
         from stirap.experiments import overlap_window
 
         grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=10)
-        res = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, device_params, grid)
-        peak = res.populations[:, 2].max()
+        res = evolve(stirap_sequence, device_params, grid)
+        peak = res.populations[0][:, 2].max()
         assert 0.78 <= peak <= 0.88
         lo, hi = overlap_window(stirap_sequence)
         mask = (res.times >= lo) & (res.times <= hi)
-        assert res.populations[mask, 1].max() <= 0.1
+        assert res.populations[0][mask, 1].max() <= 0.1
 
     def test_trace_and_hermiticity_preserved(self, device_params, stirap_sequence):
         grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=10)
-        res = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, device_params, grid,
-                     store_states=True)
-        assert res.trace_drift <= 1e-8
-        for s in res.states[:: len(res.states) // 7]:
-            assert np.max(np.abs(s.matrix - s.matrix.conj().T)) <= 1e-10
-        assert res.min_eig >= -1e-6
+        res = evolve(stirap_sequence, device_params, grid)
+        assert res.trace_drift[0] <= 1e-8
+        for s in res.states[0][:: len(res.states[0]) // 7]:
+            rho = s.reshape(3, 3)
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+        assert res.min_eig[0] >= -1e-6
 
     def test_purity_conserved_without_dissipation(self, stirap_sequence):
         params = TransmonParams(gamma10_mhz=0.0, gamma21_mhz=0.0,
                                 gamma_phi10_mhz=0.0, gamma_phi21_mhz=0.0)
         grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=100)
-        res = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, params, grid,
-                     dissipative=True, store_states=True)
-        for s in res.states:
-            assert abs(s.purity() - 1.0) < 1e-8
+        res = evolve(stirap_sequence, params, grid, dissipative=True)
+        for rho in res.states[0].reshape(-1, 3, 3):
+            assert abs(np.trace(rho @ rho).real - 1.0) < 1e-8
 
     def test_rk4_order(self, device_params, stirap_sequence):
         def final_state(dt):
             grid = TimeGrid(-225.0, 225.0, dt=dt, sample_stride=10**9)
-            res = evolve(dm_from_ket(basis_ket(0)), stirap_sequence, device_params,
-                         grid, store_states=True)
-            return res.states[-1].matrix
+            res = evolve(stirap_sequence, device_params, grid)
+            return res.states[0][-1].reshape(3, 3)
 
         ref = final_state(0.9 / 8.0)
         e1 = np.max(np.abs(final_state(0.9) - ref))
@@ -204,14 +203,14 @@ class TestEvolve:
         # dips transiently to 0.9415 at peak mixing (t ~ +4 ns) before the
         # +- admixture interferes back; the state ends dark to 0.994.
         grid = TimeGrid(-225.0, 225.0, dt=0.1, sample_stride=10)
-        res = evolve(basis_ket(0), stirap_sequence, device_params, grid,
-                     dissipative=False, store_states=True)
+        res = evolve(stirap_sequence, device_params, grid, dissipative=False,
+                     rho0=basis_ket(0).amplitudes)
         t12, t01 = -45.0, 45.0
         overlaps = []
-        for t, state in zip(res.times, res.states):
+        for t, state in zip(res.times, res.states[0]):
             if t12 <= t <= t01:
                 dark = adiabatic_frame(stirap_sequence.drive_sample(float(t))).dark
-                overlaps.append(abs(dark.overlap(state)) ** 2)
+                overlaps.append(abs(np.vdot(dark.amplitudes, state)) ** 2)
         assert min(overlaps) >= 0.93
         assert overlaps[-1] >= 0.98
 
@@ -223,13 +222,13 @@ class TestEvolve:
         eps = 1e-6
         horizon = math.log(1.0 / eps) / params.gamma10
         grid = TimeGrid(0.0, float(math.ceil(horizon)) + 10.0, dt=1.0, sample_stride=10**9)
-        res = evolve(rho0, no_drive_sequence(sigma=60.0), params, grid)
-        assert abs(res.populations[-1, 0] - 1.0) < 2 * eps
-        assert res.populations[-1, 1] < 2 * eps
+        res = evolve(no_drive_sequence(sigma=60.0), params, grid, rho0=rho0.matrix)
+        assert abs(res.populations[0][-1, 0] - 1.0) < 2 * eps
+        assert res.populations[0][-1, 1] < 2 * eps
 
     def test_dt_guard(self, device_params, stirap_sequence):
         with pytest.raises(ConfigurationError):
-            evolve(dm_from_ket(basis_ket(0)), stirap_sequence, device_params,
+            evolve(stirap_sequence, device_params,
                    TimeGrid(-225.0, 225.0, dt=2.0, sample_stride=10))
 
     def test_grid_validation(self):
@@ -242,22 +241,22 @@ class TestEvolve:
         seq = no_drive_sequence()
         grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10)
         with pytest.raises(ConfigurationError):
-            evolve(dm_from_ket(basis_ket(0, dim=4)), seq, device_params, grid)
+            evolve(seq, device_params, grid, dim=4)
 
     def test_four_level_populations(self):
         params = TransmonParams(split=SplitSpec(15.0))
         seq = two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0)
         grid = TimeGrid(-225.0, 225.0, dt=0.25, sample_stride=100)
-        res = evolve(dm_from_ket(basis_ket(0, dim=4)), seq, params, grid)
-        assert res.populations.shape[1] == 4
-        assert np.max(np.abs(res.populations.sum(axis=1) - 1.0)) < 1e-6
+        res = evolve(seq, params, grid, dim=4)
+        assert res.populations[0].shape[1] == 4
+        assert np.max(np.abs(res.populations[0].sum(axis=1) - 1.0)) < 1e-6
 
     def test_integration_failure_names_step(self, device_params):
         # force a failure by corrupting the initial state's trace
-        bad = DensityMatrix(np.diag([1.5, -0.25, -0.25]).astype(complex), check=False)
+        bad = np.diag([1.5, -0.25, -0.25]).astype(complex)
         grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10)
         with pytest.raises(IntegrationFailureError) as err:
-            evolve(bad, no_drive_sequence(), device_params, grid)
+            evolve(no_drive_sequence(), device_params, grid, rho0=bad)
         assert err.value.step == 0
 
 
@@ -427,32 +426,25 @@ class TestBatchAgreement:
         hybrid = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
                                 t_s=-90.0, theta_fast=math.pi)
         cases = (
-            (dm_from_ket(basis_ket(0)), stirap, device_params, True),
-            (basis_ket(0), stirap, device_params, False),
-            (dm_from_ket(basis_ket(0, dim=4)),
+            (dm_from_ket(basis_ket(0)).matrix, 3, stirap, device_params, True),
+            (basis_ket(0).amplitudes, 3, stirap, device_params, False),
+            (dm_from_ket(basis_ket(0, dim=4)).matrix, 4,
              two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0), split, True),
-            (dm_from_ket(basis_ket(0)), hybrid, device_params, True),
+            (dm_from_ket(basis_ket(0)).matrix, 3, hybrid, device_params, True),
         )
-        for state0, seq, params, dissipative in cases:
+        for rho0, dim, seq, params, dissipative in cases:
             grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=25)
             if seq is hybrid:
                 assert _edge_steps(seq, grid)  # the fast pulse's edge lies on the grid
-            got = evolve(state0, seq, params, grid, dissipative=dissipative)
-            ket = isinstance(state0, Ket)
-            want = evolve_chunk([seq], params, grid, state0.dim, dissipative,
-                                state0.amplitudes if ket else state0.matrix, store_states=True)
-            assert not want.failures
-            if ket:  # evolve returns normalised kets
-                want_states = want.states[0] / np.linalg.norm(want.states[0], axis=1)[:, None]
-                got_states = np.array([k.amplitudes for k in got.states])
-            else:
-                want_states = want.states[0]
-                got_states = np.array([r.matrix.ravel() for r in got.states])
+            got = evolve(seq, params, grid, dim, dissipative, rho0)
+            want = evolve_chunk([seq], params, grid, dim, dissipative, rho0, store_states=True)
+            assert not want.failures and not got.failures
             assert np.array_equal(got.times, want.times)
-            assert np.max(np.abs(got_states - want_states)) <= 1e-12
-            assert np.max(np.abs(got.populations - want.populations[0])) <= 1e-12
-            assert abs(got.trace_drift - want.trace_drift[0]) <= 1e-12
-            assert abs(got.min_eig - want.min_eig[0]) <= 1e-12
+            assert got.states.shape == want.states.shape
+            assert np.max(np.abs(got.states - want.states)) <= 1e-12
+            assert np.max(np.abs(got.populations - want.populations)) <= 1e-12
+            assert abs(got.trace_drift[0] - want.trace_drift[0]) <= 1e-12
+            assert abs(got.min_eig[0] - want.min_eig[0]) <= 1e-12
 
     @pytest.mark.parametrize("case", ["trace", "eigenvalue", "diverging drive",
                                       "diverged 5000 MHz", "diverged 1000 MHz"])
@@ -477,7 +469,7 @@ class TestBatchAgreement:
         want = evolve_chunk([seq], device_params, grid, rho0=rho0)
         assert len(want.failures) == 1
         with pytest.raises(IntegrationFailureError) as err:
-            evolve(DensityMatrix(rho0.astype(complex), check=False), seq, device_params, grid)
+            evolve(seq, device_params, grid, rho0=rho0.astype(complex))
         step = int(want.failed_step[0])
         assert str(err.value) == want.failures[0][1]
         assert err.value.step == step and err.value.t_ns == grid.t_start + step * grid.dt
@@ -504,7 +496,7 @@ class TestBatchAgreement:
         grid = TimeGrid(-240.0, 240.0, dt=0.4, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-120.0, -90.0, -60.0)]
         _batch.run_batch(seqs, device_params, grid)
-        evolve(dm_from_ket(basis_ket(0)), seqs[1], device_params, grid)
+        evolve(seqs[1], device_params, grid)
         assert sizes and max(sizes) <= 2 * _batch.BLOCK + 1
 
     def test_evolve_memory_is_bounded_by_time_blocks(self):
@@ -518,7 +510,7 @@ class TestBatchAgreement:
         assert grid.n_steps >= 20000
         tracemalloc.start()
         try:
-            evolve(dm_from_ket(basis_ket(0, dim=4)), seq, params, grid, store_states=False)
+            evolve(seq, params, grid, dim=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -567,6 +559,24 @@ class TestBatchAgreement:
         rho0[0, 1], rho0[1, 0] = 0.1, 0.2
         with pytest.raises(InvalidStateError, match="not Hermitian: deviation 1.000e-01"):
             run_batch([no_drive_sequence()], device_params, TimeGrid(0.0, 100.0, dt=0.5), rho0=rho0)
+
+    @pytest.mark.parametrize("shape, dim", [((4, 4), 3), ((4,), 3), ((3,), 4), ((3, 4), 3)])
+    def test_rho0_of_another_dimension_is_rejected(self, device_params, shape, dim):
+        from stirap._batch import run_batch
+
+        params = TransmonParams(split=SplitSpec(15.0)) if dim == 4 else device_params
+        rho0 = np.zeros(shape, dtype=complex)
+        rho0[(0,) * len(shape)] = 1.0
+        grid = TimeGrid(0.0, 100.0, dt=0.5)
+        for run in (evolve, lambda seq, *a, **kw: run_batch([seq], *a, **kw)):
+            with pytest.raises(ConfigurationError, match=rf"rho0 of shape \({shape[0]},"):
+                run(no_drive_sequence(), params, grid, dim=dim, rho0=rho0)
+
+    def test_empty_batch_is_rejected(self, device_params):
+        from stirap._batch import run_batch
+
+        with pytest.raises(ConfigurationError, match="at least one"):
+            run_batch([], device_params, TimeGrid(0.0, 100.0, dt=0.5))
 
     def test_dissipator_has_the_structure_the_kernel_assumes(self, device_params):
         # the kernel's RHS X + X^H with X = -iH rho + D(rho)/2 is exact only when

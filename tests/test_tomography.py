@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from stirap._batch import evolve
 from stirap.core import basis_ket, dm_from_ket
 from stirap.errors import ConfigurationError, SingularDesignError
 from stirap.hamiltonian import CavityParams, TransmonParams
-from stirap.lindblad import TimeGrid, evolve
+from stirap.lindblad import TimeGrid
 from stirap.pulses import SequenceKind, build_sequence
 from stirap.tomography import (
     ReferenceTrace,
@@ -292,35 +293,40 @@ def stirap_sim():
     seq = build_sequence(SequenceKind.STIRAP, omega01=mhz_to_rad_ns(43.4),
                          omega12=mhz_to_rad_ns(38.2), sigma=45.0, t_s=-90.0)
     grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=50)
-    return evolve(dm_from_ket(basis_ket(0)), seq, TransmonParams(), grid,
-                  store_states=False)
+    return evolve(seq, TransmonParams(), grid, rho0=dm_from_ket(basis_ket(0)).matrix)
 
 
 class TestTimeline:
     def test_noiseless_round_trip(self, refs, stirap_sim):
-        results = tomography_timeline(stirap_sim, refs, noise_std=0.0)
+        results = tomography_timeline(stirap_sim.populations[0], refs, noise_std=0.0)
         err = max(np.max(np.abs(np.array(r.p) - p))
-                  for r, p in zip(results, stirap_sim.populations))
+                  for r, p in zip(results, stirap_sim.populations[0]))
         assert err <= 1e-6
 
     def test_constant_ground_state(self, refs, device_params):
         from stirap.pulses import two_pulse_sequence
 
         grid = TimeGrid(0.0, 50.0, dt=0.5, sample_stride=10)
-        sim = evolve(dm_from_ket(basis_ket(0)), two_pulse_sequence(0.0, 0.0, 45.0, 0.0),
-                     device_params, grid, store_states=False)
-        for r in tomography_timeline(sim, refs):
+        sim = evolve(two_pulse_sequence(0.0, 0.0, 45.0, 0.0), device_params, grid,
+                     rho0=dm_from_ket(basis_ket(0)).matrix)
+        for r in tomography_timeline(sim.populations[0], refs):
             assert r.p == (1.0, 0.0, 0.0)
 
     def test_noisy_peak_recovery(self, refs, stirap_sim):
         noise = 0.01 * trace_scale(refs)
-        results = tomography_timeline(stirap_sim, refs, noise_std=noise, seed=7)
+        results = tomography_timeline(stirap_sim.populations[0], refs, noise_std=noise, seed=7)
         p2_hat = np.array([r.p[2] for r in results])
-        true_peak = stirap_sim.populations[:, 2].max()
+        true_peak = stirap_sim.populations[0][:, 2].max()
         assert abs(p2_hat.max() - true_peak) <= 0.02
 
     def test_timeline_seed_determinism(self, refs, stirap_sim):
         noise = 0.01 * trace_scale(refs)
-        a = tomography_timeline(stirap_sim, refs, noise_std=noise, seed=3)
-        b = tomography_timeline(stirap_sim, refs, noise_std=noise, seed=3)
+        a = tomography_timeline(stirap_sim.populations[0], refs, noise_std=noise, seed=3)
+        b = tomography_timeline(stirap_sim.populations[0], refs, noise_std=noise, seed=3)
         assert [r.p for r in a] == [r.p for r in b]
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (5, 4), (2, 5, 3)])
+    def test_rejects_anything_but_n_by_3_populations(self, refs, shape):
+        # a result object, a 4-level run, one sample's row or an empty run
+        with pytest.raises(ConfigurationError, match="needs \\(n, 3\\) populations"):
+            tomography_timeline(np.full(shape, 1.0 / 3.0), refs)
