@@ -3,17 +3,7 @@
 __version__ = "0.1.0"
 
 from ._batch import BatchResult, evolve, run_batch  # noqa: F401
-from .core import (  # noqa: F401
-    ComplexMatrix,
-    DensityMatrix,
-    Ket,
-    ValidityReport,
-    basis_ket,
-    dm_from_ket,
-    populations,
-    sigma_op,
-    validate_density_matrix,
-)
+from .core import sigma_op  # noqa: F401
 from .errors import (  # noqa: F401
     ConfigurationError,
     IntegrationFailureError,
@@ -30,15 +20,12 @@ from .errors import (  # noqa: F401
     UndefinedFrameError,
 )
 from .hamiltonian import (  # noqa: F401
-    AdiabaticFrame,
     CavityParams,
     DispersiveShifts,
     DriveSample,
     SplitSpec,
     TransmonParams,
-    adiabatic_frame,
-    build_rotating_hamiltonian,
-    build_split_hamiltonian,
+    dark_state,
     dispersive_shifts,
 )
 from .holonomy import (  # noqa: F401
@@ -56,7 +43,6 @@ from .lindblad import (  # noqa: F401
     LindbladSpec,
     TimeGrid,
     build_dissipators,
-    lindblad_rhs,
 )
 from .pulses import (  # noqa: F401
     AdiabaticityReport,

@@ -34,7 +34,7 @@ class PreconditionError(NumericalError):
 
 
 class UndefinedFrameError(PreconditionError):
-    """Adiabatic frame requested where it is not defined (zero drives)."""
+    """Dark state requested where it is not defined (both drives off)."""
 
 
 class NonDispersiveError(NumericalError):

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from ._batch import evolve, run_batch
 from .config import EXPERIMENT_AXES, Experiment, ExperimentConfig, config_hash
-from .core import basis_ket
 from .errors import ConfigurationError
 from .holonomy import berry_vs_oracle, plateau_phase_sequence, realized_path
 from .lindblad import TimeGrid
@@ -201,18 +200,25 @@ def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
     shift = _t01_peak(seq)
 
     res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
-    res_u = evolve(seq, cfg.transmon, grid, dissipative=False, rho0=basis_ket(0).amplitudes)
-    times, pd, pu = res_d.times, res_d.populations[0], res_u.populations[0]
+    times = res_d.times
+    overlap = overlap_window(seq)
+    peaks = (min(seq.gaussian_centers(Transition.T12)), max(seq.gaussian_centers(Transition.T01)))
+    in_overlap = (times >= overlap[0]) & (times <= overlap[1])
+    between = (times >= peaks[0]) & (times <= peaks[1])
+    for window, (a, b), what in ((in_overlap, overlap, "pulse overlap"),
+                                 (between, peaks, "span between the pulse peaks")):
+        if not window.any():
+            raise ConfigurationError(
+                f"grid.sample_stride = {grid.sample_stride} (dt {grid.dt} ns) leaves no sample "
+                f"in the {what}, [{a:g}, {b:g}] ns")
+    res_u = evolve(seq, cfg.transmon, grid, dissipative=False, rho0=np.eye(3)[0])
+    pd, pu = res_d.populations[0], res_u.populations[0]
 
     def series(name: str, pops: np.ndarray) -> Table:
         return Table(name, ("t_ns", "p0", "p1", "p2", "trace_drift"),
                      np.column_stack([times - shift, pops, np.abs(pops.sum(axis=1) - 1.0)]))
 
     main, unitary = series("time_evolution", pd), series("time_evolution_unitary", pu)
-    lo, hi = overlap_window(seq)
-    in_overlap = (times >= lo) & (times <= hi)
-    between = (times >= min(seq.gaussian_centers(Transition.T12))) & (
-        times <= max(seq.gaussian_centers(Transition.T01)))
     i_peak = int(pd[:, 2].argmax())
     summary = Table(
         name="time_evolution_summary",
@@ -355,7 +361,7 @@ def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
                            fast_duration=cfg.pulses.fast_duration_ns, **_seq_kwargs(cfg))
             for th in thetas]
     grid = _grid_for(seqs[0], cfg)
-    rho0 = None if cfg.dissipative else basis_ket(0).amplitudes
+    rho0 = None if cfg.dissipative else np.eye(3)[0]
     batch = run_batch(seqs, cfg.transmon, grid, dim=3, dissipative=cfg.dissipative,
                       rho0=rho0, workers=cfg.workers)
     t01 = _t01_peak(seqs[0])
@@ -385,7 +391,7 @@ def run_reversal(cfg: ExperimentConfig) -> SweepResult:
     seq = build_sequence(SequenceKind.REVERSAL,
                          reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)
     grid = _grid_for(seq, cfg)
-    rho0 = None if cfg.dissipative else basis_ket(0).amplitudes
+    rho0 = None if cfg.dissipative else np.eye(3)[0]
     res = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative, rho0=rho0)
     pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),

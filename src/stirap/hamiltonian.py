@@ -1,10 +1,12 @@
-"""Rotating-frame Hamiltonians, the adiabatic eigenframe, dispersive shifts.
+"""Device parameters, drive samples, the dark state and dispersive shifts.
 
 Drive phases enter through complex amplitudes A = Omega * exp(-i*phi)
-placed on the middle row (the |1><0| and |1><2| couplings), which is the
-convention under which the dark state is
-cos(Theta)|0> - sin(Theta) exp(i*(phi12-phi01))|2> and H|D> = 0 at
-two-photon resonance.
+placed on the middle row of the rotating-frame Hamiltonian (the |1><0|
+and |1><2| couplings), which is the convention under which the dark state
+is cos(Theta)|0> - sin(Theta) exp(i*(phi12-phi01))|2> and H|D> = 0 at
+two-photon resonance.  The batch kernel assembles that Hamiltonian from
+its coupling list; the dense 3- and 4-level matrices the tests check it
+against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ComplexMatrix, Ket
 from .errors import (
     ConfigurationError,
     NonDispersiveError,
     PreconditionError,
     UndefinedFrameError,
 )
-from .units import mhz_to_rad_ns, rate_mhz_to_per_ns
+from .units import rate_mhz_to_per_ns
 
 
 def require_finite(params, section: str) -> None:
@@ -112,87 +113,23 @@ class DriveSample:
             raise ConfigurationError("drive amplitudes must be nonnegative")
 
 
-def build_rotating_hamiltonian(s: DriveSample) -> ComplexMatrix:
-    """Three-level rotating-frame Hamiltonian, rad/ns (hbar = 1).
+def dark_state(s: DriveSample) -> np.ndarray:
+    """Dark state cos(Theta)|0> - sin(Theta) exp(i*phi)|2> of a drive sample.
 
-    H = (1/2) [[0,         A01*,      0     ],
-               [A01,       2 d01,     A12   ],
-               [0,         A12*,      2(d01+d12)]],
-    with A_ij = Omega_ij exp(-i phi_ij).  Hermitian by construction.
+    Theta = atan2(Omega01, Omega12) and phi = phi12 - phi01.  It is the
+    zero-energy eigenvector of the rotating-frame Hamiltonian at
+    two-photon resonance, and it has no |1> component.
     """
-    a01 = s.omega01 * np.exp(-1j * s.phi01)
-    a12 = s.omega12 * np.exp(-1j * s.phi12)
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 0] = 0.5 * a01
-    h[0, 1] = np.conj(h[1, 0])
-    h[1, 2] = 0.5 * a12
-    h[2, 1] = np.conj(h[1, 2])
-    h[1, 1] = s.delta01
-    h[2, 2] = s.delta01 + s.delta12
-    return h
-
-
-@dataclass(frozen=True)
-class AdiabaticFrame:
-    """Dark/bright/plus/minus frame at two-photon resonance.
-
-    omega_plus/minus follow the conventional quoted normalization
-    d01 +- sqrt(d01^2 + O01^2 + O12^2), which is twice the corresponding
-    eigenvalue of build_rotating_hamiltonian (whose couplings carry the
-    factor 1/2).  omega_dark is identically 0.
-    """
-
-    theta: float
-    phi: float
-    omega_plus: float
-    omega_minus: float
-    omega_dark: float
-    dark: Ket
-    bright: Ket
-    plus: Ket
-    minus: Ket
-
-
-def adiabatic_frame(s: DriveSample) -> AdiabaticFrame:
     if abs(s.delta01 + s.delta12) > 1e-12:
         raise PreconditionError(
             f"two-photon resonance violated: delta01 + delta12 = {s.delta01 + s.delta12:.3e}"
         )
     if s.omega01 == 0.0 and s.omega12 == 0.0:
-        raise UndefinedFrameError("adiabatic frame undefined with both drives off")
+        raise UndefinedFrameError("dark state undefined with both drives off")
 
     theta = math.atan2(s.omega01, s.omega12)
-    phi = s.phi12 - s.phi01
-    omega_r2 = s.omega01**2 + s.omega12**2
-    root = math.sqrt(s.delta01**2 + omega_r2)
-    omega_plus = s.delta01 + root
-    omega_minus = s.delta01 - root
-    phi_mix = math.atan2(
-        math.sqrt(omega_r2 / 2.0),
-        math.sqrt((omega_r2 + s.delta01**2) / 2.0) + s.delta01 / math.sqrt(2.0),
-    )
-
-    e = np.exp(1j * phi)
-    dark = np.array([math.cos(theta), 0.0, -math.sin(theta) * e], dtype=complex)
-    bright = np.array([math.sin(theta), 0.0, math.cos(theta) * e], dtype=complex)
-    # The exact |+->/|-> eigenvectors carry the 0-1 drive phase on their
-    # bright component; it reduces to the textbook form when phi01 = 0.
-    e01 = np.exp(1j * s.phi01)
-    one = np.array([0.0, 1.0, 0.0], dtype=complex)
-    plus = math.sin(phi_mix) * e01 * bright + math.cos(phi_mix) * one
-    minus = math.cos(phi_mix) * e01 * bright - math.sin(phi_mix) * one
-
-    return AdiabaticFrame(
-        theta=theta,
-        phi=phi,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        omega_dark=0.0,
-        dark=Ket(dark),
-        bright=Ket(bright),
-        plus=Ket(plus),
-        minus=Ket(minus),
-    )
+    e = np.exp(1j * (s.phi12 - s.phi01))
+    return np.array([math.cos(theta), 0.0, -math.sin(theta) * e], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -252,30 +189,3 @@ def dispersive_shifts(cav: CavityParams, bare_transitions_mhz: Sequence[float]) 
         chi_above = chis[j] if j < len(chis) else 0.0
         pulls.append(chi_below + chis[0] - chi_above)
     return DispersiveShifts(chi_mhz=tuple(chis), lamb_shifted_mhz=tuple(lamb), pulls_mhz=tuple(pulls))
-
-
-def build_split_hamiltonian(s: DriveSample, split: Optional[SplitSpec]) -> ComplexMatrix:
-    """4-level Hamiltonian in the basis {|0>, |1a>, |1b>, |2>}, rad/ns.
-
-    The intermediate branches sit at delta01 -+ omega_split/2 and couple
-    to |0> and |2> with the branch-weighted drive amplitudes.
-    """
-    if split is None:
-        raise ConfigurationError("split spec required for the 4-level Hamiltonian")
-    wa, wb = split.branch_weights
-    omega_split = mhz_to_rad_ns(split.delta_split_mhz)
-    a01 = s.omega01 * np.exp(-1j * s.phi01)
-    a12 = s.omega12 * np.exp(-1j * s.phi12)
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 0] = 0.5 * wa * a01
-    h[2, 0] = 0.5 * wb * a01
-    h[1, 3] = 0.5 * wa * a12
-    h[2, 3] = 0.5 * wb * a12
-    h[0, 1] = np.conj(h[1, 0])
-    h[0, 2] = np.conj(h[2, 0])
-    h[3, 1] = np.conj(h[1, 3])
-    h[3, 2] = np.conj(h[2, 3])
-    h[1, 1] = s.delta01 - omega_split / 2.0
-    h[2, 2] = s.delta01 + omega_split / 2.0
-    h[3, 3] = s.delta01 + s.delta12
-    return h

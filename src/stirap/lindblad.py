@@ -2,9 +2,10 @@
 
 drho/dt = -i[H(t), rho] + sum_k rate_k * (L rho L^dag - {L^dag L, rho}/2)
 
-lindblad_rhs is the dense form of the equation, the reference the tests
-check the batch kernel against.  The one integrator is the fixed-step RK4
-of _batch, which runs a sweep (run_batch) or one cell (evolve).
+The dissipator enters the batch kernel as the superoperator of a
+LindbladSpec.  The one integrator is the fixed-step RK4 of _batch, which
+runs a sweep (run_batch) or one cell (evolve); the dense right-hand side
+the tests check it against lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DensityMatrix, sigma_op
+from .core import sigma_op
 from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
 from .pulses import GaussianPulse, PulseSequence
@@ -92,23 +93,6 @@ def build_dissipators(params: TransmonParams, dim: int = 3) -> LindbladSpec:
     else:
         raise ConfigurationError(f"unsupported dimension {dim}")
     return LindbladSpec(jumps=tuple(j for j in jumps if j.rate > 0.0))
-
-
-def lindblad_rhs(rho, h: np.ndarray, spec: LindbladSpec) -> np.ndarray:
-    """Right-hand side of the master equation; traceless and Hermitian."""
-    r = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if r.shape != h.shape:
-        raise ConfigurationError("state and Hamiltonian dimensions disagree")
-    out = -1j * (h @ r - r @ h)
-    for j in spec.jumps:
-        if j.rate == 0.0:
-            continue
-        ll = j.operator
-        if ll.shape != r.shape:
-            raise ConfigurationError("jump operator dimension mismatch")
-        lld = ll.conj().T @ ll
-        out += j.rate * (ll @ r @ ll.conj().T - 0.5 * (lld @ r + r @ lld))
-    return out
 
 
 @dataclass(frozen=True)

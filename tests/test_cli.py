@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -141,6 +143,17 @@ class TestRun:
         assert err.startswith("configuration error:") and key in err, err
         assert not out.exists()
 
+    def test_sample_stride_that_misses_the_transfer_window(self, tmp_path, capsys):
+        # 5000 steps of 0.1 ns sample only the ends of the +-225 ns window, so
+        # the summary has no sample inside the pulse overlap to take a maximum of
+        cfg = write_config(tmp_path, {"grid": {"sample_stride": 5000}})
+        out = tmp_path / "o"
+        assert main(["validate-config", "--config", cfg]) == EXIT_OK
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: grid.sample_stride = 5000" in err, err
+        assert not out.exists()
+
     def test_zero_workers_in_file_or_flag(self, tmp_path, capsys):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, {"workers": 0})
@@ -246,3 +259,20 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_oracles_import_neither_the_kernel_nor_the_runners():
+    # a structural guard: the dense references must not share code with what
+    # they check, also through a name the stirap package re-exports
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    origins = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            origins.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                obj = getattr(importlib.import_module(node.module), alias.name)
+                origins.add(getattr(obj, "__module__", None) or obj.__name__)
+    assert "stirap.hamiltonian" in origins  # the walk sees the imports
+    banned = ("stirap._batch", "stirap.experiments")
+    assert not [m for m in origins if m.startswith(banned)], sorted(origins)

@@ -14,7 +14,6 @@ from stirap.config import (
     config_from_dict,
     config_hash,
 )
-from stirap.core import basis_ket
 from stirap.errors import ConfigurationError
 from stirap.experiments import (
     blob_count,
@@ -31,10 +30,12 @@ from stirap.experiments import (
     run_time_evolution,
     sustained_max,
 )
-from stirap.hamiltonian import SplitSpec, TransmonParams, build_rotating_hamiltonian
-from stirap.lindblad import TimeGrid, build_dissipators, lindblad_rhs
+from stirap.hamiltonian import SplitSpec, TransmonParams
+from stirap.lindblad import TimeGrid, build_dissipators
 from stirap.pulses import SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
+
+from oracles import build_rotating_hamiltonian, lindblad_rhs
 
 FAST_GRID = GridConfig(dt_ns=0.5, sample_stride=20)
 
@@ -250,7 +251,7 @@ class TestHybrid:
         seq = build_sequence(SequenceKind.STIRAP, omega01=mhz_to_rad_ns(43.4),
                              omega12=mhz_to_rad_ns(38.2), sigma=45.0, t_s=-90.0)
         grid = TimeGrid(-235.0, 225.0, dt=0.1, sample_stride=20)
-        res = evolve(seq, TransmonParams(), grid, dissipative=False, rho0=basis_ket(0).amplitudes)
+        res = evolve(seq, TransmonParams(), grid, dissipative=False, rho0=np.eye(3)[0])
         assert abs(final_p2_theta0 - res.populations[0][-1, 2]) < 1e-9
 
     def test_final_p2_tracks_initial_dark_fraction(self, hybrid_result):
@@ -318,7 +319,7 @@ class TestReversal:
         seq = build_sequence(SequenceKind.STIRAP, omega01=mhz_to_rad_ns(43.4),
                              omega12=mhz_to_rad_ns(38.2), sigma=45.0, t_s=-90.0)
         grid = TimeGrid(-315.0, 315.0, dt=0.1, sample_stride=20)
-        res = evolve(seq, TransmonParams(), grid, dissipative=False, rho0=basis_ket(0).amplitudes)
+        res = evolve(seq, TransmonParams(), grid, dissipative=False, rho0=np.eye(3)[0])
         assert res.populations[0][-1, 0] < 0.01  # no return without the third pulse
         assert summary.column("final_p0")[0] >= 0.98
 

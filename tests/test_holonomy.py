@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stirap._batch import evolve
-from stirap.core import basis_ket
 from stirap.errors import ConfigurationError, NonAdiabaticRunError, PreconditionError
 from stirap.holonomy import (
     ParameterPath,
@@ -141,7 +140,7 @@ class TestOracle:
         seq = build_sequence(SequenceKind.STIRAP, omega01=om, omega12=om,
                              sigma=45.0, t_s=-90.0, phi12=phi)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.05, sample_stride=10)
-        res = evolve(seq, device_params, grid, dissipative=False, rho0=basis_ket(0).amplitudes)
+        res = evolve(seq, device_params, grid, dissipative=False, rho0=np.eye(3)[0])
         amp2 = res.states[0][-1][2]
         assert abs(amp2) ** 2 > 0.999
         assert abs(wrap_angle(float(np.angle(amp2)) - (math.pi + phi))) < 1e-2
@@ -154,7 +153,7 @@ class TestOracle:
         seq = build_sequence(SequenceKind.STIRAP, omega01=om, omega12=om,
                              sigma=45.0, t_s=-90.0, phase_ramp12=ramp)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.02, sample_stride=25)
-        res = evolve(seq, device_params, grid, dissipative=False, rho0=basis_ket(0).amplitudes)
+        res = evolve(seq, device_params, grid, dissipative=False, rho0=np.eye(3)[0])
         amp2 = res.states[0][-1][2]
         assert abs(amp2) ** 2 > 0.995
         path = realized_path(seq, grid.times[::5])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stirap._batch import evolve
-from stirap.core import basis_ket, dm_from_ket
 from stirap.errors import ConfigurationError, SingularDesignError
 from stirap.hamiltonian import CavityParams, TransmonParams
 from stirap.lindblad import TimeGrid
@@ -293,7 +292,7 @@ def stirap_sim():
     seq = build_sequence(SequenceKind.STIRAP, omega01=mhz_to_rad_ns(43.4),
                          omega12=mhz_to_rad_ns(38.2), sigma=45.0, t_s=-90.0)
     grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=50)
-    return evolve(seq, TransmonParams(), grid, rho0=dm_from_ket(basis_ket(0)).matrix)
+    return evolve(seq, TransmonParams(), grid, rho0=np.diag([1.0, 0.0, 0.0]))
 
 
 class TestTimeline:
@@ -308,7 +307,7 @@ class TestTimeline:
 
         grid = TimeGrid(0.0, 50.0, dt=0.5, sample_stride=10)
         sim = evolve(two_pulse_sequence(0.0, 0.0, 45.0, 0.0), device_params, grid,
-                     rho0=dm_from_ket(basis_ket(0)).matrix)
+                     rho0=np.diag([1.0, 0.0, 0.0]))
         for r in tomography_timeline(sim.populations[0], refs):
             assert r.p == (1.0, 0.0, 0.0)
 
