@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from ._batch import BatchResult, evolve, run_batch  # noqa: F401
-from .core import sigma_op  # noqa: F401
 from .errors import (  # noqa: F401
     ConfigurationError,
     IntegrationFailureError,
@@ -38,12 +37,7 @@ from .holonomy import (  # noqa: F401
     plateau_phase_sequence,
     realized_path,
 )
-from .lindblad import (  # noqa: F401
-    Jump,
-    LindbladSpec,
-    TimeGrid,
-    build_dissipators,
-)
+from .lindblad import TimeGrid, dissipator  # noqa: F401
 from .pulses import (  # noqa: F401
     AdiabaticityReport,
     Convention,

@@ -1,15 +1,16 @@
 """Vectorized many-trajectory RK4: the package's one integrator.
 
 Integrates a batch of independent systems that share the time grid and
-dissipator but differ in their pulse sequences (amplitudes, detunings,
-timing).  A density matrix is held cells-last, shape (dim*dim, n_cells);
-a dissipationless run from a state vector propagates the vector, shape
-(dim, n_cells), by the Schrodinger equation, with RHS -iH psi.  The
-Lindblad generator preserves Hermiticity, so a density matrix's RHS is
-X + X^H with X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric
-in (a, b) and its jumps move population only): both modes run only row
-updates from the fixed sparsity of H and D, a run of evenly spaced rows per
-call (_row_groups), and every state is exactly Hermitian.  No step calls
+dissipator (lindblad.dissipator) but differ in their pulse sequences
+(amplitudes, detunings, timing).  A density matrix is held cells-last,
+shape (dim*dim, n_cells); a dissipationless run from a state vector, |0>
+by default, propagates the vector, shape (dim, n_cells), by the
+Schrodinger equation, with RHS -iH psi.  The Lindblad generator preserves
+Hermiticity, so a density matrix's RHS is X + X^H with
+X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
+its jumps move population only): both modes run only row updates from the
+fixed sparsity of H and D, a run of evenly spaced rows per call
+(_row_groups), and every state is exactly Hermitian.  No step calls
 BLAS and each cell's arithmetic is independent of its chunk, so with
 fixed-size chunks results are bit-identical however chunks are distributed
 over workers.
@@ -37,10 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import HERMITICITY_TOL, INTEGRATION_TOL
 from .errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from .hamiltonian import TransmonParams
-from .lindblad import LindbladSpec, TimeGrid, build_dissipators, check_step
+from .lindblad import TimeGrid, check_step, dissipator
 from .pulses import FastPulse, PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
@@ -51,6 +51,12 @@ EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
 # about 1 + 4e-6, so this names a divergence before round-off hides it
 DIVERGED = 2.0
+# Largest deviation from Hermiticity an initial density matrix may carry.
+HERMITICITY_TOL = 1e-10
+# Bound on an integrated state's trace (or norm) drift and negative
+# eigenvalues.  Fixed-step RK4 is not positivity-preserving and a run adds
+# round-off over thousands of steps, so only a run going unstable leaves it.
+INTEGRATION_TOL = 1e-6
 
 
 @dataclass
@@ -177,17 +183,19 @@ def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
                    rho0: Optional[np.ndarray]):
     """The validated initial state and the dissipator superoperator, None for a ket.
 
-    rho0 is |0><0| by default; one of a shape other than (dim,) or (dim, dim)
-    raises ConfigurationError, a matrix not Hermitian to core.HERMITICITY_TOL
-    InvalidStateError.  A state vector without dissipation is propagated as
-    a ket; with dissipation it stands for its projector.
+    rho0 is |0><0| by default with dissipation and the ket |0> without; one
+    of a shape other than (dim,) or (dim, dim) raises ConfigurationError, a
+    matrix not Hermitian to HERMITICITY_TOL InvalidStateError.  A state
+    vector without dissipation is propagated as a ket; with dissipation it
+    stands for its projector.  A matrix without dissipation runs with a zero
+    dissipator.
     """
     if dim not in (3, 4):
         raise ConfigurationError(f"unsupported dimension {dim}")
     if dim == 4 and params.split is None:
         raise ConfigurationError("4-level batch needs transmon split parameters")
     if rho0 is None:
-        rho0 = np.diag(np.eye(dim)[0])
+        rho0 = np.diag(np.eye(dim)[0]) if dissipative else np.eye(dim)[0]
     init = np.asarray(rho0, dtype=complex)
     if init.shape not in ((dim,), (dim, dim)):
         raise ConfigurationError(f"rho0 of shape {init.shape} does not fit dimension {dim}")
@@ -197,9 +205,9 @@ def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
         return init, None
     if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
         raise InvalidStateError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
-    spec = build_dissipators(params, dim) if dissipative else LindbladSpec(jumps=())
+    dsup = dissipator(params, dim) if dissipative else np.zeros((dim * dim, dim * dim), dtype=complex)
     # exactly Hermitian, which X + X^H keeps
-    return 0.5 * (init + init.conj().T), spec.superoperator(dim)
+    return 0.5 * (init + init.conj().T), dsup
 
 
 def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: TimeGrid):
@@ -208,7 +216,7 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
     Returns the populations (dim, m), the trace (or norm) drift and the
     minimum eigenvalue (0 for a ket or a non-finite state) per column, and
     {column: message} for the columns with a non-finite state, an entry
-    above DIVERGED in magnitude, a drift above core.INTEGRATION_TOL or an
+    above DIVERGED in magnitude, a drift above INTEGRATION_TOL or an
     eigenvalue below -INTEGRATION_TOL, checked in that order.
     """
     finite = np.isfinite(y).all(axis=0)

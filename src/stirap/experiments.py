@@ -211,7 +211,7 @@ def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
             raise ConfigurationError(
                 f"grid.sample_stride = {grid.sample_stride} (dt {grid.dt} ns) leaves no sample "
                 f"in the {what}, [{a:g}, {b:g}] ns")
-    res_u = evolve(seq, cfg.transmon, grid, dissipative=False, rho0=np.eye(3)[0])
+    res_u = evolve(seq, cfg.transmon, grid, dissipative=False)
     pd, pu = res_d.populations[0], res_u.populations[0]
 
     def series(name: str, pops: np.ndarray) -> Table:
@@ -361,9 +361,8 @@ def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
                            fast_duration=cfg.pulses.fast_duration_ns, **_seq_kwargs(cfg))
             for th in thetas]
     grid = _grid_for(seqs[0], cfg)
-    rho0 = None if cfg.dissipative else np.eye(3)[0]
     batch = run_batch(seqs, cfg.transmon, grid, dim=3, dissipative=cfg.dissipative,
-                      rho0=rho0, workers=cfg.workers)
+                      workers=cfg.workers)
     t01 = _t01_peak(seqs[0])
     late = batch.times >= t01
 
@@ -391,8 +390,7 @@ def run_reversal(cfg: ExperimentConfig) -> SweepResult:
     seq = build_sequence(SequenceKind.REVERSAL,
                          reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)
     grid = _grid_for(seq, cfg)
-    rho0 = None if cfg.dissipative else np.eye(3)[0]
-    res = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative, rho0=rho0)
+    res = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
     pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),
                    np.column_stack([res.times, pops]))

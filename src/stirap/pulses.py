@@ -134,14 +134,9 @@ class FastPulse:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulses with a common evaluation window.
-
-    t_separation_ns is the time between the 12-pulse peak and the 01-pulse
-    peak; negative values are the counter-intuitive (STIRAP) order.
-    """
+    """Ordered pulses with a common evaluation window."""
 
     pulses: tuple
-    t_separation_ns: float
     window: tuple  # (t_start, t_end)
 
     def __post_init__(self):
@@ -222,7 +217,7 @@ def two_pulse_sequence(
     lo = min(p.window[0] for p in (p01, p12))
     hi = max(p.window[1] for p in (p01, p12))
     first, second = (p12, p01) if t_s <= 0 else (p01, p12)
-    return PulseSequence(pulses=(first, second), t_separation_ns=t_s, window=(lo, hi))
+    return PulseSequence(pulses=(first, second), window=(lo, hi))
 
 
 def build_sequence(
@@ -260,8 +255,7 @@ def build_sequence(
         fast = FastPulse(Transition.T01, theta_fast, fast_duration,
                          start_ns=pair.window[0] - fast_duration,
                          detuning=delta01, phase=phi01)
-        return PulseSequence(pulses=(fast,) + pair.pulses, t_separation_ns=t_s,
-                             window=(fast.start_ns, pair.window[1]))
+        return PulseSequence(pulses=(fast,) + pair.pulses, window=(fast.start_ns, pair.window[1]))
 
     if kind is SequenceKind.REVERSAL:
         d = abs(t_s) if reversal_spacing is None else reversal_spacing
@@ -270,7 +264,7 @@ def build_sequence(
         p12a = GaussianPulse(Transition.T12, omega12, -d, sigma, detuning=delta12, phase=phi12)
         p01 = GaussianPulse(Transition.T01, omega01, 0.0, sigma, detuning=delta01, phase=phi01)
         p12b = GaussianPulse(Transition.T12, omega12, +d, sigma, detuning=delta12, phase=phi12)
-        return PulseSequence(pulses=(p12a, p01, p12b), t_separation_ns=-d,
+        return PulseSequence(pulses=(p12a, p01, p12b),
                              window=(-d - WINDOW_SIGMAS * sigma, d + WINDOW_SIGMAS * sigma))
 
     raise ConfigurationError(f"unknown sequence kind {kind!r}")

@@ -1,20 +1,20 @@
 """Dense reference forms of the rotating-frame Hamiltonians and the master equation.
 
-The batch kernel assembles its right-hand side from a coupling list and a
-superoperator; these are the textbook matrices the tests check it against.
-They import nothing from stirap._batch or stirap.experiments, so an error
-in the kernel cannot leak into its references.
+The batch kernel assembles its right-hand side from a coupling list and the
+superoperator of stirap.lindblad.dissipator; these are the textbook matrices
+and jump operators the tests check it against.  They import nothing from
+stirap._batch, stirap.lindblad or stirap.experiments, so an error in the
+kernel or its dissipator cannot leak into its references.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from stirap.errors import ConfigurationError
-from stirap.hamiltonian import DriveSample, SplitSpec
-from stirap.lindblad import LindbladSpec
+from stirap.hamiltonian import DriveSample, SplitSpec, TransmonParams
 from stirap.units import mhz_to_rad_ns
 
 
@@ -65,18 +65,44 @@ def build_split_hamiltonian(s: DriveSample, split: Optional[SplitSpec]) -> np.nd
     return h
 
 
-def lindblad_rhs(rho, h: np.ndarray, spec: LindbladSpec) -> np.ndarray:
-    """Right-hand side of the master equation; traceless and Hermitian."""
+def jump_operators(params: TransmonParams, dim: int) -> List[Tuple[float, np.ndarray]]:
+    """The transmon's loss channels as (rate in 1/ns, jump operator L).
+
+    Relaxation |1> -> |0> at Gamma10 and |2> -> |1> at Gamma21, and pure
+    dephasing by the projectors |1><1| and |2><2| at twice the dephasing
+    rates, so that the 0-1 coherence decays at gamma_phi10.  In the split
+    basis {|0>, |1a>, |1b>, |2>} the branch with weight w relaxes at
+    w^2 Gamma10 and w^2 Gamma21 and both branches dephase at 2 gamma_phi10.
+    """
+    dephasing10, dephasing21 = 2.0 * params.gamma_phi10, 2.0 * params.gamma_phi21
+    if dim == 3:
+        g0, g1, g2 = np.eye(3, dtype=complex)
+        return [(params.gamma10, np.outer(g0, g1)), (params.gamma21, np.outer(g1, g2)),
+                (dephasing10, np.outer(g1, g1)), (dephasing21, np.outer(g2, g2))]
+    if dim != 4 or params.split is None:
+        raise ConfigurationError("jump operators need dim 3, or dim 4 with a split spec")
+    wa, wb = params.split.branch_weights
+    g0, g1a, g1b, g2 = np.eye(4, dtype=complex)
+    return [(wa ** 2 * params.gamma10, np.outer(g0, g1a)),
+            (wb ** 2 * params.gamma10, np.outer(g0, g1b)),
+            (wa ** 2 * params.gamma21, np.outer(g1a, g2)),
+            (wb ** 2 * params.gamma21, np.outer(g1b, g2)),
+            (dephasing10, np.outer(g1a, g1a)), (dephasing10, np.outer(g1b, g1b)),
+            (dephasing21, np.outer(g2, g2))]
+
+
+def lindblad_rhs(rho, h: np.ndarray, jumps: List[Tuple[float, np.ndarray]]) -> np.ndarray:
+    """Right-hand side of the master equation; traceless and Hermitian.
+
+    jumps holds (rate, L) pairs, as jump_operators returns them.
+    """
     r = np.asarray(rho, dtype=complex)
     if r.shape != h.shape:
         raise ConfigurationError("state and Hamiltonian dimensions disagree")
     out = -1j * (h @ r - r @ h)
-    for j in spec.jumps:
-        if j.rate == 0.0:
-            continue
-        ll = j.operator
+    for rate, ll in jumps:
         if ll.shape != r.shape:
             raise ConfigurationError("jump operator dimension mismatch")
         lld = ll.conj().T @ ll
-        out += j.rate * (ll @ r @ ll.conj().T - 0.5 * (lld @ r + r @ lld))
+        out += rate * (ll @ r @ ll.conj().T - 0.5 * (lld @ r + r @ lld))
     return out

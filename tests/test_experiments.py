@@ -31,11 +31,11 @@ from stirap.experiments import (
     sustained_max,
 )
 from stirap.hamiltonian import SplitSpec, TransmonParams
-from stirap.lindblad import TimeGrid, build_dissipators
+from stirap.lindblad import TimeGrid
 from stirap.pulses import SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
-from oracles import build_rotating_hamiltonian, lindblad_rhs
+from oracles import build_rotating_hamiltonian, jump_operators, lindblad_rhs
 
 FAST_GRID = GridConfig(dt_ns=0.5, sample_stride=20)
 
@@ -160,8 +160,8 @@ class TestSeparationSweep:
 
     def test_cells_match_dop853_oracle(self):
         # independent oracle for the cells acceptance criterion 2b reads: the
-        # same Lindblad equation, from build_rotating_hamiltonian and
-        # lindblad_rhs, under scipy's DOP853.  -200 ns fixes the common
+        # same Lindblad equation, from build_rotating_hamiltonian,
+        # jump_operators and lindblad_rhs, under scipy's DOP853.  -200 ns fixes the common
         # window at the acceptance sweep's +-280 ns.
         from scipy.integrate import solve_ivp
 
@@ -173,7 +173,7 @@ class TestSeparationSweep:
         series = result.table("separation_sweep_timeseries")
         summary = result.table("separation_sweep")
         p = cfg.pulses
-        spec = build_dissipators(cfg.transmon)
+        jumps = jump_operators(cfg.transmon, 3)
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[0, 0] = 1.0
         for ts in axis[1:]:
@@ -184,7 +184,7 @@ class TestSeparationSweep:
 
             def rhs(t, y, seq=seq):
                 h = build_rotating_hamiltonian(seq.drive_sample(t))
-                return lindblad_rhs(y.view(complex).reshape(3, 3), h, spec).ravel().view(float)
+                return lindblad_rhs(y.view(complex).reshape(3, 3), h, jumps).ravel().view(float)
 
             sol = solve_ivp(rhs, (times[0], times[-1]), rho0.ravel().view(float),
                             method="DOP853", rtol=1e-11, atol=1e-13, t_eval=times)

@@ -251,7 +251,7 @@ class TestTransmonParams:
             TransmonParams(gamma10_mhz=-0.1)
 
     def test_nan_rate_rejected(self):
-        # build_dissipators keeps rates > 0, so a NaN rate would drop its jump
+        # lindblad.dissipator keeps rates > 0, so a NaN rate would drop its channel
         with pytest.raises(ConfigurationError, match="gamma_phi21_mhz"):
             TransmonParams(gamma_phi21_mhz=float("nan"))
 

@@ -173,7 +173,7 @@ class TestOracle:
             pulses=(GaussianPulse(Transition.T12, mhz_to_rad_ns(200.0), 0.0, 45.0,
                                   detuning=0.01),
                     GaussianPulse(Transition.T01, mhz_to_rad_ns(200.0), 0.0, 45.0)),
-            t_separation_ns=0.0, window=(-180.0, 180.0))
+            window=(-180.0, 180.0))
         with pytest.raises(PreconditionError):
             adiabatic_phase_oracle(detuned, device_params, grid)
 
@@ -185,7 +185,7 @@ class TestOracle:
         p12 = GaussianPulse(Transition.T12, mhz_to_rad_ns(180.0), 0.0, 45.0,
                             phase_ramp=ramp)
         p01 = GaussianPulse(Transition.T01, mhz_to_rad_ns(180.0), 0.0, 45.0)
-        seq = PulseSequence(pulses=(p12, p01), t_separation_ns=0.0, window=(-180.0, 180.0))
+        seq = PulseSequence(pulses=(p12, p01), window=(-180.0, 180.0))
         grid = TimeGrid(-180.0, 180.0, dt=0.05, sample_stride=10)
         with pytest.raises(NonAdiabaticRunError):
             adiabatic_phase_oracle(seq, device_params, grid)
@@ -204,7 +204,7 @@ class TestRealizedPath:
         ramp = PhaseRamp(-10.0, 10.0, 2.5)
         p12 = GaussianPulse(Transition.T12, 0.3, 0.0, 45.0, phase=0.1, phase_ramp=ramp)
         p01 = GaussianPulse(Transition.T01, 0.3, 0.0, 45.0, phase=0.4)
-        seq = PulseSequence(pulses=(p12, p01), t_separation_ns=0.0, window=(-180.0, 180.0))
+        seq = PulseSequence(pulses=(p12, p01), window=(-180.0, 180.0))
         times = np.linspace(-180.0, 180.0, 721)
         path = realized_path(seq, times)
         phi = path.samples[:, 2]

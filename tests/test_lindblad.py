@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from stirap._batch import evolve
-from stirap.core import sigma_op
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
-from stirap.lindblad import Jump, LindbladSpec, TimeGrid, build_dissipators
+from stirap.lindblad import TimeGrid, dissipator
 from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
-from oracles import build_rotating_hamiltonian, build_split_hamiltonian, lindblad_rhs
+from oracles import (build_rotating_hamiltonian, build_split_hamiltonian, jump_operators,
+                     lindblad_rhs)
 
 OM01 = mhz_to_rad_ns(43.4)
 OM12 = mhz_to_rad_ns(38.2)
@@ -76,59 +76,61 @@ class TestBuildDissipators:
         expected = 0.5 * np.exp(-params.gamma_phi10 * res.times)
         assert np.max(np.abs(rho01 - expected)) < 1e-8
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Jump(sigma_op(0, 1), -0.1)
-
     def test_split_system_weighted_rates(self):
         params = TransmonParams(split=SplitSpec(15.0, (1.0, 0.0)))
-        spec = build_dissipators(params, dim=4)
-        # with weights (1, 0) only the |1a> branch keeps relaxation jumps
-        rates = {tuple(np.argwhere(j.operator).flatten()): j.rate for j in spec.jumps}
-        assert abs(rates[(0, 1)] - params.gamma10) < 1e-15
-        assert (0, 2) not in rates  # zero-rate jumps dropped
-        assert abs(rates[(1, 3)] - params.gamma21) < 1e-15
+        sup = dissipator(params, 4)
+        # a jump |i><j| moves population at its rate from rho_jj (vec index 5 j)
+        # to rho_ii (5 i); with weights (1, 0) only the |1a> branch relaxes
+        assert abs(sup[0, 5] - params.gamma10) < 1e-15  # |1a> -> |0>
+        assert sup[0, 10] == 0.0  # |1b> -> |0>, zero rate, absent
+        assert abs(sup[5, 15] - params.gamma21) < 1e-15  # |2> -> |1a>
+        assert sup[10, 15] == 0.0  # |2> -> |1b>
 
 
 class TestLindbladRhs:
     def test_zero_everything(self):
         rho = np.diag([1.0, 0.0, 0.0])
-        out = lindblad_rhs(rho, np.zeros((3, 3), dtype=complex), LindbladSpec(()))
+        out = lindblad_rhs(rho, np.zeros((3, 3), dtype=complex), [])
         assert np.all(out == 0)
 
     def test_traceless_and_hermitian(self, rng):
-        spec = build_dissipators(TransmonParams(), dim=3)
+        jumps = jump_operators(TransmonParams(), 3)
         for _ in range(50):
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             rho = m @ m.conj().T
             rho = rho / np.trace(rho).real
             hm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             h = hm + hm.conj().T
-            out = lindblad_rhs(rho, h, spec)
+            out = lindblad_rhs(rho, h, jumps)
             assert abs(np.trace(out)) < 1e-12
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_pure_decay_direction(self):
         gamma = 0.3
-        spec = LindbladSpec((Jump(sigma_op(0, 1), gamma),))
-        out = lindblad_rhs(np.diag([0.0, 1.0, 0.0]), np.zeros((3, 3), dtype=complex), spec)
+        lower = np.zeros((3, 3), dtype=complex)
+        lower[0, 1] = 1.0
+        out = lindblad_rhs(np.diag([0.0, 1.0, 0.0]), np.zeros((3, 3), dtype=complex), [(gamma, lower)])
         expected = gamma * (np.diag([1.0, -1.0, 0.0]).astype(complex))
         assert np.max(np.abs(out - expected)) < 1e-15
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            lindblad_rhs(np.diag([1.0, 0.0, 0.0, 0.0]), np.zeros((3, 3)), LindbladSpec(()))
+            lindblad_rhs(np.diag([1.0, 0.0, 0.0, 0.0]), np.zeros((3, 3)), [])
 
     def test_superoperator_matches_direct_form(self, rng):
-        spec = build_dissipators(TransmonParams(), dim=3)
-        sup = spec.superoperator(3)
-        for _ in range(20):
-            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            rho = m @ m.conj().T
-            rho /= np.trace(rho).real
-            direct = lindblad_rhs(rho, np.zeros((3, 3), dtype=complex), spec)
-            via_sup = (sup @ rho.reshape(-1)).reshape(3, 3)
-            assert np.max(np.abs(direct - via_sup)) < 1e-14
+        # the kernel's dissipator against the oracle's own jump operators,
+        # at 3 levels and on the 4-level split with unequal branch weights
+        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        for params, dim in ((TransmonParams(), 3), (split, 4)):
+            sup = dissipator(params, dim)
+            jumps = jump_operators(params, dim)
+            for _ in range(20):
+                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                rho = m @ m.conj().T
+                rho /= np.trace(rho).real
+                direct = lindblad_rhs(rho, np.zeros((dim, dim), dtype=complex), jumps)
+                via_sup = (sup @ rho.reshape(-1)).reshape(dim, dim)
+                assert np.max(np.abs(direct - via_sup)) < 1e-14
 
 
 class TestEvolve:
@@ -227,6 +229,26 @@ class TestEvolve:
         with pytest.raises(ConfigurationError):
             TimeGrid(0.0, 10.0, dt=-0.1)
 
+    @pytest.mark.parametrize("t_start, t_end, dt, stride", [
+        (0.0, 100.0, math.nan, 10), (math.nan, 100.0, 0.1, 10), (0.0, math.nan, 0.1, 10),
+        (0.0, math.inf, 0.1, 10), (-math.inf, 100.0, 0.1, 10), (0.0, 100.0, math.inf, 10),
+        (0.0, 100.0, 0.1, math.nan), (0.0, 1e308, 1e-300, 10)])
+    def test_grid_rejects_non_finite_fields(self, t_start, t_end, dt, stride):
+        # every check is phrased so that NaN fails it, and no step count overflows
+        with pytest.raises(ConfigurationError):
+            TimeGrid(t_start, t_end, dt=dt, sample_stride=stride)
+
+    def test_mid_stirap_step_sums_to_one(self, device_params, stirap_sequence):
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=100)
+        res = evolve(stirap_sequence, device_params, grid)
+        mid = res.states[0][len(res.states[0]) // 2].reshape(3, 3)
+        # a valid density matrix: Hermitian, unit trace, positive semidefinite
+        assert np.max(np.abs(mid - mid.conj().T)) <= 1e-10
+        assert abs(np.trace(mid).real - 1.0) + abs(np.trace(mid).imag) <= 1e-8
+        assert np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))[0] >= -1e-9
+        p = np.real(np.diag(mid))
+        assert abs(p.sum() - 1.0) < 1e-8
+
     def test_split_evolution_requires_split_params(self, device_params):
         seq = no_drive_sequence()
         grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10)
@@ -254,14 +276,14 @@ def dop853_populations(seq, params, times, dim=3, ket=False, edges=()):
     """Populations at the given times from scipy's DOP853 (rtol 1e-11).
 
     An independent oracle for the batch kernel: the dense Hamiltonian of
-    build_rotating_hamiltonian (or build_split_hamiltonian) with lindblad_rhs,
-    or the Schrodinger equation for a ket.  The integration restarts at each
-    time in edges, and inside a piece the drive is sampled 1e-9 ns inside it,
-    so no step straddles a FastPulse edge.
+    build_rotating_hamiltonian (or build_split_hamiltonian) with lindblad_rhs
+    and jump_operators, or the Schrodinger equation for a ket.  The
+    integration restarts at each time in edges, and inside a piece the drive
+    is sampled 1e-9 ns inside it, so no step straddles a FastPulse edge.
     """
     from scipy.integrate import solve_ivp
 
-    spec = build_dissipators(params, dim)
+    jumps = jump_operators(params, dim)
     y = np.zeros(dim if ket else dim * dim, dtype=complex)
     y[0] = 1.0
     bounds = [times[0], *edges, times[-1]]
@@ -272,7 +294,7 @@ def dop853_populations(seq, params, times, dim=3, ket=False, edges=()):
             h = (build_rotating_hamiltonian(sample) if dim == 3
                  else build_split_hamiltonian(sample, params.split))
             z = yr.view(complex)
-            out = -1j * (h @ z) if ket else lindblad_rhs(z.reshape(dim, dim), h, spec).ravel()
+            out = -1j * (h @ z) if ket else lindblad_rhs(z.reshape(dim, dim), h, jumps).ravel()
             return out.view(float)
 
         inside = times[(times >= lo) & (times < hi)] if hi < times[-1] else times[times >= lo]
@@ -320,6 +342,28 @@ class TestBatchAgreement:
         for i, seq in enumerate(seqs):
             want = dop853_populations(seq, params, batch.times, dim=dim, ket=True)
             assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_dissipationless_default_is_the_ground_ket(self, device_params, dim):
+        # without dissipation rho0=None is the ket |0>, bit for bit.  RK4 on the
+        # ket and on the projector |0><0| under a zero dissipator are two
+        # discretisations of one solution: they differ by O(dt^4), not more
+        from stirap._batch import run_batch
+
+        params = device_params if dim == 3 else TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(d))
+                for d in (-3.0, 0.0, 5.0)]
+        gaps = []
+        for dt in (0.2, 0.1):
+            grid = TimeGrid(-225.0, 225.0, dt=dt, sample_stride=round(5.0 / dt))
+            default = run_batch(seqs, params, grid, dim=dim, dissipative=False)
+            ket = run_batch(seqs, params, grid, dim=dim, dissipative=False, rho0=np.eye(dim)[0])
+            matrix = run_batch(seqs, params, grid, dim=dim, dissipative=False,
+                               rho0=np.diag(np.eye(dim)[0]))
+            assert np.array_equal(default.populations, ket.populations)
+            assert np.array_equal(default.trace_drift, ket.trace_drift)
+            gaps.append(np.max(np.abs(default.populations - matrix.populations)))
+        assert gaps[0] <= 1e-8 and gaps[1] <= gaps[0] / 10.0, gaps
 
     @pytest.mark.parametrize("fast_duration", [10.0, 25.6])
     def test_hybrid_matches_piecewise_dop853(self, device_params, fast_duration):
@@ -574,7 +618,7 @@ class TestBatchAgreement:
         # entries are real rates from one population to another
         split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         for params, dim in ((device_params, 3), (split, 4)):
-            sup = build_dissipators(params, dim).superoperator(dim)
+            sup = dissipator(params, dim)
             diag = np.diag(sup).reshape(dim, dim)
             assert np.all(diag.imag == 0.0) and np.array_equal(diag, diag.T)
             k, l = np.nonzero(sup - np.diag(np.diag(sup)))

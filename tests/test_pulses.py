@@ -88,7 +88,7 @@ class TestBuildSequence:
         from stirap.pulses import PulseSequence
 
         with pytest.raises(ConfigurationError):
-            PulseSequence(pulses=(p1, p2), t_separation_ns=0.0, window=(-40.0, 45.0))
+            PulseSequence(pulses=(p1, p2), window=(-40.0, 45.0))
 
 
 def local_adiabaticity_closed_form(t, om01, om12, sigma, t_s):
