@@ -214,10 +214,16 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
     """Check each column of y, the state (vec of rho, or a ket) at step steps[i].
 
     Returns the populations (dim, m), the trace (or norm) drift and the
-    minimum eigenvalue (0 for a ket or a non-finite state) per column, and
-    {column: message} for the columns with a non-finite state, an entry
-    above DIVERGED in magnitude, a drift above INTEGRATION_TOL or an
-    eigenvalue below -INTEGRATION_TOL, checked in that order.
+    minimum eigenvalue clamped at 0 (0 for a ket or a non-finite state) per
+    column, and {column: message} for the columns with a non-finite state,
+    an entry above DIVERGED in magnitude, a drift above INTEGRATION_TOL or
+    an eigenvalue below -INTEGRATION_TOL, checked in that order.
+
+    A Hermitian matrix is positive definite iff every pivot of its LDL^H
+    factorisation without pivoting is > 0 (Golub & Van Loan, Matrix
+    Computations, 4.1-4.2), and then its clamped minimum is 0; only the
+    finite matrices those pivots do not prove go to eigvalsh.  Both read the
+    lower triangle and the real diagonal.
     """
     finite = np.isfinite(y).all(axis=0)
     peak = np.abs(y).max(axis=0)
@@ -226,7 +232,15 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
         p = np.abs(y) ** 2
     else:
         p = y[::dim + 1].real
-        eig[finite] = np.linalg.eigvalsh(y.reshape(dim, dim, -1)[:, :, finite].transpose(2, 0, 1))[:, 0]
+        rho = s = y.reshape(dim, dim, -1)
+        proven = finite.copy()
+        with np.errstate(all="ignore"):  # a zero, tiny or non-finite pivot only fails the proof
+            for _ in range(dim):  # s is the Schur complement left to factor
+                pivot, col = s[0, 0].real, s[1:, 0]
+                proven &= pivot > 0
+                s = s[1:, 1:] - (col / pivot)[:, None] * col.conj()[None]
+        check = finite & ~proven
+        eig[check] = np.minimum(0.0, np.linalg.eigvalsh(rho[:, :, check].transpose(2, 0, 1))[:, 0])
     drift = np.abs(p.sum(axis=0) - 1.0)
     bad = {}
     for c in np.flatnonzero(~finite | (peak > DIVERGED) | (drift > INTEGRATION_TOL)

@@ -512,18 +512,18 @@ def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
     if fmt == "csv":
         for table in result.tables:
             path = out / f"{table.name}.csv"
-            lines = [",".join(table.columns)]
-            for row in table.rows:
-                lines.append(",".join(repr(float(v)) for v in row))
-            path.write_text("\n".join(lines) + "\n")
+            # one row at a time, so the text of the whole table is never held
+            with path.open("w") as f:
+                f.write(",".join(table.columns) + "\n")
+                for row in table.rows:
+                    f.write(",".join(map(repr, row.tolist())) + "\n")
             written.append(path)
     else:
         payload = {
             "metadata": dict(result.metadata),
             "axes": {k: [float(v) for v in vals] for k, vals in result.axes.items()},
             "data": {
-                t.name: {"columns": list(t.columns),
-                         "rows": [[float(v) for v in row] for row in t.rows]}
+                t.name: {"columns": list(t.columns), "rows": t.rows.tolist()}
                 for t in result.tables
             },
             "failures": result.failures,

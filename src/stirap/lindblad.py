@@ -11,6 +11,7 @@ tests check it against live in tests/oracles.py.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,8 +69,8 @@ class TimeGrid:
             raise ConfigurationError(f"grid bounds must be finite, got [{self.t_start}, {self.t_end}]")
         if not 0 < self.dt < math.inf:
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt}")
-        if not self.sample_stride >= 1:
-            raise ConfigurationError("sample_stride must be >= 1")
+        if not (isinstance(self.sample_stride, numbers.Integral) and self.sample_stride >= 1):
+            raise ConfigurationError(f"sample_stride must be an integer >= 1, got {self.sample_stride!r}")
         steps = (self.t_end - self.t_start) / self.dt
         if not 10 <= steps < math.inf:
             raise ConfigurationError(f"grid needs at least 10 steps, and finitely many, got {steps}")

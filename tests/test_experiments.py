@@ -16,6 +16,8 @@ from stirap.config import (
 )
 from stirap.errors import ConfigurationError
 from stirap.experiments import (
+    SweepResult,
+    Table,
     blob_count,
     count_alternations,
     emit,
@@ -403,6 +405,41 @@ class TestEmission:
     def test_unknown_format(self, tmp_path, small_cfg):
         with pytest.raises(ConfigurationError):
             emit(run_separation_sweep(small_cfg), tmp_path, "xml")
+
+    def test_values_are_written_as_their_repr(self, tmp_path):
+        # the bytes of repr(float(v)) per value, including signed zero, NaN,
+        # infinities, the smallest subnormal and a sum that does not round to 0.3
+        rows = np.array([[-0.0, math.nan, math.inf], [-math.inf, 5e-324, 0.1 + 0.2],
+                         [1.0, -2.5e-17, 123456789.125]])
+        result = SweepResult(kind="edge", axes={"a": np.array([0.1 + 0.2, -0.0])},
+                             tables=[Table("edge", ("x", "y", "z"), rows)],
+                             metadata={"config_hash": "h"})
+        csv_path = emit(result, tmp_path / "c", "csv")[0]
+        lines = ["x,y,z"] + [",".join(repr(float(v)) for v in row) for row in rows]
+        assert csv_path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        json_path = emit(result, tmp_path / "j", "json")[0]
+        payload = {"metadata": {"config_hash": "h"}, "axes": {"a": [0.30000000000000004, -0.0]},
+                   "data": {"edge": {"columns": ["x", "y", "z"],
+                                     "rows": [[float(v) for v in row] for row in rows]}},
+                   "failures": []}
+        assert json_path.read_bytes() == (
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+    def test_csv_memory_is_bounded_by_a_row(self, tmp_path):
+        # rows are written one at a time: the text of a 200 000-row table
+        # (about 18 MB) is never held, nor a list of all its values
+        import tracemalloc
+
+        rows = np.random.default_rng(5).normal(size=(200_000, 5))
+        result = SweepResult(kind="big", axes={}, tables=[Table("big", tuple("abcde"), rows)])
+        tracemalloc.start()
+        try:
+            emit(result, tmp_path, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert (tmp_path / "big.csv").stat().st_size > 15e6
 
 
 class TestConfigParsing:

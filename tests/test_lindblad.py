@@ -238,6 +238,20 @@ class TestEvolve:
         with pytest.raises(ConfigurationError):
             TimeGrid(t_start, t_end, dt=dt, sample_stride=stride)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, "2"])
+    def test_grid_rejects_non_integer_stride(self, stride):
+        # a fractional stride would reach range() in the kernel as a raw TypeError
+        with pytest.raises(ConfigurationError, match="sample_stride"):
+            TimeGrid(0.0, 100.0, dt=0.5, sample_stride=stride)
+
+    def test_grid_accepts_numpy_integer_stride(self, device_params):
+        seq = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
+        want = evolve(seq, device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=100))
+        for stride in (np.int64(100), np.int32(100)):
+            got = evolve(seq, device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=stride))
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.populations, want.populations)
+
     def test_mid_stirap_step_sums_to_one(self, device_params, stirap_sequence):
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=100)
         res = evolve(stirap_sequence, device_params, grid)
@@ -649,3 +663,88 @@ class TestBatchAgreement:
         grid = TimeGrid(-225.0, 225.0, dt=2.0, sample_stride=10)
         with pytest.raises(ConfigurationError, match="sigma/50"):
             run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0)], device_params, grid)
+
+
+def eigvalsh_checks(y, dim, steps, grid):
+    """_sample_checks' verdicts for density matrices, every finite cell by eigvalsh."""
+    finite = np.isfinite(y).all(axis=0)
+    peak = np.abs(y).max(axis=0)
+    drift = np.abs(y[::dim + 1].real.sum(axis=0) - 1.0)
+    eig = np.zeros(y.shape[1])
+    eig[finite] = np.linalg.eigvalsh(y.reshape(dim, dim, -1)[:, :, finite].transpose(2, 0, 1))[:, 0]
+    bad = {}
+    for c in np.flatnonzero(~finite | (peak > 2.0) | (drift > 1e-6) | (eig < -1e-6)):
+        what = ("non-finite state" if not finite[c]
+                else f"diverged: max |entry| {peak[c]:.3e}" if peak[c] > 2.0
+                else f"trace drift {drift[c]:.3e}" if drift[c] > 1e-6
+                else f"negative eigenvalue {eig[c]:.3e}")
+        bad[int(c)] = f"{what} at step {steps[c]} (t = {grid.t_start + steps[c] * grid.dt:.3f} ns)"
+    return np.minimum(0.0, eig), bad
+
+
+class TestSampleChecks:
+    @staticmethod
+    def states(dim, rng):
+        """Seeded density matrices by kind, cells last as the kernel holds them."""
+        def unitary(n):
+            q, _ = np.linalg.qr(rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))
+            return q
+
+        def spectrum(lam_min, n):
+            rest = rng.uniform(0.1, 1.0, size=(n, dim - 1))
+            lam = np.concatenate([np.full((n, 1), lam_min), rest * ((1.0 - lam_min) / rest.sum(1))[:, None]], 1)
+            v = unitary(n)
+            return (v * lam[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+        a = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+        definite = a @ a.conj().transpose(0, 2, 1)
+        definite /= np.trace(definite, axis1=1, axis2=2).real[:, None, None]
+        kets = unitary(20)[:, :, 0]
+        pure = np.concatenate([kets[:, :, None] * kets.conj()[:, None, :],
+                               np.diag(np.eye(dim)[0])[None], np.diag(np.eye(dim)[-1])[None]])
+        rank2 = 0.3 * pure[:10] + 0.7 * pure[10:20]
+        broken = definite[:6].copy()
+        for rho, v in zip(broken, (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 0), np.nan)):
+            rho[dim - 1, 0] = v
+        kinds = {"definite": definite, "pure": pure, "rank 2": rank2,
+                 "below -tol": spectrum(-1.001e-6, 10), "above -tol": spectrum(-0.999e-6, 10),
+                 "tiny negative": spectrum(-1e-12, 10), "non-finite": broken}
+        rho = np.concatenate(list(kinds.values()))
+        labels = np.concatenate([[k] * len(v) for k, v in kinds.items()])
+        return rho.reshape(len(rho), -1).T.copy(), labels
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_pivot_verdict_matches_eigvalsh_oracle(self, dim):
+        from stirap._batch import _sample_checks
+
+        y, labels = self.states(dim, np.random.default_rng(20 + dim))
+        grid = TimeGrid(0.0, 100.0, dt=0.5)
+        steps = np.arange(y.shape[1]) * 10
+        _, _, eig, bad = _sample_checks(y, dim, False, steps, grid)
+        want_eig, want_bad = eigvalsh_checks(y, dim, steps, grid)
+        assert bad == want_bad  # the same failing cells, with the same messages
+        assert np.max(np.abs(eig - want_eig)) <= 1e-15
+        failed = {labels[c] for c in bad}
+        assert failed == {"below -tol", "non-finite"}
+        assert len(bad) == np.count_nonzero(np.isin(labels, ["below -tol", "non-finite"]))
+
+    def test_only_the_pure_initial_sample_reaches_eigvalsh(self, device_params, monkeypatch):
+        # on a dissipative plane the pivots prove every state positive definite
+        # but the initial |0><0|, whose later pivots are 0
+        from stirap._batch import run_batch
+
+        received = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            received.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=5)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(d1),
+                                   delta12=mhz_to_rad_ns(d2))
+                for d1 in (-6.0, 0.0, 4.0) for d2 in (-5.0, 0.0, 3.0)]
+        res = run_batch(seqs, device_params, grid)
+        assert not res.failures
+        assert 0 < sum(received) <= len(seqs)
