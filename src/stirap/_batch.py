@@ -28,7 +28,7 @@ the scheme 4th order for smooth drives.  Both realisations sample it one
 block of steps at a time (_drive_block), and a FastPulse edge on a grid point
 starts a block: the block ending there takes its last sample from the left
 limit of the drive and the next its first from the right limit, so no stage
-straddles the discontinuity; edges off the grid are integrated through.
+straddles the discontinuity; lindblad.edge_steps rejects an edge off the grid.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from .hamiltonian import TransmonParams
-from .lindblad import TimeGrid, check_step, dissipator
-from .pulses import FastPulse, PulseSequence, Transition
+from .lindblad import TimeGrid, check_step, dissipator, edge_steps
+from .pulses import PulseSequence, Transition
 from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
@@ -119,18 +119,6 @@ def _envelopes(seq: PulseSequence) -> tuple:
     return tuple(replace(p, detuning=0.0) for p in seq.pulses)
 
 
-def _edge_steps(seq: PulseSequence, grid: TimeGrid) -> List[int]:
-    """Steps k, 0 < k < n_steps, whose grid point is a FastPulse edge."""
-    steps = set()
-    for p in seq.pulses:
-        if isinstance(p, FastPulse):
-            for e in (p.start_ns, p.start_ns + p.duration_ns):
-                k = round((e - grid.t_start) / grid.dt)
-                if 0 < k < grid.n_steps and abs(grid.t_start + k * grid.dt - e) < 1e-9:
-                    steps.add(k)
-    return sorted(steps)
-
-
 def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
                  params: TransmonParams):
     """The drive columns, the time blocks and the level energies, cells last.
@@ -143,7 +131,7 @@ def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
     """
     shared = _envelopes(seqs[0])
     drive_seqs = seqs[:1] if all(_envelopes(s) == shared for s in seqs[1:]) else seqs
-    drive = [(seq, _edge_steps(seq, grid)) for seq in drive_seqs]
+    drive = [(seq, edge_steps(seq, grid)) for seq in drive_seqs]
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
     energies = np.zeros((dim, len(seqs)))

@@ -9,7 +9,6 @@ Time axes of emitted series are measured from the 01-pulse peak.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -173,9 +172,10 @@ def _seq_kwargs(cfg: ExperimentConfig) -> dict:
     )
 
 
-def _grid_for(seq: PulseSequence, cfg: ExperimentConfig) -> TimeGrid:
-    return TimeGrid(seq.window[0], seq.window[1], dt=cfg.grid.dt_ns,
-                    sample_stride=cfg.grid.sample_stride)
+def _grid_for(seqs: List[PulseSequence], cfg: ExperimentConfig) -> TimeGrid:
+    """The configured grid on the union of the sequences' windows."""
+    return TimeGrid(min(s.window[0] for s in seqs), max(s.window[1] for s in seqs),
+                    dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
 
 
 def _t01_peak(seq: PulseSequence) -> float:
@@ -183,10 +183,32 @@ def _t01_peak(seq: PulseSequence) -> float:
     return centers[0] if centers else 0.0
 
 
-def _timeseries_rows(value: float, times: np.ndarray, pops: np.ndarray,
-                     t_shift: float) -> np.ndarray:
-    """One 3-level sweep cell's samples as (value, t, p0, p1, p2) rows."""
-    return np.column_stack([np.full(len(times), value), times - t_shift, pops])
+def _sweep(cfg: ExperimentConfig, seqs: List[PulseSequence], dim: int = 3, **axes):
+    """Batch the cells on their common window.
+
+    axes maps each axis name to its per-cell values; returns the batch and
+    one record {"cell", <axis>: value, ..., "error"} per failed cell.
+    """
+    batch = run_batch(seqs, cfg.transmon, _grid_for(seqs, cfg), dim=dim,
+                      dissipative=cfg.dissipative, workers=cfg.workers)
+    failures = [{"cell": int(c), **{k: float(v[c]) for k, v in axes.items()}, "error": msg}
+                for c, msg in batch.failures]
+    return batch, failures
+
+
+def _series(name: str, axis: str, values, shifts, batch) -> Table:
+    """Each 3-level cell's samples as (value, t - shift, p0, p1, p2) rows, cell by cell."""
+    t = batch.times
+    return Table(name, (axis, "t_ns", "p0", "p1", "p2"),
+                 np.vstack([np.column_stack([np.full(len(t), float(v)), t - shift, pops])
+                            for v, shift, pops in zip(values, shifts, batch.populations)]))
+
+
+def _result(kind: Experiment, cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
+            tables: List[Table], failures=(), **meta: str) -> SweepResult:
+    """The runners' one result envelope; metadata leads with config_hash."""
+    return SweepResult(kind.value, axes, tables,
+                       {"config_hash": config_hash(cfg), **meta}, list(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +218,7 @@ def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
     """Single STIRAP run at the configured parameters, with and without
     dissipation; emits the sampled populations and a summary."""
     seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
-    grid = _grid_for(seq, cfg)
+    grid = _grid_for([seq], cfg)
     shift = _t01_peak(seq)
 
     res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
@@ -220,25 +242,13 @@ def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
 
     main, unitary = series("time_evolution", pd), series("time_evolution_unitary", pu)
     i_peak = int(pd[:, 2].argmax())
-    summary = Table(
-        name="time_evolution_summary",
-        columns=("peak_p2", "t_peak_ns", "final_p2", "p1_max_overlap",
-                 "p1_max_between_peaks", "unitary_final_p2"),
-        rows=np.array([[
-            pd[i_peak, 2],
-            times[i_peak] - shift,
-            pd[-1, 2],
-            pd[in_overlap, 1].max(),
-            pd[between, 1].max(),
-            pu[-1, 2],
-        ]]),
-    )
-    return SweepResult(
-        kind=Experiment.TIME_EVOLUTION.value,
-        axes={"t_ns": main.column("t_ns")},
-        tables=[main, unitary, summary],
-        metadata={"config_hash": config_hash(cfg)},
-    )
+    summary = Table("time_evolution_summary",
+                    ("peak_p2", "t_peak_ns", "final_p2", "p1_max_overlap",
+                     "p1_max_between_peaks", "unitary_final_p2"),
+                    np.array([[pd[i_peak, 2], times[i_peak] - shift, pd[-1, 2],
+                               pd[in_overlap, 1].max(), pd[between, 1].max(), pu[-1, 2]]]))
+    return _result(Experiment.TIME_EVOLUTION, cfg, {"t_ns": main.column("t_ns")},
+                   [main, unitary, summary])
 
 
 DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
@@ -247,46 +257,25 @@ DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
 def run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Population maps versus pulse separation on a common time window."""
     ts_axis = cfg.axis("t_separation_ns", DEFAULT_TS_AXIS)
-    p = cfg.pulses
     kw = _seq_kwargs(cfg)
     del kw["t_s"]
     seqs = [two_pulse_sequence(t_s=float(ts), **kw) for ts in ts_axis]
-    half_span = max(abs(float(ts)) for ts in ts_axis) / 2.0 + 4.0 * p.sigma_ns
-    grid = TimeGrid(-half_span, half_span, dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
-    batch = run_batch(seqs, cfg.transmon, grid, dim=3, dissipative=cfg.dissipative,
-                      workers=cfg.workers)
+    batch, failures = _sweep(cfg, seqs, t_separation_ns=ts_axis)
 
-    series_rows = []
-    summary_rows = []
-    for i, ts in enumerate(ts_axis):
-        pops = batch.populations[i]
-        shift = -float(ts) / 2.0  # the 01-pulse peak
-        series_rows.append(_timeseries_rows(float(ts), batch.times, pops, shift))
-        p2 = pops[:, 2]
-        summary_rows.append([
-            float(ts),
-            p2.max(),
-            p2[-1],
-            sustained_max(p2, batch.times, p.sigma_ns),
-        ])
-    series = Table("separation_sweep_timeseries",
-                   ("t_separation_ns", "t_ns", "p0", "p1", "p2"),
-                   np.vstack(series_rows))
+    p2 = batch.populations[:, :, 2]
     summary = Table("separation_sweep",
                     ("t_separation_ns", "peak_p2", "final_p2", "sustained_p2"),
-                    np.asarray(summary_rows))
-
+                    np.asarray([[float(ts), p.max(), p[-1],
+                                 sustained_max(p, batch.times, cfg.pulses.sigma_ns)]
+                                for ts, p in zip(ts_axis, p2)]))
+    # each cell's times are measured from its 01-pulse peak, -t_s/2
+    series = _series("separation_sweep_timeseries", "t_separation_ns", ts_axis,
+                     -ts_axis / 2.0, batch)
     sust = summary.column("sustained_p2")
-    pos = sust[ts_axis > 0]
-    meta = {
-        "config_hash": config_hash(cfg),
-        "argmax_sustained_ts_ns": repr(float(ts_axis[int(sust.argmax())])),
-        "positive_ts_alternations": str(count_alternations(pos)),
-    }
-    failures = [{"cell": int(c), "t_separation_ns": float(ts_axis[c]), "error": msg}
-                for c, msg in batch.failures]
-    return SweepResult(Experiment.SEPARATION_SWEEP.value, {"t_separation_ns": ts_axis},
-                       [summary, series], meta, failures)
+    return _result(Experiment.SEPARATION_SWEEP, cfg, {"t_separation_ns": ts_axis},
+                   [summary, series], failures,
+                   argmax_sustained_ts_ns=repr(float(ts_axis[int(sust.argmax())])),
+                   positive_ts_alternations=str(count_alternations(sust[ts_axis > 0])))
 
 
 DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
@@ -302,26 +291,18 @@ def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
     diffs = cfg.axis("detuning_diff_mhz", default_axis)
     kw = _seq_kwargs(cfg)
     del kw["delta01"], kw["delta12"]
-    cells = list(itertools.product(sums, diffs))
+    s_cell, d_cell = np.repeat(sums, len(diffs)), np.tile(diffs, len(sums))
     seqs = [two_pulse_sequence(delta01=mhz_to_rad_ns((s + d) / 2.0),
                                delta12=mhz_to_rad_ns((s - d) / 2.0), **kw)
-            for s, d in cells]
-    p = cfg.pulses
-    span = abs(p.t_separation_ns) / 2.0 + 4.0 * p.sigma_ns
-    grid = TimeGrid(-span, span, dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
-    batch = run_batch(seqs, cfg.transmon, grid, dim=dim, dissipative=cfg.dissipative,
-                      workers=cfg.workers)
-    rows = []
-    for (s, d), pops in zip(cells, batch.populations):
-        p2 = pops[:, -1]
-        p1 = pops[-1, 1] + pops[-1, 2] if dim == 4 else pops[-1, 1]  # both branches of |1>
-        rows.append([s, d, pops[-1, 0], p1, p2[-1], p2.max()])
+            for s, d in zip(s_cell, d_cell)]
+    batch, failures = _sweep(cfg, seqs, dim, detuning_sum_mhz=s_cell, detuning_diff_mhz=d_cell)
+    final = batch.populations[:, -1]
+    p1 = final[:, 1] + final[:, 2] if dim == 4 else final[:, 1]  # both branches of |1>
     table = Table(name,
                   ("detuning_sum_mhz", "detuning_diff_mhz",
                    "final_p0", "final_p1", "final_p2", "peak_p2"),
-                  np.asarray(rows))
-    failures = [{"cell": int(c), "detuning_sum_mhz": float(cells[c][0]),
-                 "detuning_diff_mhz": float(cells[c][1]), "error": msg} for c, msg in batch.failures]
+                  np.column_stack([s_cell, d_cell, final[:, 0], p1, final[:, -1],
+                                   batch.populations[:, :, -1].max(axis=1)]))
     return sums, diffs, table, failures
 
 
@@ -329,12 +310,10 @@ def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
     """Final and peak populations over the (sum, difference) detuning plane."""
     sums, diffs, table, failures = _run_plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS, dim=3)
 
+    i_sum0, j_diff0 = int(np.abs(sums).argmin()), int(np.abs(diffs).argmin())
     diag_rows = []
-    n_diff = len(diffs)
-    for label, col in (("final", "final_p2"), ("peak", "peak_p2")):
-        m = table.column(col).reshape(len(sums), n_diff)
-        i_sum0 = int(np.abs(sums).argmin())
-        j_diff0 = int(np.abs(diffs).argmin())
+    for col in ("final_p2", "peak_p2"):
+        m = table.column(col).reshape(len(sums), len(diffs))
         w_sum, cens_s = fwhm(sums, m[:, j_diff0])
         w_diff, cens_d = fwhm(diffs, m[i_sum0, :])
         sym = float(np.max(np.abs(m - m[:, ::-1])))
@@ -345,10 +324,9 @@ def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
         ("fwhm_sum_mhz", "fwhm_sum_censored", "fwhm_diff_mhz",
          "fwhm_diff_censored", "fwhm_ratio", "diff_mirror_asymmetry"),
         np.asarray(diag_rows))
-    return SweepResult(Experiment.DETUNING_MAP.value,
-                       {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
-                       [table, diagnostics],
-                       {"config_hash": config_hash(cfg)}, failures)
+    return _result(Experiment.DETUNING_MAP, cfg,
+                   {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
+                   [table, diagnostics], failures)
 
 
 DEFAULT_THETA_AXIS = tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 20.0))
@@ -360,28 +338,18 @@ def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
     seqs = [build_sequence(SequenceKind.HYBRID, theta_fast=float(th),
                            fast_duration=cfg.pulses.fast_duration_ns, **_seq_kwargs(cfg))
             for th in thetas]
-    grid = _grid_for(seqs[0], cfg)
-    batch = run_batch(seqs, cfg.transmon, grid, dim=3, dissipative=cfg.dissipative,
-                      workers=cfg.workers)
+    batch, failures = _sweep(cfg, seqs, theta_fast_rad=thetas)
     t01 = _t01_peak(seqs[0])
     late = batch.times >= t01
-
-    series_rows, summary_rows = [], []
-    for theta, pops in zip(thetas, batch.populations):
-        series_rows.append(_timeseries_rows(float(theta), batch.times, pops, t01))
-        p2 = pops[:, 2]
-        alternations = count_alternations(pops[late, 0], threshold=1e-3)
-        summary_rows.append([float(theta), p2[-1], p2.max(), float(alternations)])
     summary = Table("hybrid",
                     ("theta_fast_rad", "final_p2", "peak_p2", "late_p0_alternations"),
-                    np.asarray(summary_rows))
-    series = Table("hybrid_timeseries",
-                   ("theta_fast_rad", "t_ns", "p0", "p1", "p2"),
-                   np.vstack(series_rows))
-    failures = [{"cell": int(c), "theta_fast_rad": float(thetas[c]), "error": msg}
-                for c, msg in batch.failures]
-    return SweepResult(Experiment.HYBRID.value, {"theta_fast_rad": thetas},
-                       [summary, series], {"config_hash": config_hash(cfg)}, failures)
+                    np.asarray([[float(theta), pops[-1, 2], pops[:, 2].max(),
+                                 float(count_alternations(pops[late, 0], threshold=1e-3))]
+                                for theta, pops in zip(thetas, batch.populations)]))
+    series = _series("hybrid_timeseries", "theta_fast_rad", thetas,
+                     np.full(len(thetas), t01), batch)
+    return _result(Experiment.HYBRID, cfg, {"theta_fast_rad": thetas},
+                   [summary, series], failures)
 
 
 def run_reversal(cfg: ExperimentConfig) -> SweepResult:
@@ -389,16 +357,14 @@ def run_reversal(cfg: ExperimentConfig) -> SweepResult:
     kw = _seq_kwargs(cfg)
     seq = build_sequence(SequenceKind.REVERSAL,
                          reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)
-    grid = _grid_for(seq, cfg)
-    res = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
+    res = evolve(seq, cfg.transmon, _grid_for([seq], cfg), dissipative=cfg.dissipative)
     pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),
                    np.column_stack([res.times, pops]))
     summary = Table("reversal",
                     ("max_p2", "final_p0", "final_p1", "final_p2"),
                     np.array([[pops[:, 2].max(), pops[-1, 0], pops[-1, 1], pops[-1, 2]]]))
-    return SweepResult(Experiment.REVERSAL.value, {"t_ns": res.times},
-                       [summary, series], {"config_hash": config_hash(cfg)})
+    return _result(Experiment.REVERSAL, cfg, {"t_ns": res.times}, [summary, series])
 
 
 DEFAULT_SPLIT_AXIS = tuple(np.arange(-24.0, 25.0, 1.0))
@@ -421,18 +387,16 @@ def run_split_map(cfg: ExperimentConfig) -> SweepResult:
          "max_peak_p2", "midpoint_suppression"),
         np.array([[float(blob_count(peak_map)), float(blob_count(final_map)),
                    midpoint, float(peak_map.max()), float(peak_map.max() - midpoint)]]))
-    return SweepResult(Experiment.SPLIT_MAP.value,
-                       {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
-                       [table, diagnostics],
-                       {"config_hash": config_hash(cfg)}, failures)
+    return _result(Experiment.SPLIT_MAP, cfg,
+                   {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
+                   [table, diagnostics], failures)
 
 
 def run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
     """Simulate STIRAP, synthesize reference traces, and push every sampled
     state through the mix-and-invert measurement pipeline."""
     seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
-    grid = _grid_for(seq, cfg)
-    sim = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
+    sim = evolve(seq, cfg.transmon, _grid_for([seq], cfg), dissipative=cfg.dissipative)
     pops = sim.populations[0]
     refs = synth_reference_traces(cfg.cavity, cfg.transmon,
                                   tau_max=cfg.tomography.tau_max_ns,
@@ -442,18 +406,14 @@ def run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
     results = tomography_timeline(pops, refs, noise_std=noise_std,
                                   weight_ns=cfg.tomography.weight_ns, seed=cfg.seed)
     shift = _t01_peak(seq)
-    rows = []
-    for t, p_true, rec in zip(sim.times, pops, results):
-        rows.append([t - shift, *p_true, *rec.p, rec.residual])
+    rows = [[t - shift, *p_true, *rec.p, rec.residual]
+            for t, p_true, rec in zip(sim.times, pops, results)]
     table = Table("tomography_timeline",
                   ("t_ns", "p0", "p1", "p2", "p0_hat", "p1_hat", "p2_hat", "residual"),
                   np.asarray(rows))
     err = np.max(np.abs(table.rows[:, 4:7] - table.rows[:, 1:4]))
-    return SweepResult(Experiment.TOMOGRAPHY_TIMELINE.value,
-                       {"t_ns": table.column("t_ns")}, [table],
-                       {"config_hash": config_hash(cfg),
-                        "max_abs_error": repr(float(err)),
-                        "noise_std": repr(float(noise_std))})
+    return _result(Experiment.TOMOGRAPHY_TIMELINE, cfg, {"t_ns": table.column("t_ns")}, [table],
+                   max_abs_error=repr(float(err)), noise_std=repr(float(noise_std)))
 
 
 def run_berry(cfg: ExperimentConfig) -> SweepResult:
@@ -471,8 +431,7 @@ def run_berry(cfg: ExperimentConfig) -> SweepResult:
                     np.array([[res.gamma_berry, res.gamma_oracle, res.mismatch, res.leakage]]))
     path = realized_path(seq, grid.times[::grid.sample_stride])
     path_table = Table("berry_path", ("t_ns", "theta_rad", "phi_rad"), path.samples)
-    return SweepResult(Experiment.BERRY.value, {"t_ns": path.samples[:, 0]},
-                       [summary, path_table], {"config_hash": config_hash(cfg)})
+    return _result(Experiment.BERRY, cfg, {"t_ns": path.samples[:, 0]}, [summary, path_table])
 
 
 _RUNNERS = {

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
-from .pulses import GaussianPulse, PulseSequence
+from .pulses import FastPulse, GaussianPulse, PulseSequence
 
 
 def dissipator(params: TransmonParams, dim: int) -> np.ndarray:
@@ -90,10 +90,32 @@ def _min_sigma(seq: PulseSequence) -> Optional[float]:
 
 
 def check_step(seq: PulseSequence, grid: TimeGrid) -> None:
-    """Reject a grid step coarser than sigma/50 of the narrowest Gaussian pulse."""
+    """Reject a grid step coarser than sigma/50 of the narrowest Gaussian
+    pulse, and a FastPulse edge off the grid (see edge_steps)."""
     sig = _min_sigma(seq)
     if sig is not None and grid.dt > sig / 50.0 + 1e-12:
         raise ConfigurationError(
             f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"
         )
+    edge_steps(seq, grid)
 
+
+def edge_steps(seq: PulseSequence, grid: TimeGrid) -> List[int]:
+    """Steps k, 0 < k < n_steps, whose grid point is a FastPulse edge.
+
+    An edge inside the grid that is not within 1e-9 ns of a grid point
+    raises ConfigurationError: a step would integrate through it.
+    """
+    steps = set()
+    for p in seq.pulses:
+        if isinstance(p, FastPulse):
+            for e in (p.start_ns, p.start_ns + p.duration_ns):
+                k = round((e - grid.t_start) / grid.dt)
+                if abs(grid.t_start + k * grid.dt - e) < 1e-9:
+                    if 0 < k < grid.n_steps:
+                        steps.add(k)
+                elif grid.t_start < e < grid.t_start + grid.n_steps * grid.dt:
+                    raise ConfigurationError(
+                        f"FastPulse edge at {e!r} ns falls between the points of the "
+                        f"dt = {grid.dt} ns grid starting at {grid.t_start!r} ns")
+    return sorted(steps)

@@ -150,11 +150,12 @@ def _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans: Transmon
     return out
 
 
-def _check_grids(refs: Sequence[ReferenceTrace]):
-    base = refs[0].taus
-    for r in refs[1:]:
-        if r.taus.shape != base.shape or not np.array_equal(r.taus, base):
-            raise ConfigurationError("reference traces must share one tau grid")
+def _check_grids(traces: Sequence) -> None:
+    """Every trace (reference or measured) has I and Q on the first one's tau grid."""
+    base = traces[0].taus
+    for r in traces:
+        if not (r.taus.shape == r.I.shape == r.Q.shape == base.shape) or not np.array_equal(r.taus, base):
+            raise ConfigurationError("traces must share one tau grid")
 
 
 def mix_traces(
@@ -229,7 +230,7 @@ def reconstruct_populations(
     design's condition number exceeds 1e6; below that the reduced design
     has full column rank.
     """
-    _check_grids(list(refs) + [ReferenceTrace(meas.taus, meas.I, meas.Q, -1)])
+    _check_grids([*refs, meas])
     full_design = design_matrix(refs, weight_ns)
     cond = float(np.linalg.cond(full_design))
     if cond > 1e6:

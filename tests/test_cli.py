@@ -82,6 +82,15 @@ class TestRun:
         cfg = write_config(tmp_path, {"grid": {"dt_ns": 1.5, "sample_stride": 10}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_fast_pulse_edge_off_the_grid_exits_2(self, tmp_path, capsys):
+        # a 10.05 ns fast pulse ends between the points of the dt 0.1 ns grid
+        cfg = write_config(tmp_path, {"pulses": {"fast_duration_ns": 10.05}})
+        out = tmp_path / "o"
+        assert main(["hybrid", "--config", cfg, "--out", str(out),
+                     "--no-dissipation"]) == EXIT_CONFIG
+        assert "FastPulse edge at -225.0 ns" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("dtau_ns", 0.0), ("weight_ns", 0.0), ("tau_max_ns", -10.0), ("dtau_ns", -5.0),
         ("weight_ns", -5.0), ("noise_std_rel", -0.5),

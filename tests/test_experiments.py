@@ -441,6 +441,31 @@ class TestEmission:
         assert peak < 1e6
         assert (tmp_path / "big.csv").stat().st_size > 15e6
 
+    @pytest.mark.parametrize("experiment, overrides, axes", [
+        # both 600 MHz pulses peaking at once (t_s = 0) leave RK4's stable step
+        (Experiment.SEPARATION_SWEEP, {"pulses": PulseConfig(omega01_mhz=600.0, omega12_mhz=600.0)},
+         {"t_separation_ns": (-90.0, 0.0)}),
+        (Experiment.DETUNING_MAP, {}, {"detuning_sum_mhz": (0.0, 1e5), "detuning_diff_mhz": (0.0,)}),
+        (Experiment.HYBRID, {}, {"theta_fast_rad": (0.0, 1000.0)}),
+        (Experiment.SPLIT_MAP, {"transmon": TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))},
+         {"detuning_sum_mhz": (0.0, 1e5), "detuning_diff_mhz": (0.0,)}),
+    ], ids=["separation_sweep", "detuning_map", "hybrid", "split_map"])
+    def test_failure_record_names_the_cell_and_its_axis_values(self, tmp_path, experiment,
+                                                                overrides, axes):
+        # the second cell of each sweep is unstable for RK4 at dt 0.5 ns
+        cfg = cfg_with(experiment=experiment, sweep=axes, **overrides)
+        result = run_experiment(cfg)
+        assert len(result.failures) == 1
+        record = result.failures[0]
+        assert set(record) == {"cell", "error", *axes}
+        assert record["cell"] == 1
+        assert {k: record[k] for k in axes} == {k: v[-1] for k, v in axes.items()}
+        assert " at step " in record["error"]
+        emit(result, tmp_path, "csv")
+        manifest = json.loads((tmp_path / f"{experiment.value}_manifest.json").read_text())
+        assert manifest["failures"] == result.failures
+        assert manifest["config_hash"] == config_hash(cfg)
+
 
 class TestConfigParsing:
     def test_unknown_keys_rejected(self):

@@ -7,7 +7,7 @@ import pytest
 from stirap._batch import evolve
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
-from stirap.lindblad import TimeGrid, dissipator
+from stirap.lindblad import TimeGrid, check_step, dissipator, edge_steps
 from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
@@ -467,7 +467,7 @@ class TestBatchAgreement:
     def test_evolve_matches_one_cell_chunk(self, device_params):
         # evolve's RK4 step matrices are the kernel's RK4 on one cell, with the
         # same drive samples, FastPulse edges and checks, equal up to round-off
-        from stirap._batch import _edge_steps, evolve_chunk
+        from stirap._batch import evolve_chunk
 
         split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         stirap = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
@@ -483,7 +483,7 @@ class TestBatchAgreement:
         for rho0, dim, seq, params, dissipative in cases:
             grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=25)
             if seq is hybrid:
-                assert _edge_steps(seq, grid)  # the fast pulse's edge lies on the grid
+                assert edge_steps(seq, grid)  # the fast pulse's edge lies on the grid
             got = evolve(seq, params, grid, dim, dissipative, rho0)
             want = evolve_chunk([seq], params, grid, dim, dissipative, rho0, store_states=True)
             assert not want.failures and not got.failures
@@ -663,6 +663,32 @@ class TestBatchAgreement:
         grid = TimeGrid(-225.0, 225.0, dt=2.0, sample_stride=10)
         with pytest.raises(ConfigurationError, match="sigma/50"):
             run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0)], device_params, grid)
+
+    @pytest.mark.parametrize("fast_duration", [10.05, 10.01])
+    def test_fast_pulse_edge_off_the_grid_is_rejected(self, device_params, fast_duration):
+        # the grid starts at the fast pulse's start, so at dt 0.1 its end
+        # falls between two grid points, where a step would integrate
+        # through the discontinuity
+        from stirap._batch import run_batch
+
+        seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
+                             t_s=-90.0, theta_fast=math.pi / 2, fast_duration=fast_duration)
+        grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=50)
+        match = r"FastPulse edge at -225.0 ns .* dt = 0.1 ns"
+        with pytest.raises(ConfigurationError, match=match):
+            evolve(seq, device_params, grid)
+        with pytest.raises(ConfigurationError, match=match):
+            run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0), seq], device_params, grid)
+
+    def test_fast_pulse_edges_on_or_outside_the_grid_pass(self):
+        seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
+                             t_s=-90.0, theta_fast=math.pi / 2)  # 10 ns, from -235 to -225 ns
+        lo, hi = seq.window
+        # both edges on grid points (the first one the grid's start), then both before it
+        for t_start, steps in ((lo, [100]), (lo - 5.0, [50, 150]), (lo + 10.05, []), (lo + 20.0, [])):
+            grid = TimeGrid(t_start, hi, dt=0.1, sample_stride=50)
+            check_step(seq, grid)
+            assert edge_steps(seq, grid) == steps
 
 
 def eigvalsh_checks(y, dim, steps, grid):
