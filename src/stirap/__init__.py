@@ -21,7 +21,6 @@ from .errors import (  # noqa: F401
 from .hamiltonian import (  # noqa: F401
     CavityParams,
     DispersiveShifts,
-    DriveSample,
     SplitSpec,
     TransmonParams,
     dark_state,

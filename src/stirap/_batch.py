@@ -1,12 +1,13 @@
 """Vectorized many-trajectory RK4: the package's one integrator.
 
-Integrates a batch of independent systems that share the time grid and
-dissipator (lindblad.dissipator) but differ in their pulse sequences
-(amplitudes, detunings, timing).  A density matrix is held cells-last,
-shape (dim*dim, n_cells); a dissipationless run from a state vector, |0>
-by default, propagates the vector, shape (dim, n_cells), by the
-Schrodinger equation, with RHS -iH psi.  The Lindblad generator preserves
-Hermiticity, so a density matrix's RHS is X + X^H with
+Integrates a batch of independent systems that share the time grid, the
+transmon and its dissipator (lindblad.dissipator) but differ in their
+pulse sequences (amplitudes, detunings, timing).  The transmon fixes the
+level count d (TransmonParams.n_levels): 3, or 4 with a split |1>.  A
+density matrix is held cells-last, shape (d*d, n_cells); a dissipationless
+run from a state vector, |0> by default, propagates the vector, shape
+(d, n_cells), by the Schrodinger equation, with RHS -iH psi.  The Lindblad
+generator preserves Hermiticity, so a density matrix's RHS is X + X^H with
 X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
 its jumps move population only): both modes run only row updates from the
 fixed sparsity of H and D, a run of evenly spaced rows per call
@@ -17,7 +18,7 @@ over workers.
 
 evolve runs one cell as the same RK4 written as step matrices (y <- M y per
 step), whose M for a block of steps come from a few batched matrix products
-instead of evolve_chunk's 57 (dim 3) or 81 (dim 4) numpy calls per
+instead of evolve_chunk's 57 (d = 3) or 81 (d = 4) numpy calls per
 density-matrix step.  It takes run_batch's arguments for one sequence,
 returns the same BatchResult with every sample's state, and uses the
 kernel's drive rows, couplings, energies and dissipator; both judge a sample
@@ -33,6 +34,7 @@ straddles the discontinuity; lindblad.edge_steps rejects an edge off the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,13 +80,13 @@ def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
         raise IntegrationFailureError(message, step, grid.t_start + step * grid.dt)
 
 
-def _couplings(dim: int, params: TransmonParams):
+def _couplings(params: TransmonParams):
     """(row, col, transition, weight) with H[row, col] = weight * A_transition / 2.
 
-    The only dimension-specific data of the kernel; H[col, row] is the
+    The only level-count-specific data of the kernel; H[col, row] is the
     complex conjugate.
     """
-    if dim == 3:
+    if params.split is None:
         return ((1, 0, 0, 1.0), (1, 2, 1, 1.0))
     wa, wb = params.split.branch_weights
     return ((1, 0, 0, wa), (2, 0, 0, wb), (1, 3, 1, wa), (2, 3, 1, wb))
@@ -119,26 +121,25 @@ def _envelopes(seq: PulseSequence) -> tuple:
     return tuple(replace(p, detuning=0.0) for p in seq.pulses)
 
 
-def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, dim: int,
-                 params: TransmonParams):
+def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
     """The drive columns, the time blocks and the level energies, cells last.
 
     A column is (sequence, its edge steps): one column when every cell's
     pulses are equal apart from their detunings, so the cells share one
     drive, and one per cell otherwise.  The blocks [k0, k1) are cut every
     BLOCK steps and at every column's edge steps.  The energies have shape
-    (dim, n_cells).
+    (params.n_levels, n_cells).
     """
     shared = _envelopes(seqs[0])
     drive_seqs = seqs[:1] if all(_envelopes(s) == shared for s in seqs[1:]) else seqs
     drive = [(seq, edge_steps(seq, grid)) for seq in drive_seqs]
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
-    energies = np.zeros((dim, len(seqs)))
+    energies = np.zeros((params.n_levels, len(seqs)))
     for c, seq in enumerate(seqs):
         d01 = seq.detuning(Transition.T01)
         d12 = seq.detuning(Transition.T12)
-        if dim == 3:
+        if params.split is None:
             energies[1, c] = d01
             energies[2, c] = d01 + d12
         else:
@@ -167,21 +168,17 @@ def _drive_block(drive, grid: TimeGrid, k0: int, k1: int) -> np.ndarray:
     return rows
 
 
-def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
-                   rho0: Optional[np.ndarray]):
+def _initial_state(params: TransmonParams, dissipative: bool, rho0: Optional[np.ndarray]):
     """The validated initial state and the dissipator superoperator, None for a ket.
 
-    rho0 is |0><0| by default with dissipation and the ket |0> without; one
-    of a shape other than (dim,) or (dim, dim) raises ConfigurationError, a
-    matrix not Hermitian to HERMITICITY_TOL InvalidStateError.  A state
-    vector without dissipation is propagated as a ket; with dissipation it
-    stands for its projector.  A matrix without dissipation runs with a zero
-    dissipator.
+    rho0 is |0><0| by default with dissipation and the ket |0> without; with
+    d = params.n_levels, one of a shape other than (d,) or (d, d) raises
+    ConfigurationError, a matrix not Hermitian to HERMITICITY_TOL
+    InvalidStateError.  A state vector without dissipation is propagated as
+    a ket; with dissipation it stands for its projector.  A matrix without
+    dissipation runs with a zero dissipator.
     """
-    if dim not in (3, 4):
-        raise ConfigurationError(f"unsupported dimension {dim}")
-    if dim == 4 and params.split is None:
-        raise ConfigurationError("4-level batch needs transmon split parameters")
+    dim = params.n_levels
     if rho0 is None:
         rho0 = np.diag(np.eye(dim)[0]) if dissipative else np.eye(dim)[0]
     init = np.asarray(rho0, dtype=complex)
@@ -193,15 +190,15 @@ def _initial_state(params: TransmonParams, dim: int, dissipative: bool,
         return init, None
     if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
         raise InvalidStateError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
-    dsup = dissipator(params, dim) if dissipative else np.zeros((dim * dim, dim * dim), dtype=complex)
+    dsup = dissipator(params) if dissipative else np.zeros((dim * dim, dim * dim), dtype=complex)
     # exactly Hermitian, which X + X^H keeps
     return 0.5 * (init + init.conj().T), dsup
 
 
-def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: TimeGrid):
+def _sample_checks(y: np.ndarray, ket: bool, steps: np.ndarray, grid: TimeGrid):
     """Check each column of y, the state (vec of rho, or a ket) at step steps[i].
 
-    Returns the populations (dim, m), the trace (or norm) drift and the
+    Returns the populations (d, m), the trace (or norm) drift and the
     minimum eigenvalue clamped at 0 (0 for a ket or a non-finite state) per
     column, and {column: message} for the columns with a non-finite state,
     an entry above DIVERGED in magnitude, a drift above INTEGRATION_TOL or
@@ -213,6 +210,7 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
     finite matrices those pivots do not prove go to eigvalsh.  Both read the
     lower triangle and the real diagonal.
     """
+    dim = y.shape[0] if ket else math.isqrt(y.shape[0])
     finite = np.isfinite(y).all(axis=0)
     peak = np.abs(y).max(axis=0)
     eig = np.zeros(y.shape[1])
@@ -241,7 +239,7 @@ def _sample_checks(y: np.ndarray, dim: int, ket: bool, steps: np.ndarray, grid: 
     return p, drift, eig, bad
 
 
-def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int = 3,
+def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
            dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
     """Integrate one cell, keeping every sample's state: a batch of one.
 
@@ -254,10 +252,10 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int 
     Norsett & Wanner, Solving ODEs I, II.1), built one _chunk_drive block at a time.
     """
     check_step(seq, grid)
-    init, dsup = _initial_state(params, dim, dissipative, rho0)
-    n, dt = grid.n_steps, grid.dt
-    drive, blocks, energies = _chunk_drive([seq], grid, dim, params)
-    eye_h = np.eye(dim)
+    init, dsup = _initial_state(params, dissipative, rho0)
+    dt = grid.dt
+    drive, blocks, energies = _chunk_drive([seq], grid, params)
+    eye_h = np.eye(params.n_levels)
 
     def liouvillian(h: np.ndarray) -> np.ndarray:
         """-iH for a ket; -i(H (x) I - I (x) H^T) on the row-major vec of rho."""
@@ -265,7 +263,7 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int 
 
     # H is linear in the drive, so G(t) = G0 + sum_j (A_j(t) P_j + conj(A_j(t)) Q_j)
     g0 = liouvillian(np.diag(energies[:, 0])) + (0.0 if dsup is None else dsup)
-    couplings = _couplings(dim, params)
+    couplings = _couplings(params)
     basis = np.array([liouvillian(0.5 * w * np.outer(eye_h[i], eye_h[j])).ravel()
                       for r, c, _, w in couplings for i, j in ((r, c), (c, r))])
 
@@ -275,7 +273,8 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int 
 
     eye = np.eye(init.size)
     y = init.reshape(-1)
-    steps = np.array(sorted(set(range(0, n + 1, grid.sample_stride)) | {n}))
+    steps = grid.sample_steps
+    sampled = set(steps.tolist())
     samples = [y]
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in blocks:
@@ -288,10 +287,10 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid, dim: int 
             m = eye + (dt / 6.0) * (ga + 2.0 * gb_b1 + 2.0 * gb_b2 + gc_b3)
             for k, mk in zip(range(k0 + 1, k1 + 1), m):
                 y = mk @ y
-                if k % grid.sample_stride == 0 or k == n:
+                if k in sampled:
                     samples.append(y)
     states = np.array(samples).T
-    p, drift, eig, bad = _sample_checks(states, dim, dsup is None, steps, grid)
+    p, drift, eig, bad = _sample_checks(states, dsup is None, steps, grid)
     first = min(bad, default=None)  # the cell's failure is its first failing sample
     result = BatchResult(
         times=grid.t_start + steps * dt,
@@ -310,7 +309,6 @@ def evolve_chunk(
     seqs: Sequence[PulseSequence],
     params: TransmonParams,
     grid: TimeGrid,
-    dim: int = 3,
     dissipative: bool = True,
     rho0: Optional[np.ndarray] = None,
     store_states: bool = False,
@@ -321,12 +319,12 @@ def evolve_chunk(
     cell's first sample failing _sample_checks is recorded as its failure;
     the other cells run on.
     """
-    init, dsup = _initial_state(params, dim, dissipative, rho0)
+    init, dsup = _initial_state(params, dissipative, rho0)
     ket = dsup is None
     n_cells = len(seqs)
-    n, dt = grid.n_steps, grid.dt
-    drive, blocks, energies = _chunk_drive(seqs, grid, dim, params)
-    couplings = _couplings(dim, params)
+    dim, dt = params.n_levels, grid.dt
+    drive, blocks, energies = _chunk_drive(seqs, grid, params)
+    couplings = _couplings(params)
 
     if ket:
         ldiag, jumps = -1j * energies, []
@@ -338,8 +336,8 @@ def evolve_chunk(
 
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
 
-    sample_steps = set(range(0, n + 1, grid.sample_stride)) | {n}
-    times = np.empty(len(sample_steps))
+    sampled = set(grid.sample_steps.tolist())
+    times = np.empty(len(sampled))
     pops = np.empty((n_cells, times.size, dim))
     states = np.empty((n_cells, times.size, y.shape[0]), dtype=complex) if store_states else None
     max_drift = np.zeros(n_cells)
@@ -391,7 +389,7 @@ def evolve_chunk(
 
     def record(step: int):
         nonlocal sample_i
-        p, drift, eig, bad = _sample_checks(y, dim, ket, np.full(n_cells, step), grid)
+        p, drift, eig, bad = _sample_checks(y, ket, np.full(n_cells, step), grid)
         np.maximum(max_drift, drift, out=max_drift)
         np.minimum(min_eig, eig, out=min_eig)
         for c, message in bad.items():
@@ -433,7 +431,7 @@ def evolve_chunk(
                 k1 += k4
                 k1 *= dt / 6.0
                 y += k1
-                if (step + 1) in sample_steps:
+                if (step + 1) in sampled:
                     record(step + 1)
 
     return BatchResult(
@@ -451,7 +449,6 @@ def run_batch(
     seqs: Sequence[PulseSequence],
     params: TransmonParams,
     grid: TimeGrid,
-    dim: int = 3,
     dissipative: bool = True,
     rho0: Optional[np.ndarray] = None,
     workers: int = 1,
@@ -469,7 +466,7 @@ def run_batch(
     for seq in seqs:
         check_step(seq, grid)
     chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
-    args = [([seqs[i] for i in ch], params, grid, dim, dissipative, rho0) for ch in chunks]
+    args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]
     if workers > 1 and len(chunks) > 1:
         import concurrent.futures as cf
 
@@ -494,5 +491,4 @@ def run_batch(
 
 
 def _run_one_chunk(args) -> BatchResult:
-    seqs, params, grid, dim, dissipative, rho0 = args
-    return evolve_chunk(seqs, params, grid, dim, dissipative, rho0)
+    return evolve_chunk(*args)

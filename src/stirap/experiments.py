@@ -183,13 +183,13 @@ def _t01_peak(seq: PulseSequence) -> float:
     return centers[0] if centers else 0.0
 
 
-def _sweep(cfg: ExperimentConfig, seqs: List[PulseSequence], dim: int = 3, **axes):
+def _sweep(cfg: ExperimentConfig, seqs: List[PulseSequence], **axes):
     """Batch the cells on their common window.
 
     axes maps each axis name to its per-cell values; returns the batch and
     one record {"cell", <axis>: value, ..., "error"} per failed cell.
     """
-    batch = run_batch(seqs, cfg.transmon, _grid_for(seqs, cfg), dim=dim,
+    batch = run_batch(seqs, cfg.transmon, _grid_for(seqs, cfg),
                       dissipative=cfg.dissipative, workers=cfg.workers)
     failures = [{"cell": int(c), **{k: float(v[c]) for k, v in axes.items()}, "error": msg}
                 for c, msg in batch.failures]
@@ -281,7 +281,7 @@ def run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
 
 
-def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
+def _run_plane(cfg: ExperimentConfig, name: str, default_axis):
     """Batch the (sum, difference) detuning plane on one common window.
 
     Returns the two axes, the per-cell table of final and peak
@@ -295,9 +295,9 @@ def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
     seqs = [two_pulse_sequence(delta01=mhz_to_rad_ns((s + d) / 2.0),
                                delta12=mhz_to_rad_ns((s - d) / 2.0), **kw)
             for s, d in zip(s_cell, d_cell)]
-    batch, failures = _sweep(cfg, seqs, dim, detuning_sum_mhz=s_cell, detuning_diff_mhz=d_cell)
+    batch, failures = _sweep(cfg, seqs, detuning_sum_mhz=s_cell, detuning_diff_mhz=d_cell)
     final = batch.populations[:, -1]
-    p1 = final[:, 1] + final[:, 2] if dim == 4 else final[:, 1]  # both branches of |1>
+    p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>
     table = Table(name,
                   ("detuning_sum_mhz", "detuning_diff_mhz",
                    "final_p0", "final_p1", "final_p2", "peak_p2"),
@@ -308,7 +308,7 @@ def _run_plane(cfg: ExperimentConfig, name: str, default_axis, dim: int):
 
 def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
     """Final and peak populations over the (sum, difference) detuning plane."""
-    sums, diffs, table, failures = _run_plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS, dim=3)
+    sums, diffs, table, failures = _run_plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS)
 
     i_sum0, j_diff0 = int(np.abs(sums).argmin()), int(np.abs(diffs).argmin())
     diag_rows = []
@@ -374,7 +374,7 @@ def run_split_map(cfg: ExperimentConfig) -> SweepResult:
     """Detuning map with the split intermediate level (4-level system)."""
     if cfg.transmon.split is None:
         raise ConfigurationError("split_map needs transmon.split parameters")
-    sums, diffs, table, failures = _run_plane(cfg, "split_map", DEFAULT_SPLIT_AXIS, dim=4)
+    sums, diffs, table, failures = _run_plane(cfg, "split_map", DEFAULT_SPLIT_AXIS)
 
     peak_map = table.column("peak_p2").reshape(len(sums), len(diffs))
     final_map = table.column("final_p2").reshape(len(sums), len(diffs))
@@ -429,7 +429,7 @@ def run_berry(cfg: ExperimentConfig) -> SweepResult:
     summary = Table("berry",
                     ("gamma_berry_rad", "gamma_oracle_rad", "mismatch_rad", "leakage"),
                     np.array([[res.gamma_berry, res.gamma_oracle, res.mismatch, res.leakage]]))
-    path = realized_path(seq, grid.times[::grid.sample_stride])
+    path = realized_path(seq, grid.times[grid.sample_steps])
     path_table = Table("berry_path", ("t_ns", "theta_rad", "phi_rad"), path.samples)
     return _result(Experiment.BERRY, cfg, {"t_ns": path.samples[:, 0]}, [summary, path_table])
 
@@ -447,7 +447,12 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
-    """Run cfg.experiment; a sweep axis that experiment does not read is an error."""
+    """Run cfg.experiment; a sweep axis or a split transmon that experiment
+    does not read is an error."""
+    if cfg.transmon.split is not None and cfg.experiment is not Experiment.SPLIT_MAP:
+        raise ConfigurationError(
+            f"transmon.split is not read by {cfg.experiment.value}; "
+            f"only {Experiment.SPLIT_MAP.value} models the split intermediate level")
     reads = EXPERIMENT_AXES[cfg.experiment]
     for name in cfg.sweep:
         if name not in reads:

@@ -1,9 +1,11 @@
-"""Device parameters, drive samples, the dark state and dispersive shifts.
+"""Device parameters, the dark state and dispersive shifts.
 
-Drive phases enter through complex amplitudes A = Omega * exp(-i*phi)
-placed on the middle row of the rotating-frame Hamiltonian (the |1><0|
-and |1><2| couplings), which is the convention under which the dark state
-is cos(Theta)|0> - sin(Theta) exp(i*(phi12-phi01))|2> and H|D> = 0 at
+The transmon fixes the level count: three levels, or four when its
+intermediate level is split (TransmonParams.split).  Drive phases enter
+through complex amplitudes A = Omega * exp(-i*phi) placed on the middle
+row of the rotating-frame Hamiltonian (the |1><0| and |1><2| couplings),
+which is the convention under which the dark state is
+cos(Theta)|0> - sin(Theta) exp(i*(phi12-phi01))|2> and H|D> = 0 at
 two-photon resonance.  The batch kernel assembles that Hamiltonian from
 its coupling list; the dense 3- and 4-level matrices the tests check it
 against live in tests/oracles.py.
@@ -17,12 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    NonDispersiveError,
-    PreconditionError,
-    UndefinedFrameError,
-)
+from .errors import ConfigurationError, NonDispersiveError, UndefinedFrameError
 from .units import rate_mhz_to_per_ns
 
 
@@ -80,6 +77,11 @@ class TransmonParams:
             raise ConfigurationError("need f01 > f12 (negative anharmonicity)")
 
     @property
+    def n_levels(self) -> int:
+        """3, or 4 with the intermediate level split into |1a>, |1b>."""
+        return 3 if self.split is None else 4
+
+    @property
     def gamma10(self) -> float:
         """Relaxation rate 1->0 in 1/ns."""
         return rate_mhz_to_per_ns(self.gamma10_mhz)
@@ -97,39 +99,24 @@ class TransmonParams:
         return rate_mhz_to_per_ns(self.gamma_phi21_mhz)
 
 
-@dataclass(frozen=True)
-class DriveSample:
-    """Instantaneous drive parameters, angular units (rad/ns, rad)."""
+def dark_state(a01, a12) -> np.ndarray:
+    """Dark state cos(Theta)|0> - sin(Theta) exp(i*phi)|2> of the drive amplitudes.
 
-    omega01: float
-    omega12: float
-    delta01: float = 0.0
-    delta12: float = 0.0
-    phi01: float = 0.0
-    phi12: float = 0.0
-
-    def __post_init__(self):
-        if self.omega01 < 0 or self.omega12 < 0:
-            raise ConfigurationError("drive amplitudes must be nonnegative")
-
-
-def dark_state(s: DriveSample) -> np.ndarray:
-    """Dark state cos(Theta)|0> - sin(Theta) exp(i*phi)|2> of a drive sample.
-
-    Theta = atan2(Omega01, Omega12) and phi = phi12 - phi01.  It is the
-    zero-energy eigenvector of the rotating-frame Hamiltonian at
-    two-photon resonance, and it has no |1> component.
+    Theta = atan2(|A01|, |A12|) and phi = phi12 - phi01 with A = Omega exp(-i phi),
+    so the |0> component is real.  Amplitude arrays give one state per sample,
+    shape a01.shape + (3,).  It is the zero-energy eigenvector of the
+    rotating-frame Hamiltonian at two-photon resonance, and it has no |1>
+    component.  A sample with both amplitudes 0 raises UndefinedFrameError.
     """
-    if abs(s.delta01 + s.delta12) > 1e-12:
-        raise PreconditionError(
-            f"two-photon resonance violated: delta01 + delta12 = {s.delta01 + s.delta12:.3e}"
-        )
-    if s.omega01 == 0.0 and s.omega12 == 0.0:
-        raise UndefinedFrameError("dark state undefined with both drives off")
-
-    theta = math.atan2(s.omega01, s.omega12)
-    e = np.exp(1j * (s.phi12 - s.phi01))
-    return np.array([math.cos(theta), 0.0, -math.sin(theta) * e], dtype=complex)
+    a01, a12 = np.broadcast_arrays(np.asarray(a01, dtype=complex), np.asarray(a12, dtype=complex))
+    off = np.flatnonzero((a01 == 0) & (a12 == 0))
+    if off.size:
+        raise UndefinedFrameError(f"dark state undefined with both drives off (sample {off[0]})")
+    theta = np.arctan2(np.abs(a01), np.abs(a12))
+    dark = np.zeros(a01.shape + (3,), dtype=complex)
+    dark[..., 0] = np.cos(theta)
+    dark[..., 2] = -np.sin(theta) * np.exp(1j * (np.angle(a01) - np.angle(a12)))
+    return dark
 
 
 @dataclass(frozen=True)

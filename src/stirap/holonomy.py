@@ -9,8 +9,7 @@ up relative to the instantaneous dark state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,9 +51,9 @@ class ParameterPath:
 @dataclass(frozen=True)
 class PhaseResult:
     gamma_berry: float
-    gamma_oracle: Optional[float]
-    mismatch: Optional[float]
-    leakage: Optional[float] = None
+    gamma_oracle: float
+    mismatch: float
+    leakage: float
 
 
 def wrap_angle(x: float) -> float:
@@ -116,13 +115,14 @@ def adiabatic_phase_oracle(
             f"global adiabaticity metric {report.global_metric:.2f} <= {metric_threshold}"
         )
 
-    psi0 = dark_state(seq.drive_sample(grid.t_start))
-    sim = evolve(seq, params, grid, dissipative=False, rho0=psi0)
+    def dark(t):
+        return dark_state(seq.complex_amplitude(Transition.T01, t),
+                          seq.complex_amplitude(Transition.T12, t))
 
-    overlaps = np.empty(len(sim.times), dtype=complex)
-    for k, (t, psi) in enumerate(zip(sim.times, sim.states[0])):
-        dark = dark_state(seq.drive_sample(t))
-        overlaps[k] = np.vdot(dark, psi / math.sqrt(float(np.sum(np.abs(psi) ** 2))))
+    sim = evolve(seq, params, grid, dissipative=False, rho0=dark(grid.t_start))
+    psi = sim.states[0]
+    psi = psi / np.sqrt((np.abs(psi) ** 2).sum(axis=1))[:, None]
+    overlaps = np.einsum("ij,ij->i", dark(sim.times).conj(), psi)
 
     leakage = float(1.0 - np.abs(overlaps[-1]) ** 2)
     if leakage > 0.01:
@@ -166,7 +166,8 @@ def berry_vs_oracle(
 ) -> PhaseResult:
     """Compare the path integral against the propagation oracle."""
     oracle = adiabatic_phase_oracle(seq, params, grid, metric_threshold)
-    path = realized_path(seq, grid.times[:: max(1, grid.sample_stride // 2)])
+    half = replace(grid, sample_stride=max(1, grid.sample_stride // 2))
+    path = realized_path(seq, grid.times[half.sample_steps])
     gamma_b = berry_phase(path)
     return PhaseResult(
         gamma_berry=gamma_b,

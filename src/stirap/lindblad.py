@@ -2,10 +2,11 @@
 
 drho/dt = -i[H(t), rho] + sum_k rate_k * (L rho L^dag - {L^dag L, rho}/2)
 
-The dissipator enters the batch kernel as one d^2 x d^2 matrix.  The one
-integrator is the fixed-step RK4 of _batch, which runs a sweep (run_batch)
-or one cell (evolve); the dense right-hand side and jump operators the
-tests check it against live in tests/oracles.py.
+The dissipator enters the batch kernel as one d^2 x d^2 matrix, d the
+transmon's level count (TransmonParams.n_levels).  The one integrator is
+the fixed-step RK4 of _batch, which runs a sweep (run_batch) or one cell
+(evolve); the dense right-hand side and jump operators the tests check it
+against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .hamiltonian import TransmonParams
 from .pulses import FastPulse, GaussianPulse, PulseSequence
 
 
-def dissipator(params: TransmonParams, dim: int) -> np.ndarray:
+def dissipator(params: TransmonParams) -> np.ndarray:
     """The dissipator of the 3- or 4-level transmon on the row-major vec of rho.
 
     Channel (i, j, rate) is the jump L = |i><j| and adds
@@ -34,10 +35,9 @@ def dissipator(params: TransmonParams, dim: int) -> np.ndarray:
     {|0>, |1a>, |1b>, |2>} both intermediate branches receive the |1>-type
     channels, with the relaxation rates scaled by the squared branch weights
     so the decoupled-branch limit reproduces the 3-level dynamics exactly.
-    dim and params.split are checked by the caller.
     """
-    g10, g21 = params.gamma10, params.gamma21
-    if dim == 3:
+    g10, g21, dim = params.gamma10, params.gamma21, params.n_levels
+    if params.split is None:
         channels = [(0, 1, g10), (1, 2, g21),
                     (1, 1, 2.0 * params.gamma_phi10), (2, 2, 2.0 * params.gamma_phi21)]
     else:
@@ -82,6 +82,11 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
+
+    @property
+    def sample_steps(self) -> np.ndarray:
+        """The sampled steps: 0, sample_stride, 2 sample_stride, ... and n_steps."""
+        return np.append(np.arange(0, self.n_steps, self.sample_stride), self.n_steps)
 
 
 def _min_sigma(seq: PulseSequence) -> Optional[float]:

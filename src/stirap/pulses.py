@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InvalidPulseError, SingularPointError
-from .hamiltonian import DriveSample
 from .units import TWO_PI
 
 WINDOW_SIGMAS = 4.0  # envelope < 3.4e-4 of peak beyond this
@@ -178,18 +177,6 @@ class PulseSequence:
             env = env + p.envelope(t)
             denv = denv + p.envelope_derivative(t)
         return env, denv
-
-    def drive_sample(self, t: float) -> DriveSample:
-        a01 = complex(self.complex_amplitude(Transition.T01, t))
-        a12 = complex(self.complex_amplitude(Transition.T12, t))
-        return DriveSample(
-            omega01=abs(a01),
-            omega12=abs(a12),
-            delta01=self.detuning(Transition.T01),
-            delta12=self.detuning(Transition.T12),
-            phi01=-np.angle(a01) if a01 != 0 else 0.0,
-            phi12=-np.angle(a12) if a12 != 0 else 0.0,
-        )
 
     def gaussian_centers(self, transition: Transition):
         return [p.center_ns for p in self.pulses_on(transition) if isinstance(p, GaussianPulse)]

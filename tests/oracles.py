@@ -1,8 +1,9 @@
 """Dense reference forms of the rotating-frame Hamiltonians and the master equation.
 
 The batch kernel assembles its right-hand side from a coupling list and the
-superoperator of stirap.lindblad.dissipator; these are the textbook matrices
-and jump operators the tests check it against.  They import nothing from
+superoperator of stirap.lindblad.dissipator; these are the textbook matrices,
+built from the complex drive amplitudes and detunings, and the jump
+operators the tests check it against.  They import nothing from
 stirap._batch, stirap.lindblad or stirap.experiments, so an error in the
 kernel or its dissipator cannot leak into its references.
 """
@@ -14,31 +15,32 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from stirap.errors import ConfigurationError
-from stirap.hamiltonian import DriveSample, SplitSpec, TransmonParams
+from stirap.hamiltonian import SplitSpec, TransmonParams
+from stirap.pulses import PulseSequence, Transition
 from stirap.units import mhz_to_rad_ns
 
 
-def build_rotating_hamiltonian(s: DriveSample) -> np.ndarray:
+def build_rotating_hamiltonian(a01, a12, delta01=0.0, delta12=0.0) -> np.ndarray:
     """Three-level rotating-frame Hamiltonian, rad/ns (hbar = 1).
 
     H = (1/2) [[0,         A01*,      0     ],
                [A01,       2 d01,     A12   ],
                [0,         A12*,      2(d01+d12)]],
-    with A_ij = Omega_ij exp(-i phi_ij).  Hermitian by construction.
+    with the complex drive amplitudes A_ij = Omega_ij exp(-i phi_ij).
+    Hermitian by construction.
     """
-    a01 = s.omega01 * np.exp(-1j * s.phi01)
-    a12 = s.omega12 * np.exp(-1j * s.phi12)
     h = np.zeros((3, 3), dtype=complex)
     h[1, 0] = 0.5 * a01
     h[0, 1] = np.conj(h[1, 0])
     h[1, 2] = 0.5 * a12
     h[2, 1] = np.conj(h[1, 2])
-    h[1, 1] = s.delta01
-    h[2, 2] = s.delta01 + s.delta12
+    h[1, 1] = delta01
+    h[2, 2] = delta01 + delta12
     return h
 
 
-def build_split_hamiltonian(s: DriveSample, split: Optional[SplitSpec]) -> np.ndarray:
+def build_split_hamiltonian(a01, a12, split: Optional[SplitSpec], delta01=0.0,
+                            delta12=0.0) -> np.ndarray:
     """4-level Hamiltonian in the basis {|0>, |1a>, |1b>, |2>}, rad/ns.
 
     The intermediate branches sit at delta01 -+ omega_split/2 and couple
@@ -48,8 +50,6 @@ def build_split_hamiltonian(s: DriveSample, split: Optional[SplitSpec]) -> np.nd
         raise ConfigurationError("split spec required for the 4-level Hamiltonian")
     wa, wb = split.branch_weights
     omega_split = mhz_to_rad_ns(split.delta_split_mhz)
-    a01 = s.omega01 * np.exp(-1j * s.phi01)
-    a12 = s.omega12 * np.exp(-1j * s.phi12)
     h = np.zeros((4, 4), dtype=complex)
     h[1, 0] = 0.5 * wa * a01
     h[2, 0] = 0.5 * wb * a01
@@ -59,28 +59,36 @@ def build_split_hamiltonian(s: DriveSample, split: Optional[SplitSpec]) -> np.nd
     h[0, 2] = np.conj(h[2, 0])
     h[3, 1] = np.conj(h[1, 3])
     h[3, 2] = np.conj(h[2, 3])
-    h[1, 1] = s.delta01 - omega_split / 2.0
-    h[2, 2] = s.delta01 + omega_split / 2.0
-    h[3, 3] = s.delta01 + s.delta12
+    h[1, 1] = delta01 - omega_split / 2.0
+    h[2, 2] = delta01 + omega_split / 2.0
+    h[3, 3] = delta01 + delta12
     return h
 
 
-def jump_operators(params: TransmonParams, dim: int) -> List[Tuple[float, np.ndarray]]:
+def sequence_hamiltonian(seq: PulseSequence, t: float, split: Optional[SplitSpec] = None):
+    """The dense Hamiltonian of a pulse sequence at time t: 3-level, or 4-level with a split."""
+    a01, a12 = (complex(seq.complex_amplitude(tr, t)) for tr in (Transition.T01, Transition.T12))
+    detunings = seq.detuning(Transition.T01), seq.detuning(Transition.T12)
+    if split is None:
+        return build_rotating_hamiltonian(a01, a12, *detunings)
+    return build_split_hamiltonian(a01, a12, split, *detunings)
+
+
+def jump_operators(params: TransmonParams) -> List[Tuple[float, np.ndarray]]:
     """The transmon's loss channels as (rate in 1/ns, jump operator L).
 
     Relaxation |1> -> |0> at Gamma10 and |2> -> |1> at Gamma21, and pure
     dephasing by the projectors |1><1| and |2><2| at twice the dephasing
     rates, so that the 0-1 coherence decays at gamma_phi10.  In the split
     basis {|0>, |1a>, |1b>, |2>} the branch with weight w relaxes at
-    w^2 Gamma10 and w^2 Gamma21 and both branches dephase at 2 gamma_phi10.
+    w^2 Gamma10 and w^2 Gamma21 and both branches dephase at 2 gamma_phi10;
+    the split basis is used when params.split is set.
     """
     dephasing10, dephasing21 = 2.0 * params.gamma_phi10, 2.0 * params.gamma_phi21
-    if dim == 3:
+    if params.split is None:
         g0, g1, g2 = np.eye(3, dtype=complex)
         return [(params.gamma10, np.outer(g0, g1)), (params.gamma21, np.outer(g1, g2)),
                 (dephasing10, np.outer(g1, g1)), (dephasing21, np.outer(g2, g2))]
-    if dim != 4 or params.split is None:
-        raise ConfigurationError("jump operators need dim 3, or dim 4 with a split spec")
     wa, wb = params.split.branch_weights
     g0, g1a, g1b, g2 = np.eye(4, dtype=complex)
     return [(wa ** 2 * params.gamma10, np.outer(g0, g1a)),

@@ -91,6 +91,15 @@ class TestRun:
         assert "FastPulse edge at -225.0 ns" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_split_transmon_exits_2(self, tmp_path, capsys):
+        # only the split map models a split |1>; the other experiments used to
+        # ignore it and write 3-level results
+        cfg = write_config(tmp_path, {**FAST, "transmon": {"split": {"delta_split_mhz": 15.0}}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "transmon.split is not read by time_evolution" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("dtau_ns", 0.0), ("weight_ns", 0.0), ("tau_max_ns", -10.0), ("dtau_ns", -5.0),
         ("weight_ns", -5.0), ("noise_std_rel", -0.5),

@@ -23,6 +23,7 @@ from stirap.experiments import (
     emit,
     fwhm,
     overlap_window,
+    run_berry,
     run_detuning_map,
     run_experiment,
     run_hybrid,
@@ -37,7 +38,7 @@ from stirap.lindblad import TimeGrid
 from stirap.pulses import SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
-from oracles import build_rotating_hamiltonian, jump_operators, lindblad_rhs
+from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
 
 FAST_GRID = GridConfig(dt_ns=0.5, sample_stride=20)
 
@@ -162,7 +163,7 @@ class TestSeparationSweep:
 
     def test_cells_match_dop853_oracle(self):
         # independent oracle for the cells acceptance criterion 2b reads: the
-        # same Lindblad equation, from build_rotating_hamiltonian,
+        # same Lindblad equation, from sequence_hamiltonian,
         # jump_operators and lindblad_rhs, under scipy's DOP853.  -200 ns fixes the common
         # window at the acceptance sweep's +-280 ns.
         from scipy.integrate import solve_ivp
@@ -175,7 +176,7 @@ class TestSeparationSweep:
         series = result.table("separation_sweep_timeseries")
         summary = result.table("separation_sweep")
         p = cfg.pulses
-        jumps = jump_operators(cfg.transmon, 3)
+        jumps = jump_operators(cfg.transmon)
         rho0 = np.zeros((3, 3), dtype=complex)
         rho0[0, 0] = 1.0
         for ts in axis[1:]:
@@ -185,7 +186,7 @@ class TestSeparationSweep:
                                      mhz_to_rad_ns(p.omega12_mhz), p.sigma_ns, ts)
 
             def rhs(t, y, seq=seq):
-                h = build_rotating_hamiltonian(seq.drive_sample(t))
+                h = sequence_hamiltonian(seq, t)
                 return lindblad_rhs(y.view(complex).reshape(3, 3), h, jumps).ravel().view(float)
 
             sol = solve_ivp(rhs, (times[0], times[-1]), rho0.ravel().view(float),
@@ -347,6 +348,17 @@ class TestSplitMap:
             run_split_map(cfg_with())
 
 
+class TestBerry:
+    def test_path_ends_at_the_last_step(self):
+        # sample_stride 7 does not divide the 7200 steps of the default berry grid
+        cfg = cfg_with(experiment=Experiment.BERRY, grid=GridConfig(dt_ns=0.05, sample_stride=7))
+        path = run_berry(cfg).table("berry_path")
+        grid = TimeGrid(-180.0, 180.0, dt=0.05, sample_stride=7)
+        assert grid.n_steps % 7 != 0
+        # steps 0, 7, ..., 7196, and then the last one
+        assert np.array_equal(path.column("t_ns"), np.append(grid.times[::7], grid.times[-1]))
+
+
 class TestEmission:
     @pytest.fixture()
     def small_cfg(self):
@@ -493,6 +505,20 @@ class TestConfigParsing:
     def test_experiment_name_validation(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"experiment": "nonexistent"})
+
+    @pytest.mark.parametrize("experiment", [e for e in Experiment if e is not Experiment.SPLIT_MAP],
+                             ids=lambda e: e.value)
+    def test_split_transmon_outside_split_map_fails_before_the_run(self, monkeypatch, experiment):
+        # the transmon fixes the level count, and only split_map reads a split |1>
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr("stirap.experiments.run_batch", no_integration)
+        monkeypatch.setattr("stirap.experiments.evolve", no_integration)
+        cfg = ExperimentConfig(experiment=experiment,
+                               transmon=TransmonParams(split=SplitSpec(15.0)))
+        with pytest.raises(ConfigurationError, match=rf"transmon\.split is not read by {experiment.value}"):
+            run_experiment(cfg)
 
     def test_axis_the_experiment_does_not_read_fails_before_the_run(self, monkeypatch):
         # the Python API takes any axis name; the runner would sweep its default axis

@@ -162,6 +162,21 @@ class TestOracle:
         expected = math.pi + phi_final + gamma
         assert abs(wrap_angle(float(np.angle(amp2)) - expected)) < 1e-2
 
+    def test_integral_path_ends_at_the_last_step(self, device_params, monkeypatch):
+        # the path is sampled every sample_stride // 2 = 7 steps, which do not
+        # divide the 7200 steps; it still ends where the oracle's samples end
+        import stirap.holonomy as holonomy
+
+        seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi)
+        grid = TimeGrid(seq.window[0], seq.window[1], dt=0.05, sample_stride=14)
+        assert grid.n_steps % 7 != 0
+        seen = []
+        monkeypatch.setattr(holonomy, "realized_path",
+                            lambda s, t, real=realized_path: seen.append(t) or real(s, t))
+        berry_vs_oracle(seq, device_params, grid)
+        assert seen[0][-1] == grid.times[-1]
+        assert np.array_equal(seen[0][:-1], grid.times[:-1:7])
+
     def test_precondition_errors(self, device_params):
         slow = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi,
                                       omega_rms=mhz_to_rad_ns(30.0))

@@ -8,11 +8,10 @@ from stirap._batch import evolve
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
 from stirap.lindblad import TimeGrid, check_step, dissipator, edge_steps
-from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
+from stirap.pulses import PhaseRamp, SequenceKind, Transition, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
-from oracles import (build_rotating_hamiltonian, build_split_hamiltonian, jump_operators,
-                     lindblad_rhs)
+from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
 
 OM01 = mhz_to_rad_ns(43.4)
 OM12 = mhz_to_rad_ns(38.2)
@@ -78,7 +77,7 @@ class TestBuildDissipators:
 
     def test_split_system_weighted_rates(self):
         params = TransmonParams(split=SplitSpec(15.0, (1.0, 0.0)))
-        sup = dissipator(params, 4)
+        sup = dissipator(params)
         # a jump |i><j| moves population at its rate from rho_jj (vec index 5 j)
         # to rho_ii (5 i); with weights (1, 0) only the |1a> branch relaxes
         assert abs(sup[0, 5] - params.gamma10) < 1e-15  # |1a> -> |0>
@@ -94,7 +93,7 @@ class TestLindbladRhs:
         assert np.all(out == 0)
 
     def test_traceless_and_hermitian(self, rng):
-        jumps = jump_operators(TransmonParams(), 3)
+        jumps = jump_operators(TransmonParams())
         for _ in range(50):
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             rho = m @ m.conj().T
@@ -122,8 +121,8 @@ class TestLindbladRhs:
         # at 3 levels and on the 4-level split with unequal branch weights
         split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         for params, dim in ((TransmonParams(), 3), (split, 4)):
-            sup = dissipator(params, dim)
-            jumps = jump_operators(params, dim)
+            sup = dissipator(params)
+            jumps = jump_operators(params)
             for _ in range(20):
                 m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 rho = m @ m.conj().T
@@ -198,11 +197,10 @@ class TestEvolve:
         res = evolve(stirap_sequence, device_params, grid, dissipative=False,
                      rho0=np.eye(3)[0])
         t12, t01 = -45.0, 45.0
-        overlaps = []
-        for t, state in zip(res.times, res.states[0]):
-            if t12 <= t <= t01:
-                dark = dark_state(stirap_sequence.drive_sample(float(t)))
-                overlaps.append(abs(np.vdot(dark, state)) ** 2)
+        inside = (res.times >= t12) & (res.times <= t01)
+        dark = dark_state(stirap_sequence.complex_amplitude(Transition.T01, res.times[inside]),
+                          stirap_sequence.complex_amplitude(Transition.T12, res.times[inside]))
+        overlaps = np.abs(np.einsum("ij,ij->i", dark.conj(), res.states[0][inside])) ** 2
         assert min(overlaps) >= 0.93
         assert overlaps[-1] >= 0.98
 
@@ -263,19 +261,23 @@ class TestEvolve:
         p = np.real(np.diag(mid))
         assert abs(p.sum() - 1.0) < 1e-8
 
-    def test_split_evolution_requires_split_params(self, device_params):
-        seq = no_drive_sequence()
-        grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10)
-        with pytest.raises(ConfigurationError):
-            evolve(seq, device_params, grid, dim=4)
-
     def test_four_level_populations(self):
         params = TransmonParams(split=SplitSpec(15.0))
         seq = two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0)
         grid = TimeGrid(-225.0, 225.0, dt=0.25, sample_stride=100)
-        res = evolve(seq, params, grid, dim=4)
+        res = evolve(seq, params, grid)
         assert res.populations[0].shape[1] == 4
         assert np.max(np.abs(res.populations[0].sum(axis=1) - 1.0)) < 1e-6
+
+    def test_samples_end_at_the_last_step(self, device_params):
+        # a stride that does not divide the step count still samples the last step
+        from stirap._batch import evolve_chunk
+
+        grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=30)
+        assert grid.sample_steps.tolist() == [0, 30, 60, 90, 120, 150, 180, 200]
+        for res in (evolve(no_drive_sequence(), device_params, grid),
+                    evolve_chunk([no_drive_sequence()], device_params, grid)):
+            assert np.array_equal(res.times, grid.times[grid.sample_steps])
 
     def test_integration_failure_names_step(self, device_params):
         # force a failure by corrupting the initial state's trace
@@ -286,27 +288,26 @@ class TestEvolve:
         assert err.value.step == 0
 
 
-def dop853_populations(seq, params, times, dim=3, ket=False, edges=()):
+def dop853_populations(seq, params, times, ket=False, edges=()):
     """Populations at the given times from scipy's DOP853 (rtol 1e-11).
 
     An independent oracle for the batch kernel: the dense Hamiltonian of
-    build_rotating_hamiltonian (or build_split_hamiltonian) with lindblad_rhs
-    and jump_operators, or the Schrodinger equation for a ket.  The
+    sequence_hamiltonian (3-level, or 4-level for a split transmon) with
+    lindblad_rhs and jump_operators, or the Schrodinger equation for a ket.  The
     integration restarts at each time in edges, and inside a piece the drive
     is sampled 1e-9 ns inside it, so no step straddles a FastPulse edge.
     """
     from scipy.integrate import solve_ivp
 
-    jumps = jump_operators(params, dim)
+    jumps = jump_operators(params)
+    dim = 3 if params.split is None else 4
     y = np.zeros(dim if ket else dim * dim, dtype=complex)
     y[0] = 1.0
     bounds = [times[0], *edges, times[-1]]
     pops = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         def rhs(t, yr, lo=lo, hi=hi):
-            sample = seq.drive_sample(min(max(t, lo + 1e-9), hi - 1e-9))
-            h = (build_rotating_hamiltonian(sample) if dim == 3
-                 else build_split_hamiltonian(sample, params.split))
+            h = sequence_hamiltonian(seq, min(max(t, lo + 1e-9), hi - 1e-9), params.split)
             z = yr.view(complex)
             out = -1j * (h @ z) if ket else lindblad_rhs(z.reshape(dim, dim), h, jumps).ravel()
             return out.view(float)
@@ -331,10 +332,10 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
                                    delta01=mhz_to_rad_ns(d), delta12=mhz_to_rad_ns(-d))
                 for d in (-6.0, 4.0)]
-        batch = run_batch(seqs, params, grid, dim=4)
+        batch = run_batch(seqs, params, grid)
         assert not batch.failures
         for i, seq in enumerate(seqs):
-            want = dop853_populations(seq, params, batch.times, dim=4)
+            want = dop853_populations(seq, params, batch.times)
             assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -350,11 +351,10 @@ class TestBatchAgreement:
                                    delta12=mhz_to_rad_ns(2.0), phase_ramp12=ramp)
                 for ts, d, ramp in ((-90.0, -3.0, None),
                                     (-60.0, 5.0, PhaseRamp(-45.0, 45.0, math.pi)))]
-        batch = run_batch(seqs, params, grid, dim=dim, dissipative=False,
-                          rho0=np.eye(dim)[0])
+        batch = run_batch(seqs, params, grid, dissipative=False, rho0=np.eye(dim)[0])
         assert not batch.failures
         for i, seq in enumerate(seqs):
-            want = dop853_populations(seq, params, batch.times, dim=dim, ket=True)
+            want = dop853_populations(seq, params, batch.times, ket=True)
             assert np.max(np.abs(batch.populations[i] - want)) <= 1e-8
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -370,10 +370,9 @@ class TestBatchAgreement:
         gaps = []
         for dt in (0.2, 0.1):
             grid = TimeGrid(-225.0, 225.0, dt=dt, sample_stride=round(5.0 / dt))
-            default = run_batch(seqs, params, grid, dim=dim, dissipative=False)
-            ket = run_batch(seqs, params, grid, dim=dim, dissipative=False, rho0=np.eye(dim)[0])
-            matrix = run_batch(seqs, params, grid, dim=dim, dissipative=False,
-                               rho0=np.diag(np.eye(dim)[0]))
+            default = run_batch(seqs, params, grid, dissipative=False)
+            ket = run_batch(seqs, params, grid, dissipative=False, rho0=np.eye(dim)[0])
+            matrix = run_batch(seqs, params, grid, dissipative=False, rho0=np.diag(np.eye(dim)[0]))
             assert np.array_equal(default.populations, ket.populations)
             assert np.array_equal(default.trace_drift, ket.trace_drift)
             gaps.append(np.max(np.abs(default.populations - matrix.populations)))
@@ -427,11 +426,11 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
                                    delta01=mhz_to_rad_ns(d01), delta12=mhz_to_rad_ns(d12))
                 for d01 in (-6.0, 0.0, 4.0) for d12 in (-3.0, 5.0)]
-        assert len(_chunk_drive(seqs, grid, 4, params)[0]) == 1  # one drive column
-        want = run_batch(seqs, params, grid, dim=4, chunk_size=len(seqs))
+        assert len(_chunk_drive(seqs, grid, params)[0]) == 1  # one drive column
+        want = run_batch(seqs, params, grid, chunk_size=len(seqs))
         for chunk in (1, 3, len(seqs)):
             for workers in (1, 2):
-                got = run_batch(seqs, params, grid, dim=4, workers=workers, chunk_size=chunk)
+                got = run_batch(seqs, params, grid, workers=workers, chunk_size=chunk)
                 for f in dataclasses.fields(want):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
 
@@ -474,18 +473,18 @@ class TestBatchAgreement:
         hybrid = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
                                 t_s=-90.0, theta_fast=math.pi)
         cases = (
-            (np.diag([1.0, 0.0, 0.0]), 3, stirap, device_params, True),
-            (np.eye(3)[0], 3, stirap, device_params, False),
-            (np.diag([1.0, 0.0, 0.0, 0.0]), 4,
+            (np.diag([1.0, 0.0, 0.0]), stirap, device_params, True),
+            (np.eye(3)[0], stirap, device_params, False),
+            (np.diag([1.0, 0.0, 0.0, 0.0]),
              two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0), split, True),
-            (np.diag([1.0, 0.0, 0.0]), 3, hybrid, device_params, True),
+            (np.diag([1.0, 0.0, 0.0]), hybrid, device_params, True),
         )
-        for rho0, dim, seq, params, dissipative in cases:
+        for rho0, seq, params, dissipative in cases:
             grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=25)
             if seq is hybrid:
                 assert edge_steps(seq, grid)  # the fast pulse's edge lies on the grid
-            got = evolve(seq, params, grid, dim, dissipative, rho0)
-            want = evolve_chunk([seq], params, grid, dim, dissipative, rho0, store_states=True)
+            got = evolve(seq, params, grid, dissipative, rho0)
+            want = evolve_chunk([seq], params, grid, dissipative, rho0, store_states=True)
             assert not want.failures and not got.failures
             assert np.array_equal(got.times, want.times)
             assert got.states.shape == want.states.shape
@@ -558,7 +557,7 @@ class TestBatchAgreement:
         assert grid.n_steps >= 20000
         tracemalloc.start()
         try:
-            evolve(seq, params, grid, dim=4)
+            evolve(seq, params, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -618,7 +617,7 @@ class TestBatchAgreement:
         grid = TimeGrid(0.0, 100.0, dt=0.5)
         for run in (evolve, lambda seq, *a, **kw: run_batch([seq], *a, **kw)):
             with pytest.raises(ConfigurationError, match=rf"rho0 of shape \({shape[0]},"):
-                run(no_drive_sequence(), params, grid, dim=dim, rho0=rho0)
+                run(no_drive_sequence(), params, grid, rho0=rho0)
 
     def test_empty_batch_is_rejected(self, device_params):
         from stirap._batch import run_batch
@@ -632,7 +631,7 @@ class TestBatchAgreement:
         # entries are real rates from one population to another
         split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         for params, dim in ((device_params, 3), (split, 4)):
-            sup = dissipator(params, dim)
+            sup = dissipator(params)
             diag = np.diag(sup).reshape(dim, dim)
             assert np.all(diag.imag == 0.0) and np.array_equal(diag, diag.T)
             k, l = np.nonzero(sup - np.diag(np.diag(sup)))
@@ -651,7 +650,7 @@ class TestBatchAgreement:
             seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(d),
                                        delta12=mhz_to_rad_ns(-d))
                     for d in (-6.0, 0.0, 4.0)]
-            res = evolve_chunk(seqs, params, grid, dim=dim, store_states=True)
+            res = evolve_chunk(seqs, params, grid, store_states=True)
             assert not res.failures
             rho = res.states.reshape(len(seqs), -1, dim, dim)
             assert np.array_equal(rho, np.conj(np.swapaxes(rho, 2, 3)))
@@ -746,7 +745,7 @@ class TestSampleChecks:
         y, labels = self.states(dim, np.random.default_rng(20 + dim))
         grid = TimeGrid(0.0, 100.0, dt=0.5)
         steps = np.arange(y.shape[1]) * 10
-        _, _, eig, bad = _sample_checks(y, dim, False, steps, grid)
+        _, _, eig, bad = _sample_checks(y, False, steps, grid)
         want_eig, want_bad = eigvalsh_checks(y, dim, steps, grid)
         assert bad == want_bad  # the same failing cells, with the same messages
         assert np.max(np.abs(eig - want_eig)) <= 1e-15
