@@ -18,6 +18,7 @@ from .config import (
     Experiment,
     ExperimentConfig,
     OutputConfig,
+    check_reads,
     config_hash,
     load_config,
 )
@@ -58,15 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ExperimentConfig:
-    return load_config(args.config) if args.config else ExperimentConfig()
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.command == "validate-config":
+            check_reads(cfg)
             print(f"ok {config_hash(cfg)}")
             return EXIT_OK
 

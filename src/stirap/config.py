@@ -6,7 +6,8 @@ in the key names (sigma_ns, omega01_mhz, ...); config_from_dict walks
 the dataclass fields and their type hints, so unknown keys are rejected,
 value types are checked (a bool is not a number, an int field takes no
 float) and each section then validates its own values.  Axes are either
-explicit value lists or {"start", "stop", "step"} ranges.  The config
+explicit value lists or {"start", "stop", "step"} ranges; READS says which
+axes, and whether transmon.split, each experiment reads.  The config
 hash covers every field but workers and output.
 """
 
@@ -47,7 +48,6 @@ class PulseConfig:
     delta12_mhz: float = 0.0
     phi01_rad: float = 0.0
     phi12_rad: float = 0.0
-    theta_fast_rad: float = math.pi / 2
     fast_duration_ns: float = 10.0
     reversal_spacing_ns: Optional[float] = None
 
@@ -136,28 +136,42 @@ class ExperimentConfig:
         if not self.seed >= 0:  # numpy seeds are nonnegative
             raise ConfigurationError("seed must be >= 0")
         for name, values in self.sweep.items():
+            if len(values) == 0:
+                raise ConfigurationError(f"sweep axis {name!r} is empty")
             if not all(math.isfinite(v) for v in values):
                 raise ConfigurationError(f"sweep axis {name!r} holds a non-finite value")
 
     def axis(self, name: str, default: Tuple[float, ...]) -> np.ndarray:
-        values = self.sweep.get(name, default)
-        if len(values) == 0:
-            raise ConfigurationError(f"sweep axis {name!r} is empty")
-        return np.asarray(values, dtype=float)
+        return np.asarray(self.sweep.get(name, default), dtype=float)
 
 
-# The sweep axes each experiment's runner reads; run_experiment rejects any other.
-EXPERIMENT_AXES: Dict[Experiment, Tuple[str, ...]] = {
-    Experiment.TIME_EVOLUTION: (),
-    Experiment.SEPARATION_SWEEP: ("t_separation_ns",),
-    Experiment.DETUNING_MAP: ("detuning_sum_mhz", "detuning_diff_mhz"),
-    Experiment.HYBRID: ("theta_fast_rad",),
-    Experiment.REVERSAL: (),
-    Experiment.SPLIT_MAP: ("detuning_sum_mhz", "detuning_diff_mhz"),
-    Experiment.TOMOGRAPHY_TIMELINE: (),
-    Experiment.BERRY: (),
+# What each experiment reads beyond the common sections: its sweep axes,
+# and whether it models the split intermediate level (transmon.split).
+READS: Dict[Experiment, Tuple[Tuple[str, ...], bool]] = {
+    Experiment.TIME_EVOLUTION: ((), False),
+    Experiment.SEPARATION_SWEEP: (("t_separation_ns",), False),
+    Experiment.DETUNING_MAP: (("detuning_sum_mhz", "detuning_diff_mhz"), False),
+    Experiment.HYBRID: (("theta_fast_rad",), False),
+    Experiment.REVERSAL: ((), False),
+    Experiment.SPLIT_MAP: (("detuning_sum_mhz", "detuning_diff_mhz"), True),
+    Experiment.TOMOGRAPHY_TIMELINE: ((), False),
+    Experiment.BERRY: ((), False),
 }
-_SWEEP_AXES = set().union(*EXPERIMENT_AXES.values())
+_SWEEP_AXES = set().union(*(axes for axes, _ in READS.values()))
+
+
+def check_reads(cfg: ExperimentConfig) -> None:
+    """Reject what cfg.experiment does not read, and a split experiment without its split."""
+    axes, split = READS[cfg.experiment]
+    name = cfg.experiment.value
+    if split and cfg.transmon.split is None:
+        raise ConfigurationError(f"{name} needs transmon.split parameters")
+    if not split and cfg.transmon.split is not None:
+        raise ConfigurationError(f"transmon.split is not read by {name}")
+    for axis in cfg.sweep:
+        if axis not in axes:
+            raise ConfigurationError(f"sweep axis {axis!r} is not read by {name}; "
+                                     f"it reads {list(axes) if axes else 'no sweep axis'}")
 
 
 def _number(value, key: str):
@@ -192,8 +206,6 @@ def _resolve_axis(name: str, spec) -> Tuple[float, ...]:
         values = tuple(start + k * step for k in range(n))
     else:
         raise ConfigurationError(f"axis {name!r} must be a list or a start/stop/step object")
-    if len(values) == 0:
-        raise ConfigurationError(f"sweep axis {name!r} is empty")
     return values
 
 

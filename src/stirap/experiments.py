@@ -1,9 +1,11 @@
 """Config-driven experiment runners and result emission.
 
-Each runner returns a SweepResult holding named tables; emit() writes
-them as CSV or JSON plus a manifest.  Outputs are byte-deterministic
-for a given config and seed: no timestamps, fixed float formatting,
-fixed cell ordering, and noise seeds derived from (seed, cell index).
+run_experiment() is the one way to run an experiment: it applies
+config.check_reads, then the experiment's private runner returns a
+SweepResult holding named tables; emit() writes them as CSV or JSON plus
+a manifest.  Outputs are byte-deterministic for a given config and seed:
+no timestamps, fixed float formatting, fixed cell ordering, and noise
+seeds derived from (seed, cell index).
 Time axes of emitted series are measured from the 01-pulse peak.
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from ._batch import evolve, run_batch
-from .config import EXPERIMENT_AXES, Experiment, ExperimentConfig, config_hash
+from .config import Experiment, ExperimentConfig, check_reads, config_hash
 from .errors import ConfigurationError
 from .holonomy import berry_vs_oracle, plateau_phase_sequence, realized_path
 from .lindblad import TimeGrid
@@ -62,10 +64,7 @@ class SweepResult:
     failures: List[dict] = field(default_factory=list)
 
     def table(self, name: str) -> Table:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
+        return {t.name: t for t in self.tables}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +88,8 @@ def overlap_window(seq: PulseSequence) -> Tuple[float, float]:
 
 def count_alternations(values: np.ndarray, threshold: float = 1e-4) -> int:
     """Number of rise/fall alternations (local extrema) in a series."""
-    v = np.asarray(values, dtype=float)
-    signs = np.sign(np.diff(v))
-    signs = signs[np.abs(np.diff(v)) > threshold]
-    signs = signs[signs != 0]
+    dv = np.diff(np.asarray(values, dtype=float))
+    signs = np.sign(dv[np.abs(dv) > threshold])  # threshold >= 0, so no sign is 0
     if signs.size < 2:
         return 0
     return int(np.sum(signs[:-1] * signs[1:] < 0))
@@ -214,7 +211,7 @@ def _result(kind: Experiment, cfg: ExperimentConfig, axes: Dict[str, np.ndarray]
 # ---------------------------------------------------------------------------
 # runners
 
-def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
+def _run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
     """Single STIRAP run at the configured parameters, with and without
     dissipation; emits the sampled populations and a summary."""
     seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
@@ -254,7 +251,7 @@ def run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
 
 
-def run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
+def _run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Population maps versus pulse separation on a common time window."""
     ts_axis = cfg.axis("t_separation_ns", DEFAULT_TS_AXIS)
     kw = _seq_kwargs(cfg)
@@ -281,7 +278,7 @@ def run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
 
 
-def _run_plane(cfg: ExperimentConfig, name: str, default_axis):
+def _plane(cfg: ExperimentConfig, name: str, default_axis):
     """Batch the (sum, difference) detuning plane on one common window.
 
     Returns the two axes, the per-cell table of final and peak
@@ -306,9 +303,9 @@ def _run_plane(cfg: ExperimentConfig, name: str, default_axis):
     return sums, diffs, table, failures
 
 
-def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
+def _run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
     """Final and peak populations over the (sum, difference) detuning plane."""
-    sums, diffs, table, failures = _run_plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS)
+    sums, diffs, table, failures = _plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS)
 
     i_sum0, j_diff0 = int(np.abs(sums).argmin()), int(np.abs(diffs).argmin())
     diag_rows = []
@@ -332,7 +329,7 @@ def run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_THETA_AXIS = tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 20.0))
 
 
-def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
+def _run_hybrid(cfg: ExperimentConfig) -> SweepResult:
     """Fast 01 rotation followed by STIRAP, swept over the rotation angle."""
     thetas = cfg.axis("theta_fast_rad", DEFAULT_THETA_AXIS)
     seqs = [build_sequence(SequenceKind.HYBRID, theta_fast=float(th),
@@ -352,7 +349,7 @@ def run_hybrid(cfg: ExperimentConfig) -> SweepResult:
                    [summary, series], failures)
 
 
-def run_reversal(cfg: ExperimentConfig) -> SweepResult:
+def _run_reversal(cfg: ExperimentConfig) -> SweepResult:
     """Three-pulse sequence: transfer to |2> and adiabatically back to |0>."""
     kw = _seq_kwargs(cfg)
     seq = build_sequence(SequenceKind.REVERSAL,
@@ -370,17 +367,13 @@ def run_reversal(cfg: ExperimentConfig) -> SweepResult:
 DEFAULT_SPLIT_AXIS = tuple(np.arange(-24.0, 25.0, 1.0))
 
 
-def run_split_map(cfg: ExperimentConfig) -> SweepResult:
+def _run_split_map(cfg: ExperimentConfig) -> SweepResult:
     """Detuning map with the split intermediate level (4-level system)."""
-    if cfg.transmon.split is None:
-        raise ConfigurationError("split_map needs transmon.split parameters")
-    sums, diffs, table, failures = _run_plane(cfg, "split_map", DEFAULT_SPLIT_AXIS)
+    sums, diffs, table, failures = _plane(cfg, "split_map", DEFAULT_SPLIT_AXIS)
 
     peak_map = table.column("peak_p2").reshape(len(sums), len(diffs))
     final_map = table.column("final_p2").reshape(len(sums), len(diffs))
-    i_sum0 = int(np.abs(sums).argmin())
-    j_diff0 = int(np.abs(diffs).argmin())
-    midpoint = float(peak_map[i_sum0, j_diff0])
+    midpoint = float(peak_map[np.abs(sums).argmin(), np.abs(diffs).argmin()])
     diagnostics = Table(
         "split_map_diagnostics",
         ("blob_count_peak", "blob_count_final", "midpoint_peak_p2",
@@ -392,7 +385,7 @@ def run_split_map(cfg: ExperimentConfig) -> SweepResult:
                    [table, diagnostics], failures)
 
 
-def run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
+def _run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
     """Simulate STIRAP, synthesize reference traces, and push every sampled
     state through the mix-and-invert measurement pipeline."""
     seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
@@ -416,7 +409,7 @@ def run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
                    max_abs_error=repr(float(err)), noise_std=repr(float(noise_std)))
 
 
-def run_berry(cfg: ExperimentConfig) -> SweepResult:
+def _run_berry(cfg: ExperimentConfig) -> SweepResult:
     """Geometric phase of a plateau sequence versus the propagation oracle."""
     b = cfg.berry
     seq = plateau_phase_sequence(theta=b.theta_rad, phi_total=b.phi_total_rad,
@@ -435,30 +428,20 @@ def run_berry(cfg: ExperimentConfig) -> SweepResult:
 
 
 _RUNNERS = {
-    Experiment.TIME_EVOLUTION: run_time_evolution,
-    Experiment.SEPARATION_SWEEP: run_separation_sweep,
-    Experiment.DETUNING_MAP: run_detuning_map,
-    Experiment.HYBRID: run_hybrid,
-    Experiment.REVERSAL: run_reversal,
-    Experiment.SPLIT_MAP: run_split_map,
-    Experiment.TOMOGRAPHY_TIMELINE: run_tomography_timeline,
-    Experiment.BERRY: run_berry,
+    Experiment.TIME_EVOLUTION: _run_time_evolution,
+    Experiment.SEPARATION_SWEEP: _run_separation_sweep,
+    Experiment.DETUNING_MAP: _run_detuning_map,
+    Experiment.HYBRID: _run_hybrid,
+    Experiment.REVERSAL: _run_reversal,
+    Experiment.SPLIT_MAP: _run_split_map,
+    Experiment.TOMOGRAPHY_TIMELINE: _run_tomography_timeline,
+    Experiment.BERRY: _run_berry,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
-    """Run cfg.experiment; a sweep axis or a split transmon that experiment
-    does not read is an error."""
-    if cfg.transmon.split is not None and cfg.experiment is not Experiment.SPLIT_MAP:
-        raise ConfigurationError(
-            f"transmon.split is not read by {cfg.experiment.value}; "
-            f"only {Experiment.SPLIT_MAP.value} models the split intermediate level")
-    reads = EXPERIMENT_AXES[cfg.experiment]
-    for name in cfg.sweep:
-        if name not in reads:
-            raise ConfigurationError(
-                f"sweep axis {name!r} is not read by {cfg.experiment.value}; "
-                f"it reads {list(reads) if reads else 'no sweep axis'}")
+    """Run cfg.experiment, the one way in; config.check_reads runs first."""
+    check_reads(cfg)
     return _RUNNERS[cfg.experiment](cfg)
 
 
@@ -470,7 +453,10 @@ def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the path, or one of its parents, is a file
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
     written: List[Path] = []
 
     if fmt == "csv":

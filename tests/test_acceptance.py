@@ -21,9 +21,7 @@ from stirap.experiments import (
     count_alternations,
     fwhm,
     overlap_window,
-    run_detuning_map,
-    run_separation_sweep,
-    run_split_map,
+    run_experiment,
 )
 from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
 from stirap.holonomy import ParameterPath, berry_phase, berry_vs_oracle, plateau_phase_sequence
@@ -80,7 +78,7 @@ def separation_sweep():
         sweep={"t_separation_ns": tuple(np.arange(-200.0, 201.0, 5.0))},
     )
     t0 = time.monotonic()
-    result = run_separation_sweep(cfg)
+    result = run_experiment(cfg)
     return result, time.monotonic() - t0
 
 
@@ -151,7 +149,7 @@ def test_criterion_2b_rejects_weak_drive():
             grid=GridConfig(dt_ns=0.5, sample_stride=2),
             sweep={"t_separation_ns": tuple(np.arange(-200.0, 201.0, 5.0))},
         )
-        verdicts[scale] = timing_plateau(run_separation_sweep(cfg).table("separation_sweep"),
+        verdicts[scale] = timing_plateau(run_experiment(cfg).table("separation_sweep"),
                                          base.t_separation_ns)
     assert not verdicts[0.7][0] and verdicts[0.7][1] < 0.85, verdicts
     assert verdicts[1.0][0], verdicts
@@ -181,7 +179,7 @@ def test_criterion_3_detuning_map():
         workers=WORKERS,
     )
     t0 = time.monotonic()
-    result = run_detuning_map(cfg)
+    result = run_experiment(cfg)
     runtime = time.monotonic() - t0
     diag = result.table("detuning_map_diagnostics")
     w_sum = diag.column("fwhm_sum_mhz")[1]  # row 1: peak map
@@ -318,7 +316,7 @@ def test_criterion_9_split_map():
         sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis},
         workers=WORKERS,
     )
-    result = run_split_map(cfg)
+    result = run_experiment(cfg)
     blobs = int(result.table("split_map_diagnostics").column("blob_count_peak")[0])
     suppression = float(result.table("split_map_diagnostics")
                         .column("midpoint_suppression")[0])
@@ -331,10 +329,10 @@ def test_criterion_9_split_map():
         grid=GridConfig(dt_ns=0.5, sample_stride=50),
         sweep={"detuning_sum_mhz": small, "detuning_diff_mhz": small},
     )
-    split_map = run_split_map(degen).table("split_map")
+    split_map = run_experiment(degen).table("split_map")
     plain_cfg = dataclasses.replace(degen, experiment=Experiment.DETUNING_MAP,
                                     transmon=TransmonParams())
-    plain_map = run_detuning_map(plain_cfg).table("detuning_map")
+    plain_map = run_experiment(plain_cfg).table("detuning_map")
     degen_err = max(float(np.max(np.abs(split_map.column(c) - plain_map.column(c))))
                     for c in ("final_p0", "final_p1", "final_p2", "peak_p2"))
     ok = blobs == 2 and degen_err < 1e-6 and suppression >= 0.15

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from stirap.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from stirap.config import config_hash, load_config
+from stirap import experiments
+from stirap.cli import _SUBCOMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from stirap.config import READS, Experiment, config_hash, load_config
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -50,6 +51,41 @@ class TestValidateConfig:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate-config", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, data, key", [
+        ("run", {"experiment": "time_evolution", "sweep": {"t_separation_ns": [0, 5]}},
+         "'t_separation_ns' is not read by time_evolution"),
+        ("sweep-detuning", {"experiment": "detuning_map",
+                            "transmon": {"split": {"delta_split_mhz": 15.0}}},
+         "transmon.split is not read by detuning_map"),
+        ("split", {"experiment": "split_map"}, "split_map needs transmon.split"),
+        # a file that names no experiment is checked as time_evolution, as run runs it
+        ("run", {"sweep": {"theta_fast_rad": [0.0]}}, "'theta_fast_rad' is not read by time_evolution"),
+    ], ids=["axis", "split", "no_split", "no_experiment"])
+    def test_checks_what_the_experiment_reads_as_the_run_does(self, tmp_path, capsys,
+                                                               command, data, key):
+        cfg = write_config(tmp_path, {**FAST, **data})
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err, err
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_every_shipped_config_validates(self, capsys, path):
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == f"ok {config_hash(load_config(path))}\n"
+
+    @pytest.mark.parametrize("command", ["validate-config", "hybrid"])
+    def test_theta_fast_in_pulses_exits_2(self, tmp_path, capsys, command):
+        # the hybrid sweep takes theta only from its theta_fast_rad axis
+        cfg = write_config(tmp_path, {"pulses": {"theta_fast_rad": 1.0}})
+        out = tmp_path / "o"
+        extra = [] if command == "validate-config" else ["--out", str(out)]
+        assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
+        assert "unknown keys ['theta_fast_rad']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -181,6 +217,18 @@ class TestRun:
         assert capsys.readouterr().err.count("workers must be >= 1") == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+    def test_output_directory_that_cannot_be_created_exits_2(self, tmp_path, capsys, below):
+        # a file where the directory, or one of its parents, should be
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "sub" if below else blocker
+        cfg = write_config(tmp_path, FAST)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot create output directory {out}:"), err
+        assert blocker.read_text() == "keep"
+
     def test_shipped_tomography_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = str(CONFIGS / "tomography.json")
@@ -256,6 +304,19 @@ class TestSweepCommands:
         header, values = rows[0].split(","), [float(v) for v in rows[1].split(",")]
         rec = dict(zip(header, values))
         assert rec["mismatch_rad"] <= 1e-2
+
+
+def test_each_experiment_has_one_table_entry_one_runner_and_one_subcommand():
+    # a structural guard: run_experiment is the only public runner, and
+    # config.READS says what each experiment reads
+    assert sorted(READS, key=list(Experiment).index) == list(Experiment)
+    runners = experiments._RUNNERS
+    assert sorted(runners, key=list(Experiment).index) == list(Experiment)
+    assert len(set(runners.values())) == len(Experiment)
+    assert sorted(_SUBCOMMANDS.values(), key=list(Experiment).index) == list(Experiment)
+    assert [n for n in dir(experiments) if n.startswith("run_")] == ["run_batch", "run_experiment"]
+    assert sorted(f.__name__ for f in runners.values()) == sorted(
+        n for n in vars(experiments) if n.startswith("_run_"))
 
 
 def test_python_m_stirap():

@@ -1,6 +1,8 @@
 """Config schema: pinned hashes, type checks and NaN-safe validation."""
 
 import dataclasses
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from stirap.config import (
     GridConfig,
     PulseConfig,
     TomographyConfig,
+    canonical_dict,
     config_from_dict,
     config_hash,
     load_config,
@@ -26,19 +29,33 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Hashes stamped into manifests; a change here orphans every recorded run.
 GOLDEN = {
+    "berry.json": "2776573404b43e16e0fe0b11214b1fea7af7f53e3d2882cbc1e37236d0c6281b",
+    "detuning_map.json": "975bc426574e16c4c8c22e4a9f60ce2644a4fce64dccc8de9198b9cd32f52719",
+    "paper_defaults.json": "58db72b747f8588b2ba106f605542aa8f49382f11cfdf4b3f9cdd07f3ce34e25",
+    "separation_sweep.json": "0014b46930b34a3b0187718dc5da5bda06d669505164ade776dd1212e2a31ce2",
+    "split_map.json": "5117c81819fecc9f0ac459727bc3fbc6d661f149c042a3c07366d4857863cb51",
+    "tomography.json": "5cc2bad0da45f58f65f4c26f5ff0e6e07a0c11818f770d6e00a551113bfa45cf",
+}
+INTS_IN_FLOAT_FIELDS = {"pulses": {"sigma_ns": 30, "omega01_mhz": 40}}
+
+# The hashes pinned while PulseConfig still held theta_fast_rad (default
+# pi/2), which nothing read: the shipped configs, then the defaults (the
+# same as paper_defaults.json) and INTS_IN_FLOAT_FIELDS.
+WITH_THETA_FAST = {
     "berry.json": "87102bd381cc62d56897c22d329fb98854dbbaceca5ae9e684a1dea0e8866bac",
     "detuning_map.json": "8f92793d6fb68ea2dcdfa243ee6603c98a0e91a983098b313fa3ddf28ec3cd05",
     "paper_defaults.json": "8996edd6277d0ed24b873788fce25cafffb101a3ba375c2731ffba190978ef85",
     "separation_sweep.json": "68939cbf9c3db6599fcf6d734fa8323229d7146af2dcae66db01e1779790fa40",
     "split_map.json": "8fe8af9436b2dfa7ff2b0d7dfa1ec4d1879f7cf909316b31cc2fe880f36ec3ca",
     "tomography.json": "7c71fbde02333ddecbf877fd35665c4c003114016b0a9283def3dc03e272adff",
+    "ints": "09222c5fb8916ac570f22787a579e3fc97dc2fdc500c10100fe4bedeb7d2ee0b",
 }
 
 
 class TestGoldenHash:
     def test_defaults(self):
         assert config_hash(ExperimentConfig()) == (
-            "8996edd6277d0ed24b873788fce25cafffb101a3ba375c2731ffba190978ef85")
+            "58db72b747f8588b2ba106f605542aa8f49382f11cfdf4b3f9cdd07f3ce34e25")
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_shipped_config(self, name):
@@ -48,9 +65,23 @@ class TestGoldenHash:
         assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(GOLDEN)
 
     def test_integers_in_float_fields_keep_their_bytes(self):
-        cfg = config_from_dict({"pulses": {"sigma_ns": 30, "omega01_mhz": 40}})
+        cfg = config_from_dict(INTS_IN_FLOAT_FIELDS)
         assert config_hash(cfg) == (
-            "09222c5fb8916ac570f22787a579e3fc97dc2fdc500c10100fe4bedeb7d2ee0b")
+            "be0cf1d978b39508184db5820a7bd8ba3efeab649fbe3c4ae0012d866e074de0")
+
+    def test_deleted_theta_fast_is_the_only_change_from_the_old_hashes(self):
+        # put the unread field back into the canonical dict, hash it as
+        # config_hash does, and every hash pinned before its deletion returns
+        cfgs = {name: load_config(CONFIGS / name) for name in GOLDEN}
+        cfgs["ints"] = config_from_dict(INTS_IN_FLOAT_FIELDS)
+        assert sorted(cfgs) == sorted(WITH_THETA_FAST)
+        assert config_hash(ExperimentConfig()) == GOLDEN["paper_defaults.json"]
+        for name, cfg in cfgs.items():
+            d = canonical_dict(cfg)
+            assert "theta_fast_rad" not in d["pulses"]
+            d["pulses"]["theta_fast_rad"] = math.pi / 2
+            blob = json.dumps(d, sort_keys=True, separators=(",", ":"), default=list)
+            assert hashlib.sha256(blob.encode()).hexdigest() == WITH_THETA_FAST[name], name
 
     def test_array_valued_fields_hash_as_lists(self):
         axis = (-100.0, -90.0)

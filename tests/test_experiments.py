@@ -23,14 +23,7 @@ from stirap.experiments import (
     emit,
     fwhm,
     overlap_window,
-    run_berry,
-    run_detuning_map,
     run_experiment,
-    run_hybrid,
-    run_reversal,
-    run_separation_sweep,
-    run_split_map,
-    run_time_evolution,
     sustained_max,
 )
 from stirap.hamiltonian import SplitSpec, TransmonParams
@@ -107,7 +100,7 @@ class TestHelpers:
 class TestTimeEvolution:
     def test_paper_defaults_summary(self):
         cfg = cfg_with(grid=GridConfig(dt_ns=0.1, sample_stride=10))
-        result = run_time_evolution(cfg)
+        result = run_experiment(cfg)
         summary = result.table("time_evolution_summary")
         assert 0.78 <= summary.column("peak_p2")[0] <= 0.88
         assert summary.column("p1_max_overlap")[0] <= 0.1
@@ -115,19 +108,19 @@ class TestTimeEvolution:
 
     def test_csv_schema_pinned(self, tmp_path):
         cfg = cfg_with()
-        result = run_time_evolution(cfg)
+        result = run_experiment(cfg)
         emit(result, tmp_path, "csv")
         header = (tmp_path / "time_evolution.csv").read_text().splitlines()[0]
         assert header == "t_ns,p0,p1,p2,trace_drift"
 
     def test_zero_drive_flat(self):
         cfg = cfg_with(pulses=PulseConfig(omega01_mhz=0.0, omega12_mhz=0.0))
-        result = run_time_evolution(cfg)
+        result = run_experiment(cfg)
         table = result.table("time_evolution")
         assert np.max(np.abs(table.column("p0") - 1.0)) < 1e-12
 
     def test_population_rows_sum_to_one(self):
-        result = run_time_evolution(cfg_with())
+        result = run_experiment(cfg_with())
         for name in ("time_evolution", "time_evolution_unitary"):
             t = result.table(name)
             sums = t.column("p0") + t.column("p1") + t.column("p2")
@@ -136,8 +129,9 @@ class TestTimeEvolution:
 
 @pytest.fixture(scope="module")
 def coarse_sweep():
-    cfg = cfg_with(sweep={"t_separation_ns": tuple(np.arange(-150.0, 151.0, 25.0))})
-    return run_separation_sweep(cfg)
+    cfg = cfg_with(experiment=Experiment.SEPARATION_SWEEP,
+                   sweep={"t_separation_ns": tuple(np.arange(-150.0, 151.0, 25.0))})
+    return run_experiment(cfg)
 
 
 class TestSeparationSweep:
@@ -172,7 +166,7 @@ class TestSeparationSweep:
         cfg = ExperimentConfig(experiment=Experiment.SEPARATION_SWEEP,
                                grid=GridConfig(dt_ns=0.1, sample_stride=10),
                                sweep={"t_separation_ns": axis})
-        result = run_separation_sweep(cfg)
+        result = run_experiment(cfg)
         series = result.table("separation_sweep_timeseries")
         summary = result.table("separation_sweep")
         p = cfg.pulses
@@ -201,8 +195,9 @@ class TestSeparationSweep:
 @pytest.fixture(scope="module")
 def tiny_map():
     axis = tuple(np.arange(-6.0, 7.0, 3.0))
-    cfg = cfg_with(sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
-    return run_detuning_map(cfg)
+    cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                   sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+    return run_experiment(cfg)
 
 
 class TestDetuningMap:
@@ -211,7 +206,7 @@ class TestDetuningMap:
         mask = (table.column("detuning_sum_mhz") == 0.0) & (
             table.column("detuning_diff_mhz") == 0.0)
         cell_final = table.column("final_p2")[mask][0]
-        res = run_time_evolution(cfg_with())
+        res = run_experiment(cfg_with())
         final = res.table("time_evolution").column("p2")[-1]
         assert abs(cell_final - final) < 1e-9
 
@@ -229,8 +224,9 @@ class TestDetuningMap:
 
     def test_failed_cell_is_recorded_with_its_detunings(self):
         # a 1e5 MHz two-photon detuning is far beyond RK4 stability at dt 0.5 ns
-        cfg = cfg_with(sweep={"detuning_sum_mhz": (0.0, 1e5), "detuning_diff_mhz": (0.0,)})
-        result = run_detuning_map(cfg)
+        cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                       sweep={"detuning_sum_mhz": (0.0, 1e5), "detuning_diff_mhz": (0.0,)})
+        result = run_experiment(cfg)
         assert [(f["cell"], f["detuning_sum_mhz"], f["detuning_diff_mhz"])
                 for f in result.failures] == [(1, 1e5, 0.0)]
         assert " at step " in result.failures[0]["error"]
@@ -239,11 +235,12 @@ class TestDetuningMap:
 @pytest.fixture(scope="module")
 def hybrid_result():
     cfg = cfg_with(
+        experiment=Experiment.HYBRID,
         grid=GridConfig(dt_ns=0.1, sample_stride=20),
         sweep={"theta_fast_rad": (0.0, math.pi / 2, math.pi)},
         dissipative=False,
     )
-    return run_hybrid(cfg)
+    return run_experiment(cfg)
 
 
 class TestHybrid:
@@ -275,27 +272,29 @@ class TestHybrid:
 
     def test_monotone_decrease_dissipationless(self):
         cfg = cfg_with(
+            experiment=Experiment.HYBRID,
             grid=GridConfig(dt_ns=0.1, sample_stride=50),
             sweep={"theta_fast_rad": tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 10))},
             dissipative=False,
         )
-        summary = run_hybrid(cfg).table("hybrid")
+        summary = run_experiment(cfg).table("hybrid")
         finals = summary.column("final_p2")
         assert np.all(np.diff(finals) < 1e-3)  # monotone up to small wiggle
 
     def test_late_oscillations_present_dissipative(self):
         cfg = cfg_with(
+            experiment=Experiment.HYBRID,
             grid=GridConfig(dt_ns=0.1, sample_stride=20),
             sweep={"theta_fast_rad": (math.pi / 2,)},
         )
-        summary = run_hybrid(cfg).table("hybrid")
+        summary = run_experiment(cfg).table("hybrid")
         assert summary.column("late_p0_alternations")[0] >= 2
 
 
     def test_failed_cell_is_recorded_and_the_rest_run(self):
         # a 1000 rad fast pulse in 10 ns is far beyond RK4 stability at dt 0.5 ns
-        cfg = cfg_with(sweep={"theta_fast_rad": (0.0, 1000.0)})
-        result = run_hybrid(cfg)
+        cfg = cfg_with(experiment=Experiment.HYBRID, sweep={"theta_fast_rad": (0.0, 1000.0)})
+        result = run_experiment(cfg)
         assert [(f["cell"], f["theta_fast_rad"]) for f in result.failures] == [(1, 1000.0)]
         assert " at step " in result.failures[0]["error"]
         assert result.table("hybrid").column("final_p2")[0] > 0.2
@@ -303,22 +302,24 @@ class TestHybrid:
 
 class TestReversal:
     def test_dissipationless_round_trip(self):
-        cfg = cfg_with(grid=GridConfig(dt_ns=0.1, sample_stride=20), dissipative=False)
-        summary = run_reversal(cfg).table("reversal")
+        cfg = cfg_with(experiment=Experiment.REVERSAL, grid=GridConfig(dt_ns=0.1, sample_stride=20),
+                       dissipative=False)
+        summary = run_experiment(cfg).table("reversal")
         assert summary.column("final_p0")[0] >= 0.98
         assert summary.column("max_p2")[0] >= 0.9
 
     def test_paper_rates_qualitative_structure(self):
-        cfg = cfg_with(grid=GridConfig(dt_ns=0.1, sample_stride=20))
-        summary = run_reversal(cfg).table("reversal")
+        cfg = cfg_with(experiment=Experiment.REVERSAL, grid=GridConfig(dt_ns=0.1, sample_stride=20))
+        summary = run_experiment(cfg).table("reversal")
         assert summary.column("max_p2")[0] > 0.5  # mid-sequence p2 peak
         assert summary.column("final_p0")[0] > summary.column("final_p1")[0]
         assert summary.column("final_p0")[0] > summary.column("final_p2")[0]
 
     def test_without_return_pulse_population_stays_transferred(self):
         # dropping the trailing 12 pulse leaves a single STIRAP: no return
-        cfg = cfg_with(grid=GridConfig(dt_ns=0.1, sample_stride=20), dissipative=False)
-        summary = run_reversal(cfg).table("reversal")
+        cfg = cfg_with(experiment=Experiment.REVERSAL, grid=GridConfig(dt_ns=0.1, sample_stride=20),
+                       dissipative=False)
+        summary = run_experiment(cfg).table("reversal")
         seq = build_sequence(SequenceKind.STIRAP, omega01=mhz_to_rad_ns(43.4),
                              omega12=mhz_to_rad_ns(38.2), sigma=45.0, t_s=-90.0)
         grid = TimeGrid(-315.0, 315.0, dt=0.1, sample_stride=20)
@@ -335,24 +336,25 @@ class TestSplitMap:
             transmon=TransmonParams(split=SplitSpec(0.0, (1.0, 0.0))),
             sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis},
         )
-        split = run_split_map(split_cfg)
-        plain_cfg = cfg_with(sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
-        plain = run_detuning_map(plain_cfg)
+        split = run_experiment(split_cfg)
+        plain_cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                             sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+        plain = run_experiment(plain_cfg)
         for col in ("final_p0", "final_p1", "final_p2", "peak_p2"):
             a = split.table("split_map").column(col)
             b = plain.table("detuning_map").column(col)
             assert np.max(np.abs(a - b)) < 1e-6
 
     def test_missing_split_config(self):
-        with pytest.raises(ConfigurationError):
-            run_split_map(cfg_with())
+        with pytest.raises(ConfigurationError, match=r"split_map needs transmon\.split"):
+            run_experiment(cfg_with(experiment=Experiment.SPLIT_MAP))
 
 
 class TestBerry:
     def test_path_ends_at_the_last_step(self):
         # sample_stride 7 does not divide the 7200 steps of the default berry grid
         cfg = cfg_with(experiment=Experiment.BERRY, grid=GridConfig(dt_ns=0.05, sample_stride=7))
-        path = run_berry(cfg).table("berry_path")
+        path = run_experiment(cfg).table("berry_path")
         grid = TimeGrid(-180.0, 180.0, dt=0.05, sample_stride=7)
         assert grid.n_steps % 7 != 0
         # steps 0, 7, ..., 7196, and then the last one
@@ -362,11 +364,12 @@ class TestBerry:
 class TestEmission:
     @pytest.fixture()
     def small_cfg(self):
-        return cfg_with(sweep={"t_separation_ns": (-120.0, -90.0, -60.0)})
+        return cfg_with(experiment=Experiment.SEPARATION_SWEEP,
+                        sweep={"t_separation_ns": (-120.0, -90.0, -60.0)})
 
     def test_rerun_byte_identical_csv(self, tmp_path, small_cfg):
-        r1 = run_separation_sweep(small_cfg)
-        r2 = run_separation_sweep(small_cfg)
+        r1 = run_experiment(small_cfg)
+        r2 = run_experiment(small_cfg)
         a, b = tmp_path / "a", tmp_path / "b"
         files1 = emit(r1, a, "csv")
         files2 = emit(r2, b, "csv")
@@ -374,15 +377,15 @@ class TestEmission:
             assert f1.read_bytes() == f2.read_bytes()
 
     def test_rerun_byte_identical_json(self, tmp_path, small_cfg):
-        r1 = run_separation_sweep(small_cfg)
-        r2 = run_separation_sweep(small_cfg)
+        r1 = run_experiment(small_cfg)
+        r2 = run_experiment(small_cfg)
         f1 = emit(r1, tmp_path / "a", "json")[0]
         f2 = emit(r2, tmp_path / "b", "json")[0]
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path, small_cfg):
-        serial = run_separation_sweep(small_cfg)
-        parallel = run_separation_sweep(dataclasses.replace(small_cfg, workers=2))
+        serial = run_experiment(small_cfg)
+        parallel = run_experiment(dataclasses.replace(small_cfg, workers=2))
         fa = emit(serial, tmp_path / "s", "csv")
         fb = emit(parallel, tmp_path / "p", "csv")
         for f1, f2 in zip(fa, fb):
@@ -407,7 +410,7 @@ class TestEmission:
             config_from_dict({"sweep": {"t_separation_ns": []}})
 
     def test_manifest_contents(self, tmp_path, small_cfg):
-        result = run_separation_sweep(small_cfg)
+        result = run_experiment(small_cfg)
         emit(result, tmp_path, "csv")
         manifest = json.loads((tmp_path / "separation_sweep_manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(small_cfg)
@@ -416,7 +419,7 @@ class TestEmission:
 
     def test_unknown_format(self, tmp_path, small_cfg):
         with pytest.raises(ConfigurationError):
-            emit(run_separation_sweep(small_cfg), tmp_path, "xml")
+            emit(run_experiment(small_cfg), tmp_path, "xml")
 
     def test_values_are_written_as_their_repr(self, tmp_path):
         # the bytes of repr(float(v)) per value, including signed zero, NaN,
