@@ -35,7 +35,7 @@ straddles the discontinuity; lindblad.edge_steps rejects an edge off the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +44,6 @@ from .errors import ConfigurationError, IntegrationFailureError, InvalidStateErr
 from .hamiltonian import TransmonParams
 from .lindblad import TimeGrid, check_step, dissipator, edge_steps
 from .pulses import PulseSequence, Transition
-from .units import mhz_to_rad_ns
 
 CHUNK_SIZE = 128
 BLOCK = 256  # steps whose drive is sampled, and whose step matrices evolve builds, at a time
@@ -83,13 +82,13 @@ def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
 def _couplings(params: TransmonParams):
     """(row, col, transition, weight) with H[row, col] = weight * A_transition / 2.
 
-    The only level-count-specific data of the kernel; H[col, row] is the
+    Each intermediate level couples to |0> by the 0-1 drive, then to the
+    top level by the 1-2 drive, with its branch weight; H[col, row] is the
     complex conjugate.
     """
-    if params.split is None:
-        return ((1, 0, 0, 1.0), (1, 2, 1, 1.0))
-    wa, wb = params.split.branch_weights
-    return ((1, 0, 0, wa), (2, 0, 0, wb), (1, 3, 1, wa), (2, 3, 1, wb))
+    top = params.n_levels - 1
+    return tuple((level, col, tr, w) for col, tr in ((0, 0), (top, 1))
+                 for level, (_, w) in enumerate(params.branches, start=1))
 
 
 def _row_groups(terms: Sequence[Tuple[int, int]]):
@@ -116,37 +115,24 @@ def _slice(rows: Sequence[int]) -> slice:
     return slice(rows[0], stop if stop >= 0 else None, step or None)
 
 
-def _envelopes(seq: PulseSequence) -> tuple:
-    """The pulses without their detunings, which enter only the diagonal of H."""
-    return tuple(replace(p, detuning=0.0) for p in seq.pulses)
-
-
 def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
     """The drive columns, the time blocks and the level energies, cells last.
 
-    A column is (sequence, its edge steps): one column when every cell's
-    pulses are equal apart from their detunings, so the cells share one
-    drive, and one per cell otherwise.  The blocks [k0, k1) are cut every
-    BLOCK steps and at every column's edge steps.  The energies have shape
-    (params.n_levels, n_cells).
+    A column is (sequence, its edge steps): one column when every cell has
+    the same pulses, so the cells share one drive (their detunings enter
+    only the energies), and one per cell otherwise.  The blocks [k0, k1) are
+    cut every BLOCK steps and at every column's edge steps.  The energies
+    have shape (params.n_levels, n_cells): 0, d01 plus each branch's offset,
+    and d01 + d12.
     """
-    shared = _envelopes(seqs[0])
-    drive_seqs = seqs[:1] if all(_envelopes(s) == shared for s in seqs[1:]) else seqs
+    drive_seqs = seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs
     drive = [(seq, edge_steps(seq, grid)) for seq in drive_seqs]
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
+    d01 = np.array([seq.delta01 for seq in seqs])
     energies = np.zeros((params.n_levels, len(seqs)))
-    for c, seq in enumerate(seqs):
-        d01 = seq.detuning(Transition.T01)
-        d12 = seq.detuning(Transition.T12)
-        if params.split is None:
-            energies[1, c] = d01
-            energies[2, c] = d01 + d12
-        else:
-            omega_split = mhz_to_rad_ns(params.split.delta_split_mhz)
-            energies[1, c] = d01 - omega_split / 2.0
-            energies[2, c] = d01 + omega_split / 2.0
-            energies[3, c] = d01 + d12
+    energies[1:-1] = d01 + np.array([[offset] for offset, _ in params.branches])
+    energies[-1] = d01 + np.array([seq.delta12 for seq in seqs])
     return drive, blocks, energies
 
 

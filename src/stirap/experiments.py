@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -113,9 +113,12 @@ def fwhm(x: np.ndarray, y: np.ndarray) -> Tuple[float, bool]:
     """Full width at half max of a peaked slice, linearly interpolated.
 
     Returns (width, censored); censored means a half crossing fell outside
-    the sampled range, so the width is a lower bound.
+    the sampled range, so the width is a lower bound.  A slice holding a
+    non-finite value (a failed cell) has no width: (nan, False).
     """
     y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        return math.nan, False
     half = y.max() / 2.0
     above = y >= half
     if not above.any():
@@ -286,11 +289,9 @@ def _plane(cfg: ExperimentConfig, name: str, default_axis):
     """
     sums = cfg.axis("detuning_sum_mhz", default_axis)
     diffs = cfg.axis("detuning_diff_mhz", default_axis)
-    kw = _seq_kwargs(cfg)
-    del kw["delta01"], kw["delta12"]
+    pair = two_pulse_sequence(**_seq_kwargs(cfg))  # every cell's pulses
     s_cell, d_cell = np.repeat(sums, len(diffs)), np.tile(diffs, len(sums))
-    seqs = [two_pulse_sequence(delta01=mhz_to_rad_ns((s + d) / 2.0),
-                               delta12=mhz_to_rad_ns((s - d) / 2.0), **kw)
+    seqs = [replace(pair, delta01=mhz_to_rad_ns((s + d) / 2.0), delta12=mhz_to_rad_ns((s - d) / 2.0))
             for s, d in zip(s_cell, d_cell)]
     batch, failures = _sweep(cfg, seqs, detuning_sum_mhz=s_cell, detuning_diff_mhz=d_cell)
     final = batch.populations[:, -1]
@@ -314,8 +315,9 @@ def _run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
         w_sum, cens_s = fwhm(sums, m[:, j_diff0])
         w_diff, cens_d = fwhm(diffs, m[i_sum0, :])
         sym = float(np.max(np.abs(m - m[:, ::-1])))
-        diag_rows.append([w_sum, float(cens_s), w_diff, float(cens_d),
-                          w_sum / w_diff if w_diff > 0 else math.inf, sym])
+        # a NaN width (a slice through a failed cell) makes the ratio NaN
+        ratio = math.nan if math.isnan(w_sum + w_diff) else w_sum / w_diff if w_diff > 0 else math.inf
+        diag_rows.append([w_sum, float(cens_s), w_diff, float(cens_d), ratio, sym])
     diagnostics = Table(
         "detuning_map_diagnostics",
         ("fwhm_sum_mhz", "fwhm_sum_censored", "fwhm_diff_mhz",
@@ -473,13 +475,13 @@ def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
             "metadata": dict(result.metadata),
             "axes": {k: [float(v) for v in vals] for k, vals in result.axes.items()},
             "data": {
-                t.name: {"columns": list(t.columns), "rows": t.rows.tolist()}
+                t.name: {"columns": list(t.columns), "rows": _json_rows(t.rows)}
                 for t in result.tables
             },
             "failures": result.failures,
         }
         path = out / f"{result.kind}.json"
-        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        path.write_text(_strict_json(payload))
         written.append(path)
 
     manifest = {
@@ -492,6 +494,17 @@ def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
         "metadata": dict(result.metadata),
     }
     mpath = out / f"{result.kind}_manifest.json"
-    mpath.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+    mpath.write_text(_strict_json(manifest))
     written.append(mpath)
     return written
+
+
+def _json_rows(values: np.ndarray) -> list:
+    """values as nested lists, a non-finite entry as None (JSON null)."""
+    finite = np.isfinite(values)
+    return values.tolist() if finite.all() else np.where(finite, values.astype(object), None).tolist()
+
+
+def _strict_json(obj) -> str:
+    """RFC 8259 JSON: a NaN or infinity left in obj raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"

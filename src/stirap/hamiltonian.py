@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, NonDispersiveError, UndefinedFrameError
-from .units import rate_mhz_to_per_ns
+from .units import mhz_to_rad_ns, rate_mhz_to_per_ns
 
 
 def require_finite(params, section: str) -> None:
@@ -77,9 +77,19 @@ class TransmonParams:
             raise ConfigurationError("need f01 > f12 (negative anharmonicity)")
 
     @property
+    def branches(self) -> Tuple[Tuple[float, float], ...]:
+        """(energy offset in rad/ns, coupling weight) per level between |0> and |2>:
+        |1> alone, or the split |1a>, |1b> at -+delta_split/2 with the branch weights."""
+        if self.split is None:
+            return ((0.0, 1.0),)
+        half = mhz_to_rad_ns(self.split.delta_split_mhz) / 2.0
+        wa, wb = self.split.branch_weights
+        return ((-half, wa), (half, wb))
+
+    @property
     def n_levels(self) -> int:
         """3, or 4 with the intermediate level split into |1a>, |1b>."""
-        return 3 if self.split is None else 4
+        return len(self.branches) + 2
 
     @property
     def gamma10(self) -> float:

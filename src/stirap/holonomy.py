@@ -154,8 +154,7 @@ def plateau_phase_sequence(
     om12 = omega_rms * math.cos(theta)
     p01 = GaussianPulse(Transition.T01, om01, 0.0, sigma)
     p12 = GaussianPulse(Transition.T12, om12, 0.0, sigma, phase_ramp=ramp)
-    window = (-4.0 * sigma, 4.0 * sigma)
-    return PulseSequence(pulses=(p12, p01), window=window)
+    return PulseSequence((p12, p01))
 
 
 def berry_vs_oracle(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -31,21 +31,18 @@ def dissipator(params: TransmonParams) -> np.ndarray:
     rate <= 0 are skipped.  Relaxation lowers |1> -> |0> (rate G10) and
     |2> -> |1> (rate G21); pure dephasing uses the level projectors |1><1|
     and |2><2| at twice the measured dephasing rates, so that the 0-1
-    coherence decays at gamma_phi10.  In the 4-level split system
-    {|0>, |1a>, |1b>, |2>} both intermediate branches receive the |1>-type
-    channels, with the relaxation rates scaled by the squared branch weights
-    so the decoupled-branch limit reproduces the 3-level dynamics exactly.
+    coherence decays at gamma_phi10.  Every intermediate level of
+    params.branches (|1>, or |1a> and |1b> in the split system
+    {|0>, |1a>, |1b>, |2>}) receives the |1>-type channels, with the
+    relaxation rates scaled by its squared weight, so the decoupled-branch
+    limit reproduces the 3-level dynamics exactly.
     """
-    g10, g21, dim = params.gamma10, params.gamma21, params.n_levels
-    if params.split is None:
-        channels = [(0, 1, g10), (1, 2, g21),
-                    (1, 1, 2.0 * params.gamma_phi10), (2, 2, 2.0 * params.gamma_phi21)]
-    else:
-        wa, wb = params.split.branch_weights
-        channels = [(0, 1, wa * wa * g10), (0, 2, wb * wb * g10),
-                    (1, 3, wa * wa * g21), (2, 3, wb * wb * g21),
-                    (1, 1, 2.0 * params.gamma_phi10), (2, 2, 2.0 * params.gamma_phi10),
-                    (3, 3, 2.0 * params.gamma_phi21)]
+    dim = params.n_levels
+    top, levels = dim - 1, list(enumerate(params.branches, start=1))
+    channels = ([(0, i, w * w * params.gamma10) for i, (_, w) in levels]
+                + [(i, top, w * w * params.gamma21) for i, (_, w) in levels]
+                + [(i, i, 2.0 * params.gamma_phi10) for i, _ in levels]
+                + [(top, top, 2.0 * params.gamma_phi21)])
     eye = np.eye(dim, dtype=complex)
     sup = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i, j, rate in channels:
@@ -54,6 +51,10 @@ def dissipator(params: TransmonParams) -> np.ndarray:
             lld = np.outer(eye[j], eye[j])  # L^dag L = |j><j|, real and symmetric
             sup += rate * (np.kron(ll, ll.conj()) - 0.5 * (np.kron(lld, eye) + np.kron(eye, lld)))
     return sup
+
+
+# The most steps a TimeGrid, or samples a tomography tau axis, may hold
+MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,9 @@ class TimeGrid:
         if not (isinstance(self.sample_stride, numbers.Integral) and self.sample_stride >= 1):
             raise ConfigurationError(f"sample_stride must be an integer >= 1, got {self.sample_stride!r}")
         steps = (self.t_end - self.t_start) / self.dt
-        if not 10 <= steps < math.inf:
-            raise ConfigurationError(f"grid needs at least 10 steps, and finitely many, got {steps}")
+        if not 10 <= steps <= MAX_POINTS:
+            raise ConfigurationError(f"grid needs between 10 and {MAX_POINTS} steps, got {steps:.10g} "
+                                     f"(dt = {self.dt!r} ns on [{self.t_start!r}, {self.t_end!r}] ns)")
 
     @property
     def n_steps(self) -> int:
@@ -89,15 +91,10 @@ class TimeGrid:
         return np.append(np.arange(0, self.n_steps, self.sample_stride), self.n_steps)
 
 
-def _min_sigma(seq: PulseSequence) -> Optional[float]:
-    sigmas = [p.sigma_ns for p in seq.pulses if isinstance(p, GaussianPulse)]
-    return min(sigmas) if sigmas else None
-
-
 def check_step(seq: PulseSequence, grid: TimeGrid) -> None:
     """Reject a grid step coarser than sigma/50 of the narrowest Gaussian
     pulse, and a FastPulse edge off the grid (see edge_steps)."""
-    sig = _min_sigma(seq)
+    sig = min((p.sigma_ns for p in seq.pulses if isinstance(p, GaussianPulse)), default=None)
     if sig is not None and grid.dt > sig / 50.0 + 1e-12:
         raise ConfigurationError(
             f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"

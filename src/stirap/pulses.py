@@ -67,7 +67,6 @@ class GaussianPulse:
     amplitude: float  # peak Omega, rad/ns
     center_ns: float
     sigma_ns: float
-    detuning: float = 0.0  # rad/ns
     phase: float = 0.0  # rad
     phase_ramp: Optional[PhaseRamp] = None
 
@@ -102,7 +101,6 @@ class FastPulse:
     theta_rad: float
     duration_ns: float
     start_ns: float
-    detuning: float = 0.0
     phase: float = 0.0
 
     def __post_init__(self):
@@ -133,32 +131,29 @@ class FastPulse:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulses with a common evaluation window."""
+    """Ordered pulses and each transition's drive detuning, rad/ns.
+
+    Every pulse on a transition shares that transition's rotating frame;
+    the evaluation window is the union of the pulses' windows.
+    """
 
     pulses: tuple
-    window: tuple  # (t_start, t_end)
+    delta01: float = 0.0
+    delta12: float = 0.0
 
     def __post_init__(self):
         if not self.pulses:
             raise ConfigurationError("sequence needs at least one pulse")
-        lo, hi = self.window
-        for p in self.pulses:
-            plo, phi = p.window
-            if plo < lo - 1e-9 or phi > hi + 1e-9:
-                raise ConfigurationError("window does not cover every pulse extent")
-        for tr in (Transition.T01, Transition.T12):
-            dets = {p.detuning for p in self.pulses if p.transition is tr}
-            if len(dets) > 1:
-                raise ConfigurationError(f"pulses on transition {tr.value} disagree on detuning")
+
+    @property
+    def window(self):
+        return (min(p.window[0] for p in self.pulses), max(p.window[1] for p in self.pulses))
 
     def pulses_on(self, transition: Transition):
         return [p for p in self.pulses if p.transition is transition]
 
     def detuning(self, transition: Transition) -> float:
-        for p in self.pulses:
-            if p.transition is transition:
-                return p.detuning
-        return 0.0
+        return self.delta01 if transition is Transition.T01 else self.delta12
 
     def complex_amplitude(self, transition: Transition, t):
         """Sum of Omega_p(t) exp(-i phi_p(t)) over the transition's pulses; a constant phase is one exp."""
@@ -198,13 +193,10 @@ def two_pulse_sequence(
     No sign policy; build_sequence enforces the kind-specific convention.
     """
     p12 = GaussianPulse(Transition.T12, omega12, t_s / 2.0, sigma,
-                        detuning=delta12, phase=phi12, phase_ramp=phase_ramp12)
-    p01 = GaussianPulse(Transition.T01, omega01, -t_s / 2.0, sigma,
-                        detuning=delta01, phase=phi01)
-    lo = min(p.window[0] for p in (p01, p12))
-    hi = max(p.window[1] for p in (p01, p12))
-    first, second = (p12, p01) if t_s <= 0 else (p01, p12)
-    return PulseSequence(pulses=(first, second), window=(lo, hi))
+                        phase=phi12, phase_ramp=phase_ramp12)
+    p01 = GaussianPulse(Transition.T01, omega01, -t_s / 2.0, sigma, phase=phi01)
+    pulses = (p12, p01) if t_s <= 0 else (p01, p12)
+    return PulseSequence(pulses, delta01, delta12)
 
 
 def build_sequence(
@@ -240,19 +232,17 @@ def build_sequence(
             raise ConfigurationError("HYBRID needs theta_fast")
         pair = two_pulse_sequence(omega01, omega12, sigma, t_s, delta01, delta12, phi01, phi12)
         fast = FastPulse(Transition.T01, theta_fast, fast_duration,
-                         start_ns=pair.window[0] - fast_duration,
-                         detuning=delta01, phase=phi01)
-        return PulseSequence(pulses=(fast,) + pair.pulses, window=(fast.start_ns, pair.window[1]))
+                         start_ns=pair.window[0] - fast_duration, phase=phi01)
+        return PulseSequence((fast,) + pair.pulses, delta01, delta12)
 
     if kind is SequenceKind.REVERSAL:
         d = abs(t_s) if reversal_spacing is None else reversal_spacing
         if d <= 0:
             raise ConfigurationError("REVERSAL needs a positive pulse spacing")
-        p12a = GaussianPulse(Transition.T12, omega12, -d, sigma, detuning=delta12, phase=phi12)
-        p01 = GaussianPulse(Transition.T01, omega01, 0.0, sigma, detuning=delta01, phase=phi01)
-        p12b = GaussianPulse(Transition.T12, omega12, +d, sigma, detuning=delta12, phase=phi12)
-        return PulseSequence(pulses=(p12a, p01, p12b),
-                             window=(-d - WINDOW_SIGMAS * sigma, d + WINDOW_SIGMAS * sigma))
+        p12a = GaussianPulse(Transition.T12, omega12, -d, sigma, phase=phi12)
+        p01 = GaussianPulse(Transition.T01, omega01, 0.0, sigma, phase=phi01)
+        p12b = GaussianPulse(Transition.T12, omega12, +d, sigma, phase=phi12)
+        return PulseSequence((p12a, p01, p12b), delta01, delta12)
 
     raise ConfigurationError(f"unknown sequence kind {kind!r}")
 

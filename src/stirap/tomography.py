@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularDesignError
 from .hamiltonian import CavityParams, TransmonParams, dispersive_shifts
+from .lindblad import MAX_POINTS
 from .units import mhz_to_rad_ns
 
 DEFAULT_TAU_MAX = 1500.0  # ns
@@ -90,6 +91,9 @@ def synth_reference_traces(
     amplitude is propagated exactly, jointly with the decaying level
     occupations, at any dtau.
     """
+    if not tau_max / dtau <= MAX_POINTS:
+        raise ConfigurationError(f"dtau = {dtau!r} ns gives {tau_max / dtau:.10g} tau samples up to "
+                                 f"tau_max = {tau_max!r} ns, more than {MAX_POINTS}")
     taus = np.arange(0.0, tau_max + dtau / 2, dtau)
     shifts = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz)))
     pulls = shifts.pulls_mhz[:3]

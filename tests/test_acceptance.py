@@ -35,6 +35,16 @@ from stirap.tomography import (
 )
 from stirap.units import mhz_to_rad_ns
 
+from record_golden import (
+    DETERMINISM_CONFIGS,
+    GOLDEN_TOL,
+    deviations,
+    load,
+    record,
+    run_files,
+    write_config,
+)
+
 WORKERS = max(1, os.cpu_count() or 1)
 
 
@@ -359,41 +369,41 @@ def test_criterion_10_reversal(device_params):
            f"({p0f:.2f}, {p1f:.2f}, {p2f:.2f}) with p0 dominant")
 
 
-# One coarse config per subcommand.  The two planes hold 13 x 11 = 143 cells,
-# more than one 128-cell chunk, so that --workers 2 runs them over a pool.
-COARSE_PLANE = {"detuning_sum_mhz": {"start": -6.0, "stop": 6.0, "step": 1.0},
-                "detuning_diff_mhz": {"start": -5.0, "stop": 5.0, "step": 1.0}}
-DETERMINISM_CONFIGS = {
-    "run": {},
-    "sweep-separation": {"sweep": {"t_separation_ns": [-120.0, -90.0, -60.0]}},
-    "sweep-detuning": {"sweep": COARSE_PLANE},
-    "hybrid": {"sweep": {"theta_fast_rad": [0.0, 1.5, 3.0]}},
-    "reversal": {},
-    "split": {"transmon": {"split": {"delta_split_mhz": 15.0, "branch_weights": [0.8, 0.6]}},
-              "sweep": COARSE_PLANE},
-    "tomography": {"seed": 777, "grid": {"dt_ns": 0.5, "sample_stride": 100}},
-    "berry": {},
-}
+@pytest.fixture(scope="module")
+def first_json_runs(tmp_path_factory):
+    """Each subcommand's first --format json run on its coarse config, {file: bytes}."""
+    tmp = tmp_path_factory.mktemp("first_json")
+    return {command: run_files(command, write_config(tmp, command), tmp / command / "json",
+                               "--format", "json")
+            for command in DETERMINISM_CONFIGS}
 
 
-def test_criterion_11_determinism(tmp_path):
-    from stirap.cli import EXIT_OK, main
-
-    def run(command, name, *extra):
-        out = tmp_path / command / name
-        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == EXIT_OK
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
+def test_criterion_11_determinism(tmp_path, first_json_runs):
     differ = []
-    for command, data in DETERMINISM_CONFIGS.items():
-        cfg = tmp_path / f"{command}.json"
-        cfg.write_text(json.dumps({"grid": {"dt_ns": 0.5, "sample_stride": 50}, **data}))
+    for command in DETERMINISM_CONFIGS:
+        cfg = write_config(tmp_path, command)
+
+        def run(name, *extra):
+            return run_files(command, cfg, tmp_path / command / name, *extra)
+
         for fmt in ("csv", "json"):
-            first = run(command, fmt, "--format", fmt)
-            if run(command, f"{fmt}_rerun", "--format", fmt) != first:
+            first = first_json_runs[command] if fmt == "json" else run(fmt, "--format", fmt)
+            if run(f"{fmt}_rerun", "--format", fmt) != first:
                 differ.append(f"{command} {fmt} rerun")
-            if run(command, f"{fmt}_workers", "--format", fmt, "--workers", "2") != first:
+            if run(f"{fmt}_workers", "--format", fmt, "--workers", "2") != first:
                 differ.append(f"{command} {fmt} --workers 2")
     report("11 (determinism)", not differ,
            f"{len(DETERMINISM_CONFIGS)} subcommands on coarse grids, csv and json: "
            f"reruns and --workers 2 write the same bytes; differing: {differ or 'none'}")
+
+
+def test_golden_tables(first_json_runs):
+    """Criterion 11's json runs reproduce the tables in tests/golden (see record_golden.py)."""
+    problems, worst = [], {}
+    for command, files in first_json_runs.items():
+        found, devs = deviations(record(files), load(command))
+        problems += [f"{command} {p}" for p in found]
+        worst.update({f"{command}/{name}": dev for name, dev in devs.items()})
+    report("golden tables", not problems,
+           f"{len(worst)} tables within {GOLDEN_TOL:g} of tests/golden, largest deviation "
+           f"{max(worst.values(), default=0.0):.1e}; problems: {problems or 'none'}")

@@ -145,6 +145,15 @@ class TestRun:
                                       "tomography": {key: value}})
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_tau_axis_too_fine_exits_2(self, tmp_path, capsys):
+        # a tau axis this fine is a configuration error, not a numpy ValueError
+        cfg = write_config(tmp_path, {"grid": {"dt_ns": 0.5, "sample_stride": 100},
+                                      "tomography": {"dtau_ns": 1e-300}})
+        out = tmp_path / "o"
+        assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "dtau = 1e-300 ns gives 1.5e+303 tau samples" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate-config", "berry"])
     @pytest.mark.parametrize("key, value", [
         ("metric_threshold", -1.0), ("metric_threshold", 0.0), ("metric_threshold", float("nan")),

@@ -230,6 +230,10 @@ class TestDetuningMap:
         assert [(f["cell"], f["detuning_sum_mhz"], f["detuning_diff_mhz"])
                 for f in result.failures] == [(1, 1e5, 0.0)]
         assert " at step " in result.failures[0]["error"]
+        # the sum slice holds the failed cell, so it has no width and no ratio
+        diagnostics = result.table("detuning_map_diagnostics")
+        assert np.isnan(diagnostics.column("fwhm_sum_mhz")).all()
+        assert np.isnan(diagnostics.column("fwhm_ratio")).all()
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +427,8 @@ class TestEmission:
 
     def test_values_are_written_as_their_repr(self, tmp_path):
         # the bytes of repr(float(v)) per value, including signed zero, NaN,
-        # infinities, the smallest subnormal and a sum that does not round to 0.3
+        # infinities, the smallest subnormal and a sum that does not round to 0.3;
+        # JSON has no NaN or infinity, so there they are null
         rows = np.array([[-0.0, math.nan, math.inf], [-math.inf, 5e-324, 0.1 + 0.2],
                          [1.0, -2.5e-17, 123456789.125]])
         result = SweepResult(kind="edge", axes={"a": np.array([0.1 + 0.2, -0.0])},
@@ -435,10 +440,11 @@ class TestEmission:
         json_path = emit(result, tmp_path / "j", "json")[0]
         payload = {"metadata": {"config_hash": "h"}, "axes": {"a": [0.30000000000000004, -0.0]},
                    "data": {"edge": {"columns": ["x", "y", "z"],
-                                     "rows": [[float(v) for v in row] for row in rows]}},
+                                     "rows": [[float(v) if math.isfinite(v) else None
+                                               for v in row] for row in rows]}},
                    "failures": []}
-        assert json_path.read_bytes() == (
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        assert json_path.read_bytes() == (json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode()
 
     def test_csv_memory_is_bounded_by_a_row(self, tmp_path):
         # rows are written one at a time: the text of a 200 000-row table
@@ -480,6 +486,15 @@ class TestEmission:
         manifest = json.loads((tmp_path / f"{experiment.value}_manifest.json").read_text())
         assert manifest["failures"] == result.failures
         assert manifest["config_hash"] == config_hash(cfg)
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        # the failed cell's non-finite values are written as null
+        emit(result, tmp_path / "json", "json")
+        for name in (f"{experiment.value}.json", f"{experiment.value}_manifest.json"):
+            parsed = json.loads((tmp_path / "json" / name).read_text(), parse_constant=reject)
+            assert parsed["failures"] == result.failures
 
 
 class TestConfigParsing:

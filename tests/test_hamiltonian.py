@@ -208,6 +208,11 @@ class TestSplitHamiltonian:
     def test_fifteen_megahertz_separation(self):
         h4 = build_split_hamiltonian(0.2, 0.2, SplitSpec(15.0))
         assert abs((h4[2, 2] - h4[1, 1]).real - TWO_PI * 0.015) < 1e-15
+        # the transmon lays its branches out as the oracle does
+        h4 = build_split_hamiltonian(0.2, 0.2, SplitSpec(15.0, (0.8, 0.6)))
+        assert TransmonParams(split=SplitSpec(15.0, (0.8, 0.6))).branches == \
+            ((h4[1, 1].real, 0.8), (h4[2, 2].real, 0.6))
+        assert TransmonParams().branches == ((0.0, 1.0),)
 
     def test_midpoint_gap_collapse(self):
         # Both branches couple with the same Omega01:Omega12 ratio, so the

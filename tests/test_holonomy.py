@@ -108,6 +108,7 @@ class TestPathProperties:
 class TestOracle:
     def test_constant_phase_gives_zero(self, device_params):
         seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=0.0)
+        assert seq.window == (-180.0, 180.0)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.05, sample_stride=10)
         oracle = adiabatic_phase_oracle(seq, device_params, grid)
         assert abs(oracle.gamma) < 2e-3
@@ -185,10 +186,9 @@ class TestOracle:
             adiabatic_phase_oracle(slow, device_params, grid)
 
         detuned = PulseSequence(
-            pulses=(GaussianPulse(Transition.T12, mhz_to_rad_ns(200.0), 0.0, 45.0,
-                                  detuning=0.01),
+            pulses=(GaussianPulse(Transition.T12, mhz_to_rad_ns(200.0), 0.0, 45.0),
                     GaussianPulse(Transition.T01, mhz_to_rad_ns(200.0), 0.0, 45.0)),
-            window=(-180.0, 180.0))
+            delta12=0.01)
         with pytest.raises(PreconditionError):
             adiabatic_phase_oracle(detuned, device_params, grid)
 
@@ -200,7 +200,7 @@ class TestOracle:
         p12 = GaussianPulse(Transition.T12, mhz_to_rad_ns(180.0), 0.0, 45.0,
                             phase_ramp=ramp)
         p01 = GaussianPulse(Transition.T01, mhz_to_rad_ns(180.0), 0.0, 45.0)
-        seq = PulseSequence(pulses=(p12, p01), window=(-180.0, 180.0))
+        seq = PulseSequence(pulses=(p12, p01))
         grid = TimeGrid(-180.0, 180.0, dt=0.05, sample_stride=10)
         with pytest.raises(NonAdiabaticRunError):
             adiabatic_phase_oracle(seq, device_params, grid)
@@ -219,7 +219,7 @@ class TestRealizedPath:
         ramp = PhaseRamp(-10.0, 10.0, 2.5)
         p12 = GaussianPulse(Transition.T12, 0.3, 0.0, 45.0, phase=0.1, phase_ramp=ramp)
         p01 = GaussianPulse(Transition.T01, 0.3, 0.0, 45.0, phase=0.4)
-        seq = PulseSequence(pulses=(p12, p01), window=(-180.0, 180.0))
+        seq = PulseSequence(pulses=(p12, p01))
         times = np.linspace(-180.0, 180.0, 721)
         path = realized_path(seq, times)
         phi = path.samples[:, 2]

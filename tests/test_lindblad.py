@@ -7,7 +7,7 @@ import pytest
 from stirap._batch import evolve
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
-from stirap.lindblad import TimeGrid, check_step, dissipator, edge_steps
+from stirap.lindblad import MAX_POINTS, TimeGrid, check_step, dissipator, edge_steps
 from stirap.pulses import PhaseRamp, SequenceKind, Transition, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
@@ -235,6 +235,14 @@ class TestEvolve:
         # every check is phrased so that NaN fails it, and no step count overflows
         with pytest.raises(ConfigurationError):
             TimeGrid(t_start, t_end, dt=dt, sample_stride=stride)
+
+    def test_grid_holds_at_most_max_points_steps(self):
+        # a grid allocates nothing; the kernel's per-step bookkeeping would
+        assert TimeGrid(0.0, 5e5, dt=0.5).n_steps == MAX_POINTS
+        with pytest.raises(ConfigurationError, match=r"between 10 and 1000000 steps, got 1000001 "):
+            TimeGrid(0.0, 5e5 + 0.5, dt=0.5)
+        with pytest.raises(ConfigurationError, match=r"got 4\.5e\+14 \(dt = 1e-12 ns"):
+            TimeGrid(-225.0, 225.0, dt=1e-12)
 
     @pytest.mark.parametrize("stride", [2.5, 2.0, "2"])
     def test_grid_rejects_non_integer_stride(self, stride):
@@ -638,6 +646,10 @@ class TestBatchAgreement:
             assert len(k) == 2 * (dim - 2)
             assert np.all(k % (dim + 1) == 0) and np.all(l % (dim + 1) == 0)
             assert np.all(sup[k, l].imag == 0.0)
+        from stirap._batch import _couplings
+
+        assert _couplings(device_params) == ((1, 0, 0, 1.0), (1, 2, 1, 1.0))
+        assert _couplings(split) == ((1, 0, 0, 0.8), (2, 0, 0, 0.6), (1, 3, 1, 0.8), (2, 3, 1, 0.6))
 
     def test_density_matrix_states_are_exactly_hermitian(self, device_params):
         # with RHS X + X^H every stored state is Hermitian bit for bit and its

@@ -65,6 +65,12 @@ class TestBuildSequence:
                              sigma=45.0, t_s=-90.0)
         centers = [(p.transition.value, p.center_ns) for p in seq.pulses]
         assert centers == [("12", -90.0), ("01", 0.0), ("12", 90.0)]
+        assert seq.window == (-270.0, 270.0)
+        detuned = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
+                                 sigma=45.0, t_s=-90.0, delta01=0.03, delta12=-0.07)
+        assert detuned.detuning(Transition.T01) == 0.03
+        assert detuned.detuning(Transition.T12) == -0.07
+        assert detuned.pulses == seq.pulses
 
     def test_hybrid_fast_pulse_area_and_placement(self):
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
@@ -76,19 +82,12 @@ class TestBuildSequence:
         assert abs(area - math.pi) < 1e-12
         pair_start = min(p.window[0] for p in seq.pulses[1:])
         assert fast.start_ns + fast.duration_ns <= pair_start + 1e-12
+        assert seq.window == (-235.0, 225.0)
 
     def test_hybrid_needs_theta(self):
         with pytest.raises(ConfigurationError):
             build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
                            sigma=45.0, t_s=-90.0)
-
-    def test_mixed_detunings_rejected(self):
-        p1 = GaussianPulse(Transition.T01, 1.0, 0.0, 10.0, detuning=0.1)
-        p2 = GaussianPulse(Transition.T01, 1.0, 5.0, 10.0, detuning=0.2)
-        from stirap.pulses import PulseSequence
-
-        with pytest.raises(ConfigurationError):
-            PulseSequence(pulses=(p1, p2), window=(-40.0, 45.0))
 
 
 def local_adiabaticity_closed_form(t, om01, om12, sigma, t_s):
