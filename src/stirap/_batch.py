@@ -6,23 +6,23 @@ pulse sequences (amplitudes, detunings, timing).  The transmon fixes the
 level count d (TransmonParams.n_levels): 3, or 4 with a split |1>.  A
 density matrix is held cells-last, shape (d*d, n_cells); a dissipationless
 run from a state vector, |0> by default, propagates the vector, shape
-(d, n_cells), by the Schrodinger equation, with RHS -iH psi.  The Lindblad
-generator preserves Hermiticity, so a density matrix's RHS is X + X^H with
-X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
-its jumps move population only): both modes run only row updates from the
-fixed sparsity of H and D, a run of evenly spaced rows per call
-(_row_groups), and every state is exactly Hermitian.  No step calls
-BLAS and each cell's arithmetic is independent of its chunk, so with
-fixed-size chunks results are bit-identical however chunks are distributed
-over workers.
+(d, n_cells), by the Schrodinger equation, with RHS -iH psi.
 
-evolve runs one cell as the same RK4 written as step matrices (y <- M y per
-step), whose M for a block of steps come from a few batched matrix products
-instead of evolve_chunk's 57 (d = 3) or 81 (d = 4) numpy calls per
-density-matrix step.  It takes run_batch's arguments for one sequence,
-returns the same BatchResult with every sample's state, and uses the
-kernel's drive rows, couplings, energies and dissipator; both judge a sample
-by _sample_checks.
+The RK4 has two realisations, and both run through one block loop
+(_integrate) that judges a block's sampled states by one _sample_checks
+call.  evolve_chunk's row kernel uses that the Lindblad generator
+preserves Hermiticity: a density matrix's RHS is X + X^H with
+X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
+its jumps move population only), so both modes run only row updates from
+the fixed sparsity of H and D, one group of terms with a common row offset
+per call (_offset_groups), and every state is exactly Hermitian.  That is
+49 (d = 3) or 73 (d = 4) numpy calls per density-matrix step.  No step
+calls BLAS and each cell's arithmetic is independent of its chunk, so
+results are bit-identical at any chunk size and however chunks are
+distributed over workers.  evolve runs one cell as the same RK4 written as
+step matrices (y <- M y per step), whose M for a block of steps come from
+a few batched matrix products; it takes run_batch's arguments for one
+sequence and returns the same BatchResult with every sample's state.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  Both realisations sample it one
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .lindblad import TimeGrid, check_step, dissipator, edge_steps
 from .pulses import PulseSequence, Transition
 
 CHUNK_SIZE = 128
-BLOCK = 256  # steps whose drive is sampled, and whose step matrices evolve builds, at a time
+BLOCK = 256  # steps whose drive is sampled, and whose sampled states are judged, at a time
 DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
@@ -91,28 +91,24 @@ def _couplings(params: TransmonParams):
                  for level, (_, w) in enumerate(params.branches, start=1))
 
 
-def _row_groups(terms: Sequence[Tuple[int, int]]):
-    """(out slice, source slice, term indices) per run of (out row, source row) terms.
+def _offset_groups(terms: Sequence[Tuple[int, int]]):
+    """(out slice, source slice, term indices) per offset out row - source row, largest first.
 
-    Pass k takes each out row's k-th term and splits those rows into runs whose
-    out and source rows both step evenly, so a run is one multiply-add on basic
-    slices and every out row still sums its terms in list order."""
-    runs: list = []
-    for k, row, src, j in sorted((sum(r == row for r, _ in terms[:j]), row, src, j)
-                                 for j, (row, src) in enumerate(terms)):
-        run = runs[-1] if runs and runs[-1][0][0] == k else []
-        if not run or len(run) > 1 and (row - run[-1][1], src - run[-1][2]) != \
-                (run[1][1] - run[0][1], run[1][2] - run[0][2]):
-            runs.append([])
-        runs[-1].append((k, row, src, j))
-    return [(_slice(rows), _slice(srcs), idx) for _, rows, srcs, idx in (zip(*run) for run in runs)]
+    A group is one multiply-add on basic slices.  At 3 and 4 levels it holds
+    at most two out rows, so both slices step forward, and each out row
+    lists its sources in ascending order, so it still sums its terms in
+    list order."""
+    groups = []
+    for offset in sorted({r - s for r, s in terms}, reverse=True):
+        idx = sorted((j for j, (r, s) in enumerate(terms) if r - s == offset), key=terms.__getitem__)
+        rows = [terms[j][0] for j in idx]
+        groups.append((_slice(rows), _slice([r - offset for r in rows]), idx))
+    return groups
 
 
 def _slice(rows: Sequence[int]) -> slice:
-    """The basic slice through evenly stepped rows; one row for a step of 0."""
-    step = rows[1] - rows[0] if len(rows) > 1 else 0
-    stop = rows[-1] + (step or 1)
-    return slice(rows[0], stop if stop >= 0 else None, step or None)
+    """The basic slice through ascending, evenly stepped rows."""
+    return slice(rows[0], rows[-1] + 1, (rows[-1] - rows[0]) // max(len(rows) - 1, 1) or None)
 
 
 def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
@@ -225,22 +221,70 @@ def _sample_checks(y: np.ndarray, ket: bool, steps: np.ndarray, grid: TimeGrid):
     return p, drift, eig, bad
 
 
-def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
-           dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
-    """Integrate one cell, keeping every sample's state: a batch of one.
+def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
+               dissipative: bool, rho0: Optional[np.ndarray], store_states: bool,
+               realisation) -> BatchResult:
+    """The block loop both realisations run through.
 
-    rho0 is read as _initial_state says.  Raises IntegrationFailureError at
-    the first sample that fails _sample_checks.  The kernel's RK4 is written
-    as step matrices: for y' = G(t) y (G = -iH for a ket, the Liouvillian
+    realisation(y, dsup, energies, params, dt) returns advance(rows), which
+    takes y, the cells-last initial state, through one _chunk_drive block
+    given its _drive_block rows and yields the state after each step.  The
+    states at a block's sampled steps (and step 0, in the first block) are
+    judged by one _sample_checks call and folded into the result: each
+    cell's populations, maximum drift and minimum eigenvalue, and its first
+    failing sample's step and message; a failed cell runs on.
+    """
+    init, dsup = _initial_state(params, dissipative, rho0)
+    drive, blocks, energies = _chunk_drive(seqs, grid, params)
+    n_cells = len(seqs)
+    y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
+    advance = realisation(y, dsup, energies, params, grid.dt)
+    steps = grid.sample_steps
+    sampled = set(steps.tolist())
+    pops = np.empty((n_cells, steps.size, params.n_levels))
+    states = np.empty((n_cells, steps.size, y.shape[0]), dtype=complex) if store_states else None
+    max_drift, min_eig = np.zeros(n_cells), np.zeros(n_cells)
+    failed_step = np.full(n_cells, -1)
+    messages: Dict[int, str] = {}
+    done = 0  # samples judged so far
+    # a diverged cell overflows on its way to inf/nan; _sample_checks reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, k1 in blocks:
+            taken = [y.copy()] if k0 == 0 else []
+            for k, yk in zip(range(k0 + 1, k1 + 1), advance(_drive_block(drive, grid, k0, k1))):
+                if k in sampled:
+                    taken.append(yk.copy())
+            if not taken:
+                continue
+            at = steps[done:done + len(taken)]
+            block = np.stack(taken, axis=1)  # (state size, samples, cells)
+            p, drift, eig, bad = _sample_checks(block.reshape(len(block), -1), dsup is None,
+                                                np.repeat(at, n_cells), grid)
+            pops[:, done:done + at.size] = p.reshape(-1, at.size, n_cells).T
+            if store_states:
+                states[:, done:done + at.size] = block.T
+            np.maximum(max_drift, drift.reshape(at.size, n_cells).max(axis=0), out=max_drift)
+            np.minimum(min_eig, eig.reshape(at.size, n_cells).min(axis=0), out=min_eig)
+            for col, message in bad.items():  # sample by sample, so a cell's first comes first
+                if failed_step[col % n_cells] < 0:
+                    failed_step[col % n_cells] = at[col // n_cells]
+                    messages[col % n_cells] = message
+            done += at.size
+    return BatchResult(grid.t_start + steps * grid.dt, pops, max_drift, min_eig, failed_step,
+                       tuple(sorted(messages.items())), states)
+
+
+def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
+                   params: TransmonParams, dt: float):
+    """evolve's realisation: one cell's RK4 as a product of step matrices.
+
+    For y' = G(t) y (G = -iH for a ket, the Liouvillian
     -i(H (x) I - I (x) H^T) + D on the row-major vec of rho) one RK4 step is
     y <- M y, M = I + dt/6 (G_a + 2 G_b B1 + 2 G_b B2 + G_c B3) with
     B1 = I + dt/2 G_a, B2 = I + dt/2 G_b B1, B3 = I + dt G_b B2 (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.1), built one _chunk_drive block at a time.
+    Norsett & Wanner, Solving ODEs I, II.1); a block's M come from a few
+    batched matrix products.
     """
-    check_step(seq, grid)
-    init, dsup = _initial_state(params, dissipative, rho0)
-    dt = grid.dt
-    drive, blocks, energies = _chunk_drive([seq], grid, params)
     eye_h = np.eye(params.n_levels)
 
     def liouvillian(h: np.ndarray) -> np.ndarray:
@@ -257,59 +301,29 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
         coefs = np.stack([f(rows[tr]) for _, _, tr, _ in couplings for f in (np.asarray, np.conj)], axis=1)
         return g0 + (coefs @ basis).reshape(-1, *g0.shape)
 
-    eye = np.eye(init.size)
-    y = init.reshape(-1)
-    steps = grid.sample_steps
-    sampled = set(steps.tolist())
-    samples = [y]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in blocks:
-            rows = _drive_block(drive, grid, k0, k1)[:, :, 0]  # each step's start, midpoint, end
-            ga = generators(rows[:, :-1:2])
-            gb = generators(rows[:, 1::2])
-            gb_b1 = gb @ (eye + (0.5 * dt) * ga)
-            gb_b2 = gb @ (eye + (0.5 * dt) * gb_b1)
-            gc_b3 = generators(rows[:, 2::2]) @ (eye + dt * gb_b2)
-            m = eye + (dt / 6.0) * (ga + 2.0 * gb_b1 + 2.0 * gb_b2 + gc_b3)
-            for k, mk in zip(range(k0 + 1, k1 + 1), m):
-                y = mk @ y
-                if k in sampled:
-                    samples.append(y)
-    states = np.array(samples).T
-    p, drift, eig, bad = _sample_checks(states, dsup is None, steps, grid)
-    first = min(bad, default=None)  # the cell's failure is its first failing sample
-    result = BatchResult(
-        times=grid.t_start + steps * dt,
-        populations=p.T[None],
-        trace_drift=np.array([drift.max()]),
-        min_eig=np.array([min(0.0, eig.min())]),
-        failed_step=np.array([-1 if first is None else steps[first]]),
-        failures=() if first is None else ((0, bad[first]),),
-        states=states.T[None],
-    )
-    raise_if_all_failed(result, grid)
-    return result
+    eye = np.eye(len(y))
+    v = y[:, 0]
+
+    def advance(rows: np.ndarray):
+        nonlocal v
+        rows = rows[:, :, 0]  # each step's start, midpoint, end
+        ga = generators(rows[:, :-1:2])
+        gb = generators(rows[:, 1::2])
+        gb_b1 = gb @ (eye + (0.5 * dt) * ga)
+        gb_b2 = gb @ (eye + (0.5 * dt) * gb_b1)
+        gc_b3 = generators(rows[:, 2::2]) @ (eye + dt * gb_b2)
+        for m in eye + (dt / 6.0) * (ga + 2.0 * gb_b1 + 2.0 * gb_b2 + gc_b3):
+            v = m @ v
+            yield v[:, None]
+
+    return advance
 
 
-def evolve_chunk(
-    seqs: Sequence[PulseSequence],
-    params: TransmonParams,
-    grid: TimeGrid,
-    dissipative: bool = True,
-    rho0: Optional[np.ndarray] = None,
-    store_states: bool = False,
-) -> BatchResult:
-    """Integrate one chunk of cells on a shared grid.
-
-    rho0 is every cell's initial state, read as _initial_state says.  Each
-    cell's first sample failing _sample_checks is recorded as its failure;
-    the other cells run on.
-    """
-    init, dsup = _initial_state(params, dissipative, rho0)
+def _row_kernel(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
+                params: TransmonParams, dt: float):
+    """evolve_chunk's realisation: RK4 by row updates on the cells-last y, in place."""
     ket = dsup is None
-    n_cells = len(seqs)
-    dim, dt = params.n_levels, grid.dt
-    drive, blocks, energies = _chunk_drive(seqs, grid, params)
+    dim, n_cells = params.n_levels, y.shape[1]
     couplings = _couplings(params)
 
     if ket:
@@ -320,27 +334,16 @@ def evolve_chunk(
         ldiag += 0.5 * np.diag(dsup)[:, None]
         jumps = [(k, l, 0.5 * dsup[k, l]) for k, l in zip(*np.nonzero(dsup)) if k != l]
 
-    y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
-
-    sampled = set(grid.sample_steps.tolist())
-    times = np.empty(len(sampled))
-    pops = np.empty((n_cells, times.size, dim))
-    states = np.empty((n_cells, times.size, y.shape[0]), dtype=complex) if store_states else None
-    max_drift = np.zeros(n_cells)
-    min_eig = np.zeros(n_cells)
-    failed_step = np.full(n_cells, -1)
-    messages: Dict[int, str] = {}
-
     # term 2j adds -i H[r, c] y[c, :] to row r of X and term 2j + 1 -i H[c, r] y[r, :]
     # to row c, for coupling j, and a jump its rate times rho_ll to rho_kk; a row of X
     # sums its diagonal term, then its coupling terms and its jumps, each in list order
-    runs = _row_groups([t for r, c, _, _ in couplings for t in ((r, c), (c, r))])
-    jump_runs = _row_groups([(k // (dim + 1), l // (dim + 1)) for k, l, _ in jumps])
+    groups = _offset_groups([t for r, c, _, _ in couplings for t in ((r, c), (c, r))])
+    jump_groups = _offset_groups([(k // (dim + 1), l // (dim + 1)) for k, l, _ in jumps])
 
     def coefficients(rows: np.ndarray):
-        """Per run, its terms' -i H[row, col] on each substep, shape (substeps, terms, 1, m)."""
+        """Per group, its terms' -i H[row, col] on each substep, shape (substeps, terms, 1, m)."""
         tabs = []
-        for _, _, terms in runs:
+        for _, _, terms in groups:
             tabs.append(np.empty((rows.shape[1], len(terms), 1, rows.shape[2]), dtype=complex))
             for t, j in enumerate(terms):
                 _, _, tr, w = couplings[j // 2]
@@ -355,8 +358,8 @@ def evolve_chunk(
         x = k if ket else scratch
         s3, x3 = src.reshape(dim, -1, n_cells), x.reshape(dim, -1, n_cells)
         diag = [(x[::dim + 1][o], src[::dim + 1][s], np.array([[jumps[j][2]] for j in terms]),
-                 tmp[0, :len(terms)]) for o, s, terms in jump_runs]
-        return (src, x, [(x3[o], s3[s], tmp[:len(terms)]) for o, s, terms in runs], diag,
+                 tmp[0, :len(terms)]) for o, s, terms in jump_groups]
+        return (src, x, [(x3[o], s3[s], tmp[:len(terms)]) for o, s, terms in groups], diag,
                 k, k.reshape(dim, -1, n_cells), x3.swapaxes(0, 1))
 
     def rhs(coefs, i, v):
@@ -371,87 +374,82 @@ def evolve_chunk(
             np.conjugate(xt, out=k3)
             np.add(k, xa, out=k)
 
-    sample_i = 0
-
-    def record(step: int):
-        nonlocal sample_i
-        p, drift, eig, bad = _sample_checks(y, ket, np.full(n_cells, step), grid)
-        np.maximum(max_drift, drift, out=max_drift)
-        np.minimum(min_eig, eig, out=min_eig)
-        for c, message in bad.items():
-            if failed_step[c] < 0:
-                failed_step[c] = step
-                messages[c] = message
-        times[sample_i] = grid.t_start + step * dt
-        pops[:, sample_i, :] = p.T
-        if store_states:
-            states[:, sample_i, :] = y.T
-        sample_i += 1
-
     k1, k2, k3, k4, yt = (np.empty_like(y) for _ in range(5))
     v1, v2, v3, v4 = (views(src, k) for src, k in ((y, k1), (yt, k2), (yt, k3), (yt, k4)))
-    # a diverged cell overflows on its way to inf/nan; record() reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        record(0)
-        for start, stop in blocks:
-            rows = _drive_block(drive, grid, start, stop)
-            for step in range(start, stop):
-                i = 2 * ((step - start) % DRIVE_BLOCK)
-                if i == 0:  # the next DRIVE_BLOCK steps' substeps, two per step, and their end
-                    coefs = coefficients(rows[:, 2 * (step - start):2 * (step - start + DRIVE_BLOCK) + 1])
-                rhs(coefs, i, v1)
-                np.multiply(k1, 0.5 * dt, out=yt)
-                yt += y
-                rhs(coefs, i + 1, v2)
-                np.multiply(k2, 0.5 * dt, out=yt)
-                yt += y
-                rhs(coefs, i + 1, v3)
-                np.multiply(k3, dt, out=yt)
-                yt += y
-                rhs(coefs, i + 2, v4)
-                # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-                k2 *= 2.0
-                k1 += k2
-                k3 *= 2.0
-                k1 += k3
-                k1 += k4
-                k1 *= dt / 6.0
-                y += k1
-                if (step + 1) in sampled:
-                    record(step + 1)
 
-    return BatchResult(
-        times=times,
-        populations=pops,
-        trace_drift=max_drift,
-        min_eig=min_eig,
-        failed_step=failed_step,
-        failures=tuple(sorted(messages.items())),
-        states=states,
-    )
+    def advance(rows: np.ndarray):
+        nonlocal y, yt, k1, k2, k3  # updated in place
+        for step in range(rows.shape[1] // 2):
+            i = 2 * (step % DRIVE_BLOCK)
+            if i == 0:  # the next DRIVE_BLOCK steps' substeps, two per step, and their end
+                coefs = coefficients(rows[:, 2 * step:2 * (step + DRIVE_BLOCK) + 1])
+            rhs(coefs, i, v1)
+            np.multiply(k1, 0.5 * dt, out=yt)
+            yt += y
+            rhs(coefs, i + 1, v2)
+            np.multiply(k2, 0.5 * dt, out=yt)
+            yt += y
+            rhs(coefs, i + 1, v3)
+            np.multiply(k3, dt, out=yt)
+            yt += y
+            rhs(coefs, i + 2, v4)
+            # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= dt / 6.0
+            y += k1
+            yield y
+
+    return advance
 
 
-def run_batch(
-    seqs: Sequence[PulseSequence],
-    params: TransmonParams,
-    grid: TimeGrid,
-    dissipative: bool = True,
-    rho0: Optional[np.ndarray] = None,
-    workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-) -> BatchResult:
+def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
+           dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
+    """Integrate one cell by step matrices, keeping every sample's state: a batch of one.
+
+    rho0 is read as _initial_state says.  Raises IntegrationFailureError at
+    the first sample that fails _sample_checks.
+    """
+    check_step(seq, grid)
+    result = _integrate([seq], params, grid, dissipative, rho0, True, _step_matrices)
+    raise_if_all_failed(result, grid)
+    return result
+
+
+def evolve_chunk(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
+                 dissipative: bool = True, rho0: Optional[np.ndarray] = None,
+                 store_states: bool = False) -> BatchResult:
+    """Integrate one chunk of cells on a shared grid by the row kernel.
+
+    rho0 is every cell's initial state, read as _initial_state says.  Each
+    cell's first sample failing _sample_checks is recorded as its failure;
+    the other cells run on.
+    """
+    return _integrate(seqs, params, grid, dissipative, rho0, store_states, _row_kernel)
+
+
+def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
+              dissipative: bool = True, rho0: Optional[np.ndarray] = None,
+              workers: int = 1, chunk_size: Optional[int] = None) -> BatchResult:
     """Run all cells chunk by chunk, optionally over a process pool.
 
-    The chunk partition is independent of the worker count, so serial and
-    parallel runs produce identical bytes.  A failed cell is recorded in
-    failures while the others run on; when every cell fails,
-    IntegrationFailureError names the first one's step and time.
+    A chunk holds chunk_size cells, by default one worker's share of the
+    cells but at least CHUNK_SIZE.  Each cell's arithmetic is independent
+    of its chunk, so every partition, serial or parallel, produces identical
+    bytes.  A chunk whose cells do not share a drive holds a drive block of
+    (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  A failed cell
+    is recorded in failures while the others run on; when every cell
+    fails, IntegrationFailureError names the first one's step and time.
     """
     if not seqs:
         raise ConfigurationError("run_batch needs at least one pulse sequence")
     for seq in seqs:
         check_step(seq, grid)
-    chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
+    size = max(CHUNK_SIZE, -(-len(seqs) // max(workers, 1))) if chunk_size is None else chunk_size
+    chunks = [list(range(i, min(i + size, len(seqs)))) for i in range(0, len(seqs), size)]
     args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]
     if workers > 1 and len(chunks) > 1:
         import concurrent.futures as cf
@@ -461,17 +459,9 @@ def run_batch(
     else:
         results = [_run_one_chunk(a) for a in args]
 
-    failures: List[Tuple[int, str]] = []
-    for ch, r in zip(chunks, results):
-        failures.extend((ch[c], msg) for c, msg in r.failures)
-    result = BatchResult(
-        times=results[0].times,
-        populations=np.concatenate([r.populations for r in results], axis=0),
-        trace_drift=np.concatenate([r.trace_drift for r in results]),
-        min_eig=np.concatenate([r.min_eig for r in results]),
-        failed_step=np.concatenate([r.failed_step for r in results]),
-        failures=tuple(failures),
-    )
+    result = BatchResult(results[0].times, *(np.concatenate([getattr(r, f) for r in results])
+                                             for f in ("populations", "trace_drift", "min_eig", "failed_step")),
+                         tuple((ch[c], msg) for ch, r in zip(chunks, results) for c, msg in r.failures))
     raise_if_all_failed(result, grid)
     return result
 

@@ -139,8 +139,13 @@ def fwhm(x: np.ndarray, y: np.ndarray) -> Tuple[float, bool]:
     return float(hi - lo), censored
 
 
-def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> int:
-    """Connected regions above threshold, 4-connectivity (a flood fill)."""
+def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> float:
+    """Connected regions above threshold, 4-connectivity (a flood fill).
+
+    A map holding a non-finite value (a failed cell) has no count: nan.
+    """
+    if not np.isfinite(map2d).all():
+        return math.nan
     unseen = set(map(tuple, np.argwhere(map2d > threshold).tolist()))
     n = 0
     while unseen:
@@ -152,7 +157,7 @@ def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> int:
                 if cell in unseen:
                     unseen.remove(cell)
                     stack.append(cell)
-    return n
+    return float(n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +385,7 @@ def _run_split_map(cfg: ExperimentConfig) -> SweepResult:
         "split_map_diagnostics",
         ("blob_count_peak", "blob_count_final", "midpoint_peak_p2",
          "max_peak_p2", "midpoint_suppression"),
-        np.array([[float(blob_count(peak_map)), float(blob_count(final_map)),
+        np.array([[blob_count(peak_map), blob_count(final_map),
                    midpoint, float(peak_map.max()), float(peak_map.max() - midpoint)]]))
     return _result(Experiment.SPLIT_MAP, cfg,
                    {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},

@@ -95,6 +95,8 @@ class TestHelpers:
         for m, t in maps:
             assert blob_count(m, t) == ndimage.label(m > t)[1]
         assert blob_count(maps[-2][0], 0.5) == 90 and blob_count(snake, 0.5) == 1
+        snake[0, 0] = math.nan  # a failed cell
+        assert math.isnan(blob_count(snake, 0.5))
 
 
 class TestTimeEvolution:
@@ -352,6 +354,18 @@ class TestSplitMap:
     def test_missing_split_config(self):
         with pytest.raises(ConfigurationError, match=r"split_map needs transmon\.split"):
             run_experiment(cfg_with(experiment=Experiment.SPLIT_MAP))
+
+    def test_failed_cells_leave_no_blob_count(self):
+        # the three 1e5 MHz cells fail at dt 0.5 ns; a count over a map
+        # holding them is NaN, as max_peak_p2 is, not a count of the rest
+        cfg = cfg_with(experiment=Experiment.SPLIT_MAP,
+                       transmon=TransmonParams(split=SplitSpec(15.0)),
+                       sweep={"detuning_sum_mhz": (-2.0, 0.0, 1e5), "detuning_diff_mhz": (0.0, 1.0, 2.0)})
+        result = run_experiment(cfg)
+        assert [f["cell"] for f in result.failures] == [6, 7, 8]
+        diagnostics = result.table("split_map_diagnostics")
+        for col in ("blob_count_peak", "blob_count_final", "max_peak_p2"):
+            assert np.isnan(diagnostics.column(col)).all(), col
 
 
 class TestBerry:

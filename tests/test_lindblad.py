@@ -330,6 +330,30 @@ def dop853_populations(seq, params, times, ket=False, edges=()):
     return np.vstack(pops)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run run_batch's process pool in-process; the list of each pool's max_workers."""
+    import concurrent.futures
+
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return asked
+
+
 class TestBatchAgreement:
     def test_split_system_matches_dop853(self):
         # one shared drive at several detunings, dim-4 coupling list and dissipator
@@ -442,33 +466,101 @@ class TestBatchAgreement:
                 for f in dataclasses.fields(want):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
 
-    def test_pool_is_capped_at_the_chunk_count(self, device_params, monkeypatch):
-        # a fork-started pool starts all max_workers processes at the first
-        # submit, so workers beyond the chunk count would only sit idle
-        import concurrent.futures
+    def test_plane_is_the_same_at_every_chunk_size(self, device_params):
+        # a t_s x detuning plane, one drive column per cell, over more than
+        # CHUNK_SIZE cells: every field is the same at any chunk size, at the
+        # default work-sized chunks, serially and over a pool
+        from stirap._batch import CHUNK_SIZE, run_batch
 
-        from stirap._batch import run_batch
+        grid = TimeGrid(-90.0, 90.0, dt=0.9, sample_stride=20)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts, delta01=mhz_to_rad_ns(d))
+                for ts in np.linspace(-100.0, -20.0, 13) for d in np.linspace(-5.0, 5.0, 10)]
+        assert len(seqs) > CHUNK_SIZE
+        want = run_batch(seqs, device_params, grid, chunk_size=len(seqs))
+        for chunk in (1, 7, CHUNK_SIZE, len(seqs), None):
+            for workers in (1, 2):
+                got = run_batch(seqs, device_params, grid, workers=workers, chunk_size=chunk)
+                for f in dataclasses.fields(want):
+                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
+
+    @pytest.mark.parametrize("n_cells, workers, chunk_size, sizes", [
+        (300, 2, None, [150, 150]), (1000, 3, None, [334, 334, 332]), (300, 1, None, [300]),
+        (130, 2, None, [128, 2]), (100, 2, None, [100]), (20, 2, 7, [7, 7, 6])])
+    def test_default_chunks_are_work_sized(self, device_params, monkeypatch, inline_pool,
+                                           n_cells, workers, chunk_size, sizes):
+        # one chunk per worker, but never fewer than CHUNK_SIZE cells; an
+        # explicit chunk_size wins
+        from stirap import _batch
+
+        def stub(args):  # a chunk's result shape without integrating it
+            n = len(args[0])
+            asked.append(n)
+            return _batch.BatchResult(np.zeros(1), np.zeros((n, 1, 3)), np.zeros(n), np.zeros(n),
+                                      np.full(n, -1))
 
         asked = []
+        monkeypatch.setattr(_batch, "_run_one_chunk", stub)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0)] * n_cells
+        got = _batch.run_batch(seqs, device_params, TimeGrid(-225.0, 225.0, dt=0.5),
+                               workers=workers, chunk_size=chunk_size)
+        assert asked == sizes and got.populations.shape[0] == n_cells
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+    def test_failures_inside_a_block_match_chunks_of_one(self, device_params):
+        # two cells fail at different samples in the middle of one block, among
+        # healthy cells: each cell's verdict is the one it gets alone, bit for bit
+        from stirap._batch import _chunk_drive, evolve_chunk
 
-            def __enter__(self):
-                return self
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=10)
+        wild = [two_pulse_sequence(mhz_to_rad_ns(mhz), mhz_to_rad_ns(mhz), 45.0, ts)
+                for mhz, ts in ((1500.0, -90.0), (1000.0, -30.0))]
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0), wild[0],
+                two_pulse_sequence(OM01, OM12, 45.0, -60.0), wild[1]]
+        chunk = evolve_chunk(seqs, device_params, grid)
+        steps = chunk.failed_step[[1, 3]].tolist()
+        block = next(b for b in _chunk_drive(seqs, grid, device_params)[1] if b[0] < steps[0] <= b[1])
+        first = block[0] + grid.sample_stride - block[0] % grid.sample_stride
+        assert first < steps[0] < steps[1] <= block[1], (steps, block)
+        assert [c for c, _ in chunk.failures] == [1, 3]
+        failures = dict(chunk.failures)
+        for c, seq in enumerate(seqs):
+            alone = evolve_chunk([seq], device_params, grid)
+            assert alone.failed_step[0] == chunk.failed_step[c]
+            assert dict(alone.failures).get(0) == failures.get(c)
+            assert alone.trace_drift.tobytes() == chunk.trace_drift[c:c + 1].tobytes()
+            assert alone.min_eig.tobytes() == chunk.min_eig[c:c + 1].tobytes()
+            assert alone.populations.tobytes() == chunk.populations[c:c + 1].tobytes()
 
-            def __exit__(self, *exc_info):
-                return False
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_offset_groups_step_forward_in_list_order(self, device_params, dim):
+        # the row kernel's groups: both slices step forward, and each out row
+        # meets its coupling terms, and its jumps, in list order
+        from stirap._batch import _couplings, _offset_groups
 
-            def map(self, fn, args):
-                return map(fn, args)
+        params = device_params if dim == 3 else TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
+        sup = dissipator(params)
+        coupling_terms = [t for r, c, _, _ in _couplings(params) for t in ((r, c), (c, r))]
+        jump_terms = [(k // (dim + 1), l // (dim + 1)) for k, l in zip(*np.nonzero(sup)) if k != l]
+        for terms, n_groups in ((coupling_terms, 2 if dim == 3 else 4), (jump_terms, 1 if dim == 3 else 2)):
+            groups = _offset_groups(terms)
+            assert len(groups) == n_groups
+            met = {}
+            for out, src, idx in groups:
+                assert (out.step or 1) > 0 and src.step == out.step
+                assert [terms[j] for j in idx] == list(zip(range(dim)[out], range(dim)[src]))
+                for j in idx:
+                    met.setdefault(terms[j][0], []).append(j)
+            assert sorted(j for js in met.values() for j in js) == list(range(len(terms)))
+            assert all(js == sorted(js) for js in met.values()), met
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_is_capped_at_the_chunk_count(self, device_params, inline_pool):
+        # a fork-started pool starts all max_workers processes at the first
+        # submit, so workers beyond the chunk count would only sit idle
+        from stirap._batch import run_batch
+
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
         got = run_batch(seqs, device_params, grid, workers=8, chunk_size=2)
-        assert asked == [2]
+        assert inline_pool == [2]
         assert np.array_equal(got.populations, run_batch(seqs, device_params, grid).populations)
 
     def test_evolve_matches_one_cell_chunk(self, device_params):

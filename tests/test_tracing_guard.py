@@ -1,13 +1,19 @@
-"""The names perfbench's tracer wraps must exist in the package.
+"""The names perfbench's tracer wraps, and what its notes read, must exist.
 
 perfbench/tracing.py wraps public functions of the stirap modules by name
-and skips a name that is gone, so a rename in src/ would zero the per-layer
-metric built on it without any error.  This reads perfbench/ and changes
-nothing there.
+and skips a name that is gone; its _note_* functions read arguments by
+name and result fields, and skip an argument that is not passed.  So a
+rename in src/ would zero the per-layer metric built on it without any
+error.  This reads perfbench/ and changes nothing there.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
+
+from stirap import _batch, experiments, holonomy, tomography
+from stirap.pulses import PulseSequence
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -36,3 +42,21 @@ def test_every_traced_name_is_patched(monkeypatch):
     assert calls
     assert patched == calls, sorted(set(calls) - set(patched))
     assert not tracer._patches  # the block restores every original
+
+
+def test_noted_arguments_and_fields_exist():
+    # _note_chunk reads seqs and grid, _note_evolve grid, _note_samples t,
+    # and the notes read BatchResult.failures and TomographyResult.iterations
+    tracing = load_tracing()
+    for note in ("_note_chunk", "_note_evolve", "_note_samples", "_note_iterations"):
+        assert callable(getattr(tracing, note))
+    takes = {
+        _batch.evolve_chunk: {"seqs", "grid"},
+        experiments.evolve: {"grid"},
+        holonomy.evolve: {"grid"},
+        PulseSequence.complex_amplitude: {"t"},
+    }
+    for fn, names in takes.items():
+        assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
+    for cls, name in ((_batch.BatchResult, "failures"), (tomography.TomographyResult, "iterations")):
+        assert name in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
