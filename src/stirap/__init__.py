@@ -14,7 +14,6 @@ from .errors import (  # noqa: F401
     NumericalError,
     PreconditionError,
     SingularDesignError,
-    SingularPointError,
     StirapError,
     UndefinedFrameError,
 )
@@ -39,7 +38,6 @@ from .holonomy import (  # noqa: F401
 from .lindblad import TimeGrid, dissipator  # noqa: F401
 from .pulses import (  # noqa: F401
     AdiabaticityReport,
-    Convention,
     FastPulse,
     GaussianPulse,
     PhaseRamp,
@@ -48,7 +46,6 @@ from .pulses import (  # noqa: F401
     Transition,
     build_sequence,
     global_adiabaticity_metric,
-    local_adiabaticity,
     two_pulse_sequence,
 )
 from .tomography import (  # noqa: F401

@@ -14,16 +14,9 @@ import argparse
 import dataclasses
 import sys
 
-from .config import (
-    Experiment,
-    ExperimentConfig,
-    OutputConfig,
-    check_reads,
-    config_hash,
-    load_config,
-)
+from .config import Experiment, ExperimentConfig, OutputConfig, config_hash, load_config
 from .errors import ConfigurationError, NumericalError
-from .experiments import emit, run_experiment
+from .experiments import emit, plan, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,7 +57,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.command == "validate-config":
-            check_reads(cfg)
+            plan(cfg)
             print(f"ok {config_hash(cfg)}")
             return EXIT_OK
 

@@ -25,10 +25,6 @@ class InvalidStateError(NumericalError):
     """A quantum state violates hermiticity / trace / positivity bounds."""
 
 
-class SingularPointError(NumericalError):
-    """Evaluation at a point where the expression is singular."""
-
-
 class PreconditionError(NumericalError):
     """A documented operation precondition does not hold."""
 

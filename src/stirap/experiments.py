@@ -1,19 +1,22 @@
-"""Config-driven experiment runners and result emission.
+"""Config-driven experiment plans, runners and result emission.
 
-run_experiment() is the one way to run an experiment: it applies
-config.check_reads, then the experiment's private runner returns a
-SweepResult holding named tables; emit() writes them as CSV or JSON plus
-a manifest.  Outputs are byte-deterministic for a given config and seed:
-no timestamps, fixed float formatting, fixed cell ordering, and noise
-seeds derived from (seed, cell index).
-Time axes of emitted series are measured from the 01-pulse peak.
+run_experiment(cfg) is the one way to run an experiment: plan(cfg) makes
+every check a run makes before it integrates and builds each cell's pulse
+sequence and the one time grid (validate-config runs it alone), then the
+experiment's private runner integrates the plan and returns a SweepResult
+holding named tables; emit() writes them as CSV or JSON plus a manifest.
+Outputs are byte-deterministic for a given config and seed: no timestamps,
+fixed float formatting, fixed cell ordering, and noise seeds derived from
+(seed, cell index).  Time axes of emitted series are measured from the
+01-pulse peak.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -21,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from ._batch import evolve, run_batch
-from .config import Experiment, ExperimentConfig, check_reads, config_hash
+from .config import READS, Experiment, ExperimentConfig, check_reads, config_hash
 from .errors import ConfigurationError
 from .holonomy import berry_vs_oracle, plateau_phase_sequence, realized_path
-from .lindblad import TimeGrid
+from .lindblad import TimeGrid, check_step
 from .pulses import (
     GaussianPulse,
     PulseSequence,
@@ -33,7 +36,7 @@ from .pulses import (
     build_sequence,
     two_pulse_sequence,
 )
-from .tomography import synth_reference_traces, tomography_timeline, trace_scale
+from .tomography import check_tau_count, synth_reference_traces, tomography_timeline, trace_scale
 from .units import mhz_to_rad_ns
 
 BLOB_THRESHOLD = 0.5
@@ -105,8 +108,7 @@ def sustained_max(series: np.ndarray, times: np.ndarray, window_ns: float) -> fl
     k = max(1, int(round(window_ns / dt)))
     if k >= series.size:
         return float(series.mean())
-    kernel = np.ones(k) / k
-    return float(np.convolve(series, kernel, mode="valid").max())
+    return float(np.convolve(series, np.ones(k) / k, mode="valid").max())
 
 
 def fwhm(x: np.ndarray, y: np.ndarray) -> Tuple[float, bool]:
@@ -123,20 +125,14 @@ def fwhm(x: np.ndarray, y: np.ndarray) -> Tuple[float, bool]:
     above = y >= half
     if not above.any():
         return 0.0, True
-    i0 = int(np.argmax(above))
-    i1 = int(len(y) - 1 - np.argmax(above[::-1]))
-    censored = False
-    if i0 == 0:
-        lo = x[0]
-        censored = True
-    else:
-        lo = x[i0 - 1] + (x[i0] - x[i0 - 1]) * (half - y[i0 - 1]) / (y[i0] - y[i0 - 1])
-    if i1 == len(y) - 1:
-        hi = x[-1]
-        censored = True
-    else:
-        hi = x[i1] + (x[i1 + 1] - x[i1]) * (half - y[i1]) / (y[i1 + 1] - y[i1])
-    return float(hi - lo), censored
+    i0, i1 = int(np.argmax(above)), int(len(y) - 1 - np.argmax(above[::-1]))
+
+    def crossing(i: int, j: int) -> float:  # where y, linear from i to j, crosses half
+        return x[i] + (x[j] - x[i]) * (half - y[i]) / (y[j] - y[i])
+
+    lo = x[0] if i0 == 0 else crossing(i0 - 1, i0)
+    hi = x[-1] if i1 == len(y) - 1 else crossing(i1, i1 + 1)
+    return float(hi - lo), i0 == 0 or i1 == len(y) - 1
 
 
 def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> float:
@@ -161,26 +157,82 @@ def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sequence construction from config
+# plans: every run's sequences and grid, built and checked before it integrates
+
+DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
+DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
+DEFAULT_THETA_AXIS = tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 20.0))
+DEFAULT_SPLIT_AXIS = tuple(np.arange(-24.0, 25.0, 1.0))
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What a run integrates: its cells' sequences on one time grid.  axes
+    holds each swept axis's values (config.READS order); the cells run over
+    their product, the first axis slowest, or are one cell without an axis."""
+
+    seqs: Tuple[PulseSequence, ...]
+    grid: TimeGrid
+    axes: Dict[str, np.ndarray]
+
+    def cell_values(self) -> Dict[str, np.ndarray]:
+        """Each swept axis's value at every cell, in cell order."""
+        grids = np.meshgrid(*self.axes.values(), indexing="ij")
+        return {name: g.ravel() for name, g in zip(self.axes, grids)}
+
 
 def _seq_kwargs(cfg: ExperimentConfig) -> dict:
     p = cfg.pulses
-    return dict(
-        omega01=mhz_to_rad_ns(p.omega01_mhz),
-        omega12=mhz_to_rad_ns(p.omega12_mhz),
-        sigma=p.sigma_ns,
-        t_s=p.t_separation_ns,
-        delta01=mhz_to_rad_ns(p.delta01_mhz),
-        delta12=mhz_to_rad_ns(p.delta12_mhz),
-        phi01=p.phi01_rad,
-        phi12=p.phi12_rad,
-    )
+    return dict(omega01=mhz_to_rad_ns(p.omega01_mhz), omega12=mhz_to_rad_ns(p.omega12_mhz),
+                sigma=p.sigma_ns, t_s=p.t_separation_ns, delta01=mhz_to_rad_ns(p.delta01_mhz),
+                delta12=mhz_to_rad_ns(p.delta12_mhz), phi01=p.phi01_rad, phi12=p.phi12_rad)
 
 
-def _grid_for(seqs: List[PulseSequence], cfg: ExperimentConfig) -> TimeGrid:
-    """The configured grid on the union of the sequences' windows."""
-    return TimeGrid(min(s.window[0] for s in seqs), max(s.window[1] for s in seqs),
-                    dt=cfg.grid.dt_ns, sample_stride=cfg.grid.sample_stride)
+def _stirap(cfg: ExperimentConfig, kw: dict) -> PulseSequence:
+    return build_sequence(SequenceKind.STIRAP, **kw)
+
+
+def _detuned(cfg: ExperimentConfig, kw: dict, s: float, d: float) -> PulseSequence:
+    return two_pulse_sequence(**{**kw, "delta01": mhz_to_rad_ns((s + d) / 2.0),
+                                 "delta12": mhz_to_rad_ns((s - d) / 2.0)})
+
+
+def plan(cfg: ExperimentConfig) -> Plan:
+    """Check cfg as its run does before integrating, and build what it integrates:
+    check_reads, each cell's sequence (_EXPERIMENTS), the grid on their common
+    window (berry steps at most 0.05 ns), check_step on every sequence, and the
+    time-evolution and tomography checks.  Raises ConfigurationError."""
+    check_reads(cfg)
+    _, defaults, cell = _EXPERIMENTS[cfg.experiment]
+    axes = {name: cfg.axis(name, d) for name, d in zip(READS[cfg.experiment][0], defaults)}
+    kw = _seq_kwargs(cfg)
+    seqs = tuple(cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values()))
+    dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
+    grid = TimeGrid(min(s.window[0] for s in seqs), max(s.window[1] for s in seqs),
+                    dt=dt, sample_stride=cfg.grid.sample_stride)
+    for seq in seqs:
+        check_step(seq, grid)
+    if cfg.experiment is Experiment.TIME_EVOLUTION:
+        _summary_windows(seqs[0], grid)
+    elif cfg.experiment is Experiment.TOMOGRAPHY_TIMELINE:
+        check_tau_count(cfg.tomography.tau_max_ns, cfg.tomography.dtau_ns)
+    return Plan(seqs, grid, axes)
+
+
+def _summary_windows(seq: PulseSequence, grid: TimeGrid) -> List[np.ndarray]:
+    """Masks of the samples in the pulse overlap and between the pulse peaks,
+    where the time-evolution summary takes maxima; each must hold one."""
+    times = grid.times[grid.sample_steps]
+    peaks = (min(seq.gaussian_centers(Transition.T12)), max(seq.gaussian_centers(Transition.T01)))
+    masks = []
+    for (a, b), what in ((overlap_window(seq), "pulse overlap"),
+                         (peaks, "span between the pulse peaks")):
+        masks.append((times >= a) & (times <= b))
+        if not masks[-1].any():
+            raise ConfigurationError(
+                f"grid.sample_stride = {grid.sample_stride} (dt {grid.dt} ns) leaves no sample "
+                f"in the {what}, [{a:g}, {b:g}] ns")
+    return masks
 
 
 def _t01_peak(seq: PulseSequence) -> float:
@@ -188,15 +240,13 @@ def _t01_peak(seq: PulseSequence) -> float:
     return centers[0] if centers else 0.0
 
 
-def _sweep(cfg: ExperimentConfig, seqs: List[PulseSequence], **axes):
-    """Batch the cells on their common window.
-
-    axes maps each axis name to its per-cell values; returns the batch and
-    one record {"cell", <axis>: value, ..., "error"} per failed cell.
-    """
-    batch = run_batch(seqs, cfg.transmon, _grid_for(seqs, cfg),
+def _sweep(cfg: ExperimentConfig, plan: Plan):
+    """Batch the plan's cells; returns the batch and one record
+    {"cell", <axis>: value, ..., "error"} per failed cell."""
+    batch = run_batch(plan.seqs, cfg.transmon, plan.grid,
                       dissipative=cfg.dissipative, workers=cfg.workers)
-    failures = [{"cell": int(c), **{k: float(v[c]) for k, v in axes.items()}, "error": msg}
+    cells = plan.cell_values()
+    failures = [{"cell": int(c), **{k: float(v[c]) for k, v in cells.items()}, "error": msg}
                 for c, msg in batch.failures]
     return batch, failures
 
@@ -217,35 +267,20 @@ def _result(kind: Experiment, cfg: ExperimentConfig, axes: Dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each integrates its plan and analyses the result
 
-def _run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
+def _run_time_evolution(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Single STIRAP run at the configured parameters, with and without
     dissipation; emits the sampled populations and a summary."""
-    seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
-    grid = _grid_for([seq], cfg)
-    shift = _t01_peak(seq)
-
+    seq, grid = plan.seqs[0], plan.grid
     res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
-    times = res_d.times
-    overlap = overlap_window(seq)
-    peaks = (min(seq.gaussian_centers(Transition.T12)), max(seq.gaussian_centers(Transition.T01)))
-    in_overlap = (times >= overlap[0]) & (times <= overlap[1])
-    between = (times >= peaks[0]) & (times <= peaks[1])
-    for window, (a, b), what in ((in_overlap, overlap, "pulse overlap"),
-                                 (between, peaks, "span between the pulse peaks")):
-        if not window.any():
-            raise ConfigurationError(
-                f"grid.sample_stride = {grid.sample_stride} (dt {grid.dt} ns) leaves no sample "
-                f"in the {what}, [{a:g}, {b:g}] ns")
     res_u = evolve(seq, cfg.transmon, grid, dissipative=False)
+    times, shift = res_d.times, _t01_peak(seq)
+    in_overlap, between = _summary_windows(seq, grid)
     pd, pu = res_d.populations[0], res_u.populations[0]
-
-    def series(name: str, pops: np.ndarray) -> Table:
-        return Table(name, ("t_ns", "p0", "p1", "p2", "trace_drift"),
-                     np.column_stack([times - shift, pops, np.abs(pops.sum(axis=1) - 1.0)]))
-
-    main, unitary = series("time_evolution", pd), series("time_evolution_unitary", pu)
+    main, unitary = (Table(name, ("t_ns", "p0", "p1", "p2", "trace_drift"),
+                           np.column_stack([times - shift, pops, np.abs(pops.sum(axis=1) - 1.0)]))
+                     for name, pops in (("time_evolution", pd), ("time_evolution_unitary", pu)))
     i_peak = int(pd[:, 2].argmax())
     summary = Table("time_evolution_summary",
                     ("peak_p2", "t_peak_ns", "final_p2", "p1_max_overlap",
@@ -256,16 +291,10 @@ def _run_time_evolution(cfg: ExperimentConfig) -> SweepResult:
                    [main, unitary, summary])
 
 
-DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
-
-
-def _run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
+def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Population maps versus pulse separation on a common time window."""
-    ts_axis = cfg.axis("t_separation_ns", DEFAULT_TS_AXIS)
-    kw = _seq_kwargs(cfg)
-    del kw["t_s"]
-    seqs = [two_pulse_sequence(t_s=float(ts), **kw) for ts in ts_axis]
-    batch, failures = _sweep(cfg, seqs, t_separation_ns=ts_axis)
+    ts_axis = plan.axes["t_separation_ns"]
+    batch, failures = _sweep(cfg, plan)
 
     p2 = batch.populations[:, :, 2]
     summary = Table("separation_sweep",
@@ -277,42 +306,30 @@ def _run_separation_sweep(cfg: ExperimentConfig) -> SweepResult:
     series = _series("separation_sweep_timeseries", "t_separation_ns", ts_axis,
                      -ts_axis / 2.0, batch)
     sust = summary.column("sustained_p2")
-    return _result(Experiment.SEPARATION_SWEEP, cfg, {"t_separation_ns": ts_axis},
+    return _result(Experiment.SEPARATION_SWEEP, cfg, plan.axes,
                    [summary, series], failures,
                    argmax_sustained_ts_ns=repr(float(ts_axis[int(sust.argmax())])),
                    positive_ts_alternations=str(count_alternations(sust[ts_axis > 0])))
 
 
-DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
-
-
-def _plane(cfg: ExperimentConfig, name: str, default_axis):
-    """Batch the (sum, difference) detuning plane on one common window.
-
-    Returns the two axes, the per-cell table of final and peak
-    populations, and the failed cells.
-    """
-    sums = cfg.axis("detuning_sum_mhz", default_axis)
-    diffs = cfg.axis("detuning_diff_mhz", default_axis)
-    pair = two_pulse_sequence(**_seq_kwargs(cfg))  # every cell's pulses
-    s_cell, d_cell = np.repeat(sums, len(diffs)), np.tile(diffs, len(sums))
-    seqs = [replace(pair, delta01=mhz_to_rad_ns((s + d) / 2.0), delta12=mhz_to_rad_ns((s - d) / 2.0))
-            for s, d in zip(s_cell, d_cell)]
-    batch, failures = _sweep(cfg, seqs, detuning_sum_mhz=s_cell, detuning_diff_mhz=d_cell)
+def _plane(cfg: ExperimentConfig, plan: Plan, name: str):
+    """The detuning plane's axes, per-cell final and peak populations, and failed cells."""
+    batch, failures = _sweep(cfg, plan)
+    cells = plan.cell_values()
     final = batch.populations[:, -1]
     p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>
     table = Table(name,
                   ("detuning_sum_mhz", "detuning_diff_mhz",
                    "final_p0", "final_p1", "final_p2", "peak_p2"),
-                  np.column_stack([s_cell, d_cell, final[:, 0], p1, final[:, -1],
+                  np.column_stack([cells["detuning_sum_mhz"], cells["detuning_diff_mhz"],
+                                   final[:, 0], p1, final[:, -1],
                                    batch.populations[:, :, -1].max(axis=1)]))
-    return sums, diffs, table, failures
+    return (*plan.axes.values(), table, failures)
 
 
-def _run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
+def _run_detuning_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Final and peak populations over the (sum, difference) detuning plane."""
-    sums, diffs, table, failures = _plane(cfg, "detuning_map", DEFAULT_DETUNING_AXIS)
-
+    sums, diffs, table, failures = _plane(cfg, plan, "detuning_map")
     i_sum0, j_diff0 = int(np.abs(sums).argmin()), int(np.abs(diffs).argmin())
     diag_rows = []
     for col in ("final_p2", "peak_p2"):
@@ -328,22 +345,14 @@ def _run_detuning_map(cfg: ExperimentConfig) -> SweepResult:
         ("fwhm_sum_mhz", "fwhm_sum_censored", "fwhm_diff_mhz",
          "fwhm_diff_censored", "fwhm_ratio", "diff_mirror_asymmetry"),
         np.asarray(diag_rows))
-    return _result(Experiment.DETUNING_MAP, cfg,
-                   {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
-                   [table, diagnostics], failures)
+    return _result(Experiment.DETUNING_MAP, cfg, plan.axes, [table, diagnostics], failures)
 
 
-DEFAULT_THETA_AXIS = tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 20.0))
-
-
-def _run_hybrid(cfg: ExperimentConfig) -> SweepResult:
+def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Fast 01 rotation followed by STIRAP, swept over the rotation angle."""
-    thetas = cfg.axis("theta_fast_rad", DEFAULT_THETA_AXIS)
-    seqs = [build_sequence(SequenceKind.HYBRID, theta_fast=float(th),
-                           fast_duration=cfg.pulses.fast_duration_ns, **_seq_kwargs(cfg))
-            for th in thetas]
-    batch, failures = _sweep(cfg, seqs, theta_fast_rad=thetas)
-    t01 = _t01_peak(seqs[0])
+    thetas = plan.axes["theta_fast_rad"]
+    batch, failures = _sweep(cfg, plan)
+    t01 = _t01_peak(plan.seqs[0])
     late = batch.times >= t01
     summary = Table("hybrid",
                     ("theta_fast_rad", "final_p2", "peak_p2", "late_p0_alternations"),
@@ -352,16 +361,12 @@ def _run_hybrid(cfg: ExperimentConfig) -> SweepResult:
                                 for theta, pops in zip(thetas, batch.populations)]))
     series = _series("hybrid_timeseries", "theta_fast_rad", thetas,
                      np.full(len(thetas), t01), batch)
-    return _result(Experiment.HYBRID, cfg, {"theta_fast_rad": thetas},
-                   [summary, series], failures)
+    return _result(Experiment.HYBRID, cfg, plan.axes, [summary, series], failures)
 
 
-def _run_reversal(cfg: ExperimentConfig) -> SweepResult:
+def _run_reversal(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Three-pulse sequence: transfer to |2> and adiabatically back to |0>."""
-    kw = _seq_kwargs(cfg)
-    seq = build_sequence(SequenceKind.REVERSAL,
-                         reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)
-    res = evolve(seq, cfg.transmon, _grid_for([seq], cfg), dissipative=cfg.dissipative)
+    res = evolve(plan.seqs[0], cfg.transmon, plan.grid, dissipative=cfg.dissipative)
     pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),
                    np.column_stack([res.times, pops]))
@@ -371,13 +376,9 @@ def _run_reversal(cfg: ExperimentConfig) -> SweepResult:
     return _result(Experiment.REVERSAL, cfg, {"t_ns": res.times}, [summary, series])
 
 
-DEFAULT_SPLIT_AXIS = tuple(np.arange(-24.0, 25.0, 1.0))
-
-
-def _run_split_map(cfg: ExperimentConfig) -> SweepResult:
+def _run_split_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Detuning map with the split intermediate level (4-level system)."""
-    sums, diffs, table, failures = _plane(cfg, "split_map", DEFAULT_SPLIT_AXIS)
-
+    sums, diffs, table, failures = _plane(cfg, plan, "split_map")
     peak_map = table.column("peak_p2").reshape(len(sums), len(diffs))
     final_map = table.column("final_p2").reshape(len(sums), len(diffs))
     midpoint = float(peak_map[np.abs(sums).argmin(), np.abs(diffs).argmin()])
@@ -387,24 +388,21 @@ def _run_split_map(cfg: ExperimentConfig) -> SweepResult:
          "max_peak_p2", "midpoint_suppression"),
         np.array([[blob_count(peak_map), blob_count(final_map),
                    midpoint, float(peak_map.max()), float(peak_map.max() - midpoint)]]))
-    return _result(Experiment.SPLIT_MAP, cfg,
-                   {"detuning_sum_mhz": sums, "detuning_diff_mhz": diffs},
-                   [table, diagnostics], failures)
+    return _result(Experiment.SPLIT_MAP, cfg, plan.axes, [table, diagnostics], failures)
 
 
-def _run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
+def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Simulate STIRAP, synthesize reference traces, and push every sampled
     state through the mix-and-invert measurement pipeline."""
-    seq = build_sequence(SequenceKind.STIRAP, **_seq_kwargs(cfg))
-    sim = evolve(seq, cfg.transmon, _grid_for([seq], cfg), dissipative=cfg.dissipative)
+    seq = plan.seqs[0]
+    sim = evolve(seq, cfg.transmon, plan.grid, dissipative=cfg.dissipative)
     pops = sim.populations[0]
-    refs = synth_reference_traces(cfg.cavity, cfg.transmon,
-                                  tau_max=cfg.tomography.tau_max_ns,
-                                  dtau=cfg.tomography.dtau_ns,
-                                  decoherence_corrected=cfg.tomography.decoherence_corrected_refs)
-    noise_std = cfg.tomography.noise_std_rel * trace_scale(refs)
+    tomo = cfg.tomography
+    refs = synth_reference_traces(cfg.cavity, cfg.transmon, tomo.tau_max_ns, tomo.dtau_ns,
+                                  tomo.decoherence_corrected_refs)
+    noise_std = tomo.noise_std_rel * trace_scale(refs)
     results = tomography_timeline(pops, refs, noise_std=noise_std,
-                                  weight_ns=cfg.tomography.weight_ns, seed=cfg.seed)
+                                  weight_ns=tomo.weight_ns, seed=cfg.seed)
     shift = _t01_peak(seq)
     rows = [[t - shift, *p_true, *rec.p, rec.residual]
             for t, p_true, rec in zip(sim.times, pops, results)]
@@ -416,16 +414,10 @@ def _run_tomography_timeline(cfg: ExperimentConfig) -> SweepResult:
                    max_abs_error=repr(float(err)), noise_std=repr(float(noise_std)))
 
 
-def _run_berry(cfg: ExperimentConfig) -> SweepResult:
+def _run_berry(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Geometric phase of a plateau sequence versus the propagation oracle."""
-    b = cfg.berry
-    seq = plateau_phase_sequence(theta=b.theta_rad, phi_total=b.phi_total_rad,
-                                 sigma=b.sigma_ns,
-                                 omega_rms=mhz_to_rad_ns(b.omega_rms_mhz),
-                                 ramp_span=b.ramp_span_ns)
-    grid = TimeGrid(seq.window[0], seq.window[1], dt=min(cfg.grid.dt_ns, 0.05),
-                    sample_stride=cfg.grid.sample_stride)
-    res = berry_vs_oracle(seq, cfg.transmon, grid, metric_threshold=b.metric_threshold)
+    seq, grid = plan.seqs[0], plan.grid
+    res = berry_vs_oracle(seq, cfg.transmon, grid, metric_threshold=cfg.berry.metric_threshold)
     summary = Table("berry",
                     ("gamma_berry_rad", "gamma_oracle_rad", "mismatch_rad", "leakage"),
                     np.array([[res.gamma_berry, res.gamma_oracle, res.mismatch, res.leakage]]))
@@ -434,22 +426,30 @@ def _run_berry(cfg: ExperimentConfig) -> SweepResult:
     return _result(Experiment.BERRY, cfg, {"t_ns": path.samples[:, 0]}, [summary, path_table])
 
 
-_RUNNERS = {
-    Experiment.TIME_EVOLUTION: _run_time_evolution,
-    Experiment.SEPARATION_SWEEP: _run_separation_sweep,
-    Experiment.DETUNING_MAP: _run_detuning_map,
-    Experiment.HYBRID: _run_hybrid,
-    Experiment.REVERSAL: _run_reversal,
-    Experiment.SPLIT_MAP: _run_split_map,
-    Experiment.TOMOGRAPHY_TIMELINE: _run_tomography_timeline,
-    Experiment.BERRY: _run_berry,
+# Per experiment: its runner, the defaults of its sweep axes (config.READS
+# order) and its sequence for one cell, from the config, _seq_kwargs and the
+# cell's axis values.  Cells call the builders through this module's globals,
+# so a wrapper put on those names (perfbench's tracer) sees every build.
+_EXPERIMENTS = {
+    Experiment.TIME_EVOLUTION: (_run_time_evolution, (), _stirap),
+    Experiment.SEPARATION_SWEEP: (_run_separation_sweep, (DEFAULT_TS_AXIS,),
+                                  lambda cfg, kw, ts: two_pulse_sequence(**{**kw, "t_s": ts})),
+    Experiment.DETUNING_MAP: (_run_detuning_map, (DEFAULT_DETUNING_AXIS,) * 2, _detuned),
+    Experiment.HYBRID: (_run_hybrid, (DEFAULT_THETA_AXIS,), lambda cfg, kw, theta: build_sequence(
+        SequenceKind.HYBRID, theta_fast=theta, fast_duration=cfg.pulses.fast_duration_ns, **kw)),
+    Experiment.REVERSAL: (_run_reversal, (), lambda cfg, kw: build_sequence(
+        SequenceKind.REVERSAL, reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)),
+    Experiment.SPLIT_MAP: (_run_split_map, (DEFAULT_SPLIT_AXIS,) * 2, _detuned),
+    Experiment.TOMOGRAPHY_TIMELINE: (_run_tomography_timeline, (), _stirap),
+    Experiment.BERRY: (_run_berry, (), lambda cfg, kw: plateau_phase_sequence(
+        theta=cfg.berry.theta_rad, phi_total=cfg.berry.phi_total_rad, sigma=cfg.berry.sigma_ns,
+        omega_rms=mhz_to_rad_ns(cfg.berry.omega_rms_mhz), ramp_span=cfg.berry.ramp_span_ns)),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
-    """Run cfg.experiment, the one way in; config.check_reads runs first."""
-    check_reads(cfg)
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run cfg.experiment, the one way in: plan(cfg), then its runner."""
+    return _EXPERIMENTS[cfg.experiment][0](cfg, plan(cfg))
 
 
 # ---------------------------------------------------------------------------

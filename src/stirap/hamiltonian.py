@@ -162,7 +162,6 @@ class DispersiveShifts:
     """
 
     chi_mhz: Tuple[float, ...]
-    lamb_shifted_mhz: Tuple[float, ...]
     pulls_mhz: Tuple[float, ...]
 
 
@@ -179,10 +178,9 @@ def dispersive_shifts(cav: CavityParams, bare_transitions_mhz: Sequence[float]) 
                 f"transition at {f} MHz too close to cavity: |Delta| = {abs(delta):.1f} < 10 g"
             )
         chis.append(g * g / delta)
-    lamb = [f + chis[j] - (chis[j - 1] if j > 0 else 0.0) for j, f in enumerate(transitions)]
     pulls = [0.0]
     for j in range(1, len(transitions) + 1):
         chi_below = chis[j - 1]
         chi_above = chis[j] if j < len(chis) else 0.0
         pulls.append(chi_below + chis[0] - chi_above)
-    return DispersiveShifts(chi_mhz=tuple(chis), lamb_shifted_mhz=tuple(lamb), pulls_mhz=tuple(pulls))
+    return DispersiveShifts(chi_mhz=tuple(chis), pulls_mhz=tuple(pulls))

@@ -17,14 +17,7 @@ from ._batch import evolve
 from .errors import ConfigurationError, NonAdiabaticRunError, PreconditionError
 from .hamiltonian import TransmonParams, dark_state
 from .lindblad import TimeGrid
-from .pulses import (
-    Convention,
-    GaussianPulse,
-    PhaseRamp,
-    PulseSequence,
-    Transition,
-    global_adiabaticity_metric,
-)
+from .pulses import GaussianPulse, PhaseRamp, PulseSequence, Transition, global_adiabaticity_metric
 from .units import TWO_PI
 
 
@@ -109,7 +102,7 @@ def adiabatic_phase_oracle(
     """
     if abs(seq.detuning(Transition.T01)) > 1e-12 or abs(seq.detuning(Transition.T12)) > 1e-12:
         raise PreconditionError("phase oracle needs zero drive detunings")
-    report = global_adiabaticity_metric(seq, Convention.CYCLIC)
+    report = global_adiabaticity_metric(seq)
     if report.global_metric <= metric_threshold:
         raise PreconditionError(
             f"global adiabaticity metric {report.global_metric:.2f} <= {metric_threshold}"

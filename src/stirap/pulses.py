@@ -1,4 +1,4 @@
-"""Gaussian drive envelopes, canonical pulse sequences, adiabaticity checks.
+"""Gaussian drive envelopes, canonical pulse sequences, the adiabaticity metric.
 
 All amplitudes/detunings are angular frequencies in rad/ns, times in ns.
 A sequence evaluates to simultaneous complex drive amplitudes on the 0-1
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidPulseError, SingularPointError
+from .errors import ConfigurationError, InvalidPulseError
 from .units import TWO_PI
 
 WINDOW_SIGMAS = 4.0  # envelope < 3.4e-4 of peak beyond this
@@ -28,14 +28,8 @@ class Transition(enum.Enum):
 
 class SequenceKind(enum.Enum):
     STIRAP = "stirap"
-    INTUITIVE = "intuitive"
     HYBRID = "hybrid"
     REVERSAL = "reversal"
-
-
-class Convention(enum.Enum):
-    ANGULAR = "angular"  # Omega in rad/ns
-    CYCLIC = "cyclic"  # Omega as ordinary frequency in cycles/ns (GHz)
 
 
 @dataclass(frozen=True)
@@ -80,10 +74,6 @@ class GaussianPulse:
         t = np.asarray(t, dtype=float)
         return self.amplitude * np.exp(-((t - self.center_ns) ** 2) / (2.0 * self.sigma_ns**2))
 
-    def envelope_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return -((t - self.center_ns) / self.sigma_ns**2) * self.envelope(t)
-
     def phase_at(self, t):
         return self.phase if self.phase_ramp is None else self.phase + self.phase_ramp.value(t)
 
@@ -117,9 +107,6 @@ class FastPulse:
         t = np.asarray(t, dtype=float)
         inside = (t >= self.start_ns) & (t < self.start_ns + self.duration_ns)
         return np.where(inside, self.amplitude, 0.0)
-
-    def envelope_derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def phase_at(self, t):
         return self.phase
@@ -163,15 +150,13 @@ class PulseSequence:
             total = total + p.envelope(t) * np.exp(-1j * p.phase_at(t))
         return total
 
-    def envelope_and_derivative(self, transition: Transition, t):
-        """Real envelope sum and its analytic time derivative."""
+    def envelope(self, transition: Transition, t):
+        """Sum of the transition's real envelopes Omega_p(t)."""
         t = np.asarray(t, dtype=float)
         env = np.zeros(t.shape, dtype=float)
-        denv = np.zeros(t.shape, dtype=float)
         for p in self.pulses_on(transition):
             env = env + p.envelope(t)
-            denv = denv + p.envelope_derivative(t)
-        return env, denv
+        return env
 
     def gaussian_centers(self, transition: Transition):
         return [p.center_ns for p in self.pulses_on(transition) if isinstance(p, GaussianPulse)]
@@ -215,15 +200,11 @@ def build_sequence(
     reversal_spacing: Optional[float] = None,
     phase_ramp12: Optional[PhaseRamp] = None,
 ) -> PulseSequence:
-    """Canonical sequences: STIRAP, INTUITIVE, HYBRID, REVERSAL."""
-    if kind is SequenceKind.STIRAP or kind is SequenceKind.HYBRID:
-        if t_s > 0:
-            raise ConfigurationError(f"{kind.name} needs t_s <= 0 (12 pulse first), got {t_s}")
-    elif kind is SequenceKind.INTUITIVE:
-        if t_s < 0:
-            raise ConfigurationError(f"INTUITIVE needs t_s >= 0 (01 pulse first), got {t_s}")
+    """Canonical sequences: STIRAP, HYBRID, REVERSAL."""
+    if kind in (SequenceKind.STIRAP, SequenceKind.HYBRID) and t_s > 0:
+        raise ConfigurationError(f"{kind.name} needs t_s <= 0 (12 pulse first), got {t_s}")
 
-    if kind in (SequenceKind.STIRAP, SequenceKind.INTUITIVE):
+    if kind is SequenceKind.STIRAP:
         return two_pulse_sequence(omega01, omega12, sigma, t_s, delta01, delta12,
                                   phi01, phi12, phase_ramp12)
 
@@ -247,28 +228,9 @@ def build_sequence(
     raise ConfigurationError(f"unknown sequence kind {kind!r}")
 
 
-def local_adiabaticity(t, seq: PulseSequence):
-    """|d(Omega01)/dt * Omega12 - Omega01 * d(Omega12)/dt| / (Omega01^2+Omega12^2)^(3/2).
-
-    Uses the analytic Gaussian derivatives; values much less than 1 mark
-    the adiabatic regime.
-    """
-    o01, d01 = seq.envelope_and_derivative(Transition.T01, t)
-    o12, d12 = seq.envelope_and_derivative(Transition.T12, t)
-    denom2 = o01**2 + o12**2
-    if np.any(denom2 < 1e-24):
-        raise SingularPointError("both envelopes vanish at requested time(s)")
-    num = np.abs(d01 * o12 - o01 * d12)
-    result = num / denom2**1.5
-    return float(result) if np.ndim(t) == 0 else result
-
-
 @dataclass(frozen=True)
 class AdiabaticityReport:
-    local_max: float
-    global_metric: float
-    satisfied: bool
-    convention: Convention
+    global_metric: float  # (4/sqrt(pi)) sigma Omega, Omega in cycles/ns
     pulse_area_integral: float  # integral of sqrt(O01^2 + O12^2) dt, rad
     area_lower: float  # analytic t_s = 0 endpoint, 2 sqrt(pi) sigma Omega
     area_upper: float  # analytic t_s -> inf endpoint, 2 sqrt(2 pi) sigma Omega
@@ -287,50 +249,27 @@ def rms_envelope_integral(seq: PulseSequence, points_per_sigma: int = 1000) -> f
     step = min(sigmas) / points_per_sigma if sigmas else (hi - lo) / 1e5
     n = int(math.ceil((hi - lo) / step)) + 1
     t = np.linspace(lo, hi, n)
-    o01, _ = seq.envelope_and_derivative(Transition.T01, t)
-    o12, _ = seq.envelope_and_derivative(Transition.T12, t)
+    o01, o12 = seq.envelope(Transition.T01, t), seq.envelope(Transition.T12, t)
     return float(np.trapezoid(np.sqrt(o01**2 + o12**2), t))
 
 
-def global_adiabaticity_metric(
-    seq: PulseSequence,
-    convention: Convention = Convention.CYCLIC,
-    threshold: float = 1.0,
-) -> AdiabaticityReport:
+def global_adiabaticity_metric(seq: PulseSequence) -> AdiabaticityReport:
     """(4/sqrt(pi)) * sigma * Omega, with Omega the geometric mean amplitude.
 
-    ANGULAR uses Omega in rad/ns; CYCLIC uses the ordinary frequency
-    Omega/2pi in cycles/ns, which is the reading that reproduces the
-    headline safety factor of ~4 at the calibrated drive parameters.
-    Also integrates sqrt(Omega01^2+Omega12^2) dt and reports the analytic
-    equal-amplitude endpoints [2 sqrt(pi) s O, 2 sqrt(2 pi) s O] it must
-    bracket.
+    Omega is the ordinary frequency Omega/2pi in cycles/ns, the reading
+    that reproduces the headline safety factor of ~4 at the calibrated
+    drive parameters.  Also integrates sqrt(Omega01^2+Omega12^2) dt and
+    reports the analytic equal-amplitude endpoints
+    [2 sqrt(pi) s O, 2 sqrt(2 pi) s O] it must bracket.
     """
     gaussians = [p for p in seq.pulses if isinstance(p, GaussianPulse)]
     if len(gaussians) != 2 or len(seq.pulses) != 2:
         raise ConfigurationError("global adiabaticity metric needs exactly two Gaussian pulses")
     omega_geo = math.sqrt(gaussians[0].amplitude * gaussians[1].amplitude)
     sigma_geo = math.sqrt(gaussians[0].sigma_ns * gaussians[1].sigma_ns)
-    omega_conv = omega_geo / TWO_PI if convention is Convention.CYCLIC else omega_geo
-    metric = (4.0 / math.sqrt(math.pi)) * sigma_geo * omega_conv
+    metric = (4.0 / math.sqrt(math.pi)) * sigma_geo * (omega_geo / TWO_PI)
 
     integral = rms_envelope_integral(seq)
     lower = 2.0 * math.sqrt(math.pi) * sigma_geo * omega_geo
     upper = 2.0 * math.sqrt(TWO_PI) * sigma_geo * omega_geo
-
-    ts = np.linspace(seq.window[0], seq.window[1], 4001)
-    o01, _ = seq.envelope_and_derivative(Transition.T01, ts)
-    o12, _ = seq.envelope_and_derivative(Transition.T12, ts)
-    # skip the points where both envelopes vanish, at which local_adiabaticity raises
-    mask = o01**2 + o12**2 >= 1e-24
-    local_max = float(np.max(local_adiabaticity(ts[mask], seq), initial=0.0))
-
-    return AdiabaticityReport(
-        local_max=local_max,
-        global_metric=metric,
-        satisfied=metric > threshold,
-        convention=convention,
-        pulse_area_integral=integral,
-        area_lower=lower,
-        area_upper=upper,
-    )
+    return AdiabaticityReport(metric, integral, lower, upper)

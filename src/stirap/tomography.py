@@ -76,6 +76,13 @@ def _ladder_transitions(trans: TransmonParams, n: int) -> List[float]:
     return out[:n]
 
 
+def check_tau_count(tau_max: float, dtau: float) -> None:
+    """Reject a tau axis 0, dtau, ..., tau_max of more than MAX_POINTS samples."""
+    if not tau_max / dtau <= MAX_POINTS:
+        raise ConfigurationError(f"dtau = {dtau!r} ns gives {tau_max / dtau:.10g} tau samples up to "
+                                 f"tau_max = {tau_max!r} ns, more than {MAX_POINTS}")
+
+
 def synth_reference_traces(
     cav: CavityParams,
     trans: TransmonParams,
@@ -91,9 +98,7 @@ def synth_reference_traces(
     amplitude is propagated exactly, jointly with the decaying level
     occupations, at any dtau.
     """
-    if not tau_max / dtau <= MAX_POINTS:
-        raise ConfigurationError(f"dtau = {dtau!r} ns gives {tau_max / dtau:.10g} tau samples up to "
-                                 f"tau_max = {tau_max!r} ns, more than {MAX_POINTS}")
+    check_tau_count(tau_max, dtau)
     taus = np.arange(0.0, tau_max + dtau / 2, dtau)
     shifts = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz)))
     pulls = shifts.pulls_mhz[:3]

@@ -26,7 +26,7 @@ from stirap.experiments import (
 from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
 from stirap.holonomy import ParameterPath, berry_phase, berry_vs_oracle, plateau_phase_sequence
 from stirap.lindblad import TimeGrid
-from stirap.pulses import Convention, SequenceKind, build_sequence, global_adiabaticity_metric
+from stirap.pulses import SequenceKind, build_sequence, global_adiabaticity_metric
 from stirap.tomography import (
     mix_traces,
     reconstruct_populations,
@@ -203,7 +203,7 @@ def test_criterion_3_detuning_map():
 
 
 def test_criterion_4_global_adiabaticity(stirap_sequence):
-    rep = global_adiabaticity_metric(stirap_sequence, Convention.CYCLIC)
+    rep = global_adiabaticity_metric(stirap_sequence)
     in_band = 4.0 <= rep.global_metric <= 4.6
     within = (rep.area_lower * (1 - 1e-4) <= rep.pulse_area_integral
               <= rep.area_upper * (1 + 1e-4))

@@ -61,10 +61,20 @@ class TestValidateConfig:
         ("split", {"experiment": "split_map"}, "split_map needs transmon.split"),
         # a file that names no experiment is checked as time_evolution, as run runs it
         ("run", {"sweep": {"theta_fast_rad": [0.0]}}, "'theta_fast_rad' is not read by time_evolution"),
-    ], ids=["axis", "split", "no_split", "no_experiment"])
+        # and every other check a run makes before it integrates
+        ("run", {"grid": {"dt_ns": 1.0}}, "dt = 1.0 too coarse for sigma = 45.0 ns"),
+        ("run", {"grid": {"dt_ns": 1e-12}}, "grid needs between 10 and 1000000 steps"),
+        ("hybrid", {"experiment": "hybrid", "pulses": {"fast_duration_ns": 10.05}},
+         "FastPulse edge at -225.0 ns falls between the points"),
+        ("tomography", {"experiment": "tomography_timeline", "tomography": {"dtau_ns": 1e-300}},
+         "1.5e+303 tau samples"),
+        ("run", {"pulses": {"t_separation_ns": 90.0}}, "STIRAP needs t_s <= 0"),
+        ("run", {"grid": {"sample_stride": 3000}}, "leaves no sample in the pulse overlap"),
+    ], ids=["axis", "split", "no_split", "no_experiment", "dt_coarse", "too_many_steps",
+            "fast_edge", "tau_axis", "t_s_positive", "sample_stride"])
     def test_checks_what_the_experiment_reads_as_the_run_does(self, tmp_path, capsys,
                                                                command, data, key):
-        cfg = write_config(tmp_path, {**FAST, **data})
+        cfg = write_config(tmp_path, data)
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert key in err, err
@@ -211,10 +221,10 @@ class TestRun:
         # the summary has no sample inside the pulse overlap to take a maximum of
         cfg = write_config(tmp_path, {"grid": {"sample_stride": 5000}})
         out = tmp_path / "o"
-        assert main(["validate-config", "--config", cfg]) == EXIT_OK
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "configuration error: grid.sample_stride = 5000" in err, err
+        assert err.count("configuration error: grid.sample_stride = 5000") == 2, err
         assert not out.exists()
 
     def test_zero_workers_in_file_or_flag(self, tmp_path, capsys):
@@ -316,11 +326,14 @@ class TestSweepCommands:
 
 
 def test_each_experiment_has_one_table_entry_one_runner_and_one_subcommand():
-    # a structural guard: run_experiment is the only public runner, and
-    # config.READS says what each experiment reads
+    # a structural guard: run_experiment is the only public runner,
+    # config.READS says what each experiment reads, and one table row says
+    # how experiments builds and runs each one
     assert sorted(READS, key=list(Experiment).index) == list(Experiment)
-    runners = experiments._RUNNERS
-    assert sorted(runners, key=list(Experiment).index) == list(Experiment)
+    table = experiments._EXPERIMENTS
+    assert sorted(table, key=list(Experiment).index) == list(Experiment)
+    assert all(len(defaults) == len(READS[e][0]) for e, (_, defaults, _) in table.items())
+    runners = {e: row[0] for e, row in table.items()}
     assert len(set(runners.values())) == len(Experiment)
     assert sorted(_SUBCOMMANDS.values(), key=list(Experiment).index) == list(Experiment)
     assert [n for n in dir(experiments) if n.startswith("run_")] == ["run_batch", "run_experiment"]

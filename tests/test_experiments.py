@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from stirap import experiments
 from stirap._batch import evolve
 from stirap.config import (
     Experiment,
     ExperimentConfig,
     GridConfig,
     PulseConfig,
+    TomographyConfig,
     config_from_dict,
     config_hash,
 )
@@ -23,6 +26,7 @@ from stirap.experiments import (
     emit,
     fwhm,
     overlap_window,
+    plan,
     run_experiment,
     sustained_max,
 )
@@ -561,4 +565,54 @@ class TestConfigParsing:
         cfg = ExperimentConfig(experiment=Experiment.SEPARATION_SWEEP,
                                sweep={"t_separaton_ns": (-90.0,)})
         with pytest.raises(ConfigurationError, match=r"'t_separaton_ns'.*\['t_separation_ns'\]"):
+            run_experiment(cfg)
+
+
+class TestPlan:
+    def test_cells_run_over_the_axes_product(self):
+        cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                       sweep={"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (1.0, -1.0)})
+        p = plan(cfg)
+        assert list(p.axes) == ["detuning_sum_mhz", "detuning_diff_mhz"]
+        cells = p.cell_values()
+        assert cells["detuning_sum_mhz"].tolist() == [-2.0, -2.0, 0.0, 0.0, 3.0, 3.0]
+        assert cells["detuning_diff_mhz"].tolist() == [1.0, -1.0] * 3
+        for seq, s, d in zip(p.seqs, cells["detuning_sum_mhz"], cells["detuning_diff_mhz"]):
+            assert (seq.delta01, seq.delta12) == (mhz_to_rad_ns((s + d) / 2.0), mhz_to_rad_ns((s - d) / 2.0))
+            assert seq.pulses == p.seqs[0].pulses
+        assert p.grid == TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=20)
+
+    def test_sweep_grid_spans_every_cell(self):
+        p = plan(cfg_with(experiment=Experiment.SEPARATION_SWEEP,
+                          sweep={"t_separation_ns": (-90.0, 40.0)}))
+        assert [s.window for s in p.seqs] == [(-225.0, 225.0), (-200.0, 200.0)]
+        assert (p.grid.t_start, p.grid.t_end) == (-225.0, 225.0)
+
+    @pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
+    def test_runners_build_no_sequence_and_no_grid(self, monkeypatch, small_config, experiment):
+        # plan builds every sequence and the grid; a runner only integrates and analyses
+        cfg = small_config(experiment)
+        p = plan(cfg)
+
+        def no_building(*args, **kwargs):
+            raise AssertionError("built")
+
+        for name in ("two_pulse_sequence", "build_sequence", "plateau_phase_sequence", "TimeGrid"):
+            monkeypatch.setattr(experiments, name, no_building)
+        runner = experiments._EXPERIMENTS[experiment][0]
+        assert runner(cfg, p).kind == experiment.value
+
+    @pytest.mark.parametrize("experiment, changes, message", [
+        (Experiment.TOMOGRAPHY_TIMELINE, {"tomography": TomographyConfig(dtau_ns=1e-300)},
+         "1.5e+303 tau samples"),
+        (Experiment.TIME_EVOLUTION, {"grid": GridConfig(sample_stride=3000)},
+         "leaves no sample in the pulse overlap"),
+    ], ids=["tau_axis", "sample_stride"])
+    def test_build_checks_fire_before_evolve(self, monkeypatch, experiment, changes, message):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(experiments, "evolve", no_integration)
+        cfg = dataclasses.replace(ExperimentConfig(experiment=experiment), **changes)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             run_experiment(cfg)

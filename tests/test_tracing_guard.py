@@ -4,7 +4,9 @@ perfbench/tracing.py wraps public functions of the stirap modules by name
 and skips a name that is gone; its _note_* functions read arguments by
 name and result fields, and skip an argument that is not passed.  So a
 rename in src/ would zero the per-layer metric built on it without any
-error.  This reads perfbench/ and changes nothing there.
+error, and so would a planner or runner that reaches a traced builder or
+integrator other than through experiments' module globals.  This reads
+perfbench/ and changes nothing there.
 """
 
 import dataclasses
@@ -12,7 +14,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 from stirap import _batch, experiments, holonomy, tomography
+from stirap.config import READS, Experiment
 from stirap.pulses import PulseSequence
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -60,3 +65,17 @@ def test_noted_arguments_and_fields_exist():
         assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
     for cls, name in ((_batch.BatchResult, "failures"), (tomography.TomographyResult, "iterations")):
         assert name in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
+
+
+@pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
+def test_each_experiment_opens_its_build_and_integration_spans(small_config, experiment):
+    # the planner and the runners must call the traced builders and
+    # integrators through experiments' module globals, or the pulses.*,
+    # batch.* and lindblad.* figures read zero without an error
+    tracer = load_tracing().Tracer("guard")
+    with tracer.installed():
+        experiments.run_experiment(small_config(experiment))
+    names = [s.name for s in tracer.spans]
+    assert "pulses.build" in names, names
+    integrated = "batch.run_batch" if READS[experiment][0] else "lindblad.evolve"
+    assert integrated in names, names
