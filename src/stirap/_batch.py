@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from .hamiltonian import TransmonParams
-from .lindblad import TimeGrid, check_step, dissipator, edge_steps
+from .lindblad import TimeGrid, check_step, dissipator
 from .pulses import PulseSequence, Transition
 
 CHUNK_SIZE = 128
@@ -116,13 +116,14 @@ def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: Transmon
 
     A column is (sequence, its edge steps): one column when every cell has
     the same pulses, so the cells share one drive (their detunings enter
-    only the energies), and one per cell otherwise.  The blocks [k0, k1) are
-    cut every BLOCK steps and at every column's edge steps.  The energies
+    only the energies), and one per cell otherwise; lindblad.check_step
+    checks each column's step and gives its edge steps.  The blocks [k0, k1)
+    are cut every BLOCK steps and at every column's edge steps.  The energies
     have shape (params.n_levels, n_cells): 0, d01 plus each branch's offset,
     and d01 + d12.
     """
     drive_seqs = seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs
-    drive = [(seq, edge_steps(seq, grid)) for seq in drive_seqs]
+    drive = [(seq, check_step(seq, grid)) for seq in drive_seqs]
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
     d01 = np.array([seq.delta01 for seq in seqs])
@@ -234,8 +235,8 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     cell's populations, maximum drift and minimum eigenvalue, and its first
     failing sample's step and message; a failed cell runs on.
     """
-    init, dsup = _initial_state(params, dissipative, rho0)
     drive, blocks, energies = _chunk_drive(seqs, grid, params)
+    init, dsup = _initial_state(params, dissipative, rho0)
     n_cells = len(seqs)
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
     advance = realisation(y, dsup, energies, params, grid.dt)
@@ -413,7 +414,6 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
     rho0 is read as _initial_state says.  Raises IntegrationFailureError at
     the first sample that fails _sample_checks.
     """
-    check_step(seq, grid)
     result = _integrate([seq], params, grid, dissipative, rho0, True, _step_matrices)
     raise_if_all_failed(result, grid)
     return result
@@ -446,8 +446,6 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     """
     if not seqs:
         raise ConfigurationError("run_batch needs at least one pulse sequence")
-    for seq in seqs:
-        check_step(seq, grid)
     size = max(CHUNK_SIZE, -(-len(seqs) // max(workers, 1))) if chunk_size is None else chunk_size
     chunks = [list(range(i, min(i + size, len(seqs)))) for i in range(0, len(seqs), size)]
     args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]

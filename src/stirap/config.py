@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hamiltonian import CavityParams, SplitSpec, TransmonParams, require_finite
+from .lindblad import MAX_POINTS
 
 
 class Experiment(enum.Enum):
@@ -202,7 +203,11 @@ def _resolve_axis(name: str, spec) -> Tuple[float, ...]:
             raise ConfigurationError(f"axis {name!r}: missing {missing}") from None
         if not (step > 0 and stop >= start):
             raise ConfigurationError(f"axis {name!r}: need step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        ratio = (stop - start) / step  # inf when the range overflows
+        if not ratio + 1e-9 < MAX_POINTS:
+            raise ConfigurationError(f"axis {name!r}: step {step!r} gives {ratio + 1:.10g} values "
+                                     f"from {start!r} to {stop!r}, more than {MAX_POINTS}")
+        n = int(math.floor(ratio + 1e-9)) + 1
         values = tuple(start + k * step for k in range(n))
     else:
         raise ConfigurationError(f"axis {name!r} must be a list or a start/stop/step object")

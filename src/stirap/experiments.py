@@ -26,8 +26,8 @@ from . import __version__
 from ._batch import evolve, run_batch
 from .config import READS, Experiment, ExperimentConfig, check_reads, config_hash
 from .errors import ConfigurationError
-from .holonomy import berry_vs_oracle, plateau_phase_sequence, realized_path
-from .lindblad import TimeGrid, check_step
+from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
+from .lindblad import MAX_POINTS, TimeGrid, check_step
 from .pulses import (
     GaussianPulse,
     PulseSequence,
@@ -36,7 +36,7 @@ from .pulses import (
     build_sequence,
     two_pulse_sequence,
 )
-from .tomography import check_tau_count, synth_reference_traces, tomography_timeline, trace_scale
+from .tomography import check_readout, synth_reference_traces, tomography_timeline, trace_scale
 from .units import mhz_to_rad_ns
 
 BLOB_THRESHOLD = 0.5
@@ -199,12 +199,18 @@ def _detuned(cfg: ExperimentConfig, kw: dict, s: float, d: float) -> PulseSequen
 
 def plan(cfg: ExperimentConfig) -> Plan:
     """Check cfg as its run does before integrating, and build what it integrates:
-    check_reads, each cell's sequence (_EXPERIMENTS), the grid on their common
-    window (berry steps at most 0.05 ns), check_step on every sequence, and the
-    time-evolution and tomography checks.  Raises ConfigurationError."""
+    check_reads, at most MAX_POINTS cells, each cell's sequence (_EXPERIMENTS),
+    the grid on their common window (berry steps at most 0.05 ns), check_step
+    on every sequence, and the time-evolution sample windows, tomography's
+    check_readout or berry's check_oracle_preconditions.  Raises
+    ConfigurationError, or the NumericalError of a readout or oracle check."""
     check_reads(cfg)
     _, defaults, cell = _EXPERIMENTS[cfg.experiment]
     axes = {name: cfg.axis(name, d) for name, d in zip(READS[cfg.experiment][0], defaults)}
+    n_cells = math.prod(len(values) for values in axes.values())
+    if n_cells > MAX_POINTS:
+        raise ConfigurationError(f"the sweep's {' x '.join(str(len(v)) for v in axes.values())} "
+                                 f"= {n_cells} cells are more than {MAX_POINTS}")
     kw = _seq_kwargs(cfg)
     seqs = tuple(cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values()))
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
@@ -215,7 +221,9 @@ def plan(cfg: ExperimentConfig) -> Plan:
     if cfg.experiment is Experiment.TIME_EVOLUTION:
         _summary_windows(seqs[0], grid)
     elif cfg.experiment is Experiment.TOMOGRAPHY_TIMELINE:
-        check_tau_count(cfg.tomography.tau_max_ns, cfg.tomography.dtau_ns)
+        check_readout(cfg.cavity, cfg.transmon, cfg.tomography.tau_max_ns, cfg.tomography.dtau_ns)
+    elif cfg.experiment is Experiment.BERRY:
+        check_oracle_preconditions(seqs[0], cfg.berry.metric_threshold)
     return Plan(seqs, grid, axes)
 
 

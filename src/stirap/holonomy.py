@@ -85,6 +85,17 @@ class OraclePhase:
     leakage: float
 
 
+def check_oracle_preconditions(seq: PulseSequence, metric_threshold: float) -> None:
+    """Raise PreconditionError unless both drive detunings are within 1e-12
+    rad/ns of zero and the global adiabaticity metric exceeds metric_threshold
+    (stricter than transfer runs; phase errors are more sensitive)."""
+    if abs(seq.delta01) > 1e-12 or abs(seq.delta12) > 1e-12:
+        raise PreconditionError("phase oracle needs zero drive detunings")
+    metric = global_adiabaticity_metric(seq).global_metric
+    if metric <= metric_threshold:
+        raise PreconditionError(f"global adiabaticity metric {metric:.2f} <= {metric_threshold}")
+
+
 def adiabatic_phase_oracle(
     seq: PulseSequence,
     params: TransmonParams,
@@ -93,20 +104,13 @@ def adiabatic_phase_oracle(
 ) -> OraclePhase:
     """Propagate the dark state and read off the geometric phase.
 
-    Requires zero drive detunings and a global adiabaticity metric above
-    metric_threshold (stricter than transfer runs; phase errors are more
-    sensitive).  The dark state has an exact 0 on |1> and, with both
-    detunings within 1e-12 rad/ns, energy <D|H|D> of at most 2e-12 rad/ns,
-    so the dynamical phase along it, at most 2e-12 times the window length
-    in ns, is not subtracted.  Leakage above 1% invalidates the oracle.
+    Requires check_oracle_preconditions.  The dark state has an exact 0 on
+    |1> and, with both detunings within 1e-12 rad/ns, energy <D|H|D> of at
+    most 2e-12 rad/ns, so the dynamical phase along it, at most 2e-12 times
+    the window length in ns, is not subtracted.  Leakage above 1%
+    invalidates the oracle.
     """
-    if abs(seq.detuning(Transition.T01)) > 1e-12 or abs(seq.detuning(Transition.T12)) > 1e-12:
-        raise PreconditionError("phase oracle needs zero drive detunings")
-    report = global_adiabaticity_metric(seq)
-    if report.global_metric <= metric_threshold:
-        raise PreconditionError(
-            f"global adiabaticity metric {report.global_metric:.2f} <= {metric_threshold}"
-        )
+    check_oracle_preconditions(seq, metric_threshold)
 
     def dark(t):
         return dark_state(seq.complex_amplitude(Transition.T01, t),

@@ -53,7 +53,8 @@ def dissipator(params: TransmonParams) -> np.ndarray:
     return sup
 
 
-# The most steps a TimeGrid, or samples a tomography tau axis, may hold
+# The most steps a TimeGrid, samples a tomography tau axis, values a sweep
+# range or cells a sweep may hold
 MAX_POINTS = 1_000_000
 
 
@@ -91,15 +92,15 @@ class TimeGrid:
         return np.append(np.arange(0, self.n_steps, self.sample_stride), self.n_steps)
 
 
-def check_step(seq: PulseSequence, grid: TimeGrid) -> None:
+def check_step(seq: PulseSequence, grid: TimeGrid) -> List[int]:
     """Reject a grid step coarser than sigma/50 of the narrowest Gaussian
-    pulse, and a FastPulse edge off the grid (see edge_steps)."""
+    pulse, and a FastPulse edge off the grid; returns edge_steps(seq, grid)."""
     sig = min((p.sigma_ns for p in seq.pulses if isinstance(p, GaussianPulse)), default=None)
     if sig is not None and grid.dt > sig / 50.0 + 1e-12:
         raise ConfigurationError(
             f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"
         )
-    edge_steps(seq, grid)
+    return edge_steps(seq, grid)
 
 
 def edge_steps(seq: PulseSequence, grid: TimeGrid) -> List[int]:

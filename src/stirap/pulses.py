@@ -139,9 +139,6 @@ class PulseSequence:
     def pulses_on(self, transition: Transition):
         return [p for p in self.pulses if p.transition is transition]
 
-    def detuning(self, transition: Transition) -> float:
-        return self.delta01 if transition is Transition.T01 else self.delta12
-
     def complex_amplitude(self, transition: Transition, t):
         """Sum of Omega_p(t) exp(-i phi_p(t)) over the transition's pulses; a constant phase is one exp."""
         t = np.asarray(t, dtype=float)
@@ -171,14 +168,12 @@ def two_pulse_sequence(
     delta12: float = 0.0,
     phi01: float = 0.0,
     phi12: float = 0.0,
-    phase_ramp12: Optional[PhaseRamp] = None,
 ) -> PulseSequence:
     """Two Gaussians placed symmetrically: 12-peak at t_s/2, 01-peak at -t_s/2.
 
     No sign policy; build_sequence enforces the kind-specific convention.
     """
-    p12 = GaussianPulse(Transition.T12, omega12, t_s / 2.0, sigma,
-                        phase=phi12, phase_ramp=phase_ramp12)
+    p12 = GaussianPulse(Transition.T12, omega12, t_s / 2.0, sigma, phase=phi12)
     p01 = GaussianPulse(Transition.T01, omega01, -t_s / 2.0, sigma, phase=phi01)
     pulses = (p12, p01) if t_s <= 0 else (p01, p12)
     return PulseSequence(pulses, delta01, delta12)
@@ -198,15 +193,13 @@ def build_sequence(
     theta_fast: Optional[float] = None,
     fast_duration: float = 10.0,
     reversal_spacing: Optional[float] = None,
-    phase_ramp12: Optional[PhaseRamp] = None,
 ) -> PulseSequence:
     """Canonical sequences: STIRAP, HYBRID, REVERSAL."""
     if kind in (SequenceKind.STIRAP, SequenceKind.HYBRID) and t_s > 0:
         raise ConfigurationError(f"{kind.name} needs t_s <= 0 (12 pulse first), got {t_s}")
 
     if kind is SequenceKind.STIRAP:
-        return two_pulse_sequence(omega01, omega12, sigma, t_s, delta01, delta12,
-                                  phi01, phi12, phase_ramp12)
+        return two_pulse_sequence(omega01, omega12, sigma, t_s, delta01, delta12, phi01, phi12)
 
     if kind is SequenceKind.HYBRID:
         if theta_fast is None:

@@ -35,7 +35,6 @@ class ReferenceTrace:
     taus: np.ndarray
     I: np.ndarray
     Q: np.ndarray
-    state_label: int
 
     def __post_init__(self):
         for name in ("taus", "I", "Q"):
@@ -76,11 +75,19 @@ def _ladder_transitions(trans: TransmonParams, n: int) -> List[float]:
     return out[:n]
 
 
-def check_tau_count(tau_max: float, dtau: float) -> None:
-    """Reject a tau axis 0, dtau, ..., tau_max of more than MAX_POINTS samples."""
+def check_readout(cav: CavityParams, trans: TransmonParams, tau_max: float,
+                  dtau: float) -> Tuple[float, float, float]:
+    """The cavity pulls of |0>, |1> and |2>, MHz, for a readout on the tau
+    axis 0, dtau, ..., tau_max.  Rejects, in this order, an axis of more than
+    MAX_POINTS samples, a transition outside the dispersive regime
+    (NonDispersiveError) and couplings for fewer than two transitions."""
     if not tau_max / dtau <= MAX_POINTS:
         raise ConfigurationError(f"dtau = {dtau!r} ns gives {tau_max / dtau:.10g} tau samples up to "
                                  f"tau_max = {tau_max!r} ns, more than {MAX_POINTS}")
+    pulls = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz))).pulls_mhz[:3]
+    if len(pulls) < 3:
+        raise ConfigurationError("need couplings for at least two transitions")
+    return pulls
 
 
 def synth_reference_traces(
@@ -98,12 +105,8 @@ def synth_reference_traces(
     amplitude is propagated exactly, jointly with the decaying level
     occupations, at any dtau.
     """
-    check_tau_count(tau_max, dtau)
+    pulls = check_readout(cav, trans, tau_max, dtau)
     taus = np.arange(0.0, tau_max + dtau / 2, dtau)
-    shifts = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz)))
-    pulls = shifts.pulls_mhz[:3]
-    if len(pulls) < 3:
-        raise ConfigurationError("need couplings for at least two transitions")
     kappa = mhz_to_rad_ns(cav.kappa_mhz)
     eps = mhz_to_rad_ns(cav.epsilon_mhz)
     deltas = [mhz_to_rad_ns(cav.f_res_mhz + pull - cav.f_meas) for pull in pulls]
@@ -114,14 +117,7 @@ def synth_reference_traces(
             amp = _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans)
         else:
             amp = _cavity_amplitude(taus, deltas[j], kappa, eps)
-        traces.append(
-            ReferenceTrace(
-                taus=taus,
-                I=-2.0 * cav.eta * amp.real,
-                Q=2.0 * cav.eta * amp.imag,
-                state_label=j,
-            )
-        )
+        traces.append(ReferenceTrace(taus, -2.0 * cav.eta * amp.real, 2.0 * cav.eta * amp.imag))
     return tuple(traces)
 
 

@@ -68,7 +68,7 @@ def build_split_hamiltonian(a01, a12, split: Optional[SplitSpec], delta01=0.0,
 def sequence_hamiltonian(seq: PulseSequence, t: float, split: Optional[SplitSpec] = None):
     """The dense Hamiltonian of a pulse sequence at time t: 3-level, or 4-level with a split."""
     a01, a12 = (complex(seq.complex_amplitude(tr, t)) for tr in (Transition.T01, Transition.T12))
-    detunings = seq.detuning(Transition.T01), seq.detuning(Transition.T12)
+    detunings = seq.delta01, seq.delta12
     if split is None:
         return build_rotating_hamiltonian(a01, a12, *detunings)
     return build_split_hamiltonian(a01, a12, split, *detunings)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stirap import experiments
+from stirap import _batch, experiments
 from stirap.cli import _SUBCOMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stirap.config import READS, Experiment, config_hash, load_config
 
@@ -21,6 +21,22 @@ def write_config(tmp_path, data, name="cfg.json"):
 
 FAST = {"grid": {"dt_ns": 0.5, "sample_stride": 50}}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, command, data, code, key):
+    """validate-config and the run both exit with code and the same stderr,
+    holding key, before anything integrates, and the run writes nothing."""
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(_batch, "_integrate", no_integration)
+    cfg = write_config(tmp_path, data)
+    assert main(["validate-config", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert key in err, err
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "o").exists()
 
 
 class TestValidateConfig:
@@ -70,17 +86,32 @@ class TestValidateConfig:
          "1.5e+303 tau samples"),
         ("run", {"pulses": {"t_separation_ns": 90.0}}, "STIRAP needs t_s <= 0"),
         ("run", {"grid": {"sample_stride": 3000}}, "leaves no sample in the pulse overlap"),
+        ("tomography", {"experiment": "tomography_timeline", "cavity": {"g_mhz": [80.0]},
+                        "grid": {"dt_ns": 0.5, "sample_stride": 100}},
+         "need couplings for at least two transitions"),
+        # a range is counted before it is built: 1e9 values, and inf
+        ("sweep-separation", {"experiment": "separation_sweep", "sweep": {"t_separation_ns": {
+            "start": -100, "stop": 0, "step": 1e-7}}}, "step 1e-07 gives 1000000001 values"),
+        ("sweep-separation", {"experiment": "separation_sweep", "sweep": {"t_separation_ns": {
+            "start": -100, "stop": 0, "step": 1e-320}}}, "step 1e-320 gives inf values"),
     ], ids=["axis", "split", "no_split", "no_experiment", "dt_coarse", "too_many_steps",
-            "fast_edge", "tau_axis", "t_s_positive", "sample_stride"])
-    def test_checks_what_the_experiment_reads_as_the_run_does(self, tmp_path, capsys,
+            "fast_edge", "tau_axis", "t_s_positive", "sample_stride", "one_coupling",
+            "range_too_fine", "range_overflows"])
+    def test_checks_what_the_experiment_reads_as_the_run_does(self, monkeypatch, tmp_path, capsys,
                                                                command, data, key):
-        cfg = write_config(tmp_path, data)
-        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert key in err, err
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert capsys.readouterr().err == err
-        assert not (tmp_path / "o").exists()
+        assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, command, data, EXIT_CONFIG, key)
+
+    def test_sweep_of_more_than_max_points_cells_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the cells are counted before any sequence is built
+        def no_building(*args, **kwargs):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(experiments, "two_pulse_sequence", no_building)
+        axis = [float(v) for v in range(1001)]
+        data = {"experiment": "detuning_map",
+                "sweep": {"detuning_sum_mhz": axis, "detuning_diff_mhz": axis}}
+        assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, "sweep-detuning", data,
+                                   EXIT_CONFIG, "1001 x 1001 = 1002001 cells are more than 1000000")
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_every_shipped_config_validates(self, capsys, path):
@@ -259,9 +290,16 @@ class TestRun:
 
 
 class TestNumericalFailures:
-    def test_non_adiabatic_berry_exits_3(self, tmp_path):
-        cfg = write_config(tmp_path, {"berry": {"omega_rms_mhz": 30.0}})
-        assert main(["berry", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    def test_non_adiabatic_berry_exits_3(self, monkeypatch, tmp_path, capsys):
+        assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, "berry",
+                                   {"experiment": "berry", "berry": {"omega_rms_mhz": 30.0}},
+                                   EXIT_NUMERICAL, "global adiabaticity metric 2.15 <= 10.0")
+
+    def test_non_dispersive_readout_exits_3(self, monkeypatch, tmp_path, capsys):
+        data = {"experiment": "tomography_timeline", "cavity": {"f_res_mhz": 5300.0},
+                "grid": {"dt_ns": 0.5, "sample_stride": 100}}
+        assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, "tomography", data,
+                                   EXIT_NUMERICAL, "transition at 5270.0 MHz too close to cavity")
 
     def test_degenerate_tomography_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -362,10 +400,22 @@ def test_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_package_root_loads_no_submodule():
+    # a structural guard: the package root holds only __version__; every
+    # other name is imported from the module that defines it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stirap; "
+            "print(stirap.__version__, sorted(m for m in sys.modules if m.startswith('stirap.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.1.0 []\n"
+
+
 def test_oracles_import_neither_the_kernel_nor_the_runners():
     # a structural guard: the dense references, jump operators included, must
-    # not share code with what they check, also through a name the stirap
-    # package re-exports
+    # not share code with what they check, also through a name imported from
+    # a module other than the one that defines it
     tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
     origins = set()
     for node in ast.walk(tree):

@@ -17,7 +17,7 @@ from stirap.config import (
     config_from_dict,
     config_hash,
 )
-from stirap.errors import ConfigurationError
+from stirap.errors import ConfigurationError, NonDispersiveError
 from stirap.experiments import (
     SweepResult,
     Table,
@@ -30,7 +30,7 @@ from stirap.experiments import (
     run_experiment,
     sustained_max,
 )
-from stirap.hamiltonian import SplitSpec, TransmonParams
+from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
 from stirap.lindblad import TimeGrid
 from stirap.pulses import SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
@@ -602,17 +602,21 @@ class TestPlan:
         runner = experiments._EXPERIMENTS[experiment][0]
         assert runner(cfg, p).kind == experiment.value
 
-    @pytest.mark.parametrize("experiment, changes, message", [
+    @pytest.mark.parametrize("experiment, changes, error, message", [
         (Experiment.TOMOGRAPHY_TIMELINE, {"tomography": TomographyConfig(dtau_ns=1e-300)},
-         "1.5e+303 tau samples"),
+         ConfigurationError, "1.5e+303 tau samples"),
         (Experiment.TIME_EVOLUTION, {"grid": GridConfig(sample_stride=3000)},
-         "leaves no sample in the pulse overlap"),
-    ], ids=["tau_axis", "sample_stride"])
-    def test_build_checks_fire_before_evolve(self, monkeypatch, experiment, changes, message):
+         ConfigurationError, "leaves no sample in the pulse overlap"),
+        (Experiment.TOMOGRAPHY_TIMELINE, {"cavity": CavityParams(g_mhz=(80.0,))},
+         ConfigurationError, "need couplings for at least two transitions"),
+        (Experiment.TOMOGRAPHY_TIMELINE, {"cavity": CavityParams(f_res_mhz=5300.0)},
+         NonDispersiveError, "transition at 5270.0 MHz too close to cavity"),
+    ], ids=["tau_axis", "sample_stride", "one_coupling", "non_dispersive"])
+    def test_build_checks_fire_before_evolve(self, monkeypatch, experiment, changes, error, message):
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated")
 
         monkeypatch.setattr(experiments, "evolve", no_integration)
         cfg = dataclasses.replace(ExperimentConfig(experiment=experiment), **changes)
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)):
             run_experiment(cfg)

@@ -150,8 +150,8 @@ class TestOracle:
         # over the realized path, checked against the propagation
         om = mhz_to_rad_ns(150.0)
         ramp = PhaseRamp(-20.0, 20.0, 1.2)
-        seq = build_sequence(SequenceKind.STIRAP, omega01=om, omega12=om,
-                             sigma=45.0, t_s=-90.0, phase_ramp12=ramp)
+        seq = PulseSequence((GaussianPulse(Transition.T12, om, -45.0, 45.0, phase_ramp=ramp),
+                             GaussianPulse(Transition.T01, om, 45.0, 45.0)))
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.02, sample_stride=25)
         res = evolve(seq, device_params, grid, dissipative=False, rho0=np.eye(3)[0])
         amp2 = res.states[0][-1][2]

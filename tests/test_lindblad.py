@@ -8,7 +8,8 @@ from stirap._batch import evolve
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
 from stirap.lindblad import MAX_POINTS, TimeGrid, check_step, dissipator, edge_steps
-from stirap.pulses import PhaseRamp, SequenceKind, Transition, build_sequence, two_pulse_sequence
+from stirap.pulses import (GaussianPulse, PhaseRamp, PulseSequence, SequenceKind, Transition,
+                           build_sequence, two_pulse_sequence)
 from stirap.units import mhz_to_rad_ns
 
 from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
@@ -379,10 +380,11 @@ class TestBatchAgreement:
 
         params = device_params if dim == 3 else TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         grid = TimeGrid(-225.0, 225.0, dt=0.2, sample_stride=25)
-        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts, delta01=mhz_to_rad_ns(d),
-                                   delta12=mhz_to_rad_ns(2.0), phase_ramp12=ramp)
-                for ts, d, ramp in ((-90.0, -3.0, None),
-                                    (-60.0, 5.0, PhaseRamp(-45.0, 45.0, math.pi)))]
+        ramped = GaussianPulse(Transition.T12, OM12, -30.0, 45.0, phase_ramp=PhaseRamp(-45.0, 45.0, math.pi))
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(-3.0),
+                                   delta12=mhz_to_rad_ns(2.0)),
+                PulseSequence((ramped, GaussianPulse(Transition.T01, OM01, 30.0, 45.0)),
+                              mhz_to_rad_ns(5.0), mhz_to_rad_ns(2.0))]
         batch = run_batch(seqs, params, grid, dissipative=False, rho0=np.eye(dim)[0])
         assert not batch.failures
         for i, seq in enumerate(seqs):

@@ -66,8 +66,7 @@ class TestBuildSequence:
         assert seq.window == (-270.0, 270.0)
         detuned = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
                                  sigma=45.0, t_s=-90.0, delta01=0.03, delta12=-0.07)
-        assert detuned.detuning(Transition.T01) == 0.03
-        assert detuned.detuning(Transition.T12) == -0.07
+        assert (detuned.delta01, detuned.delta12) == (0.03, -0.07)
         assert detuned.pulses == seq.pulses
 
     def test_envelope_sums_the_transitions_pulses(self):

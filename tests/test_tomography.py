@@ -282,7 +282,7 @@ class TestReconstruction:
         assert zeros == {0, 1, 2}  # interior, edge and vertex optima all occur
 
     def test_degenerate_design_raises(self, refs):
-        same = [ReferenceTrace(refs[0].taus, refs[0].I, refs[0].Q, j) for j in range(3)]
+        same = [ReferenceTrace(refs[0].taus, refs[0].I, refs[0].Q)] * 3
         with pytest.raises(SingularDesignError):
             reconstruct_populations(mix_traces((1.0, 0.0, 0.0), same), same)
 
