@@ -15,8 +15,10 @@ preserves Hermiticity: a density matrix's RHS is X + X^H with
 X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
 its jumps move population only), so both modes run only row updates from
 the fixed sparsity of H and D, one group of terms with a common row offset
-per call (_offset_groups), and every state is exactly Hermitian.  That is
-49 (d = 3) or 73 (d = 4) numpy calls per density-matrix step.  No step
+per call (_offset_groups), and every state is exactly Hermitian.  A chunk
+builds its RK4 step once, as (ufunc, operands) calls over fixed views with
+out positional: 49 (d = 3) or 73 (d = 4) per density-matrix step, plus
+three copies of a substep's drive coefficients into one buffer.  No step
 calls BLAS and each cell's arithmetic is independent of its chunk, so
 results are bit-identical at any chunk size and however chunks are
 distributed over workers.  evolve runs one cell as the same RK4 written as
@@ -45,7 +47,7 @@ from .hamiltonian import TransmonParams
 from .lindblad import TimeGrid, check_step, dissipator
 from .pulses import PulseSequence, Transition
 
-CHUNK_SIZE = 128
+CHUNK_SIZE = 64  # fewest cells a default chunk of a larger batch holds
 BLOCK = 256  # steps whose drive is sampled, and whose sampled states are judged, at a time
 DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
@@ -111,19 +113,25 @@ def _slice(rows: Sequence[int]) -> slice:
     return slice(rows[0], rows[-1] + 1, (rows[-1] - rows[0]) // max(len(rows) - 1, 1) or None)
 
 
-def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
-    """The drive columns, the time blocks and the level energies, cells last.
-
-    A column is (sequence, its edge steps): one column when every cell has
-    the same pulses, so the cells share one drive (their detunings enter
-    only the energies), and one per cell otherwise; lindblad.check_step
-    checks each column's step and gives its edge steps.  The blocks [k0, k1)
-    are cut every BLOCK steps and at every column's edge steps.  The energies
-    have shape (params.n_levels, n_cells): 0, d01 plus each branch's offset,
-    and d01 + d12.
-    """
+def drive_columns(seqs: Sequence[PulseSequence], grid: TimeGrid):
+    """(sequence, its edge steps) per drive column: one column when every cell
+    has the same pulses, so the cells share one drive (their detunings enter
+    only the energies), and one per cell otherwise.  lindblad.check_step,
+    which reads only the pulses, checks each column's step and gives its
+    edge steps."""
     drive_seqs = seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs
-    drive = [(seq, check_step(seq, grid)) for seq in drive_seqs]
+    return [(seq, check_step(seq, grid)) for seq in drive_seqs]
+
+
+def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
+    """The drive columns (drive_columns), the time blocks and the level
+    energies, cells last.
+
+    The blocks [k0, k1) are cut every BLOCK steps and at every column's edge
+    steps.  The energies have shape (params.n_levels, n_cells): 0, d01 plus
+    each branch's offset, and d01 + d12.
+    """
+    drive = drive_columns(seqs, grid)
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
     d01 = np.array([seq.delta01 for seq in seqs])
@@ -227,19 +235,20 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
                realisation) -> BatchResult:
     """The block loop both realisations run through.
 
-    realisation(y, dsup, energies, params, dt) returns advance(rows), which
-    takes y, the cells-last initial state, through one _chunk_drive block
-    given its _drive_block rows and yields the state after each step.  The
-    states at a block's sampled steps (and step 0, in the first block) are
-    judged by one _sample_checks call and folded into the result: each
-    cell's populations, maximum drift and minimum eigenvalue, and its first
-    failing sample's step and message; a failed cell runs on.
+    realisation(y, dsup, energies, params, dt, n_drive) returns advance(rows),
+    which takes y, the cells-last initial state, through one _chunk_drive
+    block given its _drive_block rows (n_drive columns) and yields the state
+    after each step.  The states at a block's sampled steps (and step 0, in
+    the first block) are judged by one _sample_checks call and folded into
+    the result: each cell's populations, maximum drift and minimum
+    eigenvalue, and its first failing sample's step and message; a failed
+    cell runs on.
     """
     drive, blocks, energies = _chunk_drive(seqs, grid, params)
     init, dsup = _initial_state(params, dissipative, rho0)
     n_cells = len(seqs)
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
-    advance = realisation(y, dsup, energies, params, grid.dt)
+    advance = realisation(y, dsup, energies, params, grid.dt, len(drive))
     steps = grid.sample_steps
     sampled = set(steps.tolist())
     pops = np.empty((n_cells, steps.size, params.n_levels))
@@ -276,7 +285,7 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
 
 
 def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
-                   params: TransmonParams, dt: float):
+                   params: TransmonParams, dt: float, n_drive: int):
     """evolve's realisation: one cell's RK4 as a product of step matrices.
 
     For y' = G(t) y (G = -iH for a ket, the Liouvillian
@@ -321,7 +330,7 @@ def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarr
 
 
 def _row_kernel(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
-                params: TransmonParams, dt: float):
+                params: TransmonParams, dt: float, n_drive: int):
     """evolve_chunk's realisation: RK4 by row updates on the cells-last y, in place."""
     ket = dsup is None
     dim, n_cells = params.n_levels, y.shape[1]
@@ -340,68 +349,59 @@ def _row_kernel(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
     # sums its diagonal term, then its coupling terms and its jumps, each in list order
     groups = _offset_groups([t for r, c, _, _ in couplings for t in ((r, c), (c, r))])
     jump_groups = _offset_groups([(k // (dim + 1), l // (dim + 1)) for k, l, _ in jumps])
+    terms = [j for _, _, idx in groups for j in idx]  # group by group
 
-    def coefficients(rows: np.ndarray):
-        """Per group, its terms' -i H[row, col] on each substep, shape (substeps, terms, 1, m)."""
-        tabs = []
-        for _, _, terms in groups:
-            tabs.append(np.empty((rows.shape[1], len(terms), 1, rows.shape[2]), dtype=complex))
-            for t, j in enumerate(terms):
-                _, _, tr, w = couplings[j // 2]
-                np.multiply(-0.5j * w, np.conj(rows[tr]) if j % 2 else rows[tr], out=tabs[-1][:, t, 0])
-        return tabs
+    def coefficients(rows: np.ndarray) -> np.ndarray:
+        """Each term's -i H[row, col] on each substep, shape (substeps, terms, 1, m)."""
+        tab = np.empty((rows.shape[1], len(terms), 1, rows.shape[2]), dtype=complex)
+        for t, j in enumerate(terms):
+            _, _, tr, w = couplings[j // 2]
+            np.multiply(-0.5j * w, np.conj(rows[tr]) if j % 2 else rows[tr], out=tab[:, t, 0])
+        return tab
 
+    coef = np.empty((len(terms), 1, n_drive), dtype=complex)  # the substep being taken
     tmp = np.empty((dim, y.shape[0] // dim, n_cells), dtype=complex)
     scratch = None if ket else np.empty_like(y)
 
-    def views(src: np.ndarray, k: np.ndarray):
-        """The views one RHS from src into k reads and writes; X is k itself for a ket."""
+    def rhs(src: np.ndarray, k: np.ndarray) -> list:
+        """The (ufunc, operands) calls of one RHS from src into k: a ket's X into k,
+        a density matrix's into scratch, then k = X + X^H."""
         x = k if ket else scratch
         s3, x3 = src.reshape(dim, -1, n_cells), x.reshape(dim, -1, n_cells)
-        diag = [(x[::dim + 1][o], src[::dim + 1][s], np.array([[jumps[j][2]] for j in terms]),
-                 tmp[0, :len(terms)]) for o, s, terms in jump_groups]
-        return (src, x, [(x3[o], s3[s], tmp[:len(terms)]) for o, s, terms in groups], diag,
-                k, k.reshape(dim, -1, n_cells), x3.swapaxes(0, 1))
-
-    def rhs(coefs, i, v):
-        """A ket's X into k; a density matrix's into scratch, then k = X + X^H."""
-        ya, xa, couple, diag, k, k3, xt = v
-        np.multiply(ldiag, ya, out=xa)
-        for (x, ys, t), c in zip(couple, coefs):
-            np.add(x, np.multiply(ys, c[i], out=t), out=x)
-        for x, ys, rate, t in diag:
-            np.add(x, np.multiply(ys, rate, out=t), out=x)
+        sd, xd = src[::dim + 1], x[::dim + 1]
+        calls, t0 = [(np.multiply, (ldiag, src, x))], 0
+        for o, s, idx in groups:
+            t, c = tmp[:len(idx)], coef[t0:t0 + len(idx)]
+            calls += [(np.multiply, (s3[s], c, t)), (np.add, (x3[o], t, x3[o]))]
+            t0 += len(idx)
+        for o, s, idx in jump_groups:
+            t, rate = tmp[0, :len(idx)], np.array([[jumps[j][2]] for j in idx])
+            calls += [(np.multiply, (sd[s], rate, t)), (np.add, (xd[o], t, xd[o]))]
         if not ket:
-            np.conjugate(xt, out=k3)
-            np.add(k, xa, out=k)
+            calls += [(np.conjugate, (x3.swapaxes(0, 1), k.reshape(dim, -1, n_cells))), (np.add, (k, x, k))]
+        return calls
 
     k1, k2, k3, k4, yt = (np.empty_like(y) for _ in range(5))
-    v1, v2, v3, v4 = (views(src, k) for src, k in ((y, k1), (yt, k2), (yt, k3), (yt, k4)))
+    half, whole, sixth, two = (np.complex128(c) for c in (0.5 * dt, dt, dt / 6.0, 2.0))
+    # one RK4 step as three runs of calls, each after its substep's coefficients:
+    # k1 and y + dt/2 k1; k2, y + dt/2 k2, k3 and y + dt k3; k4 and
+    # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    runs = (rhs(y, k1) + [(np.multiply, (k1, half, yt)), (np.add, (yt, y, yt))],
+            rhs(yt, k2) + [(np.multiply, (k2, half, yt)), (np.add, (yt, y, yt))]
+            + rhs(yt, k3) + [(np.multiply, (k3, whole, yt)), (np.add, (yt, y, yt))],
+            rhs(yt, k4) + [(np.multiply, (k2, two, k2)), (np.add, (k1, k2, k1)),
+                           (np.multiply, (k3, two, k3)), (np.add, (k1, k3, k1)),
+                           (np.add, (k1, k4, k1)), (np.multiply, (k1, sixth, k1)), (np.add, (y, k1, y))])
 
     def advance(rows: np.ndarray):
-        nonlocal y, yt, k1, k2, k3  # updated in place
         for step in range(rows.shape[1] // 2):
             i = 2 * (step % DRIVE_BLOCK)
             if i == 0:  # the next DRIVE_BLOCK steps' substeps, two per step, and their end
-                coefs = coefficients(rows[:, 2 * step:2 * (step + DRIVE_BLOCK) + 1])
-            rhs(coefs, i, v1)
-            np.multiply(k1, 0.5 * dt, out=yt)
-            yt += y
-            rhs(coefs, i + 1, v2)
-            np.multiply(k2, 0.5 * dt, out=yt)
-            yt += y
-            rhs(coefs, i + 1, v3)
-            np.multiply(k3, dt, out=yt)
-            yt += y
-            rhs(coefs, i + 2, v4)
-            # y += dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= dt / 6.0
-            y += k1
+                tab = coefficients(rows[:, 2 * step:2 * (step + DRIVE_BLOCK) + 1])
+            for substep, calls in zip((i, i + 1, i + 2), runs):
+                np.copyto(coef, tab[substep])
+                for f, args in calls:
+                    f(*args)
             yield y
 
     return advance
@@ -436,8 +436,9 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
               workers: int = 1, chunk_size: Optional[int] = None) -> BatchResult:
     """Run all cells chunk by chunk, optionally over a process pool.
 
-    A chunk holds chunk_size cells, by default one worker's share of the
-    cells but at least CHUNK_SIZE.  Each cell's arithmetic is independent
+    A chunk holds chunk_size cells.  By default the cells fall into
+    min(workers, n_cells // CHUNK_SIZE) chunks, at least one, of equal size
+    but the last, which may hold fewer.  Each cell's arithmetic is independent
     of its chunk, so every partition, serial or parallel, produces identical
     bytes.  A chunk whose cells do not share a drive holds a drive block of
     (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  A failed cell
@@ -446,8 +447,9 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     """
     if not seqs:
         raise ConfigurationError("run_batch needs at least one pulse sequence")
-    size = max(CHUNK_SIZE, -(-len(seqs) // max(workers, 1))) if chunk_size is None else chunk_size
-    chunks = [list(range(i, min(i + size, len(seqs)))) for i in range(0, len(seqs), size)]
+    if chunk_size is None:
+        chunk_size = -(-len(seqs) // max(1, min(workers, len(seqs) // CHUNK_SIZE)))
+    chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
     args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]
     if workers > 1 and len(chunks) > 1:
         import concurrent.futures as cf

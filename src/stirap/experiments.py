@@ -23,11 +23,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import __version__
-from ._batch import evolve, run_batch
+from ._batch import BatchResult, drive_columns, evolve, run_batch
 from .config import READS, Experiment, ExperimentConfig, check_reads, config_hash
 from .errors import ConfigurationError
+from .hamiltonian import TransmonParams
 from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
-from .lindblad import MAX_POINTS, TimeGrid, check_step
+from .lindblad import MAX_POINTS, TimeGrid
 from .pulses import (
     GaussianPulse,
     PulseSequence,
@@ -201,7 +202,8 @@ def plan(cfg: ExperimentConfig) -> Plan:
     """Check cfg as its run does before integrating, and build what it integrates:
     check_reads, at most MAX_POINTS cells, each cell's sequence (_EXPERIMENTS),
     the grid on their common window (berry steps at most 0.05 ns), check_step
-    on every sequence, and the time-evolution sample windows, tomography's
+    once per drive column (_batch.drive_columns: once when every cell has the
+    same pulses), and the time-evolution sample windows, tomography's
     check_readout or berry's check_oracle_preconditions.  Raises
     ConfigurationError, or the NumericalError of a readout or oracle check."""
     check_reads(cfg)
@@ -216,8 +218,7 @@ def plan(cfg: ExperimentConfig) -> Plan:
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
     grid = TimeGrid(min(s.window[0] for s in seqs), max(s.window[1] for s in seqs),
                     dt=dt, sample_stride=cfg.grid.sample_stride)
-    for seq in seqs:
-        check_step(seq, grid)
+    drive_columns(seqs, grid)
     if cfg.experiment is Experiment.TIME_EVOLUTION:
         _summary_windows(seqs[0], grid)
     elif cfg.experiment is Experiment.TOMOGRAPHY_TIMELINE:
@@ -248,11 +249,47 @@ def _t01_peak(seq: PulseSequence) -> float:
     return centers[0] if centers else 0.0
 
 
-def _sweep(cfg: ExperimentConfig, plan: Plan):
+def _point_symmetric(plan: Plan, params: TransmonParams) -> bool:
+    """Whether cell K-1-k has cell k's populations, the branches swapped by offset negation.
+
+    Negating both detunings maps the master equation onto its complex
+    conjugate up to a diagonal gauge when every drive phase is constant and
+    the branches mirror: the (-offset, weight) pairs are the (offset, weight)
+    pairs.  Decay and dephasing commute with both and |0><0| is real, so the
+    populations at (-s, -d) are those at (s, d), the level at -offset taking
+    the one at offset's.  With both axes symmetric about 0, (-s, -d) is cell
+    K-1-k of the K cells when (s, d) is cell k.
+    """
+    return (all(np.array_equal(a, -a[::-1]) for a in plan.axes.values())
+            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None
+                    for seq in plan.seqs for p in seq.pulses)
+            and sorted((-o, w) for o, w in params.branches) == sorted(params.branches))
+
+
+def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchResult:
+    """The batch of all n_cells cells from that of the first ceil(n_cells / 2):
+    cell n_cells-1-k takes cell k's result, its branch columns swapped by
+    offset negation (_point_symmetric), and its own failure record."""
+    back = np.arange(n_cells // 2)[::-1]  # the cells each mirrored cell copies, in cell order
+    branches = params.branches
+    cols = [0, *(1 + (branches.index((-o, w)) if o else i) for i, (o, w) in enumerate(branches)),
+            len(branches) + 1]
+    return BatchResult(half.times, np.concatenate([half.populations, half.populations[back][:, :, cols]]),
+                       *(np.concatenate([a, a[back]]) for a in (half.trace_drift, half.min_eig, half.failed_step)),
+                       tuple(sorted(half.failures + tuple((n_cells - 1 - c, msg) for c, msg in half.failures
+                                                          if c < n_cells // 2))))
+
+
+def _sweep(cfg: ExperimentConfig, plan: Plan, mirror: bool = False):
     """Batch the plan's cells; returns the batch and one record
-    {"cell", <axis>: value, ..., "error"} per failed cell."""
-    batch = run_batch(plan.seqs, cfg.transmon, plan.grid,
-                      dissipative=cfg.dissipative, workers=cfg.workers)
+    {"cell", <axis>: value, ..., "error"} per failed cell.  With mirror
+    (_point_symmetric holds) only the first half of the cells, rounded up,
+    is integrated and the rest is _mirrored."""
+    n_cells = len(plan.seqs)
+    batch = run_batch(plan.seqs[:(n_cells + 1) // 2] if mirror else plan.seqs, cfg.transmon,
+                      plan.grid, dissipative=cfg.dissipative, workers=cfg.workers)
+    if mirror:
+        batch = _mirrored(batch, n_cells, cfg.transmon)
     cells = plan.cell_values()
     failures = [{"cell": int(c), **{k: float(v[c]) for k, v in cells.items()}, "error": msg}
                 for c, msg in batch.failures]
@@ -322,7 +359,7 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _plane(cfg: ExperimentConfig, plan: Plan, name: str):
     """The detuning plane's axes, per-cell final and peak populations, and failed cells."""
-    batch, failures = _sweep(cfg, plan)
+    batch, failures = _sweep(cfg, plan, _point_symmetric(plan, cfg.transmon))
     cells = plan.cell_values()
     final = batch.populations[:, -1]
     p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>

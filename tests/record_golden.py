@@ -26,8 +26,10 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_TOL = 1e-12
 
-# One coarse config per subcommand.  The two planes hold 13 x 11 = 143 cells,
-# more than one 128-cell chunk, so that --workers 2 runs them over a pool.
+# One coarse config per subcommand.  The two planes hold 13 x 11 = 143 cells.
+# The detuning plane is point-symmetric, so it integrates 72 of them as one
+# chunk; the split plane's weights 0.8 / 0.6 do not mirror, so it runs all
+# 143, and --workers 2 sends it over a pool as chunks of 72 and 71.
 COARSE_PLANE = {"detuning_sum_mhz": {"start": -6.0, "stop": 6.0, "step": 1.0},
                 "detuning_diff_mhz": {"start": -5.0, "stop": 5.0, "step": 1.0}}
 DETERMINISM_CONFIGS = {

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from stirap import experiments
-from stirap._batch import evolve
+from stirap import _batch, experiments
+from stirap._batch import evolve, run_batch
 from stirap.config import (
     Experiment,
     ExperimentConfig,
@@ -31,8 +31,8 @@ from stirap.experiments import (
     sustained_max,
 )
 from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
-from stirap.lindblad import TimeGrid
-from stirap.pulses import SequenceKind, build_sequence, two_pulse_sequence
+from stirap.lindblad import TimeGrid, check_step
+from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
 from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
@@ -372,6 +372,84 @@ class TestSplitMap:
             assert np.isnan(diagnostics.column(col)).all(), col
 
 
+class TestPointMirror:
+    """A point-symmetric plane integrates its first half and mirrors the rest."""
+
+    @staticmethod
+    def run_both_ways(monkeypatch, cfg):
+        """The result with the mirror, the result without it, and the cells each batch ran."""
+        ran = []
+
+        def counting(seqs, *args, **kwargs):
+            ran.append(len(seqs))
+            return run_batch(seqs, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_batch", counting)
+        mirrored = run_experiment(cfg)
+        monkeypatch.setattr(experiments, "_point_symmetric", lambda plan, params: False)
+        return mirrored, run_experiment(cfg), ran
+
+    @pytest.mark.parametrize("dissipative", [True, False])
+    @pytest.mark.parametrize("diffs", [(-2.0, 2.0), (-4.0, 0.0, 4.0)], ids=["even", "odd"])
+    def test_three_level_plane_is_bit_equal(self, monkeypatch, dissipative, diffs):
+        cfg = cfg_with(experiment=Experiment.DETUNING_MAP, dissipative=dissipative,
+                       sweep={"detuning_sum_mhz": (-3.0, 0.0, 3.0), "detuning_diff_mhz": diffs})
+        assert experiments._point_symmetric(plan(cfg), cfg.transmon)
+        mirrored, full, ran = self.run_both_ways(monkeypatch, cfg)
+        n_cells = 3 * len(diffs)
+        assert ran == [(n_cells + 1) // 2, n_cells]
+        for a, b in zip(mirrored.tables, full.tables):
+            assert np.array_equal(a.rows, b.rows), a.name
+        half, whole = (experiments._sweep(cfg, plan(cfg), mirror)[0] for mirror in (True, False))
+        for f in dataclasses.fields(whole):
+            assert np.array_equal(getattr(half, f.name), getattr(whole, f.name)), f.name
+
+    def test_equal_weight_split_plane_agrees(self, monkeypatch):
+        # the mirror swaps |1a> at -delta/2 and |1b> at +delta/2
+        axis = (-6.0, -3.0, 0.0, 3.0, 6.0)
+        cfg = cfg_with(experiment=Experiment.SPLIT_MAP, transmon=TransmonParams(split=SplitSpec(15.0)),
+                       sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+        mirrored, full, ran = self.run_both_ways(monkeypatch, cfg)
+        assert ran == [13, 25]
+        a, b = mirrored.table("split_map").rows, full.table("split_map").rows
+        assert np.max(np.abs(a - b)) <= 1e-14
+        half, whole = (experiments._sweep(cfg, plan(cfg), mirror)[0] for mirror in (True, False))
+        assert np.max(np.abs(half.populations - whole.populations)) <= 1e-14
+        assert np.max(np.abs(half.trace_drift - whole.trace_drift)) <= 1e-14
+        assert np.array_equal(half.failed_step, whole.failed_step)
+        # the branches' populations differ, so the columns must be swapped
+        assert np.max(np.abs(whole.populations[:, :, 1] - whole.populations[:, :, 2])) > 1e-3
+
+    @pytest.mark.parametrize("change", ["weights", "axis", "phase_ramp"])
+    def test_predicate_needs_every_condition(self, change):
+        axis = (-3.0, 0.0, 3.0)
+        cfg = cfg_with(experiment=Experiment.SPLIT_MAP, transmon=TransmonParams(split=SplitSpec(15.0)),
+                       sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+        p = plan(cfg)
+        assert experiments._point_symmetric(p, cfg.transmon)
+        if change == "weights":
+            cfg = dataclasses.replace(cfg, transmon=TransmonParams(split=SplitSpec(15.0, (0.8, 0.6))))
+        elif change == "axis":
+            p = plan(dataclasses.replace(cfg, sweep={"detuning_sum_mhz": axis,
+                                                     "detuning_diff_mhz": (-3.0, 0.0, 3.5)}))
+        else:
+            ramp = PhaseRamp(-50.0, 50.0, 1.0)
+            seqs = tuple(dataclasses.replace(s, pulses=(dataclasses.replace(s.pulses[0], phase_ramp=ramp),
+                                                        *s.pulses[1:])) for s in p.seqs)
+            p = dataclasses.replace(p, seqs=seqs)
+        assert not experiments._point_symmetric(p, cfg.transmon)
+
+    def test_failed_cell_and_its_mirror_are_each_recorded(self, monkeypatch):
+        # the 1e5 MHz cells are unstable for RK4 at dt 0.5 ns; only the first runs
+        cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                       sweep={"detuning_sum_mhz": (-1e5, 0.0, 1e5), "detuning_diff_mhz": (0.0,)})
+        mirrored, full, ran = self.run_both_ways(monkeypatch, cfg)
+        assert ran == [2, 3]
+        assert [(f["cell"], f["detuning_sum_mhz"], f["detuning_diff_mhz"])
+                for f in mirrored.failures] == [(0, -1e5, 0.0), (2, 1e5, 0.0)]
+        assert mirrored.failures == full.failures
+
+
 class TestBerry:
     def test_path_ends_at_the_last_step(self):
         # sample_stride 7 does not divide the 7200 steps of the default berry grid
@@ -569,6 +647,21 @@ class TestConfigParsing:
 
 
 class TestPlan:
+    @pytest.mark.parametrize("experiment, sweep, calls", [
+        (Experiment.DETUNING_MAP, {"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (1.0, -1.0)}, 1),
+        (Experiment.SEPARATION_SWEEP, {"t_separation_ns": (-90.0, -60.0, 40.0)}, 3),
+    ], ids=["plane", "separation_sweep"])
+    def test_checks_the_step_once_per_distinct_pulses(self, monkeypatch, experiment, sweep, calls):
+        checked = []
+
+        def counting(seq, grid):
+            checked.append(seq)
+            return check_step(seq, grid)
+
+        monkeypatch.setattr(_batch, "check_step", counting)
+        plan(cfg_with(experiment=experiment, sweep=sweep))
+        assert len(checked) == calls
+
     def test_cells_run_over_the_axes_product(self):
         cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
                        sweep={"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (1.0, -1.0)})

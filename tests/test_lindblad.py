@@ -487,11 +487,13 @@ class TestBatchAgreement:
 
     @pytest.mark.parametrize("n_cells, workers, chunk_size, sizes", [
         (300, 2, None, [150, 150]), (1000, 3, None, [334, 334, 332]), (300, 1, None, [300]),
-        (130, 2, None, [128, 2]), (100, 2, None, [100]), (20, 2, 7, [7, 7, 6])])
+        (130, 2, None, [65, 65]), (100, 2, None, [100]), (20, 2, 7, [7, 7, 6]),
+        (128, 2, None, [64, 64]), (127, 2, None, [127])])
     def test_default_chunks_are_work_sized(self, device_params, monkeypatch, inline_pool,
                                            n_cells, workers, chunk_size, sizes):
-        # one chunk per worker, but never fewer than CHUNK_SIZE cells; an
-        # explicit chunk_size wins
+        # one chunk per worker, of equal size, but only as many chunks as there
+        # are whole CHUNK_SIZE-cell shares, and at least one; an explicit
+        # chunk_size wins
         from stirap import _batch
 
         def stub(args):  # a chunk's result shape without integrating it
