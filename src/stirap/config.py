@@ -6,9 +6,10 @@ in the key names (sigma_ns, omega01_mhz, ...); config_from_dict walks
 the dataclass fields and their type hints, so unknown keys are rejected,
 value types are checked (a bool is not a number, an int field takes no
 float) and each section then validates its own values.  Axes are either
-explicit value lists or {"start", "stop", "step"} ranges; READS says which
-axes, and whether transmon.split, each experiment reads.  The config
-hash covers every field but workers and output.
+explicit value lists or {"start", "stop", "step"} ranges over a name in
+SWEEP_AXES; experiments.plan checks which of them, and whether
+transmon.split, each experiment reads.  The config hash covers every
+field but workers and output.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class GridConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
+        require_finite(self, "grid")
         if not self.dt_ns > 0:
             raise ConfigurationError("dt_ns must be positive")
         if not self.sample_stride >= 1:
@@ -81,6 +83,7 @@ class TomographyConfig:
     decoherence_corrected_refs: bool = False
 
     def __post_init__(self):
+        require_finite(self, "tomography")
         if not (self.tau_max_ns > 0 and 0 < self.dtau_ns <= self.tau_max_ns):
             raise ConfigurationError("tomography needs tau_max_ns > 0 and 0 < dtau_ns <= tau_max_ns")
         if not self.weight_ns > 0:
@@ -99,7 +102,7 @@ class BerryConfig:
     metric_threshold: float = 10.0
 
     def __post_init__(self):
-        # phrased so that NaN, which JSON accepts, fails as well
+        require_finite(self, "berry")
         if not self.metric_threshold > 0:
             raise ConfigurationError("berry metric_threshold must be positive")
         if not all(v > 0 for v in (self.sigma_ns, self.ramp_span_ns, self.omega_rms_mhz)):
@@ -146,33 +149,8 @@ class ExperimentConfig:
         return np.asarray(self.sweep.get(name, default), dtype=float)
 
 
-# What each experiment reads beyond the common sections: its sweep axes,
-# and whether it models the split intermediate level (transmon.split).
-READS: Dict[Experiment, Tuple[Tuple[str, ...], bool]] = {
-    Experiment.TIME_EVOLUTION: ((), False),
-    Experiment.SEPARATION_SWEEP: (("t_separation_ns",), False),
-    Experiment.DETUNING_MAP: (("detuning_sum_mhz", "detuning_diff_mhz"), False),
-    Experiment.HYBRID: (("theta_fast_rad",), False),
-    Experiment.REVERSAL: ((), False),
-    Experiment.SPLIT_MAP: (("detuning_sum_mhz", "detuning_diff_mhz"), True),
-    Experiment.TOMOGRAPHY_TIMELINE: ((), False),
-    Experiment.BERRY: ((), False),
-}
-_SWEEP_AXES = set().union(*(axes for axes, _ in READS.values()))
-
-
-def check_reads(cfg: ExperimentConfig) -> None:
-    """Reject what cfg.experiment does not read, and a split experiment without its split."""
-    axes, split = READS[cfg.experiment]
-    name = cfg.experiment.value
-    if split and cfg.transmon.split is None:
-        raise ConfigurationError(f"{name} needs transmon.split parameters")
-    if not split and cfg.transmon.split is not None:
-        raise ConfigurationError(f"transmon.split is not read by {name}")
-    for axis in cfg.sweep:
-        if axis not in axes:
-            raise ConfigurationError(f"sweep axis {axis!r} is not read by {name}; "
-                                     f"it reads {list(axes) if axes else 'no sweep axis'}")
+# Every sweep axis some experiment reads; experiments._EXPERIMENTS says which.
+SWEEP_AXES = frozenset({"t_separation_ns", "detuning_sum_mhz", "detuning_diff_mhz", "theta_fast_rad"})
 
 
 def _number(value, key: str):
@@ -188,8 +166,8 @@ def _number(value, key: str):
 
 
 def _resolve_axis(name: str, spec) -> Tuple[float, ...]:
-    if name not in _SWEEP_AXES:
-        raise ConfigurationError(f"unknown sweep axis {name!r}; expected one of {sorted(_SWEEP_AXES)}")
+    if name not in SWEEP_AXES:
+        raise ConfigurationError(f"unknown sweep axis {name!r}; expected one of {sorted(SWEEP_AXES)}")
     key = f"sweep.{name}"
     if isinstance(spec, (list, tuple)):
         values = tuple(float(_number(v, key)) for v in spec)

@@ -1,10 +1,11 @@
 """Config-driven experiment plans, runners and result emission.
 
-run_experiment(cfg) is the one way to run an experiment: plan(cfg) makes
-every check a run makes before it integrates and builds each cell's pulse
+run_experiment(cfg) is the one way to run an experiment.  Its row of
+_EXPERIMENTS says what it reads and how it runs; plan(cfg) makes every
+check a run makes before it integrates and builds each cell's pulse
 sequence and the one time grid (validate-config runs it alone), then the
-experiment's private runner integrates the plan and returns a SweepResult
-holding named tables; emit() writes them as CSV or JSON plus a manifest.
+row's runner integrates the plan and returns a SweepResult holding named
+tables; emit() writes them as CSV or JSON plus a manifest.
 Outputs are byte-deterministic for a given config and seed: no timestamps,
 fixed float formatting, fixed cell ordering, and noise seeds derived from
 (seed, cell index).  Time axes of emitted series are measured from the
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._batch import BatchResult, drive_columns, evolve, run_batch
-from .config import READS, Experiment, ExperimentConfig, check_reads, config_hash
+from .config import Experiment, ExperimentConfig, config_hash
 from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
 from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
@@ -164,13 +165,15 @@ DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
 DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
 DEFAULT_THETA_AXIS = tuple(np.arange(0.0, math.pi + 1e-9, math.pi / 20.0))
 DEFAULT_SPLIT_AXIS = tuple(np.arange(-24.0, 25.0, 1.0))
+_PLANE = ("detuning_sum_mhz", "detuning_diff_mhz")  # the detuning planes' axes
 
 
 @dataclass(frozen=True)
 class Plan:
     """What a run integrates: its cells' sequences on one time grid.  axes
-    holds each swept axis's values (config.READS order); the cells run over
-    their product, the first axis slowest, or are one cell without an axis."""
+    holds each swept axis's values (its _EXPERIMENTS row's order); the cells
+    run over their product, the first axis slowest, or are one cell without
+    an axis."""
 
     seqs: Tuple[PulseSequence, ...]
     grid: TimeGrid
@@ -200,15 +203,23 @@ def _detuned(cfg: ExperimentConfig, kw: dict, s: float, d: float) -> PulseSequen
 
 def plan(cfg: ExperimentConfig) -> Plan:
     """Check cfg as its run does before integrating, and build what it integrates:
-    check_reads, at most MAX_POINTS cells, each cell's sequence (_EXPERIMENTS),
-    the grid on their common window (berry steps at most 0.05 ns), check_step
-    once per drive column (_batch.drive_columns: once when every cell has the
-    same pulses), and the time-evolution sample windows, tomography's
-    check_readout or berry's check_oracle_preconditions.  Raises
-    ConfigurationError, or the NumericalError of a readout or oracle check."""
-    check_reads(cfg)
-    _, defaults, cell = _EXPERIMENTS[cfg.experiment]
-    axes = {name: cfg.axis(name, d) for name, d in zip(READS[cfg.experiment][0], defaults)}
+    the sweep axes and transmon.split that its _EXPERIMENTS row reads, at most
+    MAX_POINTS cells, each cell's sequence (the row's), the grid on their
+    common window (berry steps at most 0.05 ns), check_step once per drive
+    column (_batch.drive_columns: once when every cell has the same pulses),
+    and the time-evolution sample windows, tomography's check_readout or
+    berry's check_oracle_preconditions.  Raises ConfigurationError, or the
+    NumericalError of a readout or oracle check."""
+    _, reads, split, cell = _EXPERIMENTS[cfg.experiment]
+    name = cfg.experiment.value
+    if split != (cfg.transmon.split is not None):
+        raise ConfigurationError(f"{name} needs transmon.split parameters" if split
+                                 else f"transmon.split is not read by {name}")
+    for axis in cfg.sweep:
+        if axis not in reads:
+            raise ConfigurationError(f"sweep axis {axis!r} is not read by {name}; "
+                                     f"it reads {list(reads) if reads else 'no sweep axis'}")
+    axes = {axis: cfg.axis(axis, default) for axis, default in reads.items()}
     n_cells = math.prod(len(values) for values in axes.values())
     if n_cells > MAX_POINTS:
         raise ConfigurationError(f"the sweep's {' x '.join(str(len(v)) for v in axes.values())} "
@@ -304,10 +315,11 @@ def _series(name: str, axis: str, values, shifts, batch) -> Table:
                             for v, shift, pops in zip(values, shifts, batch.populations)]))
 
 
-def _result(kind: Experiment, cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
+def _result(cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
             tables: List[Table], failures=(), **meta: str) -> SweepResult:
-    """The runners' one result envelope; metadata leads with config_hash."""
-    return SweepResult(kind.value, axes, tables,
+    """The runners' one result envelope, of kind cfg.experiment; metadata
+    leads with config_hash."""
+    return SweepResult(cfg.experiment.value, axes, tables,
                        {"config_hash": config_hash(cfg), **meta}, list(failures))
 
 
@@ -332,8 +344,7 @@ def _run_time_evolution(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                      "p1_max_between_peaks", "unitary_final_p2"),
                     np.array([[pd[i_peak, 2], times[i_peak] - shift, pd[-1, 2],
                                pd[in_overlap, 1].max(), pd[between, 1].max(), pu[-1, 2]]]))
-    return _result(Experiment.TIME_EVOLUTION, cfg, {"t_ns": main.column("t_ns")},
-                   [main, unitary, summary])
+    return _result(cfg, {"t_ns": main.column("t_ns")}, [main, unitary, summary])
 
 
 def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
@@ -347,12 +358,11 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                     np.asarray([[float(ts), p.max(), p[-1],
                                  sustained_max(p, batch.times, cfg.pulses.sigma_ns)]
                                 for ts, p in zip(ts_axis, p2)]))
-    # each cell's times are measured from its 01-pulse peak, -t_s/2
+    # each cell's times are measured from its own 01-pulse peak
     series = _series("separation_sweep_timeseries", "t_separation_ns", ts_axis,
-                     -ts_axis / 2.0, batch)
+                     [_t01_peak(seq) for seq in plan.seqs], batch)
     sust = summary.column("sustained_p2")
-    return _result(Experiment.SEPARATION_SWEEP, cfg, plan.axes,
-                   [summary, series], failures,
+    return _result(cfg, plan.axes, [summary, series], failures,
                    argmax_sustained_ts_ns=repr(float(ts_axis[int(sust.argmax())])),
                    positive_ts_alternations=str(count_alternations(sust[ts_axis > 0])))
 
@@ -390,7 +400,7 @@ def _run_detuning_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
         ("fwhm_sum_mhz", "fwhm_sum_censored", "fwhm_diff_mhz",
          "fwhm_diff_censored", "fwhm_ratio", "diff_mirror_asymmetry"),
         np.asarray(diag_rows))
-    return _result(Experiment.DETUNING_MAP, cfg, plan.axes, [table, diagnostics], failures)
+    return _result(cfg, plan.axes, [table, diagnostics], failures)
 
 
 def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
@@ -406,7 +416,7 @@ def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                                 for theta, pops in zip(thetas, batch.populations)]))
     series = _series("hybrid_timeseries", "theta_fast_rad", thetas,
                      np.full(len(thetas), t01), batch)
-    return _result(Experiment.HYBRID, cfg, plan.axes, [summary, series], failures)
+    return _result(cfg, plan.axes, [summary, series], failures)
 
 
 def _run_reversal(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
@@ -418,7 +428,7 @@ def _run_reversal(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     summary = Table("reversal",
                     ("max_p2", "final_p0", "final_p1", "final_p2"),
                     np.array([[pops[:, 2].max(), pops[-1, 0], pops[-1, 1], pops[-1, 2]]]))
-    return _result(Experiment.REVERSAL, cfg, {"t_ns": res.times}, [summary, series])
+    return _result(cfg, {"t_ns": res.times}, [summary, series])
 
 
 def _run_split_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
@@ -433,7 +443,7 @@ def _run_split_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
          "max_peak_p2", "midpoint_suppression"),
         np.array([[blob_count(peak_map), blob_count(final_map),
                    midpoint, float(peak_map.max()), float(peak_map.max() - midpoint)]]))
-    return _result(Experiment.SPLIT_MAP, cfg, plan.axes, [table, diagnostics], failures)
+    return _result(cfg, plan.axes, [table, diagnostics], failures)
 
 
 def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
@@ -455,7 +465,7 @@ def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                   ("t_ns", "p0", "p1", "p2", "p0_hat", "p1_hat", "p2_hat", "residual"),
                   np.asarray(rows))
     err = np.max(np.abs(table.rows[:, 4:7] - table.rows[:, 1:4]))
-    return _result(Experiment.TOMOGRAPHY_TIMELINE, cfg, {"t_ns": table.column("t_ns")}, [table],
+    return _result(cfg, {"t_ns": table.column("t_ns")}, [table],
                    max_abs_error=repr(float(err)), noise_std=repr(float(noise_std)))
 
 
@@ -468,25 +478,27 @@ def _run_berry(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                     np.array([[res.gamma_berry, res.gamma_oracle, res.mismatch, res.leakage]]))
     path = realized_path(seq, grid.times[grid.sample_steps])
     path_table = Table("berry_path", ("t_ns", "theta_rad", "phi_rad"), path.samples)
-    return _result(Experiment.BERRY, cfg, {"t_ns": path.samples[:, 0]}, [summary, path_table])
+    return _result(cfg, {"t_ns": path.samples[:, 0]}, [summary, path_table])
 
 
-# Per experiment: its runner, the defaults of its sweep axes (config.READS
-# order) and its sequence for one cell, from the config, _seq_kwargs and the
-# cell's axis values.  Cells call the builders through this module's globals,
-# so a wrapper put on those names (perfbench's tracer) sees every build.
+# Per experiment: its runner, its sweep axes in order with their defaults,
+# whether it models the split intermediate level (transmon.split), and its
+# sequence for one cell, from the config, _seq_kwargs and the cell's axis
+# values.  Cells call the builders through this module's globals, so a
+# wrapper put on those names (perfbench's tracer) sees every build.
 _EXPERIMENTS = {
-    Experiment.TIME_EVOLUTION: (_run_time_evolution, (), _stirap),
-    Experiment.SEPARATION_SWEEP: (_run_separation_sweep, (DEFAULT_TS_AXIS,),
+    Experiment.TIME_EVOLUTION: (_run_time_evolution, {}, False, _stirap),
+    Experiment.SEPARATION_SWEEP: (_run_separation_sweep, {"t_separation_ns": DEFAULT_TS_AXIS}, False,
                                   lambda cfg, kw, ts: two_pulse_sequence(**{**kw, "t_s": ts})),
-    Experiment.DETUNING_MAP: (_run_detuning_map, (DEFAULT_DETUNING_AXIS,) * 2, _detuned),
-    Experiment.HYBRID: (_run_hybrid, (DEFAULT_THETA_AXIS,), lambda cfg, kw, theta: build_sequence(
-        SequenceKind.HYBRID, theta_fast=theta, fast_duration=cfg.pulses.fast_duration_ns, **kw)),
-    Experiment.REVERSAL: (_run_reversal, (), lambda cfg, kw: build_sequence(
+    Experiment.DETUNING_MAP: (_run_detuning_map, dict.fromkeys(_PLANE, DEFAULT_DETUNING_AXIS), False, _detuned),
+    Experiment.HYBRID: (_run_hybrid, {"theta_fast_rad": DEFAULT_THETA_AXIS}, False,
+                        lambda cfg, kw, theta: build_sequence(SequenceKind.HYBRID, theta_fast=theta,
+                                                              fast_duration=cfg.pulses.fast_duration_ns, **kw)),
+    Experiment.REVERSAL: (_run_reversal, {}, False, lambda cfg, kw: build_sequence(
         SequenceKind.REVERSAL, reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)),
-    Experiment.SPLIT_MAP: (_run_split_map, (DEFAULT_SPLIT_AXIS,) * 2, _detuned),
-    Experiment.TOMOGRAPHY_TIMELINE: (_run_tomography_timeline, (), _stirap),
-    Experiment.BERRY: (_run_berry, (), lambda cfg, kw: plateau_phase_sequence(
+    Experiment.SPLIT_MAP: (_run_split_map, dict.fromkeys(_PLANE, DEFAULT_SPLIT_AXIS), True, _detuned),
+    Experiment.TOMOGRAPHY_TIMELINE: (_run_tomography_timeline, {}, False, _stirap),
+    Experiment.BERRY: (_run_berry, {}, False, lambda cfg, kw: plateau_phase_sequence(
         theta=cfg.berry.theta_rad, phi_total=cfg.berry.phi_total_rad, sigma=cfg.berry.sigma_ns,
         omega_rms=mhz_to_rad_ns(cfg.berry.omega_rms_mhz), ramp_span=cfg.berry.ramp_span_ns)),
 }

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stirap.config import READS, Experiment, ExperimentConfig, GridConfig
+from stirap.config import Experiment, ExperimentConfig, GridConfig
+from stirap.experiments import _EXPERIMENTS
 from stirap.hamiltonian import SplitSpec, TransmonParams
 from stirap.pulses import SequenceKind, build_sequence
 from stirap.units import mhz_to_rad_ns
@@ -34,7 +35,7 @@ SMALL_AXES = {"t_separation_ns": (-90.0, -60.0), "detuning_sum_mhz": (-1.0, 1.0)
 def small_config():
     """A quick config of each experiment: dt 0.5 ns and a few cells."""
     def make(experiment: Experiment) -> ExperimentConfig:
-        axes, split = READS[experiment]
+        _, axes, split, _ = _EXPERIMENTS[experiment]
         return ExperimentConfig(experiment=experiment, grid=GridConfig(dt_ns=0.5, sample_stride=20),
                                 sweep={name: SMALL_AXES[name] for name in axes},
                                 transmon=TransmonParams(split=SplitSpec(15.0) if split else None))

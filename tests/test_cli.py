@@ -10,7 +10,7 @@ import pytest
 
 from stirap import _batch, experiments
 from stirap.cli import _SUBCOMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from stirap.config import READS, Experiment, config_hash, load_config
+from stirap.config import SWEEP_AXES, Experiment, config_hash, load_config
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -94,9 +94,12 @@ class TestValidateConfig:
             "start": -100, "stop": 0, "step": 1e-7}}}, "step 1e-07 gives 1000000001 values"),
         ("sweep-separation", {"experiment": "separation_sweep", "sweep": {"t_separation_ns": {
             "start": -100, "stop": 0, "step": 1e-320}}}, "step 1e-320 gives inf values"),
+        # an axis no experiment reads is rejected as the file is parsed
+        ("sweep-detuning", {"experiment": "detuning_map", "sweep": {"bogus_axis": [0.0]}},
+         "unknown sweep axis 'bogus_axis'; expected one of"),
     ], ids=["axis", "split", "no_split", "no_experiment", "dt_coarse", "too_many_steps",
             "fast_edge", "tau_axis", "t_s_positive", "sample_stride", "one_coupling",
-            "range_too_fine", "range_overflows"])
+            "range_too_fine", "range_overflows", "bogus_axis"])
     def test_checks_what_the_experiment_reads_as_the_run_does(self, monkeypatch, tmp_path, capsys,
                                                                command, data, key):
         assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, command, data, EXIT_CONFIG, key)
@@ -364,13 +367,12 @@ class TestSweepCommands:
 
 
 def test_each_experiment_has_one_table_entry_one_runner_and_one_subcommand():
-    # a structural guard: run_experiment is the only public runner,
-    # config.READS says what each experiment reads, and one table row says
-    # how experiments builds and runs each one
-    assert sorted(READS, key=list(Experiment).index) == list(Experiment)
+    # a structural guard: run_experiment is the only public runner, one
+    # table row says what each experiment reads and how experiments builds
+    # and runs it, and config's parser knows exactly the rows' axes
     table = experiments._EXPERIMENTS
     assert sorted(table, key=list(Experiment).index) == list(Experiment)
-    assert all(len(defaults) == len(READS[e][0]) for e, (_, defaults, _) in table.items())
+    assert SWEEP_AXES == set().union(*(axes for _, axes, _, _ in table.values()))
     runners = {e: row[0] for e, row in table.items()}
     assert len(set(runners.values())) == len(Experiment)
     assert sorted(_SUBCOMMANDS.values(), key=list(Experiment).index) == list(Experiment)

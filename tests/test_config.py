@@ -109,7 +109,8 @@ class TestNanThroughPythonApi:
     @pytest.mark.parametrize("cls, section, key", [
         (cls, section, f.name)
         for cls, section in ((TransmonParams, "transmon"), (SplitSpec, "transmon.split"),
-                             (CavityParams, "cavity"))
+                             (CavityParams, "cavity"), (GridConfig, "grid"),
+                             (TomographyConfig, "tomography"), (BerryConfig, "berry"))
         for f in dataclasses.fields(cls) if f.name != "split"])
     def test_device_params(self, cls, section, key):
         # every number field, each entry of a tuple field included, names itself

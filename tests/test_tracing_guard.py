@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from stirap import _batch, experiments, holonomy, tomography
-from stirap.config import READS, Experiment
+from stirap.config import Experiment
 from stirap.pulses import PulseSequence
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -77,5 +77,5 @@ def test_each_experiment_opens_its_build_and_integration_spans(small_config, exp
         experiments.run_experiment(small_config(experiment))
     names = [s.name for s in tracer.spans]
     assert "pulses.build" in names, names
-    integrated = "batch.run_batch" if READS[experiment][0] else "lindblad.evolve"
+    integrated = "batch.run_batch" if experiments._EXPERIMENTS[experiment][1] else "lindblad.evolve"
     assert integrated in names, names
