@@ -31,12 +31,13 @@ the scheme 4th order for smooth drives.  Both realisations sample it one
 block of steps at a time (_drive_block), and a FastPulse edge on a grid point
 starts a block: the block ending there takes its last sample from the left
 limit of the drive and the next its first from the right limit, so no stage
-straddles the discontinuity; lindblad.edge_steps rejects an edge off the grid.
+straddles the discontinuity; lindblad.check_step rejects an edge off the grid.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -441,9 +442,11 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     but the last, which may hold fewer.  Each cell's arithmetic is independent
     of its chunk, so every partition, serial or parallel, produces identical
     bytes.  A chunk whose cells do not share a drive holds a drive block of
-    (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  A failed cell
-    is recorded in failures while the others run on; when every cell
-    fails, IntegrationFailureError names the first one's step and time.
+    (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  The pool has one
+    process per chunk, at most workers and os.cpu_count(), and is not
+    started when that is one.  A failed cell is recorded in failures while
+    the others run on; when every cell fails, IntegrationFailureError names
+    the first one's step and time.
     """
     if not seqs:
         raise ConfigurationError("run_batch needs at least one pulse sequence")
@@ -451,10 +454,11 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
         chunk_size = -(-len(seqs) // max(1, min(workers, len(seqs) // CHUNK_SIZE)))
     chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
     args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]
-    if workers > 1 and len(chunks) > 1:
+    procs = min(workers, len(chunks), os.cpu_count() or 1)
+    if procs > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        with cf.ProcessPoolExecutor(max_workers=procs) as pool:
             results = list(pool.map(_run_one_chunk, args))
     else:
         results = [_run_one_chunk(a) for a in args]

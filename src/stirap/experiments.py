@@ -513,7 +513,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 # emission
 
 def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
-    """Write tables plus a manifest; byte-deterministic given config+seed."""
+    """Write tables plus a manifest; byte-deterministic given config+seed.
+    An output that cannot be written raises ConfigurationError naming it."""
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
@@ -522,42 +523,45 @@ def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
     except OSError as exc:  # the path, or one of its parents, is a file
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
     written: List[Path] = []
-
-    if fmt == "csv":
-        for table in result.tables:
-            path = out / f"{table.name}.csv"
-            # one row at a time, so the text of the whole table is never held
-            with path.open("w") as f:
-                f.write(",".join(table.columns) + "\n")
-                for row in table.rows:
-                    f.write(",".join(map(repr, row.tolist())) + "\n")
+    path = out
+    try:
+        if fmt == "csv":
+            for table in result.tables:
+                path = out / f"{table.name}.csv"
+                # one row at a time, so the text of the whole table is never held
+                with path.open("w") as f:
+                    f.write(",".join(table.columns) + "\n")
+                    for row in table.rows:
+                        f.write(",".join(map(repr, row.tolist())) + "\n")
+                written.append(path)
+        else:
+            payload = {
+                "metadata": dict(result.metadata),
+                "axes": {k: [float(v) for v in vals] for k, vals in result.axes.items()},
+                "data": {
+                    t.name: {"columns": list(t.columns), "rows": _json_rows(t.rows)}
+                    for t in result.tables
+                },
+                "failures": result.failures,
+            }
+            path = out / f"{result.kind}.json"
+            path.write_text(_strict_json(payload))
             written.append(path)
-    else:
-        payload = {
-            "metadata": dict(result.metadata),
-            "axes": {k: [float(v) for v in vals] for k, vals in result.axes.items()},
-            "data": {
-                t.name: {"columns": list(t.columns), "rows": _json_rows(t.rows)}
-                for t in result.tables
-            },
-            "failures": result.failures,
-        }
-        path = out / f"{result.kind}.json"
-        path.write_text(_strict_json(payload))
-        written.append(path)
 
-    manifest = {
-        "kind": result.kind,
-        "config_hash": result.metadata.get("config_hash", ""),
-        "version": __version__,
-        "format": fmt,
-        "tables": [t.name for t in result.tables],
-        "failures": result.failures,
-        "metadata": dict(result.metadata),
-    }
-    mpath = out / f"{result.kind}_manifest.json"
-    mpath.write_text(_strict_json(manifest))
-    written.append(mpath)
+        manifest = {
+            "kind": result.kind,
+            "config_hash": result.metadata.get("config_hash", ""),
+            "version": __version__,
+            "format": fmt,
+            "tables": [t.name for t in result.tables],
+            "failures": result.failures,
+            "metadata": dict(result.metadata),
+        }
+        path = out / f"{result.kind}_manifest.json"
+        path.write_text(_strict_json(manifest))
+        written.append(path)
+    except OSError as exc:  # e.g. a directory where the file should be
+        raise ConfigurationError(f"cannot write output {path}: {exc}") from None
     return written
 
 

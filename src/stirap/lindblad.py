@@ -94,21 +94,14 @@ class TimeGrid:
 
 def check_step(seq: PulseSequence, grid: TimeGrid) -> List[int]:
     """Reject a grid step coarser than sigma/50 of the narrowest Gaussian
-    pulse, and a FastPulse edge off the grid; returns edge_steps(seq, grid)."""
+    pulse, and a FastPulse edge inside the grid that is not within 1e-9 ns
+    of a grid point (a step would integrate through it); returns the steps
+    k, 0 < k < n_steps, whose grid point is a FastPulse edge."""
     sig = min((p.sigma_ns for p in seq.pulses if isinstance(p, GaussianPulse)), default=None)
     if sig is not None and grid.dt > sig / 50.0 + 1e-12:
         raise ConfigurationError(
             f"dt = {grid.dt} too coarse for sigma = {sig} ns (need dt <= sigma/50)"
         )
-    return edge_steps(seq, grid)
-
-
-def edge_steps(seq: PulseSequence, grid: TimeGrid) -> List[int]:
-    """Steps k, 0 < k < n_steps, whose grid point is a FastPulse edge.
-
-    An edge inside the grid that is not within 1e-9 ns of a grid point
-    raises ConfigurationError: a step would integrate through it.
-    """
     steps = set()
     for p in seq.pulses:
         if isinstance(p, FastPulse):

@@ -147,14 +147,6 @@ class PulseSequence:
             total = total + p.envelope(t) * np.exp(-1j * p.phase_at(t))
         return total
 
-    def envelope(self, transition: Transition, t):
-        """Sum of the transition's real envelopes Omega_p(t)."""
-        t = np.asarray(t, dtype=float)
-        env = np.zeros(t.shape, dtype=float)
-        for p in self.pulses_on(transition):
-            env = env + p.envelope(t)
-        return env
-
     def gaussian_centers(self, transition: Transition):
         return [p.center_ns for p in self.pulses_on(transition) if isinstance(p, GaussianPulse)]
 
@@ -230,7 +222,7 @@ class AdiabaticityReport:
 
 
 def rms_envelope_integral(seq: PulseSequence, points_per_sigma: int = 1000) -> float:
-    """Trapezoid integral of sqrt(Omega01^2 + Omega12^2) dt.
+    """Trapezoid integral of sqrt(|Omega01|^2 + |Omega12|^2) dt.
 
     Integrates over the window extended by 2 sigma on each side, so the
     Gaussian mass is captured to ~2e-9 relative (the bare +-4 sigma window
@@ -242,7 +234,7 @@ def rms_envelope_integral(seq: PulseSequence, points_per_sigma: int = 1000) -> f
     step = min(sigmas) / points_per_sigma if sigmas else (hi - lo) / 1e5
     n = int(math.ceil((hi - lo) / step)) + 1
     t = np.linspace(lo, hi, n)
-    o01, o12 = seq.envelope(Transition.T01, t), seq.envelope(Transition.T12, t)
+    o01, o12 = (np.abs(seq.complex_amplitude(tr, t)) for tr in (Transition.T01, Transition.T12))
     return float(np.trapezoid(np.sqrt(o01**2 + o12**2), t))
 
 

@@ -29,8 +29,9 @@ DEFAULT_WEIGHT = 700.0  # ns, exponential weighting time constant
 
 
 @dataclass(frozen=True)
-class ReferenceTrace:
-    """Homodyne response {I(tau), Q(tau)} of one prepared transmon state."""
+class Trace:
+    """Homodyne response {I(tau), Q(tau)}: a prepared state's reference, or a
+    measured mixture of the references."""
 
     taus: np.ndarray
     I: np.ndarray
@@ -43,13 +44,6 @@ class ReferenceTrace:
             object.__setattr__(self, name, a)
         if not (self.taus.shape == self.I.shape == self.Q.shape):
             raise ConfigurationError("trace arrays must share one tau grid")
-
-
-@dataclass(frozen=True)
-class MeasuredTrace:
-    taus: np.ndarray
-    I: np.ndarray
-    Q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ def synth_reference_traces(
     tau_max: float = DEFAULT_TAU_MAX,
     dtau: float = DEFAULT_DTAU,
     decoherence_corrected: bool = False,
-) -> Tuple[ReferenceTrace, ReferenceTrace, ReferenceTrace]:
+) -> Tuple[Trace, Trace, Trace]:
     """Per-state cavity responses on a tau grid 0..tau_max.
 
     I = -2 eta Re<a>, Q = +2 eta Im<a>; the overall homodyne sign is part
@@ -117,7 +111,7 @@ def synth_reference_traces(
             amp = _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans)
         else:
             amp = _cavity_amplitude(taus, deltas[j], kappa, eps)
-        traces.append(ReferenceTrace(taus, -2.0 * cav.eta * amp.real, 2.0 * cav.eta * amp.imag))
+        traces.append(Trace(taus, -2.0 * cav.eta * amp.real, 2.0 * cav.eta * amp.imag))
     return tuple(traces)
 
 
@@ -155,20 +149,19 @@ def _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans: Transmon
     return out
 
 
-def _check_grids(traces: Sequence) -> None:
-    """Every trace (reference or measured) has I and Q on the first one's tau grid."""
+def _check_grids(traces: Sequence[Trace]) -> None:
+    """Every trace is on the first one's tau grid."""
     base = traces[0].taus
-    for r in traces:
-        if not (r.taus.shape == r.I.shape == r.Q.shape == base.shape) or not np.array_equal(r.taus, base):
-            raise ConfigurationError("traces must share one tau grid")
+    if not all(np.array_equal(r.taus, base) for r in traces):
+        raise ConfigurationError("traces must share one tau grid")
 
 
 def mix_traces(
     p: Sequence[float],
-    refs: Sequence[ReferenceTrace],
+    refs: Sequence[Trace],
     noise_std: float = 0.0,
     seed: int = 0,
-) -> MeasuredTrace:
+) -> Trace:
     """Convex combination of the references plus seeded Gaussian noise."""
     p = np.asarray(p, dtype=float)
     if p.shape != (3,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
@@ -180,15 +173,15 @@ def mix_traces(
         rng = np.random.default_rng(seed)
         i_mix = i_mix + rng.normal(0.0, noise_std, i_mix.size)
         q_mix = q_mix + rng.normal(0.0, noise_std, q_mix.size)
-    return MeasuredTrace(taus=refs[0].taus.copy(), I=i_mix, Q=q_mix)
+    return Trace(refs[0].taus, i_mix, q_mix)
 
 
-def trace_scale(refs: Sequence[ReferenceTrace]) -> float:
+def trace_scale(refs: Sequence[Trace]) -> float:
     """Full scale of the reference set: max |I|,|Q| over all traces."""
     return max(max(np.abs(r.I).max(), np.abs(r.Q).max()) for r in refs)
 
 
-def design_matrix(refs: Sequence[ReferenceTrace], weight_ns: float = DEFAULT_WEIGHT) -> np.ndarray:
+def design_matrix(refs: Sequence[Trace], weight_ns: float = DEFAULT_WEIGHT) -> np.ndarray:
     """Weighted 3-column design (stacked I and Q rows), one column per state."""
     w = np.exp(-refs[0].taus / weight_ns)
     return np.column_stack([np.concatenate([w * r.I, w * r.Q]) for r in refs])
@@ -223,8 +216,8 @@ def _simplex_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_populations(
-    meas: MeasuredTrace,
-    refs: Sequence[ReferenceTrace],
+    meas: Trace,
+    refs: Sequence[Trace],
     weight_ns: float = DEFAULT_WEIGHT,
 ) -> TomographyResult:
     """Invert a measured trace to populations on the probability simplex.
@@ -257,7 +250,7 @@ def reconstruct_populations(
 
 def tomography_timeline(
     populations: np.ndarray,
-    refs: Sequence[ReferenceTrace],
+    refs: Sequence[Trace],
     noise_std: float = 0.0,
     weight_ns: float = DEFAULT_WEIGHT,
     seed: int = 0,

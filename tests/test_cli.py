@@ -282,6 +282,17 @@ class TestRun:
         assert err.startswith(f"configuration error: cannot create output directory {out}:"), err
         assert blocker.read_text() == "keep"
 
+    @pytest.mark.parametrize("fmt, name", [("csv", "time_evolution.csv"), ("csv", "time_evolution_manifest.json"),
+                                           ("json", "time_evolution.json")])
+    def test_output_file_that_cannot_be_written_exits_2(self, tmp_path, capsys, fmt, name):
+        # a directory where a table or the manifest should be
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        cfg = write_config(tmp_path, FAST)
+        assert main(["run", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write output {out / name}:"), err
+
     def test_shipped_tomography_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = str(CONFIGS / "tomography.json")

@@ -7,7 +7,7 @@ import pytest
 from stirap._batch import evolve
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
-from stirap.lindblad import MAX_POINTS, TimeGrid, check_step, dissipator, edge_steps
+from stirap.lindblad import MAX_POINTS, TimeGrid, check_step, dissipator
 from stirap.pulses import (GaussianPulse, PhaseRamp, PulseSequence, SequenceKind, Transition,
                            build_sequence, two_pulse_sequence)
 from stirap.units import mhz_to_rad_ns
@@ -556,16 +556,27 @@ class TestBatchAgreement:
             assert sorted(j for js in met.values() for j in js) == list(range(len(terms)))
             assert all(js == sorted(js) for js in met.values()), met
 
-    def test_pool_is_capped_at_the_chunk_count(self, device_params, inline_pool):
+    def test_pool_is_capped_at_the_chunk_count(self, device_params, monkeypatch, inline_pool):
         # a fork-started pool starts all max_workers processes at the first
-        # submit, so workers beyond the chunk count would only sit idle
+        # submit, so workers beyond the chunk count, or beyond the CPUs, would
+        # only sit idle; the cap is on the pool, so the chunks stay the same,
+        # and one allowed process runs them serially
+        import os
+
         from stirap._batch import run_batch
 
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         got = run_batch(seqs, device_params, grid, workers=8, chunk_size=2)
-        assert inline_pool == [2]
-        assert np.array_equal(got.populations, run_batch(seqs, device_params, grid).populations)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        capped = run_batch(seqs, device_params, grid, workers=100000, chunk_size=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        unknown = run_batch(seqs, device_params, grid, workers=4, chunk_size=1)
+        assert inline_pool == [2, 3]
+        serial = run_batch(seqs, device_params, grid).populations
+        for res in (got, capped, unknown):
+            assert np.array_equal(res.populations, serial)
 
     def test_evolve_matches_one_cell_chunk(self, device_params):
         # evolve's RK4 step matrices are the kernel's RK4 on one cell, with the
@@ -586,7 +597,7 @@ class TestBatchAgreement:
         for rho0, seq, params, dissipative in cases:
             grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=25)
             if seq is hybrid:
-                assert edge_steps(seq, grid)  # the fast pulse's edge lies on the grid
+                assert check_step(seq, grid)  # the fast pulse's edge lies on the grid
             got = evolve(seq, params, grid, dissipative, rho0)
             want = evolve_chunk([seq], params, grid, dissipative, rho0, store_states=True)
             assert not want.failures and not got.failures
@@ -794,8 +805,7 @@ class TestBatchAgreement:
         # both edges on grid points (the first one the grid's start), then both before it
         for t_start, steps in ((lo, [100]), (lo - 5.0, [50, 150]), (lo + 10.05, []), (lo + 20.0, [])):
             grid = TimeGrid(t_start, hi, dt=0.1, sample_stride=50)
-            check_step(seq, grid)
-            assert edge_steps(seq, grid) == steps
+            assert check_step(seq, grid) == steps
 
 
 def eigvalsh_checks(y, dim, steps, grid):

@@ -69,13 +69,15 @@ class TestBuildSequence:
         assert (detuned.delta01, detuned.delta12) == (0.03, -0.07)
         assert detuned.pulses == seq.pulses
 
-    def test_envelope_sums_the_transitions_pulses(self):
+    def test_complex_amplitude_sums_the_transitions_pulses(self):
         seq = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
-                             sigma=45.0, t_s=-90.0)
+                             sigma=45.0, t_s=-90.0, phi12=0.7)
         p12a, p01, p12b = seq.pulses
         ts = np.linspace(-300.0, 300.0, 61)
-        assert np.array_equal(seq.envelope(Transition.T12, ts), p12a.envelope(ts) + p12b.envelope(ts))
-        assert np.array_equal(seq.envelope(Transition.T01, ts), p01.envelope(ts))
+        rotor = np.exp(-0.7j)
+        assert np.array_equal(seq.complex_amplitude(Transition.T12, ts),
+                              p12a.envelope(ts) * rotor + p12b.envelope(ts) * rotor)
+        assert np.array_equal(seq.complex_amplitude(Transition.T01, ts), p01.envelope(ts) + 0j)
 
     def test_hybrid_fast_pulse_area_and_placement(self):
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,

@@ -7,7 +7,7 @@ from stirap.hamiltonian import CavityParams, TransmonParams
 from stirap.lindblad import TimeGrid
 from stirap.pulses import SequenceKind, build_sequence
 from stirap.tomography import (
-    ReferenceTrace,
+    Trace,
     design_matrix,
     mix_traces,
     reconstruct_populations,
@@ -160,6 +160,16 @@ class TestMixTraces:
         c = mix_traces((0.5, 0.25, 0.25), refs, noise_std=0.01, seed=78)
         assert not np.array_equal(a.I, c.I)
 
+    def test_measured_trace_is_checked_like_a_reference(self, refs):
+        # one Trace type: a mixture is read-only, and inversion rejects it on another grid
+        meas = mix_traces((0.2, 0.3, 0.5), refs)
+        assert isinstance(meas, Trace) and not meas.I.flags.writeable
+        with pytest.raises(ConfigurationError, match="share one tau grid"):
+            Trace(meas.taus, meas.I[:-1], meas.Q)
+        shifted = Trace(meas.taus + 1.0, meas.I, meas.Q)
+        with pytest.raises(ConfigurationError, match="traces must share one tau grid"):
+            reconstruct_populations(shifted, refs)
+
     def test_invalid_simplex(self, refs):
         with pytest.raises(ConfigurationError):
             mix_traces((0.7, 0.4, 0.1), refs)
@@ -282,7 +292,7 @@ class TestReconstruction:
         assert zeros == {0, 1, 2}  # interior, edge and vertex optima all occur
 
     def test_degenerate_design_raises(self, refs):
-        same = [ReferenceTrace(refs[0].taus, refs[0].I, refs[0].Q)] * 3
+        same = [Trace(refs[0].taus, refs[0].I, refs[0].Q)] * 3
         with pytest.raises(SingularDesignError):
             reconstruct_populations(mix_traces((1.0, 0.0, 0.0), same), same)
 
