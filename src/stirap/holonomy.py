@@ -96,12 +96,8 @@ def check_oracle_preconditions(seq: PulseSequence, metric_threshold: float) -> N
         raise PreconditionError(f"global adiabaticity metric {metric:.2f} <= {metric_threshold}")
 
 
-def adiabatic_phase_oracle(
-    seq: PulseSequence,
-    params: TransmonParams,
-    grid: TimeGrid,
-    metric_threshold: float = 10.0,
-) -> OraclePhase:
+def adiabatic_phase_oracle(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
+                           metric_threshold: float) -> OraclePhase:
     """Propagate the dark state and read off the geometric phase.
 
     Requires check_oracle_preconditions.  The dark state has an exact 0 on
@@ -130,19 +126,15 @@ def adiabatic_phase_oracle(
     return OraclePhase(gamma=float(phase_series[-1] - phase_series[0]), leakage=leakage)
 
 
-def plateau_phase_sequence(
-    theta: float = math.pi / 4,
-    phi_total: float = math.pi,
-    sigma: float = 45.0,
-    omega_rms: float = TWO_PI * 0.2,
-    ramp_span: float = 90.0,
-) -> PulseSequence:
+def plateau_phase_sequence(theta: float, phi_total: float, sigma: float, omega_rms: float,
+                           ramp_span: float) -> PulseSequence:
     """Fully overlapped pulse pair holding Theta fixed while phi12 winds.
 
     Both envelopes share the same Gaussian so tan(Theta) is constant in
     time; the 1-2 drive phase ramps by phi_total across the central
     ramp_span where the envelopes are strong, which keeps the winding
     adiabatic.  omega_rms sets sqrt(Omega01^2 + Omega12^2) at the peak.
+    The protocol's path is config.BerryConfig's (omega_rms here in rad/ns).
     """
     if not 0.0 <= theta <= math.pi / 2:
         raise ConfigurationError("theta must lie in [0, pi/2]")
@@ -154,12 +146,8 @@ def plateau_phase_sequence(
     return PulseSequence((p12, p01))
 
 
-def berry_vs_oracle(
-    seq: PulseSequence,
-    params: TransmonParams,
-    grid: TimeGrid,
-    metric_threshold: float = 10.0,
-) -> PhaseResult:
+def berry_vs_oracle(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
+                    metric_threshold: float) -> PhaseResult:
     """Compare the path integral against the propagation oracle."""
     oracle = adiabatic_phase_oracle(seq, params, grid, metric_threshold)
     half = replace(grid, sample_stride=max(1, grid.sample_stride // 2))

@@ -60,10 +60,13 @@ MAX_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """Steps of dt ns from t_start to t_end, every sample_stride-th one sampled;
+    the protocol's dt and stride are config.GridConfig.dt_ns and .sample_stride."""
+
     t_start: float
     t_end: float
-    dt: float = 0.1
-    sample_stride: int = 10
+    dt: float
+    sample_stride: int
 
     def __post_init__(self):
         # phrased so that NaN fails every check

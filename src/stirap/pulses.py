@@ -183,10 +183,11 @@ def build_sequence(
     phi01: float = 0.0,
     phi12: float = 0.0,
     theta_fast: Optional[float] = None,
-    fast_duration: float = 10.0,
+    fast_duration: Optional[float] = None,
     reversal_spacing: Optional[float] = None,
 ) -> PulseSequence:
-    """Canonical sequences: STIRAP, HYBRID, REVERSAL."""
+    """Canonical sequences: STIRAP, HYBRID, REVERSAL.  HYBRID needs theta_fast
+    and fast_duration (the protocol's is config.PulseConfig.fast_duration_ns)."""
     if kind in (SequenceKind.STIRAP, SequenceKind.HYBRID) and t_s > 0:
         raise ConfigurationError(f"{kind.name} needs t_s <= 0 (12 pulse first), got {t_s}")
 
@@ -194,8 +195,8 @@ def build_sequence(
         return two_pulse_sequence(omega01, omega12, sigma, t_s, delta01, delta12, phi01, phi12)
 
     if kind is SequenceKind.HYBRID:
-        if theta_fast is None:
-            raise ConfigurationError("HYBRID needs theta_fast")
+        if theta_fast is None or fast_duration is None:
+            raise ConfigurationError("HYBRID needs theta_fast and fast_duration")
         pair = two_pulse_sequence(omega01, omega12, sigma, t_s, delta01, delta12, phi01, phi12)
         fast = FastPulse(Transition.T01, theta_fast, fast_duration,
                          start_ns=pair.window[0] - fast_duration, phase=phi01)

@@ -23,10 +23,6 @@ from .hamiltonian import CavityParams, TransmonParams, dispersive_shifts
 from .lindblad import MAX_POINTS
 from .units import mhz_to_rad_ns
 
-DEFAULT_TAU_MAX = 1500.0  # ns
-DEFAULT_DTAU = 5.0  # ns
-DEFAULT_WEIGHT = 700.0  # ns, exponential weighting time constant
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -87,11 +83,12 @@ def check_readout(cav: CavityParams, trans: TransmonParams, tau_max: float,
 def synth_reference_traces(
     cav: CavityParams,
     trans: TransmonParams,
-    tau_max: float = DEFAULT_TAU_MAX,
-    dtau: float = DEFAULT_DTAU,
+    tau_max: float,
+    dtau: float,
     decoherence_corrected: bool = False,
 ) -> Tuple[Trace, Trace, Trace]:
-    """Per-state cavity responses on a tau grid 0..tau_max.
+    """Per-state cavity responses on the tau grid 0, dtau, ..., tau_max ns;
+    config.TomographyConfig's tau_max_ns and dtau_ns hold the protocol's axis.
 
     I = -2 eta Re<a>, Q = +2 eta Im<a>; the overall homodyne sign is part
     of the conversion factor eta.  With decoherence_corrected=True the
@@ -181,7 +178,7 @@ def trace_scale(refs: Sequence[Trace]) -> float:
     return max(max(np.abs(r.I).max(), np.abs(r.Q).max()) for r in refs)
 
 
-def design_matrix(refs: Sequence[Trace], weight_ns: float = DEFAULT_WEIGHT) -> np.ndarray:
+def design_matrix(refs: Sequence[Trace], weight_ns: float) -> np.ndarray:
     """Weighted 3-column design (stacked I and Q rows), one column per state."""
     w = np.exp(-refs[0].taus / weight_ns)
     return np.column_stack([np.concatenate([w * r.I, w * r.Q]) for r in refs])
@@ -215,11 +212,7 @@ def _simplex_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return min(edges, key=lambda xe: _cost(a, b, xe))
 
 
-def reconstruct_populations(
-    meas: Trace,
-    refs: Sequence[Trace],
-    weight_ns: float = DEFAULT_WEIGHT,
-) -> TomographyResult:
+def reconstruct_populations(meas: Trace, refs: Sequence[Trace], weight_ns: float) -> TomographyResult:
     """Invert a measured trace to populations on the probability simplex.
 
     Minimizes sum_tau exp(-2 tau / w) * |r_meas - sum_j p_j r_j|^2 in the
@@ -251,8 +244,8 @@ def reconstruct_populations(
 def tomography_timeline(
     populations: np.ndarray,
     refs: Sequence[Trace],
+    weight_ns: float,
     noise_std: float = 0.0,
-    weight_ns: float = DEFAULT_WEIGHT,
     seed: int = 0,
 ) -> List[TomographyResult]:
     """Mix-and-invert at every sample of a 3-level run's (n_samples, 3) populations.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from stirap._batch import evolve
-from stirap.config import Experiment, ExperimentConfig, GridConfig, PulseConfig
+from stirap.config import BerryConfig, Experiment, ExperimentConfig, GridConfig, PulseConfig, TomographyConfig
 from stirap.experiments import (
     blob_count,
     count_alternations,
@@ -265,16 +265,17 @@ def test_criterion_6_lindblad_analytic_oracles():
 
 
 def test_criterion_7_tomography_round_trip():
-    refs = synth_reference_traces(CavityParams(), TransmonParams())
+    tomo = TomographyConfig()
+    refs = synth_reference_traces(CavityParams(), TransmonParams(), tomo.tau_max_ns, tomo.dtau_ns)
     truth = (0.2, 0.3, 0.5)
-    exact = reconstruct_populations(mix_traces(truth, refs), refs)
+    exact = reconstruct_populations(mix_traces(truth, refs), refs, tomo.weight_ns)
     err_noiseless = float(np.max(np.abs(np.array(exact.p) - truth)))
 
     noise = 0.01 * trace_scale(refs)
     errs, simplex_exact = [], True
     for seed in range(100):
         meas = mix_traces(truth, refs, noise_std=noise, seed=seed)
-        rec = reconstruct_populations(meas, refs)
+        rec = reconstruct_populations(meas, refs, tomo.weight_ns)
         errs.append(np.abs(np.array(rec.p) - truth))
         simplex_exact &= (sum(rec.p) == 1.0 and all(0.0 <= v <= 1.0 for v in rec.p))
     mae = float(np.mean(errs))
@@ -298,12 +299,12 @@ def test_criterion_8_berry_phase(device_params):
                                        np.linspace(0, math.pi, 101)]))
     closed_errs.append(abs(berry_phase(p) + math.pi / 2))
 
-    mismatches = []
+    mismatches, b = [], BerryConfig()
     for f_mhz in (139.3, 278.6, 557.2):  # cyclic metrics ~10, 20, 40
-        seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi,
-                                     omega_rms=mhz_to_rad_ns(f_mhz))
+        seq = plateau_phase_sequence(theta=b.theta_rad, phi_total=b.phi_total_rad, sigma=b.sigma_ns,
+                                     omega_rms=mhz_to_rad_ns(f_mhz), ramp_span=b.ramp_span_ns)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.02, sample_stride=25)
-        mismatches.append(berry_vs_oracle(seq, device_params, grid).mismatch)
+        mismatches.append(berry_vs_oracle(seq, device_params, grid, b.metric_threshold).mismatch)
     ok = max(closed_errs) <= 1e-8 and max(mismatches) <= 1e-2
     report("8 (Berry phase)", ok,
            f"closed-form errors <= {max(closed_errs):.1e} (1e-8); oracle "

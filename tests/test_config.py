@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -21,9 +22,12 @@ from stirap.config import (
     config_hash,
     load_config,
 )
+from stirap import holonomy, tomography
 from stirap.errors import ConfigurationError
 from stirap.experiments import run_experiment
 from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
+from stirap.lindblad import TimeGrid
+from stirap.pulses import SequenceKind, build_sequence
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -221,3 +225,41 @@ class TestTypeChecks:
     def test_experiment_config_bounds(self, kwargs):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**kwargs)
+
+
+# Each protocol default is stated once, in the dataclasses above: these
+# parameters take their values from GridConfig, TomographyConfig, BerryConfig
+# and PulseConfig, and hold no library default of their own.
+NO_LIBRARY_DEFAULT = [
+    (tomography.synth_reference_traces, ("tau_max", "dtau")),
+    (tomography.design_matrix, ("weight_ns",)),
+    (tomography.reconstruct_populations, ("weight_ns",)),
+    (tomography.tomography_timeline, ("weight_ns",)),
+    (holonomy.plateau_phase_sequence, ("theta", "phi_total", "sigma", "omega_rms", "ramp_span")),
+    (holonomy.adiabatic_phase_oracle, ("metric_threshold",)),
+    (holonomy.berry_vs_oracle, ("metric_threshold",)),
+]
+
+
+class TestProtocolDefaultsLiveInConfig:
+    @pytest.mark.parametrize("fn, names", NO_LIBRARY_DEFAULT, ids=[fn.__name__ for fn, _ in NO_LIBRARY_DEFAULT])
+    def test_parameters_have_no_default(self, fn, names):
+        params = inspect.signature(fn).parameters
+        assert {n: params[n].default for n in names} == dict.fromkeys(names, inspect.Parameter.empty)
+
+    def test_time_grid_fields_have_no_default(self):
+        fields = {f.name: f.default for f in dataclasses.fields(TimeGrid)}
+        assert fields == dict.fromkeys(("t_start", "t_end", "dt", "sample_stride"), dataclasses.MISSING)
+
+    def test_tomography_default_constants_are_gone(self):
+        assert not {"DEFAULT_TAU_MAX", "DEFAULT_DTAU", "DEFAULT_WEIGHT"} & set(vars(tomography))
+
+    def test_hybrid_needs_a_fast_duration(self):
+        # unset (None) like theta_fast; the protocol's is PulseConfig.fast_duration_ns
+        assert inspect.signature(build_sequence).parameters["fast_duration"].default is None
+        with pytest.raises(ConfigurationError, match="fast_duration"):
+            build_sequence(SequenceKind.HYBRID, omega01=1.0, omega12=1.0, sigma=45.0, t_s=-90.0,
+                           theta_fast=math.pi)
+        seq = build_sequence(SequenceKind.HYBRID, omega01=1.0, omega12=1.0, sigma=45.0, t_s=-90.0,
+                             theta_fast=math.pi, fast_duration=PulseConfig().fast_duration_ns)
+        assert seq.pulses[0].duration_ns == PulseConfig().fast_duration_ns

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from stirap._batch import evolve
+from stirap.config import BerryConfig
 from stirap.errors import ConfigurationError, NonAdiabaticRunError, PreconditionError
 from stirap.holonomy import (
     ParameterPath,
@@ -25,6 +27,16 @@ from stirap.pulses import (
     global_adiabaticity_metric,
 )
 from stirap.units import mhz_to_rad_ns
+
+BERRY = BerryConfig()
+THRESHOLD = BERRY.metric_threshold
+
+
+def plateau(**fields):
+    """plateau_phase_sequence on BerryConfig()'s path, with fields replaced."""
+    b = dataclasses.replace(BERRY, **fields)
+    return plateau_phase_sequence(theta=b.theta_rad, phi_total=b.phi_total_rad, sigma=b.sigma_ns,
+                                  omega_rms=mhz_to_rad_ns(b.omega_rms_mhz), ramp_span=b.ramp_span_ns)
 
 
 def path_from(theta, phi, t=None):
@@ -106,29 +118,28 @@ class TestPathProperties:
 
 class TestOracle:
     def test_constant_phase_gives_zero(self, device_params):
-        seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=0.0)
+        seq = plateau(phi_total_rad=0.0)
         assert seq.window == (-180.0, 180.0)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.05, sample_stride=10)
-        oracle = adiabatic_phase_oracle(seq, device_params, grid)
+        oracle = adiabatic_phase_oracle(seq, device_params, grid, THRESHOLD)
         assert abs(oracle.gamma) < 2e-3
         assert oracle.leakage < 0.01
 
     def test_pi_winding_matches_integral(self, device_params):
-        seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi)
+        seq = plateau()
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.05, sample_stride=10)
-        res = berry_vs_oracle(seq, device_params, grid)
+        res = berry_vs_oracle(seq, device_params, grid, THRESHOLD)
         assert abs(res.gamma_berry - (-math.pi / 2)) < 1e-6
         assert res.mismatch <= 1e-2
 
     def test_mismatch_shrinks_with_metric(self, device_params):
         mismatches = []
         for f_mhz, threshold in ((139.3, 10.0), (278.6, 20.0), (557.2, 40.0)):
-            seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi,
-                                         omega_rms=mhz_to_rad_ns(f_mhz))
+            seq = plateau(omega_rms_mhz=f_mhz)
             rep = global_adiabaticity_metric(seq)
             assert rep.global_metric > threshold
             grid = TimeGrid(seq.window[0], seq.window[1], dt=0.02, sample_stride=25)
-            res = berry_vs_oracle(seq, device_params, grid)
+            res = berry_vs_oracle(seq, device_params, grid, THRESHOLD)
             assert res.mismatch <= 1e-2
             mismatches.append(res.mismatch)
         assert mismatches[2] < mismatches[0]
@@ -167,29 +178,28 @@ class TestOracle:
         # divide the 7200 steps; it still ends where the oracle's samples end
         import stirap.holonomy as holonomy
 
-        seq = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi)
+        seq = plateau()
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.05, sample_stride=14)
         assert grid.n_steps % 7 != 0
         seen = []
         monkeypatch.setattr(holonomy, "realized_path",
                             lambda s, t, real=realized_path: seen.append(t) or real(s, t))
-        berry_vs_oracle(seq, device_params, grid)
+        berry_vs_oracle(seq, device_params, grid, THRESHOLD)
         assert seen[0][-1] == grid.times[-1]
         assert np.array_equal(seen[0][:-1], grid.times[:-1:7])
 
     def test_precondition_errors(self, device_params):
-        slow = plateau_phase_sequence(theta=math.pi / 4, phi_total=math.pi,
-                                      omega_rms=mhz_to_rad_ns(30.0))
+        slow = plateau(omega_rms_mhz=30.0)
         grid = TimeGrid(slow.window[0], slow.window[1], dt=0.05, sample_stride=10)
         with pytest.raises(PreconditionError):
-            adiabatic_phase_oracle(slow, device_params, grid)
+            adiabatic_phase_oracle(slow, device_params, grid, THRESHOLD)
 
         detuned = PulseSequence(
             pulses=(GaussianPulse(Transition.T12, mhz_to_rad_ns(200.0), 0.0, 45.0),
                     GaussianPulse(Transition.T01, mhz_to_rad_ns(200.0), 0.0, 45.0)),
             delta12=0.01)
         with pytest.raises(PreconditionError):
-            adiabatic_phase_oracle(detuned, device_params, grid)
+            adiabatic_phase_oracle(detuned, device_params, grid, THRESHOLD)
 
     def test_leakage_guard(self, device_params):
         # winding the phase out in the pulse tails breaks adiabaticity even
@@ -202,7 +212,7 @@ class TestOracle:
         seq = PulseSequence(pulses=(p12, p01))
         grid = TimeGrid(-180.0, 180.0, dt=0.05, sample_stride=10)
         with pytest.raises(NonAdiabaticRunError):
-            adiabatic_phase_oracle(seq, device_params, grid)
+            adiabatic_phase_oracle(seq, device_params, grid, THRESHOLD)
 
 
 class TestRealizedPath:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stirap._batch import evolve
+from stirap.config import GridConfig, PulseConfig
 from stirap.errors import ConfigurationError, IntegrationFailureError, InvalidStateError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
 from stirap.lindblad import MAX_POINTS, TimeGrid, check_step, dissipator
@@ -16,6 +17,8 @@ from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
 
 OM01 = mhz_to_rad_ns(43.4)
 OM12 = mhz_to_rad_ns(38.2)
+STRIDE = GridConfig().sample_stride
+FAST = PulseConfig().fast_duration_ns
 
 
 def no_drive_sequence(sigma=45.0):
@@ -224,9 +227,9 @@ class TestEvolve:
 
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError):
-            TimeGrid(0.0, 1.0, dt=0.5)
+            TimeGrid(0.0, 1.0, dt=0.5, sample_stride=STRIDE)
         with pytest.raises(ConfigurationError):
-            TimeGrid(0.0, 10.0, dt=-0.1)
+            TimeGrid(0.0, 10.0, dt=-0.1, sample_stride=STRIDE)
 
     @pytest.mark.parametrize("t_start, t_end, dt, stride", [
         (0.0, 100.0, math.nan, 10), (math.nan, 100.0, 0.1, 10), (0.0, math.nan, 0.1, 10),
@@ -239,11 +242,11 @@ class TestEvolve:
 
     def test_grid_holds_at_most_max_points_steps(self):
         # a grid allocates nothing; the kernel's per-step bookkeeping would
-        assert TimeGrid(0.0, 5e5, dt=0.5).n_steps == MAX_POINTS
+        assert TimeGrid(0.0, 5e5, dt=0.5, sample_stride=STRIDE).n_steps == MAX_POINTS
         with pytest.raises(ConfigurationError, match=r"between 10 and 1000000 steps, got 1000001 "):
-            TimeGrid(0.0, 5e5 + 0.5, dt=0.5)
+            TimeGrid(0.0, 5e5 + 0.5, dt=0.5, sample_stride=STRIDE)
         with pytest.raises(ConfigurationError, match=r"got 4\.5e\+14 \(dt = 1e-12 ns"):
-            TimeGrid(-225.0, 225.0, dt=1e-12)
+            TimeGrid(-225.0, 225.0, dt=1e-12, sample_stride=STRIDE)
 
     @pytest.mark.parametrize("stride", [2.5, 2.0, "2"])
     def test_grid_rejects_non_integer_stride(self, stride):
@@ -440,7 +443,7 @@ class TestBatchAgreement:
                 for ts in np.linspace(-120, -30, 7)]
         for k, theta, ts in ((2, math.pi / 2, -90.0), (5, math.pi, -90.0), (7, math.pi, -60.0)):
             seqs.insert(k, build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
-                                          sigma=45.0, t_s=ts, theta_fast=theta))
+                                          sigma=45.0, t_s=ts, theta_fast=theta, fast_duration=FAST))
         a = run_batch(seqs, device_params, grid, chunk_size=3)
         b = run_batch(seqs, device_params, grid, chunk_size=3)
         assert np.array_equal(a.populations, b.populations)
@@ -505,7 +508,7 @@ class TestBatchAgreement:
         asked = []
         monkeypatch.setattr(_batch, "_run_one_chunk", stub)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0)] * n_cells
-        got = _batch.run_batch(seqs, device_params, TimeGrid(-225.0, 225.0, dt=0.5),
+        got = _batch.run_batch(seqs, device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE),
                                workers=workers, chunk_size=chunk_size)
         assert asked == sizes and got.populations.shape[0] == n_cells
 
@@ -586,7 +589,7 @@ class TestBatchAgreement:
         split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         stirap = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
         hybrid = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
-                                t_s=-90.0, theta_fast=math.pi)
+                                t_s=-90.0, theta_fast=math.pi, fast_duration=FAST)
         cases = (
             (np.diag([1.0, 0.0, 0.0]), stirap, device_params, True),
             (np.eye(3)[0], stirap, device_params, False),
@@ -720,7 +723,8 @@ class TestBatchAgreement:
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         rho0[0, 1], rho0[1, 0] = 0.1, 0.2
         with pytest.raises(InvalidStateError, match="not Hermitian: deviation 1.000e-01"):
-            run_batch([no_drive_sequence()], device_params, TimeGrid(0.0, 100.0, dt=0.5), rho0=rho0)
+            run_batch([no_drive_sequence()], device_params,
+                      TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE), rho0=rho0)
 
     @pytest.mark.parametrize("shape, dim", [((4, 4), 3), ((4,), 3), ((3,), 4), ((3, 4), 3)])
     def test_rho0_of_another_dimension_is_rejected(self, device_params, shape, dim):
@@ -729,7 +733,7 @@ class TestBatchAgreement:
         params = TransmonParams(split=SplitSpec(15.0)) if dim == 4 else device_params
         rho0 = np.zeros(shape, dtype=complex)
         rho0[(0,) * len(shape)] = 1.0
-        grid = TimeGrid(0.0, 100.0, dt=0.5)
+        grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE)
         for run in (evolve, lambda seq, *a, **kw: run_batch([seq], *a, **kw)):
             with pytest.raises(ConfigurationError, match=rf"rho0 of shape \({shape[0]},"):
                 run(no_drive_sequence(), params, grid, rho0=rho0)
@@ -738,7 +742,7 @@ class TestBatchAgreement:
         from stirap._batch import run_batch
 
         with pytest.raises(ConfigurationError, match="at least one"):
-            run_batch([], device_params, TimeGrid(0.0, 100.0, dt=0.5))
+            run_batch([], device_params, TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE))
 
     def test_dissipator_has_the_structure_the_kernel_assumes(self, device_params):
         # the kernel's RHS X + X^H with X = -iH rho + D(rho)/2 is exact only when
@@ -800,7 +804,7 @@ class TestBatchAgreement:
 
     def test_fast_pulse_edges_on_or_outside_the_grid_pass(self):
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
-                             t_s=-90.0, theta_fast=math.pi / 2)  # 10 ns, from -235 to -225 ns
+                             t_s=-90.0, theta_fast=math.pi / 2, fast_duration=FAST)  # -235 to -225 ns
         lo, hi = seq.window
         # both edges on grid points (the first one the grid's start), then both before it
         for t_start, steps in ((lo, [100]), (lo - 5.0, [50, 150]), (lo + 10.05, []), (lo + 20.0, [])):
@@ -861,7 +865,7 @@ class TestSampleChecks:
         from stirap._batch import _sample_checks
 
         y, labels = self.states(dim, np.random.default_rng(20 + dim))
-        grid = TimeGrid(0.0, 100.0, dt=0.5)
+        grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE)
         steps = np.arange(y.shape[1]) * 10
         _, _, eig, bad = _sample_checks(y, False, steps, grid)
         want_eig, want_bad = eigvalsh_checks(y, dim, steps, grid)

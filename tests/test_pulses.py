@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stirap.config import PulseConfig
 from stirap.errors import ConfigurationError, InvalidPulseError
 from stirap.pulses import (
     FastPulse,
@@ -54,9 +55,9 @@ class TestBuildSequence:
         with pytest.raises(ConfigurationError):
             build_sequence(SequenceKind.STIRAP, omega01=OM01, omega12=OM12,
                            sigma=45.0, t_s=30.0)
-        with pytest.raises(ConfigurationError):
-            build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
-                           sigma=45.0, t_s=30.0, theta_fast=1.0)
+        with pytest.raises(ConfigurationError, match="t_s <= 0"):
+            build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0, t_s=30.0,
+                           theta_fast=1.0, fast_duration=PulseConfig().fast_duration_ns)
 
     def test_reversal_layout(self):
         seq = build_sequence(SequenceKind.REVERSAL, omega01=OM01, omega12=OM12,
@@ -82,7 +83,7 @@ class TestBuildSequence:
     def test_hybrid_fast_pulse_area_and_placement(self):
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
                              sigma=45.0, t_s=-90.0, theta_fast=math.pi,
-                             fast_duration=10.0)
+                             fast_duration=PulseConfig().fast_duration_ns)
         fast = seq.pulses[0]
         assert isinstance(fast, FastPulse)
         area = fast.amplitude * fast.duration_ns
@@ -92,9 +93,9 @@ class TestBuildSequence:
         assert seq.window == (-235.0, 225.0)
 
     def test_hybrid_needs_theta(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="HYBRID needs theta_fast"):
             build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
-                           sigma=45.0, t_s=-90.0)
+                           sigma=45.0, t_s=-90.0, fast_duration=PulseConfig().fast_duration_ns)
 
 
 class TestGlobalAdiabaticity:

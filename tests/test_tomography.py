@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stirap._batch import evolve
+from stirap.config import TomographyConfig
 from stirap.errors import ConfigurationError, SingularDesignError
 from stirap.hamiltonian import CavityParams, TransmonParams
 from stirap.lindblad import TimeGrid
@@ -17,10 +18,14 @@ from stirap.tomography import (
 )
 from stirap.units import mhz_to_rad_ns
 
+TOMO = TomographyConfig()
+AXIS = (TOMO.tau_max_ns, TOMO.dtau_ns)
+W = TOMO.weight_ns
+
 
 @pytest.fixture(scope="module")
 def refs():
-    return synth_reference_traces(CavityParams(), TransmonParams())
+    return synth_reference_traces(CavityParams(), TransmonParams(), *AXIS)
 
 
 class TestSynthReferenceTraces:
@@ -47,13 +52,13 @@ class TestSynthReferenceTraces:
             assert np.abs(r.Q).max() <= bound
 
     def test_default_conditioning(self, refs):
-        assert np.linalg.cond(design_matrix(refs)) < 1e3
+        assert np.linalg.cond(design_matrix(refs, W)) < 1e3
 
     def test_equal_pulls_are_degenerate(self):
         cav = CavityParams(g_mhz=(0.0, 0.0, 0.0))
-        same = synth_reference_traces(cav, TransmonParams())
+        same = synth_reference_traces(cav, TransmonParams(), *AXIS)
         assert np.array_equal(same[0].I, same[1].I)
-        assert np.linalg.cond(design_matrix(same)) > 1e6
+        assert np.linalg.cond(design_matrix(same, W)) > 1e6
 
     def test_matches_numerical_integration(self, refs):
         # oracle: integrate the cavity ODE with an independent integrator
@@ -75,7 +80,7 @@ class TestSynthReferenceTraces:
                 da = -1j * delta * a - 0.5 * kappa * a - 1j * eps
                 return [da.real, da.imag]
 
-            sol = solve_ivp(rhs, (0.0, 1500.0), [0.0, 0.0], t_eval=r.taus,
+            sol = solve_ivp(rhs, (0.0, TOMO.tau_max_ns), [0.0, 0.0], t_eval=r.taus,
                             rtol=1e-10, atol=1e-12)
             a = sol.y[0] + 1j * sol.y[1]
             assert np.max(np.abs(r.I - (-2.0 * a.real))) < 1e-7
@@ -84,8 +89,8 @@ class TestSynthReferenceTraces:
     def test_decoherence_corrected_refs_relax_toward_ground(self):
         cav = CavityParams()
         trans = TransmonParams()
-        plain = synth_reference_traces(cav, trans)
-        corr = synth_reference_traces(cav, trans, decoherence_corrected=True)
+        plain = synth_reference_traces(cav, trans, *AXIS)
+        corr = synth_reference_traces(cav, trans, *AXIS, decoherence_corrected=True)
         # |1> decays during readout, so the corrected trace ends closer to r0
         gap_plain = abs(plain[1].Q[-1] - plain[0].Q[-1])
         gap_corr = abs(corr[1].Q[-1] - corr[0].Q[-1])
@@ -104,7 +109,7 @@ class TestSynthReferenceTraces:
         from stirap.tomography import _ladder_transitions
 
         cav, trans = CavityParams(), TransmonParams(**rates)
-        refs = synth_reference_traces(cav, trans, dtau=dtau, decoherence_corrected=True)
+        refs = synth_reference_traces(cav, trans, TOMO.tau_max_ns, dtau, decoherence_corrected=True)
         pulls = dispersive_shifts(cav, _ladder_transitions(trans, 3)).pulls_mhz[:3]
         poles = np.array([1j * mhz_to_rad_ns(cav.f_res_mhz + pull - cav.f_meas)
                           + 0.5 * mhz_to_rad_ns(cav.kappa_mhz) for pull in pulls])
@@ -168,7 +173,7 @@ class TestMixTraces:
             Trace(meas.taus, meas.I[:-1], meas.Q)
         shifted = Trace(meas.taus + 1.0, meas.I, meas.Q)
         with pytest.raises(ConfigurationError, match="traces must share one tau grid"):
-            reconstruct_populations(shifted, refs)
+            reconstruct_populations(shifted, refs, W)
 
     def test_invalid_simplex(self, refs):
         with pytest.raises(ConfigurationError):
@@ -180,12 +185,12 @@ class TestMixTraces:
 class TestReconstruction:
     def test_exact_reference_recovers_vertex(self, refs):
         meas = mix_traces((1.0, 0.0, 0.0), refs)
-        res = reconstruct_populations(meas, refs)
+        res = reconstruct_populations(meas, refs, W)
         assert np.max(np.abs(np.array(res.p) - [1.0, 0.0, 0.0])) < 1e-10
 
     def test_noiseless_round_trip(self, refs):
         truth = (0.2, 0.3, 0.5)
-        res = reconstruct_populations(mix_traces(truth, refs), refs)
+        res = reconstruct_populations(mix_traces(truth, refs), refs, W)
         assert np.max(np.abs(np.array(res.p) - truth)) < 1e-6
         assert res.residual < 1e-12
 
@@ -195,7 +200,7 @@ class TestReconstruction:
         for _ in range(20):
             raw = rng.dirichlet([1.0, 1.0, 1.0])
             truth = raw / raw.sum()
-            res = reconstruct_populations(mix_traces(truth, refs), refs)
+            res = reconstruct_populations(mix_traces(truth, refs), refs, W)
             assert np.max(np.abs(np.array(res.p) - truth)) < 1e-8
 
     def test_monte_carlo_boundary(self, refs):
@@ -204,7 +209,7 @@ class TestReconstruction:
         errs = []
         for seed in range(100):
             meas = mix_traces(truth, refs, noise_std=noise, seed=seed)
-            res = reconstruct_populations(meas, refs)
+            res = reconstruct_populations(meas, refs, W)
             errs.append(np.abs(np.array(res.p) - truth))
         assert np.mean(errs) <= 0.03
 
@@ -212,7 +217,7 @@ class TestReconstruction:
         noise = 0.02 * trace_scale(refs)
         for seed in range(25):
             meas = mix_traces((0.4, 0.1, 0.5), refs, noise_std=noise, seed=seed)
-            res = reconstruct_populations(meas, refs)
+            res = reconstruct_populations(meas, refs, W)
             assert sum(res.p) == 1.0
             assert all(0.0 <= v <= 1.0 for v in res.p)
 
@@ -221,9 +226,9 @@ class TestReconstruction:
 
         noise = 0.02 * trace_scale(refs)
         meas = mix_traces((0.1, 0.0, 0.9), refs, noise_std=noise, seed=5)
-        res = reconstruct_populations(meas, refs)
-        a_full = design_matrix(refs)
-        w = np.exp(-meas.taus / 700.0)
+        res = reconstruct_populations(meas, refs, W)
+        a_full = design_matrix(refs, W)
+        w = np.exp(-meas.taus / W)
         b = np.concatenate([w * meas.I, w * meas.Q])
 
         def cost(p):
@@ -247,9 +252,9 @@ class TestReconstruction:
         acc = np.zeros(3)
         for seed in range(n_seeds):
             meas = mix_traces(truth, refs, noise_std=noise, seed=seed)
-            acc += np.array(reconstruct_populations(meas, refs).p) - truth
+            acc += np.array(reconstruct_populations(meas, refs, W).p) - truth
         mean_err = np.abs(acc) / n_seeds
-        w = np.exp(-refs[0].taus / 700.0)
+        w = np.exp(-refs[0].taus / W)
         n_eff = 2.0 * w.sum() ** 2 / np.sum(w**2)
         assert np.all(mean_err <= noise / np.sqrt(n_eff))
 
@@ -262,8 +267,8 @@ class TestReconstruction:
 
         from stirap.tomography import design_matrix
 
-        a_full = design_matrix(refs)
-        w = np.exp(-refs[0].taus / 700.0)
+        a_full = design_matrix(refs, W)
+        w = np.exp(-refs[0].taus / W)
         noise = 0.02 * trace_scale(refs)
         truths = [*np.eye(3), *np.eye(3), *rng.dirichlet([0.3, 0.3, 0.3], size=44)]
         zeros = set()
@@ -285,7 +290,7 @@ class TestReconstruction:
                                             "jac": lambda p: np.ones(3)}],
                               options={"ftol": 1e-16, "maxiter": 500})
             assert oracle.success, oracle.message
-            res = reconstruct_populations(meas, refs)
+            res = reconstruct_populations(meas, refs, W)
             assert cost(np.array(res.p)) <= cost(oracle.x) * (1.0 + 1e-12)
             assert np.max(np.abs(np.array(res.p) - oracle.x)) <= 1e-7
             zeros.add(res.p.count(0.0))
@@ -294,7 +299,7 @@ class TestReconstruction:
     def test_degenerate_design_raises(self, refs):
         same = [Trace(refs[0].taus, refs[0].I, refs[0].Q)] * 3
         with pytest.raises(SingularDesignError):
-            reconstruct_populations(mix_traces((1.0, 0.0, 0.0), same), same)
+            reconstruct_populations(mix_traces((1.0, 0.0, 0.0), same), same, W)
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +312,7 @@ def stirap_sim():
 
 class TestTimeline:
     def test_noiseless_round_trip(self, refs, stirap_sim):
-        results = tomography_timeline(stirap_sim.populations[0], refs, noise_std=0.0)
+        results = tomography_timeline(stirap_sim.populations[0], refs, W, noise_std=0.0)
         err = max(np.max(np.abs(np.array(r.p) - p))
                   for r, p in zip(results, stirap_sim.populations[0]))
         assert err <= 1e-6
@@ -318,24 +323,24 @@ class TestTimeline:
         grid = TimeGrid(0.0, 50.0, dt=0.5, sample_stride=10)
         sim = evolve(two_pulse_sequence(0.0, 0.0, 45.0, 0.0), device_params, grid,
                      rho0=np.diag([1.0, 0.0, 0.0]))
-        for r in tomography_timeline(sim.populations[0], refs):
+        for r in tomography_timeline(sim.populations[0], refs, W):
             assert r.p == (1.0, 0.0, 0.0)
 
     def test_noisy_peak_recovery(self, refs, stirap_sim):
         noise = 0.01 * trace_scale(refs)
-        results = tomography_timeline(stirap_sim.populations[0], refs, noise_std=noise, seed=7)
+        results = tomography_timeline(stirap_sim.populations[0], refs, W, noise_std=noise, seed=7)
         p2_hat = np.array([r.p[2] for r in results])
         true_peak = stirap_sim.populations[0][:, 2].max()
         assert abs(p2_hat.max() - true_peak) <= 0.02
 
     def test_timeline_seed_determinism(self, refs, stirap_sim):
         noise = 0.01 * trace_scale(refs)
-        a = tomography_timeline(stirap_sim.populations[0], refs, noise_std=noise, seed=3)
-        b = tomography_timeline(stirap_sim.populations[0], refs, noise_std=noise, seed=3)
+        a = tomography_timeline(stirap_sim.populations[0], refs, W, noise_std=noise, seed=3)
+        b = tomography_timeline(stirap_sim.populations[0], refs, W, noise_std=noise, seed=3)
         assert [r.p for r in a] == [r.p for r in b]
 
     @pytest.mark.parametrize("shape", [(0, 3), (3,), (5, 4), (2, 5, 3)])
     def test_rejects_anything_but_n_by_3_populations(self, refs, shape):
         # a result object, a 4-level run, one sample's row or an empty run
         with pytest.raises(ConfigurationError, match="needs \\(n, 3\\) populations"):
-            tomography_timeline(np.full(shape, 1.0 / 3.0), refs)
+            tomography_timeline(np.full(shape, 1.0 / 3.0), refs, W)
