@@ -37,6 +37,7 @@ straddles the discontinuity; lindblad.check_step rejects an edge off the grid.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -114,25 +115,18 @@ def _slice(rows: Sequence[int]) -> slice:
     return slice(rows[0], rows[-1] + 1, (rows[-1] - rows[0]) // max(len(rows) - 1, 1) or None)
 
 
-def drive_columns(seqs: Sequence[PulseSequence], grid: TimeGrid):
-    """(sequence, its edge steps) per drive column: one column when every cell
-    has the same pulses, so the cells share one drive (their detunings enter
-    only the energies), and one per cell otherwise.  lindblad.check_step,
-    which reads only the pulses, checks each column's step and gives its
-    edge steps."""
-    drive_seqs = seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs
-    return [(seq, check_step(seq, grid)) for seq in drive_seqs]
-
-
 def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
-    """The drive columns (drive_columns), the time blocks and the level
-    energies, cells last.
+    """The drive columns, the time blocks and the level energies, cells last.
 
-    The blocks [k0, k1) are cut every BLOCK steps and at every column's edge
-    steps.  The energies have shape (params.n_levels, n_cells): 0, d01 plus
-    each branch's offset, and d01 + d12.
+    A drive column is (sequence, its edge steps, from lindblad.check_step):
+    one column when every cell has the same pulses, so the cells share one
+    drive (their detunings enter only the energies), and one per cell
+    otherwise.  The blocks [k0, k1) are cut every BLOCK steps and at every
+    column's edge steps.  The energies have shape (params.n_levels, n_cells):
+    0, d01 plus each branch's offset, and d01 + d12.
     """
-    drive = drive_columns(seqs, grid)
+    drive = [(seq, check_step(seq, grid))
+             for seq in (seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs)]
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
     d01 = np.array([seq.delta01 for seq in seqs])
@@ -243,8 +237,10 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     the first block) are judged by one _sample_checks call and folded into
     the result: each cell's populations, maximum drift and minimum
     eigenvalue, and its first failing sample's step and message; a failed
-    cell runs on.
+    cell runs on.  No sequence raises ConfigurationError.
     """
+    if not seqs:
+        raise ConfigurationError("a batch needs at least one pulse sequence")
     drive, blocks, energies = _chunk_drive(seqs, grid, params)
     init, dsup = _initial_state(params, dissipative, rho0)
     n_cells = len(seqs)
@@ -446,12 +442,15 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     process per chunk, at most workers and os.cpu_count(), and is not
     started when that is one.  A failed cell is recorded in failures while
     the others run on; when every cell fails, IntegrationFailureError names
-    the first one's step and time.
+    the first one's step and time.  No sequence, or a chunk_size that is not
+    an integer >= 1, raises ConfigurationError.
     """
     if not seqs:
-        raise ConfigurationError("run_batch needs at least one pulse sequence")
+        raise ConfigurationError("a batch needs at least one pulse sequence")
     if chunk_size is None:
         chunk_size = -(-len(seqs) // max(1, min(workers, len(seqs) // CHUNK_SIZE)))
+    elif not (isinstance(chunk_size, numbers.Integral) and chunk_size >= 1):
+        raise ConfigurationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
     args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]
     procs = min(workers, len(chunks), os.cpu_count() or 1)

@@ -2,10 +2,10 @@
 
 run_experiment(cfg) is the one way to run an experiment.  Its row of
 _EXPERIMENTS says what it reads and how it runs; plan(cfg) makes every
-check a run makes before it integrates and builds each cell's pulse
-sequence and the one time grid (validate-config runs it alone), then the
-row's runner integrates the plan and returns a SweepResult holding named
-tables; emit() writes them as CSV or JSON plus a manifest.
+check a run makes before it integrates and builds the Plan of its drive
+and one time grid (validate-config runs it alone), then the row's runner
+integrates the plan and returns a SweepResult holding named tables;
+emit() writes them as CSV or JSON plus a manifest.
 Outputs are byte-deterministic for a given config and seed: no timestamps,
 fixed float formatting, fixed cell ordering, and noise seeds derived from
 (seed, cell index).  Time axes of emitted series are measured from the
@@ -19,17 +19,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from ._batch import BatchResult, drive_columns, evolve, run_batch
+from ._batch import BatchResult, evolve, run_batch
 from .config import Experiment, ExperimentConfig, config_hash
 from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
 from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
-from .lindblad import MAX_POINTS, TimeGrid
+from .lindblad import MAX_POINTS, TimeGrid, check_step
 from .pulses import (
     GaussianPulse,
     PulseSequence,
@@ -159,7 +159,7 @@ def blob_count(map2d: np.ndarray, threshold: float = BLOB_THRESHOLD) -> float:
 
 
 # ---------------------------------------------------------------------------
-# plans: every run's sequences and grid, built and checked before it integrates
+# plans: every run's drive and grid, built and checked before it integrates
 
 DEFAULT_TS_AXIS = tuple(np.arange(-200.0, 201.0, 5.0))
 DEFAULT_DETUNING_AXIS = tuple(np.arange(-20.0, 21.0, 1.0))
@@ -170,14 +170,16 @@ _PLANE = ("detuning_sum_mhz", "detuning_diff_mhz")  # the detuning planes' axes
 
 @dataclass(frozen=True)
 class Plan:
-    """What a run integrates: its cells' sequences on one time grid.  axes
-    holds each swept axis's values (its _EXPERIMENTS row's order); the cells
-    run over their product, the first axis slowest, or are one cell without
-    an axis."""
+    """What a run integrates, on one time grid.  axes holds each swept axis's
+    values (its _EXPERIMENTS row's order); the cells run over their product,
+    the first axis slowest, or are one cell without an axis.  drive holds each
+    cell's sequence, or a plane's one sequence, whose pulses its cells share
+    with their own delta01 and delta12 (detunings, rad/ns, in cell order)."""
 
-    seqs: Tuple[PulseSequence, ...]
+    drive: Tuple[PulseSequence, ...]
     grid: TimeGrid
     axes: Dict[str, np.ndarray]
+    detunings: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def cell_values(self) -> Dict[str, np.ndarray]:
         """Each swept axis's value at every cell, in cell order."""
@@ -196,20 +198,14 @@ def _stirap(cfg: ExperimentConfig, kw: dict) -> PulseSequence:
     return build_sequence(SequenceKind.STIRAP, **kw)
 
 
-def _detuned(cfg: ExperimentConfig, kw: dict, s: float, d: float) -> PulseSequence:
-    return two_pulse_sequence(**{**kw, "delta01": mhz_to_rad_ns((s + d) / 2.0),
-                                 "delta12": mhz_to_rad_ns((s - d) / 2.0)})
-
-
 def plan(cfg: ExperimentConfig) -> Plan:
     """Check cfg as its run does before integrating, and build what it integrates:
     the sweep axes and transmon.split that its _EXPERIMENTS row reads, at most
-    MAX_POINTS cells, each cell's sequence (the row's), the grid on their
-    common window (berry steps at most 0.05 ns), check_step once per drive
-    column (_batch.drive_columns: once when every cell has the same pulses),
-    and the time-evolution sample windows, tomography's check_readout or
-    berry's check_oracle_preconditions.  Raises ConfigurationError, or the
-    NumericalError of a readout or oracle check."""
+    MAX_POINTS cells, the drive (the row's sequence per cell, or a plane's one
+    and its detunings), the grid on the drive's windows (berry steps at most
+    0.05 ns), check_step once per drive sequence, and the time-evolution sample
+    windows, tomography's check_readout or berry's check_oracle_preconditions.
+    Raises ConfigurationError, or the NumericalError of a readout or oracle check."""
     _, reads, split, cell = _EXPERIMENTS[cfg.experiment]
     name = cfg.experiment.value
     if split != (cfg.transmon.split is not None):
@@ -224,19 +220,24 @@ def plan(cfg: ExperimentConfig) -> Plan:
     if n_cells > MAX_POINTS:
         raise ConfigurationError(f"the sweep's {' x '.join(str(len(v)) for v in axes.values())} "
                                  f"= {n_cells} cells are more than {MAX_POINTS}")
-    kw = _seq_kwargs(cfg)
-    seqs = tuple(cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values()))
+    kw, detunings = _seq_kwargs(cfg), None
+    if cell is _DETUNED:
+        sums, diffs = (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))
+        detunings = (mhz_to_rad_ns((sums + diffs) / 2.0), mhz_to_rad_ns((sums - diffs) / 2.0))
+    drive = ((two_pulse_sequence(**kw),) if cell is _DETUNED else
+             tuple(cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values())))
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
-    grid = TimeGrid(min(s.window[0] for s in seqs), max(s.window[1] for s in seqs),
+    grid = TimeGrid(min(s.window[0] for s in drive), max(s.window[1] for s in drive),
                     dt=dt, sample_stride=cfg.grid.sample_stride)
-    drive_columns(seqs, grid)
+    for seq in drive:
+        check_step(seq, grid)
     if cfg.experiment is Experiment.TIME_EVOLUTION:
-        _summary_windows(seqs[0], grid)
+        _summary_windows(drive[0], grid)
     elif cfg.experiment is Experiment.TOMOGRAPHY_TIMELINE:
         check_readout(cfg.cavity, cfg.transmon, cfg.tomography.tau_max_ns, cfg.tomography.dtau_ns)
     elif cfg.experiment is Experiment.BERRY:
-        check_oracle_preconditions(seqs[0], cfg.berry.metric_threshold)
-    return Plan(seqs, grid, axes)
+        check_oracle_preconditions(drive[0], cfg.berry.metric_threshold)
+    return Plan(drive, grid, axes, detunings)
 
 
 def _summary_windows(seq: PulseSequence, grid: TimeGrid) -> List[np.ndarray]:
@@ -256,8 +257,7 @@ def _summary_windows(seq: PulseSequence, grid: TimeGrid) -> List[np.ndarray]:
 
 
 def _t01_peak(seq: PulseSequence) -> float:
-    centers = seq.gaussian_centers(Transition.T01)
-    return centers[0] if centers else 0.0
+    return seq.gaussian_centers(Transition.T01)[0]
 
 
 def _point_symmetric(plan: Plan, params: TransmonParams) -> bool:
@@ -269,11 +269,11 @@ def _point_symmetric(plan: Plan, params: TransmonParams) -> bool:
     pairs.  Decay and dephasing commute with both and |0><0| is real, so the
     populations at (-s, -d) are those at (s, d), the level at -offset taking
     the one at offset's.  With both axes symmetric about 0, (-s, -d) is cell
-    K-1-k of the K cells when (s, d) is cell k.
+    K-1-k of the K cells when (s, d) is cell k, if the cells share one drive.
     """
-    return (all(np.array_equal(a, -a[::-1]) for a in plan.axes.values())
-            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None
-                    for seq in plan.seqs for p in seq.pulses)
+    return (len(plan.drive) == 1
+            and all(np.array_equal(a, -a[::-1]) for a in plan.axes.values())
+            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None for p in plan.drive[0].pulses)
             and sorted((-o, w) for o, w in params.branches) == sorted(params.branches))
 
 
@@ -291,14 +291,19 @@ def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchR
                                                           if c < n_cells // 2))))
 
 
-def _sweep(cfg: ExperimentConfig, plan: Plan, mirror: bool = False):
+def _sweep(cfg: ExperimentConfig, plan: Plan):
     """Batch the plan's cells; returns the batch and one record
-    {"cell", <axis>: value, ..., "error"} per failed cell.  With mirror
-    (_point_symmetric holds) only the first half of the cells, rounded up,
-    is integrated and the rest is _mirrored."""
-    n_cells = len(plan.seqs)
-    batch = run_batch(plan.seqs[:(n_cells + 1) // 2] if mirror else plan.seqs, cfg.transmon,
-                      plan.grid, dissipative=cfg.dissipative, workers=cfg.workers)
+    {"cell", <axis>: value, ..., "error"} per failed cell.  A plane's cells
+    are built here on its drive's one pulse tuple.  When _point_symmetric
+    holds only the first ceil(K/2) of the K cells are integrated and the rest
+    is _mirrored."""
+    n_cells = math.prod(len(values) for values in plan.axes.values())
+    mirror = _point_symmetric(plan, cfg.transmon)
+    ran = (n_cells + 1) // 2 if mirror else n_cells
+    seqs = plan.drive[:ran] if plan.detunings is None else [
+        PulseSequence(plan.drive[0].pulses, d01, d12)
+        for d01, d12 in zip(*(d[:ran].tolist() for d in plan.detunings))]
+    batch = run_batch(seqs, cfg.transmon, plan.grid, dissipative=cfg.dissipative, workers=cfg.workers)
     if mirror:
         batch = _mirrored(batch, n_cells, cfg.transmon)
     cells = plan.cell_values()
@@ -329,7 +334,7 @@ def _result(cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
 def _run_time_evolution(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Single STIRAP run at the configured parameters, with and without
     dissipation; emits the sampled populations and a summary."""
-    seq, grid = plan.seqs[0], plan.grid
+    seq, grid = plan.drive[0], plan.grid
     res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
     res_u = evolve(seq, cfg.transmon, grid, dissipative=False)
     times, shift = res_d.times, _t01_peak(seq)
@@ -360,7 +365,7 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                                 for ts, p in zip(ts_axis, p2)]))
     # each cell's times are measured from its own 01-pulse peak
     series = _series("separation_sweep_timeseries", "t_separation_ns", ts_axis,
-                     [_t01_peak(seq) for seq in plan.seqs], batch)
+                     [_t01_peak(seq) for seq in plan.drive], batch)
     sust = summary.column("sustained_p2")
     return _result(cfg, plan.axes, [summary, series], failures,
                    argmax_sustained_ts_ns=repr(float(ts_axis[int(sust.argmax())])),
@@ -369,7 +374,7 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _plane(cfg: ExperimentConfig, plan: Plan, name: str):
     """The detuning plane's axes, per-cell final and peak populations, and failed cells."""
-    batch, failures = _sweep(cfg, plan, _point_symmetric(plan, cfg.transmon))
+    batch, failures = _sweep(cfg, plan)
     cells = plan.cell_values()
     final = batch.populations[:, -1]
     p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>
@@ -407,7 +412,7 @@ def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Fast 01 rotation followed by STIRAP, swept over the rotation angle."""
     thetas = plan.axes["theta_fast_rad"]
     batch, failures = _sweep(cfg, plan)
-    t01 = _t01_peak(plan.seqs[0])
+    t01 = _t01_peak(plan.drive[0])
     late = batch.times >= t01
     summary = Table("hybrid",
                     ("theta_fast_rad", "final_p2", "peak_p2", "late_p0_alternations"),
@@ -421,7 +426,7 @@ def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _run_reversal(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Three-pulse sequence: transfer to |2> and adiabatically back to |0>."""
-    res = evolve(plan.seqs[0], cfg.transmon, plan.grid, dissipative=cfg.dissipative)
+    res = evolve(plan.drive[0], cfg.transmon, plan.grid, dissipative=cfg.dissipative)
     pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),
                    np.column_stack([res.times, pops]))
@@ -434,8 +439,7 @@ def _run_reversal(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 def _run_split_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Detuning map with the split intermediate level (4-level system)."""
     sums, diffs, table, failures = _plane(cfg, plan, "split_map")
-    peak_map = table.column("peak_p2").reshape(len(sums), len(diffs))
-    final_map = table.column("final_p2").reshape(len(sums), len(diffs))
+    peak_map, final_map = (table.column(c).reshape(len(sums), len(diffs)) for c in ("peak_p2", "final_p2"))
     midpoint = float(peak_map[np.abs(sums).argmin(), np.abs(diffs).argmin()])
     diagnostics = Table(
         "split_map_diagnostics",
@@ -449,7 +453,7 @@ def _run_split_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Simulate STIRAP, synthesize reference traces, and push every sampled
     state through the mix-and-invert measurement pipeline."""
-    seq = plan.seqs[0]
+    seq = plan.drive[0]
     sim = evolve(seq, cfg.transmon, plan.grid, dissipative=cfg.dissipative)
     pops = sim.populations[0]
     tomo = cfg.tomography
@@ -471,7 +475,7 @@ def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _run_berry(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Geometric phase of a plateau sequence versus the propagation oracle."""
-    seq, grid = plan.seqs[0], plan.grid
+    seq, grid = plan.drive[0], plan.grid
     res = berry_vs_oracle(seq, cfg.transmon, grid, metric_threshold=cfg.berry.metric_threshold)
     summary = Table("berry",
                     ("gamma_berry_rad", "gamma_oracle_rad", "mismatch_rad", "leakage"),
@@ -484,19 +488,22 @@ def _run_berry(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 # Per experiment: its runner, its sweep axes in order with their defaults,
 # whether it models the split intermediate level (transmon.split), and its
 # sequence for one cell, from the config, _seq_kwargs and the cell's axis
-# values.  Cells call the builders through this module's globals, so a
-# wrapper put on those names (perfbench's tracer) sees every build.
+# values, or _DETUNED: a plane's axes (s, d) MHz set only each cell's delta01
+# = (s + d) / 2 and delta12 = (s - d) / 2 under one two-pulse drive.  Plans
+# call the builders through this module's globals, so a wrapper put on those
+# names (perfbench's tracer) sees every build.
+_DETUNED = "detuned"
 _EXPERIMENTS = {
     Experiment.TIME_EVOLUTION: (_run_time_evolution, {}, False, _stirap),
     Experiment.SEPARATION_SWEEP: (_run_separation_sweep, {"t_separation_ns": DEFAULT_TS_AXIS}, False,
                                   lambda cfg, kw, ts: two_pulse_sequence(**{**kw, "t_s": ts})),
-    Experiment.DETUNING_MAP: (_run_detuning_map, dict.fromkeys(_PLANE, DEFAULT_DETUNING_AXIS), False, _detuned),
+    Experiment.DETUNING_MAP: (_run_detuning_map, dict.fromkeys(_PLANE, DEFAULT_DETUNING_AXIS), False, _DETUNED),
     Experiment.HYBRID: (_run_hybrid, {"theta_fast_rad": DEFAULT_THETA_AXIS}, False,
                         lambda cfg, kw, theta: build_sequence(SequenceKind.HYBRID, theta_fast=theta,
                                                               fast_duration=cfg.pulses.fast_duration_ns, **kw)),
     Experiment.REVERSAL: (_run_reversal, {}, False, lambda cfg, kw: build_sequence(
         SequenceKind.REVERSAL, reversal_spacing=cfg.pulses.reversal_spacing_ns, **kw)),
-    Experiment.SPLIT_MAP: (_run_split_map, dict.fromkeys(_PLANE, DEFAULT_SPLIT_AXIS), True, _detuned),
+    Experiment.SPLIT_MAP: (_run_split_map, dict.fromkeys(_PLANE, DEFAULT_SPLIT_AXIS), True, _DETUNED),
     Experiment.TOMOGRAPHY_TIMELINE: (_run_tomography_timeline, {}, False, _stirap),
     Experiment.BERRY: (_run_berry, {}, False, lambda cfg, kw: plateau_phase_sequence(
         theta=cfg.berry.theta_rad, phi_total=cfg.berry.phi_total_rad, sigma=cfg.berry.sigma_ns,

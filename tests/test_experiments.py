@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from stirap import _batch, experiments
+from stirap import experiments
 from stirap._batch import evolve, run_batch
 from stirap.config import (
     Experiment,
@@ -389,6 +389,15 @@ class TestPointMirror:
         monkeypatch.setattr(experiments, "_point_symmetric", lambda plan, params: False)
         return mirrored, run_experiment(cfg), ran
 
+    @staticmethod
+    def sweep_both_ways(monkeypatch, cfg):
+        """_sweep's batch with the mirror and without it."""
+        p, batches = plan(cfg), []
+        for mirror in (True, False):
+            monkeypatch.setattr(experiments, "_point_symmetric", lambda plan, params: mirror)
+            batches.append(experiments._sweep(cfg, p)[0])
+        return batches
+
     @pytest.mark.parametrize("dissipative", [True, False])
     @pytest.mark.parametrize("diffs", [(-2.0, 2.0), (-4.0, 0.0, 4.0)], ids=["even", "odd"])
     def test_three_level_plane_is_bit_equal(self, monkeypatch, dissipative, diffs):
@@ -400,7 +409,7 @@ class TestPointMirror:
         assert ran == [(n_cells + 1) // 2, n_cells]
         for a, b in zip(mirrored.tables, full.tables):
             assert np.array_equal(a.rows, b.rows), a.name
-        half, whole = (experiments._sweep(cfg, plan(cfg), mirror)[0] for mirror in (True, False))
+        half, whole = self.sweep_both_ways(monkeypatch, cfg)
         for f in dataclasses.fields(whole):
             assert np.array_equal(getattr(half, f.name), getattr(whole, f.name)), f.name
 
@@ -413,7 +422,7 @@ class TestPointMirror:
         assert ran == [13, 25]
         a, b = mirrored.table("split_map").rows, full.table("split_map").rows
         assert np.max(np.abs(a - b)) <= 1e-14
-        half, whole = (experiments._sweep(cfg, plan(cfg), mirror)[0] for mirror in (True, False))
+        half, whole = self.sweep_both_ways(monkeypatch, cfg)
         assert np.max(np.abs(half.populations - whole.populations)) <= 1e-14
         assert np.max(np.abs(half.trace_drift - whole.trace_drift)) <= 1e-14
         assert np.array_equal(half.failed_step, whole.failed_step)
@@ -434,10 +443,15 @@ class TestPointMirror:
                                                      "detuning_diff_mhz": (-3.0, 0.0, 3.5)}))
         else:
             ramp = PhaseRamp(-50.0, 50.0, 1.0)
-            seqs = tuple(dataclasses.replace(s, pulses=(dataclasses.replace(s.pulses[0], phase_ramp=ramp),
-                                                        *s.pulses[1:])) for s in p.seqs)
-            p = dataclasses.replace(p, seqs=seqs)
+            (s,) = p.drive
+            p = dataclasses.replace(p, drive=(dataclasses.replace(s, pulses=(
+                dataclasses.replace(s.pulses[0], phase_ramp=ramp), *s.pulses[1:])),))
         assert not experiments._point_symmetric(p, cfg.transmon)
+
+    def test_a_sweep_of_more_than_one_drive_is_not_point_symmetric(self):
+        # t_s -> -t_s is no symmetry of the populations, though the axis is symmetric about 0
+        cfg = cfg_with(experiment=Experiment.SEPARATION_SWEEP, sweep={"t_separation_ns": (-40.0, 0.0, 40.0)})
+        assert not experiments._point_symmetric(plan(cfg), cfg.transmon)
 
     def test_failed_cell_and_its_mirror_are_each_recorded(self, monkeypatch):
         # the 1e5 MHz cells are unstable for RK4 at dt 0.5 ns; only the first runs
@@ -658,9 +672,52 @@ class TestPlan:
             checked.append(seq)
             return check_step(seq, grid)
 
-        monkeypatch.setattr(_batch, "check_step", counting)
+        monkeypatch.setattr(experiments, "check_step", counting)
         plan(cfg_with(experiment=experiment, sweep=sweep))
         assert len(checked) == calls
+
+    @pytest.mark.parametrize("shift, handed", [(0.0, 10_000), (0.5, 5_000)], ids=["all", "mirrored"])
+    def test_a_plane_builds_and_checks_one_drive(self, monkeypatch, shift, handed):
+        # a 100 x 100 plane: one sequence built and checked, the detunings as arrays, and
+        # _sweep hands run_batch each cell's two_pulse_sequence at its detunings, all of
+        # them holding one pulse tuple
+        calls = {"two_pulse_sequence": 0, "check_step": 0}
+
+        def counting(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(experiments, "two_pulse_sequence", counting("two_pulse_sequence", two_pulse_sequence))
+        monkeypatch.setattr(experiments, "check_step", counting("check_step", check_step))
+        axis = tuple(v + shift for v in range(-50, 50))  # symmetric about 0 with the shift
+        cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                       sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+        p = plan(cfg)
+        assert calls == {"two_pulse_sequence": 1, "check_step": 1}
+        assert [d.shape for d in p.detunings] == [(10_000,), (10_000,)]
+
+        class Handed(Exception):
+            pass
+
+        seqs = []
+
+        def capture(cells, *args, **kwargs):
+            seqs.extend(cells)
+            raise Handed
+
+        monkeypatch.setattr(experiments, "run_batch", capture)
+        with pytest.raises(Handed):
+            experiments._sweep(cfg, p)
+        pc = cfg.pulses
+        per_cell = [two_pulse_sequence(mhz_to_rad_ns(pc.omega01_mhz), mhz_to_rad_ns(pc.omega12_mhz),
+                                       pc.sigma_ns, pc.t_separation_ns, mhz_to_rad_ns((s + d) / 2.0),
+                                       mhz_to_rad_ns((s - d) / 2.0), pc.phi01_rad, pc.phi12_rad)
+                    for s in axis for d in axis]
+        assert len(seqs) == handed
+        assert seqs == per_cell[:handed]
+        assert all(seq.pulses is seqs[0].pulses for seq in seqs)
 
     def test_cells_run_over_the_axes_product(self):
         cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
@@ -670,20 +727,22 @@ class TestPlan:
         cells = p.cell_values()
         assert cells["detuning_sum_mhz"].tolist() == [-2.0, -2.0, 0.0, 0.0, 3.0, 3.0]
         assert cells["detuning_diff_mhz"].tolist() == [1.0, -1.0] * 3
-        for seq, s, d in zip(p.seqs, cells["detuning_sum_mhz"], cells["detuning_diff_mhz"]):
-            assert (seq.delta01, seq.delta12) == (mhz_to_rad_ns((s + d) / 2.0), mhz_to_rad_ns((s - d) / 2.0))
-            assert seq.pulses == p.seqs[0].pulses
+        assert len(p.drive) == 1
+        assert [list(pair) for pair in zip(*(d.tolist() for d in p.detunings))] == [
+            [mhz_to_rad_ns((s + d) / 2.0), mhz_to_rad_ns((s - d) / 2.0)]
+            for s, d in zip(cells["detuning_sum_mhz"].tolist(), cells["detuning_diff_mhz"].tolist())]
         assert p.grid == TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=20)
 
     def test_sweep_grid_spans_every_cell(self):
         p = plan(cfg_with(experiment=Experiment.SEPARATION_SWEEP,
                           sweep={"t_separation_ns": (-90.0, 40.0)}))
-        assert [s.window for s in p.seqs] == [(-225.0, 225.0), (-200.0, 200.0)]
+        assert [s.window for s in p.drive] == [(-225.0, 225.0), (-200.0, 200.0)]
         assert (p.grid.t_start, p.grid.t_end) == (-225.0, 225.0)
 
     @pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
     def test_runners_build_no_sequence_and_no_grid(self, monkeypatch, small_config, experiment):
-        # plan builds every sequence and the grid; a runner only integrates and analyses
+        # plan builds the drive and the grid; a runner only integrates and analyses,
+        # and a plane's _sweep puts each cell's detunings on its one drive's pulses
         cfg = small_config(experiment)
         p = plan(cfg)
 

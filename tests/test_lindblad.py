@@ -811,6 +811,23 @@ class TestBatchAgreement:
             grid = TimeGrid(t_start, hi, dt=0.1, sample_stride=50)
             assert check_step(seq, grid) == steps
 
+    @pytest.mark.parametrize("chunk_size", [0, -1, 1.5, "2"])
+    def test_chunk_size_below_one_or_not_an_integer_is_rejected(self, device_params, chunk_size):
+        from stirap._batch import run_batch
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE)
+        with pytest.raises(ConfigurationError, match=r"chunk_size must be an integer >= 1"):
+            run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0)], device_params, grid,
+                      chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("entry", ["run_batch", "evolve_chunk"])
+    def test_empty_cell_list_is_rejected(self, device_params, entry):
+        from stirap import _batch
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE)
+        with pytest.raises(ConfigurationError, match="at least one pulse sequence"):
+            getattr(_batch, entry)([], device_params, grid)
+
 
 def eigvalsh_checks(y, dim, steps, grid):
     """_sample_checks' verdicts for density matrices, every finite cell by eigvalsh."""
