@@ -9,8 +9,9 @@ run from a state vector, |0> by default, propagates the vector, shape
 (d, n_cells), by the Schrodinger equation, with RHS -iH psi.
 
 The RK4 has two realisations, and both run through one block loop
-(_integrate) that judges a block's sampled states by one _sample_checks
-call.  evolve_chunk's row kernel uses that the Lindblad generator
+(_integrate) that judges the sampled states, a buffer of at most
+SAMPLE_ENTRIES entries at a time, by one _sample_checks call.
+evolve_chunk's row kernel uses that the Lindblad generator
 preserves Hermiticity: a density matrix's RHS is X + X^H with
 X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
 its jumps move population only), so both modes run only row updates from
@@ -49,8 +50,9 @@ from .hamiltonian import TransmonParams
 from .lindblad import TimeGrid, check_step, dissipator
 from .pulses import PulseSequence, Transition
 
-CHUNK_SIZE = 64  # fewest cells a default chunk of a larger batch holds
-BLOCK = 256  # steps whose drive is sampled, and whose sampled states are judged, at a time
+CHUNK_SIZE = 128  # fewest cells a default chunk of a larger batch holds
+BLOCK = 256  # steps whose drive is sampled at a time
+SAMPLE_ENTRIES = 1 << 16  # most sampled state entries held before they are judged
 DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
@@ -67,7 +69,9 @@ INTEGRATION_TOL = 1e-6
 @dataclass
 class BatchResult:
     times: np.ndarray  # (n_samples,)
-    populations: np.ndarray  # (n_cells, n_samples, dim)
+    populations: Optional[np.ndarray]  # (n_cells, n_samples, dim); None unless the series is kept
+    final: np.ndarray  # (n_cells, dim) populations at the last sample
+    peak: np.ndarray  # (n_cells, dim) each level's largest sampled population, NaN if any is
     trace_drift: np.ndarray  # (n_cells,) max |trace - 1|, or |norm^2 - 1| for a ket
     min_eig: np.ndarray  # (n_cells,)
     failed_step: np.ndarray  # (n_cells,) first sampled step failing a check, -1 if none
@@ -226,58 +230,78 @@ def _sample_checks(y: np.ndarray, ket: bool, steps: np.ndarray, grid: TimeGrid):
 
 
 def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
-               dissipative: bool, rho0: Optional[np.ndarray], store_states: bool,
+               dissipative: bool, rho0: Optional[np.ndarray], store_states: bool, series: bool,
                realisation) -> BatchResult:
     """The block loop both realisations run through.
 
     realisation(y, dsup, energies, params, dt, n_drive) returns advance(rows),
     which takes y, the cells-last initial state, through one _chunk_drive
     block given its _drive_block rows (n_drive columns) and yields the state
-    after each step.  The states at a block's sampled steps (and step 0, in
-    the first block) are judged by one _sample_checks call and folded into
-    the result: each cell's populations, maximum drift and minimum
-    eigenvalue, and its first failing sample's step and message; a failed
-    cell runs on.  No sequence raises ConfigurationError.
+    after each step.  The states at the sampled steps (step 0 first) are
+    copied into one buffer of at most SAMPLE_ENTRIES entries (and at least
+    one sample) or a block's samples, judged by one _sample_checks call
+    when it is full or at a block's end, and folded into the result: each
+    cell's final and peak populations, maximum drift and minimum
+    eigenvalue, its first failing sample's step and message, and, with
+    series, its populations at every sample; a failed cell runs on.  No
+    sequence raises ConfigurationError.
     """
     if not seqs:
         raise ConfigurationError("a batch needs at least one pulse sequence")
     drive, blocks, energies = _chunk_drive(seqs, grid, params)
     init, dsup = _initial_state(params, dissipative, rho0)
-    n_cells = len(seqs)
+    n_cells, dim = len(seqs), params.n_levels
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
     advance = realisation(y, dsup, energies, params, grid.dt, len(drive))
     steps = grid.sample_steps
     sampled = set(steps.tolist())
-    pops = np.empty((n_cells, steps.size, params.n_levels))
+    pops = np.empty((n_cells, steps.size, dim)) if series else None
     states = np.empty((n_cells, steps.size, y.shape[0]), dtype=complex) if store_states else None
+    final, peak = np.empty((n_cells, dim)), np.full((n_cells, dim), -np.inf)
     max_drift, min_eig = np.zeros(n_cells), np.zeros(n_cells)
     failed_step = np.full(n_cells, -1)
     messages: Dict[int, str] = {}
-    done = 0  # samples judged so far
+    # sample-major columns; a block holds at most BLOCK // sample_stride + 2 samples
+    cap = min(BLOCK // grid.sample_stride + 2, max(1, SAMPLE_ENTRIES // y.size))
+    buf = np.empty((y.shape[0], cap * n_cells), dtype=complex)
+    held = done = 0  # samples in buf, and samples judged before them
+
+    def judge():
+        nonlocal held, done
+        at, block = steps[done:done + held], buf[:, :held * n_cells]
+        p, drift, eig, bad = _sample_checks(block, dsup is None, np.repeat(at, n_cells), grid)
+        p = p.reshape(dim, held, n_cells)
+        if series:
+            pops[:, done:done + held] = p.T
+        if store_states:
+            states[:, done:done + held] = block.reshape(-1, held, n_cells).T
+        final[:] = p[:, -1].T
+        np.maximum(peak, p.max(axis=1).T, out=peak)
+        np.maximum(max_drift, drift.reshape(held, n_cells).max(axis=0), out=max_drift)
+        np.minimum(min_eig, eig.reshape(held, n_cells).min(axis=0), out=min_eig)
+        for col, message in bad.items():  # sample by sample, so a cell's first comes first
+            if failed_step[col % n_cells] < 0:
+                failed_step[col % n_cells] = at[col // n_cells]
+                messages[col % n_cells] = message
+        done, held = done + held, 0
+
+    def take(yk):
+        nonlocal held
+        buf[:, held * n_cells:(held + 1) * n_cells] = yk
+        held += 1
+        if held == cap:
+            judge()
+
     # a diverged cell overflows on its way to inf/nan; _sample_checks reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        take(y)  # step 0
         for k0, k1 in blocks:
-            taken = [y.copy()] if k0 == 0 else []
             for k, yk in zip(range(k0 + 1, k1 + 1), advance(_drive_block(drive, grid, k0, k1))):
                 if k in sampled:
-                    taken.append(yk.copy())
-            if not taken:
-                continue
-            at = steps[done:done + len(taken)]
-            block = np.stack(taken, axis=1)  # (state size, samples, cells)
-            p, drift, eig, bad = _sample_checks(block.reshape(len(block), -1), dsup is None,
-                                                np.repeat(at, n_cells), grid)
-            pops[:, done:done + at.size] = p.reshape(-1, at.size, n_cells).T
-            if store_states:
-                states[:, done:done + at.size] = block.T
-            np.maximum(max_drift, drift.reshape(at.size, n_cells).max(axis=0), out=max_drift)
-            np.minimum(min_eig, eig.reshape(at.size, n_cells).min(axis=0), out=min_eig)
-            for col, message in bad.items():  # sample by sample, so a cell's first comes first
-                if failed_step[col % n_cells] < 0:
-                    failed_step[col % n_cells] = at[col // n_cells]
-                    messages[col % n_cells] = message
-            done += at.size
-    return BatchResult(grid.t_start + steps * grid.dt, pops, max_drift, min_eig, failed_step,
+                    take(yk)
+            if held:
+                judge()
+    return BatchResult(grid.t_start + steps * grid.dt, pops, final, peak, max_drift, min_eig, failed_step,
                        tuple(sorted(messages.items())), states)
 
 
@@ -411,39 +435,44 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
     rho0 is read as _initial_state says.  Raises IntegrationFailureError at
     the first sample that fails _sample_checks.
     """
-    result = _integrate([seq], params, grid, dissipative, rho0, True, _step_matrices)
+    result = _integrate([seq], params, grid, dissipative, rho0, True, True, _step_matrices)
     raise_if_all_failed(result, grid)
     return result
 
 
 def evolve_chunk(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
                  dissipative: bool = True, rho0: Optional[np.ndarray] = None,
-                 store_states: bool = False) -> BatchResult:
+                 store_states: bool = False, series: bool = True) -> BatchResult:
     """Integrate one chunk of cells on a shared grid by the row kernel.
 
     rho0 is every cell's initial state, read as _initial_state says.  Each
     cell's first sample failing _sample_checks is recorded as its failure;
-    the other cells run on.
+    the other cells run on.  Without series the populations are None.
     """
-    return _integrate(seqs, params, grid, dissipative, rho0, store_states, _row_kernel)
+    return _integrate(seqs, params, grid, dissipative, rho0, store_states, series, _row_kernel)
 
 
 def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
               dissipative: bool = True, rho0: Optional[np.ndarray] = None,
-              workers: int = 1, chunk_size: Optional[int] = None) -> BatchResult:
+              workers: int = 1, chunk_size: Optional[int] = None, series: bool = True) -> BatchResult:
     """Run all cells chunk by chunk, optionally over a process pool.
 
     A chunk holds chunk_size cells.  By default the cells fall into
     min(workers, n_cells // CHUNK_SIZE) chunks, at least one, of equal size
-    but the last, which may hold fewer.  Each cell's arithmetic is independent
+    but the last, which may hold fewer: a worker process pays the kernel's
+    per-step numpy dispatch in full, so a chunk of fewer than CHUNK_SIZE
+    cells would not repay its fork.  Each cell's arithmetic is independent
     of its chunk, so every partition, serial or parallel, produces identical
     bytes.  A chunk whose cells do not share a drive holds a drive block of
     (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  The pool has one
-    process per chunk, at most workers and os.cpu_count(), and is not
-    started when that is one.  A failed cell is recorded in failures while
-    the others run on; when every cell fails, IntegrationFailureError names
-    the first one's step and time.  No sequence, or a chunk_size that is not
-    an integer >= 1, raises ConfigurationError.
+    process per chunk, at most workers and the CPUs the process may run on
+    (os.sched_getaffinity, else os.cpu_count()), and is not started when that
+    is one.  Without series each cell keeps only its final and peak
+    populations, so the result, and each worker's, holds O(cells) data.  A
+    failed cell is recorded in failures while the others run on; when every
+    cell fails, IntegrationFailureError names the first one's step and time.
+    No sequence, or a chunk_size that is not an integer >= 1, raises
+    ConfigurationError.
     """
     if not seqs:
         raise ConfigurationError("a batch needs at least one pulse sequence")
@@ -452,8 +481,9 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     elif not (isinstance(chunk_size, numbers.Integral) and chunk_size >= 1):
         raise ConfigurationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
     chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
-    args = [([seqs[i] for i in ch], params, grid, dissipative, rho0) for ch in chunks]
-    procs = min(workers, len(chunks), os.cpu_count() or 1)
+    args = [([seqs[i] for i in ch], params, grid, dissipative, rho0, False, series) for ch in chunks]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    procs = min(workers, len(chunks), cpus)
     if procs > 1:
         import concurrent.futures as cf
 
@@ -462,9 +492,10 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     else:
         results = [_run_one_chunk(a) for a in args]
 
-    result = BatchResult(results[0].times, *(np.concatenate([getattr(r, f) for r in results])
-                                             for f in ("populations", "trace_drift", "min_eig", "failed_step")),
-                         tuple((ch[c], msg) for ch, r in zip(chunks, results) for c, msg in r.failures))
+    result = results[0] if len(results) == 1 else BatchResult(results[0].times, *(
+        None if getattr(results[0], f) is None else np.concatenate([getattr(r, f) for r in results])
+        for f in ("populations", "final", "peak", "trace_drift", "min_eig", "failed_step")),
+        tuple((ch[c], msg) for ch, r in zip(chunks, results) for c, msg in r.failures))
     raise_if_all_failed(result, grid)
     return result
 

@@ -29,7 +29,7 @@ from .config import Experiment, ExperimentConfig, config_hash
 from .errors import ConfigurationError
 from .hamiltonian import TransmonParams
 from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
-from .lindblad import MAX_POINTS, TimeGrid, check_step
+from .lindblad import MAX_POINTS, MAX_SERIES_ROWS, TimeGrid, check_step
 from .pulses import (
     GaussianPulse,
     PulseSequence,
@@ -203,8 +203,9 @@ def plan(cfg: ExperimentConfig) -> Plan:
     the sweep axes and transmon.split that its _EXPERIMENTS row reads, at most
     MAX_POINTS cells, the drive (the row's sequence per cell, or a plane's one
     and its detunings), the grid on the drive's windows (berry steps at most
-    0.05 ns), check_step once per drive sequence, and the time-evolution sample
-    windows, tomography's check_readout or berry's check_oracle_preconditions.
+    0.05 ns), at most MAX_SERIES_ROWS cells x samples unless a plane, which
+    keeps no series, check_step once per drive sequence, and the time-evolution
+    sample windows, tomography's check_readout or berry's check_oracle_preconditions.
     Raises ConfigurationError, or the NumericalError of a readout or oracle check."""
     _, reads, split, cell = _EXPERIMENTS[cfg.experiment]
     name = cfg.experiment.value
@@ -229,6 +230,9 @@ def plan(cfg: ExperimentConfig) -> Plan:
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
     grid = TimeGrid(min(s.window[0] for s in drive), max(s.window[1] for s in drive),
                     dt=dt, sample_stride=cfg.grid.sample_stride)
+    if detunings is None and len(drive) * grid.sample_steps.size > MAX_SERIES_ROWS:
+        raise ConfigurationError(f"{len(drive)} cells x {grid.sample_steps.size} samples are more than "
+                                 f"{MAX_SERIES_ROWS} series rows; raise grid.sample_stride")
     for seq in drive:
         check_step(seq, grid)
     if cfg.experiment is Experiment.TIME_EVOLUTION:
@@ -285,7 +289,8 @@ def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchR
     branches = params.branches
     cols = [0, *(1 + (branches.index((-o, w)) if o else i) for i, (o, w) in enumerate(branches)),
             len(branches) + 1]
-    return BatchResult(half.times, np.concatenate([half.populations, half.populations[back][:, :, cols]]),
+    return BatchResult(half.times, *(None if a is None else np.concatenate([a, a[back][..., cols]])
+                                     for a in (half.populations, half.final, half.peak)),
                        *(np.concatenate([a, a[back]]) for a in (half.trace_drift, half.min_eig, half.failed_step)),
                        tuple(sorted(half.failures + tuple((n_cells - 1 - c, msg) for c, msg in half.failures
                                                           if c < n_cells // 2))))
@@ -294,16 +299,17 @@ def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchR
 def _sweep(cfg: ExperimentConfig, plan: Plan):
     """Batch the plan's cells; returns the batch and one record
     {"cell", <axis>: value, ..., "error"} per failed cell.  A plane's cells
-    are built here on its drive's one pulse tuple.  When _point_symmetric
-    holds only the first ceil(K/2) of the K cells are integrated and the rest
-    is _mirrored."""
+    are built here on its drive's one pulse tuple, and its batch keeps only
+    their final and peak populations.  When _point_symmetric holds only the
+    first ceil(K/2) of the K cells are integrated and the rest is _mirrored."""
     n_cells = math.prod(len(values) for values in plan.axes.values())
     mirror = _point_symmetric(plan, cfg.transmon)
     ran = (n_cells + 1) // 2 if mirror else n_cells
     seqs = plan.drive[:ran] if plan.detunings is None else [
         PulseSequence(plan.drive[0].pulses, d01, d12)
         for d01, d12 in zip(*(d[:ran].tolist() for d in plan.detunings))]
-    batch = run_batch(seqs, cfg.transmon, plan.grid, dissipative=cfg.dissipative, workers=cfg.workers)
+    batch = run_batch(seqs, cfg.transmon, plan.grid, dissipative=cfg.dissipative, workers=cfg.workers,
+                      series=plan.detunings is None)
     if mirror:
         batch = _mirrored(batch, n_cells, cfg.transmon)
     cells = plan.cell_values()
@@ -376,14 +382,13 @@ def _plane(cfg: ExperimentConfig, plan: Plan, name: str):
     """The detuning plane's axes, per-cell final and peak populations, and failed cells."""
     batch, failures = _sweep(cfg, plan)
     cells = plan.cell_values()
-    final = batch.populations[:, -1]
+    final = batch.final
     p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>
     table = Table(name,
                   ("detuning_sum_mhz", "detuning_diff_mhz",
                    "final_p0", "final_p1", "final_p2", "peak_p2"),
                   np.column_stack([cells["detuning_sum_mhz"], cells["detuning_diff_mhz"],
-                                   final[:, 0], p1, final[:, -1],
-                                   batch.populations[:, :, -1].max(axis=1)]))
+                                   final[:, 0], p1, final[:, -1], batch.peak[:, -1]]))
     return (*plan.axes.values(), table, failures)
 
 

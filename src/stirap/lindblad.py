@@ -56,6 +56,9 @@ def dissipator(params: TransmonParams) -> np.ndarray:
 # The most steps a TimeGrid, samples a tomography tau axis, values a sweep
 # range or cells a sweep may hold
 MAX_POINTS = 1_000_000
+# The most (cell, sample) rows of populations a sweep that keeps every cell's
+# series may hold: 240 MB per copy, and a table of about 400 MB
+MAX_SERIES_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)

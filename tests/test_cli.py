@@ -97,9 +97,12 @@ class TestValidateConfig:
         # an axis no experiment reads is rejected as the file is parsed
         ("sweep-detuning", {"experiment": "detuning_map", "sweep": {"bogus_axis": [0.0]}},
          "unknown sweep axis 'bogus_axis'; expected one of"),
+        # a sweep that keeps every cell's series: 8e7 rows, 1.9 GB of populations
+        ("sweep-separation", {"experiment": "separation_sweep", "grid": {"dt_ns": 0.00057, "sample_stride": 1}},
+         "81 cells x 982458 samples are more than 10000000 series rows"),
     ], ids=["axis", "split", "no_split", "no_experiment", "dt_coarse", "too_many_steps",
             "fast_edge", "tau_axis", "t_s_positive", "sample_stride", "one_coupling",
-            "range_too_fine", "range_overflows", "bogus_axis"])
+            "range_too_fine", "range_overflows", "bogus_axis", "series_rows"])
     def test_checks_what_the_experiment_reads_as_the_run_does(self, monkeypatch, tmp_path, capsys,
                                                                command, data, key):
         assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, command, data, EXIT_CONFIG, key)

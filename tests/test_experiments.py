@@ -423,11 +423,12 @@ class TestPointMirror:
         a, b = mirrored.table("split_map").rows, full.table("split_map").rows
         assert np.max(np.abs(a - b)) <= 1e-14
         half, whole = self.sweep_both_ways(monkeypatch, cfg)
-        assert np.max(np.abs(half.populations - whole.populations)) <= 1e-14
-        assert np.max(np.abs(half.trace_drift - whole.trace_drift)) <= 1e-14
+        for name in ("final", "peak", "trace_drift"):
+            assert np.max(np.abs(getattr(half, name) - getattr(whole, name))) <= 1e-14, name
         assert np.array_equal(half.failed_step, whole.failed_step)
         # the branches' populations differ, so the columns must be swapped
-        assert np.max(np.abs(whole.populations[:, :, 1] - whole.populations[:, :, 2])) > 1e-3
+        for pops in (whole.final, whole.peak):
+            assert np.max(np.abs(pops[:, 1] - pops[:, 2])) > 1e-3
 
     @pytest.mark.parametrize("change", ["weights", "axis", "phase_ramp"])
     def test_predicate_needs_every_condition(self, change):
@@ -462,6 +463,48 @@ class TestPointMirror:
         assert [(f["cell"], f["detuning_sum_mhz"], f["detuning_diff_mhz"])
                 for f in mirrored.failures] == [(0, -1e5, 0.0), (2, 1e5, 0.0)]
         assert mirrored.failures == full.failures
+
+
+class TestPlaneReduction:
+    @pytest.mark.parametrize("experiment, transmon, diffs, mirrored", [
+        (Experiment.DETUNING_MAP, TransmonParams(), (-4.0, 0.0, 4.0), True),
+        (Experiment.DETUNING_MAP, TransmonParams(), (-4.0, 1.0, 3.0), False),
+        (Experiment.SPLIT_MAP, TransmonParams(split=SplitSpec(15.0)), (-4.0, 0.0, 4.0), True),
+    ], ids=["mirrored", "unmirrored", "split_mirrored"])
+    def test_final_and_peak_are_those_of_the_series(self, monkeypatch, experiment, transmon, diffs, mirrored):
+        # a plane's batch keeps no series, only each cell's populations at the
+        # last sample and their maxima over the samples, bit for bit those of
+        # the series batch of the same cells
+        cfg = cfg_with(experiment=experiment, transmon=transmon,
+                       sweep={"detuning_sum_mhz": (-3.0, 0.0, 3.0), "detuning_diff_mhz": diffs})
+        p = plan(cfg)
+        assert experiments._point_symmetric(p, cfg.transmon) is mirrored
+        batch = experiments._sweep(cfg, p)[0]
+        monkeypatch.setattr(experiments, "run_batch",
+                            lambda *args, **kwargs: run_batch(*args, **{**kwargs, "series": True}))
+        series = experiments._sweep(cfg, p)[0]
+        assert batch.populations is None
+        assert batch.final.tobytes() == series.populations[:, -1].tobytes()
+        assert batch.peak.tobytes() == series.populations.max(axis=1).tobytes()
+
+    def test_memory_does_not_grow_with_the_samples(self):
+        # a plane judges its sampled states a bounded buffer at a time and
+        # keeps two numbers per cell and level, so ten times its samples
+        # leave its traced peak within 20 %
+        import tracemalloc
+
+        axis = tuple(np.arange(-12.0, 13.0))  # 625 cells, 313 of them integrated
+        peaks = []
+        for stride in (10, 1):
+            cfg = cfg_with(experiment=Experiment.DETUNING_MAP, grid=GridConfig(dt_ns=0.5, sample_stride=stride),
+                           sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 class TestBerry:

@@ -490,8 +490,8 @@ class TestBatchAgreement:
 
     @pytest.mark.parametrize("n_cells, workers, chunk_size, sizes", [
         (300, 2, None, [150, 150]), (1000, 3, None, [334, 334, 332]), (300, 1, None, [300]),
-        (130, 2, None, [65, 65]), (100, 2, None, [100]), (20, 2, 7, [7, 7, 6]),
-        (128, 2, None, [64, 64]), (127, 2, None, [127])])
+        (130, 2, None, [130]), (100, 2, None, [100]), (20, 2, 7, [7, 7, 6]),
+        (128, 2, None, [128]), (127, 2, None, [127]), (255, 2, None, [255]), (256, 2, None, [128, 128])])
     def test_default_chunks_are_work_sized(self, device_params, monkeypatch, inline_pool,
                                            n_cells, workers, chunk_size, sizes):
         # one chunk per worker, of equal size, but only as many chunks as there
@@ -502,8 +502,8 @@ class TestBatchAgreement:
         def stub(args):  # a chunk's result shape without integrating it
             n = len(args[0])
             asked.append(n)
-            return _batch.BatchResult(np.zeros(1), np.zeros((n, 1, 3)), np.zeros(n), np.zeros(n),
-                                      np.full(n, -1))
+            return _batch.BatchResult(np.zeros(1), np.zeros((n, 1, 3)), np.zeros((n, 3)), np.zeros((n, 3)),
+                                      np.zeros(n), np.zeros(n), np.full(n, -1))
 
         asked = []
         monkeypatch.setattr(_batch, "_run_one_chunk", stub)
@@ -570,6 +570,7 @@ class TestBatchAgreement:
 
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # os.cpu_count() counts the CPUs
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         got = run_batch(seqs, device_params, grid, workers=8, chunk_size=2)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -580,6 +581,21 @@ class TestBatchAgreement:
         serial = run_batch(seqs, device_params, grid).populations
         for res in (got, capped, unknown):
             assert np.array_equal(res.populations, serial)
+
+    def test_pool_is_capped_at_the_usable_cpus(self, device_params, monkeypatch, inline_pool):
+        # under taskset or a cpuset the process may run on fewer CPUs than the
+        # machine has: pinned to one, two workers start no pool
+        import os
+
+        from stirap import _batch
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
+        seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
+        got = _batch.run_batch(seqs, device_params, grid, workers=2, chunk_size=2)
+        assert inline_pool == []
+        assert np.array_equal(got.populations, _batch.run_batch(seqs, device_params, grid).populations)
 
     def test_evolve_matches_one_cell_chunk(self, device_params):
         # evolve's RK4 step matrices are the kernel's RK4 on one cell, with the
