@@ -41,6 +41,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -457,17 +458,19 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
               workers: int = 1, chunk_size: Optional[int] = None, series: bool = True) -> BatchResult:
     """Run all cells chunk by chunk, optionally over a process pool.
 
-    A chunk holds chunk_size cells.  By default the cells fall into
-    min(workers, n_cells // CHUNK_SIZE) chunks, at least one, of equal size
-    but the last, which may hold fewer: a worker process pays the kernel's
-    per-step numpy dispatch in full, so a chunk of fewer than CHUNK_SIZE
-    cells would not repay its fork.  Each cell's arithmetic is independent
-    of its chunk, so every partition, serial or parallel, produces identical
-    bytes.  A chunk whose cells do not share a drive holds a drive block of
-    (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  The pool has one
-    process per chunk, at most workers and the CPUs the process may run on
-    (os.sched_getaffinity, else os.cpu_count()), and is not started when that
-    is one.  Without series each cell keeps only its final and peak
+    One width sizes the chunks and the pool: min(workers, the CPUs the
+    process may run on), counted by os.sched_getaffinity, else
+    os.cpu_count().  A chunk is a slice of chunk_size cells.  By default the
+    cells fall into min(width, n_cells // CHUNK_SIZE) chunks, at least one,
+    of equal size but the last, which may hold fewer: a worker process pays
+    the kernel's per-step numpy dispatch in full, so a chunk of fewer than
+    CHUNK_SIZE cells would not repay its fork, and a chunk beyond the width
+    would only wait for a CPU.  The pool has one process per chunk, at most
+    the width, and is not started when that is one.  Each cell's arithmetic
+    is independent of its chunk, so every partition, serial or parallel,
+    produces identical bytes.  A chunk whose cells do not share a drive
+    holds a drive block of (2, 2 BLOCK + 1, cells) complex values, 16 kB per
+    cell.  Without series each cell keeps only its final and peak
     populations, so the result, and each worker's, holds O(cells) data.  A
     failed cell is recorded in failures while the others run on; when every
     cell fails, IntegrationFailureError names the first one's step and time.
@@ -476,29 +479,26 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     """
     if not seqs:
         raise ConfigurationError("a batch needs at least one pulse sequence")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    width = min(workers, cpus)
     if chunk_size is None:
-        chunk_size = -(-len(seqs) // max(1, min(workers, len(seqs) // CHUNK_SIZE)))
+        chunk_size = -(-len(seqs) // max(1, min(width, len(seqs) // CHUNK_SIZE)))
     elif not (isinstance(chunk_size, numbers.Integral) and chunk_size >= 1):
         raise ConfigurationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
-    chunks = [list(range(i, min(i + chunk_size, len(seqs)))) for i in range(0, len(seqs), chunk_size)]
-    args = [([seqs[i] for i in ch], params, grid, dissipative, rho0, False, series) for ch in chunks]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = min(workers, len(chunks), cpus)
+    chunks = [seqs[a:a + chunk_size] for a in range(0, len(seqs), chunk_size)]
+    run = partial(evolve_chunk, params=params, grid=grid, dissipative=dissipative, rho0=rho0, series=series)
+    procs = min(width, len(chunks))
     if procs > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=procs) as pool:
-            results = list(pool.map(_run_one_chunk, args))
+            results = list(pool.map(run, chunks))
     else:
-        results = [_run_one_chunk(a) for a in args]
+        results = list(map(run, chunks))
 
     result = results[0] if len(results) == 1 else BatchResult(results[0].times, *(
         None if getattr(results[0], f) is None else np.concatenate([getattr(r, f) for r in results])
         for f in ("populations", "final", "peak", "trace_drift", "min_eig", "failed_step")),
-        tuple((ch[c], msg) for ch, r in zip(chunks, results) for c, msg in r.failures))
+        tuple((k * chunk_size + c, msg) for k, r in enumerate(results) for c, msg in r.failures))
     raise_if_all_failed(result, grid)
     return result
-
-
-def _run_one_chunk(args) -> BatchResult:
-    return evolve_chunk(*args)

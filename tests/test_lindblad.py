@@ -358,6 +358,17 @@ def inline_pool(monkeypatch):
     return asked
 
 
+# run_batch's default chunks: n_cells, workers, chunk_size, chunk sizes and
+# the CPUs the process may run on; ids name a row by its first three values
+# and its index
+CHUNK_ROWS = [
+    (300, 2, None, [150, 150], 8), (1000, 3, None, [334, 334, 332], 8), (300, 1, None, [300], 8),
+    (130, 2, None, [130], 8), (100, 2, None, [100], 8), (20, 2, 7, [7, 7, 6], 8),
+    (128, 2, None, [128], 8), (127, 2, None, [127], 8), (255, 2, None, [255], 8),
+    (256, 2, None, [128, 128], 8), (1201, 8, None, [601, 600], 2), (841, 8, None, [421, 420], 2)]
+CHUNK_IDS = [f"{n}-{w}-{c}-sizes{i}" for i, (n, w, c, _, _) in enumerate(CHUNK_ROWS)]
+
+
 class TestBatchAgreement:
     def test_split_system_matches_dop853(self):
         # one shared drive at several detunings, dim-4 coupling list and dissipator
@@ -488,29 +499,55 @@ class TestBatchAgreement:
                 for f in dataclasses.fields(want):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
 
-    @pytest.mark.parametrize("n_cells, workers, chunk_size, sizes", [
-        (300, 2, None, [150, 150]), (1000, 3, None, [334, 334, 332]), (300, 1, None, [300]),
-        (130, 2, None, [130]), (100, 2, None, [100]), (20, 2, 7, [7, 7, 6]),
-        (128, 2, None, [128]), (127, 2, None, [127]), (255, 2, None, [255]), (256, 2, None, [128, 128])])
+    @pytest.mark.parametrize("n_cells, workers, chunk_size, sizes, cpus", CHUNK_ROWS, ids=CHUNK_IDS)
     def test_default_chunks_are_work_sized(self, device_params, monkeypatch, inline_pool,
-                                           n_cells, workers, chunk_size, sizes):
-        # one chunk per worker, of equal size, but only as many chunks as there
-        # are whole CHUNK_SIZE-cell shares, and at least one; an explicit
-        # chunk_size wins
+                                           n_cells, workers, chunk_size, sizes, cpus):
+        # one chunk per unit of width, min(workers, usable CPUs), of equal
+        # size, but only as many chunks as there are whole CHUNK_SIZE-cell
+        # shares, and at least one; an explicit chunk_size wins.  The shipped
+        # planes' 1201 and 841 integrated cells at 8 workers on 2 CPUs run as
+        # two chunks, not eight
+        import os
+
         from stirap import _batch
 
-        def stub(args):  # a chunk's result shape without integrating it
-            n = len(args[0])
+        def stub(seqs, *args, **kwargs):  # a chunk's result shape without integrating it
+            n = len(seqs)
             asked.append(n)
             return _batch.BatchResult(np.zeros(1), np.zeros((n, 1, 3)), np.zeros((n, 3)), np.zeros((n, 3)),
                                       np.zeros(n), np.zeros(n), np.full(n, -1))
 
         asked = []
-        monkeypatch.setattr(_batch, "_run_one_chunk", stub)
+        monkeypatch.setattr(_batch, "evolve_chunk", stub)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0)] * n_cells
         got = _batch.run_batch(seqs, device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE),
                                workers=workers, chunk_size=chunk_size)
         assert asked == sizes and got.populations.shape[0] == n_cells
+        procs = min(workers, cpus, len(sizes))
+        assert inline_pool == ([procs] if procs > 1 else [])
+
+    def test_split_plane_is_the_same_at_any_workers(self, monkeypatch, inline_pool):
+        # a 4-level split plane over several chunks on 2 usable CPUs: 1, 2 and
+        # 8 workers give the same bytes, and 2 and 8 workers both ask for a
+        # 2-process pool
+        import os
+
+        from stirap import _batch, experiments
+        from stirap.config import Experiment, ExperimentConfig
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(_batch, "CHUNK_SIZE", 16)  # the 85 integrated cells make 5 shares
+        axis = tuple(np.linspace(-6.0, 6.0, 13))
+        cfg = ExperimentConfig(experiment=Experiment.SPLIT_MAP, transmon=TransmonParams(split=SplitSpec(15.0)),
+                               grid=GridConfig(dt_ns=0.5, sample_stride=50),
+                               sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
+        p = experiments.plan(cfg)
+        batches = [experiments._sweep(dataclasses.replace(cfg, workers=w), p)[0] for w in (1, 2, 8)]
+        assert inline_pool == [2, 2]
+        for name in ("final", "peak", "trace_drift", "min_eig"):
+            want = getattr(batches[0], name).tobytes()
+            assert [getattr(b, name).tobytes() for b in batches[1:]] == [want, want], name
 
     def test_failures_inside_a_block_match_chunks_of_one(self, device_params):
         # two cells fail at different samples in the middle of one block, among
@@ -714,6 +751,9 @@ class TestBatchAgreement:
         assert first > 0 and batch.failed_step[1] == step
         assert batch.failures[0][1].endswith(
             f" at step {step} (t = {grid.t_start + step * grid.dt:.3f} ns)")
+        # in a later chunk the failed cell keeps its index in the batch
+        chunked = run_batch([good, good, wild, good], device_params, grid, chunk_size=2)
+        assert list(chunked.failures) == [(2, batch.failures[0][1])]
         # when every cell fails, the run raises for the first one
         with pytest.raises(IntegrationFailureError) as err:
             run_batch([wild, wild], device_params, grid)
