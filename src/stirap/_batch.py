@@ -75,16 +75,14 @@ class BatchResult:
     peak: np.ndarray  # (n_cells, dim) each level's largest sampled population, NaN if any is
     trace_drift: np.ndarray  # (n_cells,) max |trace - 1|, or |norm^2 - 1| for a ket
     min_eig: np.ndarray  # (n_cells,)
-    failed_step: np.ndarray  # (n_cells,) first sampled step failing a check, -1 if none
-    failures: Tuple[Tuple[int, str], ...] = ()
+    failures: Tuple[Tuple[int, int, str], ...] = ()  # (cell, first failing sampled step, message)
     states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim); evolve keeps them
 
 
 def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
     """Raise IntegrationFailureError for the first cell when every cell failed."""
-    if len(result.failures) == len(result.failed_step):
-        cell, message = result.failures[0]
-        step = int(result.failed_step[cell])
+    if len(result.failures) == len(result.final):
+        _, step, message = result.failures[0]
         raise IntegrationFailureError(message, step, grid.t_start + step * grid.dt)
 
 
@@ -260,8 +258,7 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     states = np.empty((n_cells, steps.size, y.shape[0]), dtype=complex) if store_states else None
     final, peak = np.empty((n_cells, dim)), np.full((n_cells, dim), -np.inf)
     max_drift, min_eig = np.zeros(n_cells), np.zeros(n_cells)
-    failed_step = np.full(n_cells, -1)
-    messages: Dict[int, str] = {}
+    failed: Dict[int, Tuple[int, str]] = {}  # each failed cell's first (step, message)
     # sample-major columns; a block holds at most BLOCK // sample_stride + 2 samples
     cap = min(BLOCK // grid.sample_stride + 2, max(1, SAMPLE_ENTRIES // y.size))
     buf = np.empty((y.shape[0], cap * n_cells), dtype=complex)
@@ -281,9 +278,7 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
         np.maximum(max_drift, drift.reshape(held, n_cells).max(axis=0), out=max_drift)
         np.minimum(min_eig, eig.reshape(held, n_cells).min(axis=0), out=min_eig)
         for col, message in bad.items():  # sample by sample, so a cell's first comes first
-            if failed_step[col % n_cells] < 0:
-                failed_step[col % n_cells] = at[col // n_cells]
-                messages[col % n_cells] = message
+            failed.setdefault(col % n_cells, (int(at[col // n_cells]), message))
         done, held = done + held, 0
 
     def take(yk):
@@ -302,8 +297,8 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
                     take(yk)
             if held:
                 judge()
-    return BatchResult(grid.t_start + steps * grid.dt, pops, final, peak, max_drift, min_eig, failed_step,
-                       tuple(sorted(messages.items())), states)
+    return BatchResult(grid.t_start + steps * grid.dt, pops, final, peak, max_drift, min_eig,
+                       tuple((c, *failed[c]) for c in sorted(failed)), states)
 
 
 def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
@@ -498,7 +493,7 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
 
     result = results[0] if len(results) == 1 else BatchResult(results[0].times, *(
         None if getattr(results[0], f) is None else np.concatenate([getattr(r, f) for r in results])
-        for f in ("populations", "final", "peak", "trace_drift", "min_eig", "failed_step")),
-        tuple((k * chunk_size + c, msg) for k, r in enumerate(results) for c, msg in r.failures))
+        for f in ("populations", "final", "peak", "trace_drift", "min_eig")),
+        tuple((k * chunk_size + c, *rest) for k, r in enumerate(results) for c, *rest in r.failures))
     raise_if_all_failed(result, grid)
     return result

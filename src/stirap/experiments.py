@@ -284,15 +284,15 @@ def _point_symmetric(plan: Plan, params: TransmonParams) -> bool:
 def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchResult:
     """The batch of all n_cells cells from that of the first ceil(n_cells / 2):
     cell n_cells-1-k takes cell k's result, its branch columns swapped by
-    offset negation (_point_symmetric), and its own failure record."""
+    offset negation (_point_symmetric), and its failure record under its own cell."""
     back = np.arange(n_cells // 2)[::-1]  # the cells each mirrored cell copies, in cell order
     branches = params.branches
     cols = [0, *(1 + (branches.index((-o, w)) if o else i) for i, (o, w) in enumerate(branches)),
             len(branches) + 1]
     return BatchResult(half.times, *(None if a is None else np.concatenate([a, a[back][..., cols]])
                                      for a in (half.populations, half.final, half.peak)),
-                       *(np.concatenate([a, a[back]]) for a in (half.trace_drift, half.min_eig, half.failed_step)),
-                       tuple(sorted(half.failures + tuple((n_cells - 1 - c, msg) for c, msg in half.failures
+                       *(np.concatenate([a, a[back]]) for a in (half.trace_drift, half.min_eig)),
+                       tuple(sorted(half.failures + tuple((n_cells - 1 - c, *rest) for c, *rest in half.failures
                                                           if c < n_cells // 2))))
 
 
@@ -314,7 +314,7 @@ def _sweep(cfg: ExperimentConfig, plan: Plan):
         batch = _mirrored(batch, n_cells, cfg.transmon)
     cells = plan.cell_values()
     failures = [{"cell": int(c), **{k: float(v[c]) for k, v in cells.items()}, "error": msg}
-                for c, msg in batch.failures]
+                for c, _, msg in batch.failures]
     return batch, failures
 
 

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularDesignError
+from .errors import ConfigurationError, NumericalError, SingularDesignError
 from .hamiltonian import CavityParams, TransmonParams, dispersive_shifts
 from .lindblad import MAX_POINTS
 from .units import mhz_to_rad_ns
@@ -186,7 +186,8 @@ def design_matrix(refs: Sequence[Trace], weight_ns: float) -> np.ndarray:
 
 def _cost(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     r = b - a @ x
-    return float(r @ r)
+    with np.errstate(over="ignore"):
+        return float(r @ r)
 
 
 def _simplex_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ def reconstruct_populations(meas: Trace, refs: Sequence[Trace], weight_ns: float
     reduced coordinates (p0, p1), p2 = 1 - p0 - p1, exactly by
     ``_simplex_solve``.  Raises SingularDesignError when the weighted
     design's condition number exceeds 1e6; below that the reduced design
-    has full column rank.
+    has full column rank.  A cost that is not finite raises NumericalError.
     """
     _check_grids([*refs, meas])
     full_design = design_matrix(refs, weight_ns)
@@ -233,11 +234,13 @@ def reconstruct_populations(meas: Trace, refs: Sequence[Trace], weight_ns: float
     a = np.column_stack([full_design[:, 0] - r2col, full_design[:, 1] - r2col])
     b = wb - r2col
     x = _simplex_solve(a, b)
+    if not np.isfinite(cost := _cost(a, b, x)):  # a measured trace too large for float64 overflows it
+        raise NumericalError(f"tomography cost {cost} is not finite")
     n_eff = 2 * np.sum(w**2)
     # p2 computed against the rounded sum keeps p0 + p1 + p2 == 1 exactly
     return TomographyResult(
         p=(float(x[0]), float(x[1]), float(1.0 - (float(x[0]) + float(x[1])))),
-        residual=float(np.sqrt(_cost(a, b, x) / n_eff)),
+        residual=float(np.sqrt(cost / n_eff)),
     )
 
 

@@ -2,8 +2,9 @@
 
 The batch kernel assembles its right-hand side from a coupling list and the
 superoperator of stirap.lindblad.dissipator; these are the textbook matrices,
-built from the complex drive amplitudes and detunings, and the jump
-operators the tests check it against.  They import nothing from
+built from the complex drive amplitudes and detunings, the jump operators
+the tests check it against, and dop853_populations, the tests' one DOP853
+solution of the master equation they define.  They import nothing from
 stirap._batch, stirap.lindblad or stirap.experiments, so an error in the
 kernel or its dissipator cannot leak into its references.
 """
@@ -114,3 +115,37 @@ def lindblad_rhs(rho, h: np.ndarray, jumps: List[Tuple[float, np.ndarray]]) -> n
         lld = ll.conj().T @ ll
         out += rate * (ll @ r @ ll.conj().T - 0.5 * (lld @ r + r @ lld))
     return out
+
+
+def dop853_populations(seq, params, times, ket=False, edges=()):
+    """Populations at the given times from scipy's DOP853 (rtol 1e-11).
+
+    An independent oracle for the batch kernel: the dense Hamiltonian of
+    sequence_hamiltonian (3-level, or 4-level for a split transmon) with
+    lindblad_rhs and jump_operators, or the Schrodinger equation for a ket.  The
+    integration restarts at each time in edges, and inside a piece the drive
+    is sampled 1e-9 ns inside it, so no step straddles a FastPulse edge.
+    """
+    from scipy.integrate import solve_ivp
+
+    jumps = jump_operators(params)
+    dim = 3 if params.split is None else 4
+    y = np.zeros(dim if ket else dim * dim, dtype=complex)
+    y[0] = 1.0
+    bounds = [times[0], *edges, times[-1]]
+    pops = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        def rhs(t, yr, lo=lo, hi=hi):
+            h = sequence_hamiltonian(seq, min(max(t, lo + 1e-9), hi - 1e-9), params.split)
+            z = yr.view(complex)
+            out = -1j * (h @ z) if ket else lindblad_rhs(z.reshape(dim, dim), h, jumps).ravel()
+            return out.view(float)
+
+        inside = times[(times >= lo) & (times < hi)] if hi < times[-1] else times[times >= lo]
+        sol = solve_ivp(rhs, (lo, hi), y.view(float), method="DOP853", rtol=1e-11,
+                        atol=1e-13, t_eval=inside, dense_output=True)
+        assert sol.success
+        states = sol.y.T.copy().view(complex)
+        pops.append(np.abs(states) ** 2 if ket else states[:, ::dim + 1].real)
+        y = sol.sol(hi).view(complex)
+    return np.vstack(pops)

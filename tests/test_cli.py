@@ -325,6 +325,15 @@ class TestNumericalFailures:
         })
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
+    def test_overflowing_readout_noise_exits_3(self, tmp_path, capsys):
+        # a 1e300 relative readout noise overflows the inversion's cost in float64
+        cfg = write_config(tmp_path, {"tomography": {"noise_std_rel": 1e300},
+                                      "grid": {"dt_ns": 0.5, "sample_stride": 100}})
+        out = tmp_path / "o"
+        assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "tomography cost inf is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_with_every_cell_failed_exits_3(self, tmp_path, capsys):
         # a 5000 MHz drive at dt 0.5 ns diverges in every cell
         cfg = write_config(tmp_path, {

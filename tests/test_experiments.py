@@ -35,7 +35,7 @@ from stirap.lindblad import TimeGrid, check_step
 from stirap.pulses import PhaseRamp, SequenceKind, build_sequence, two_pulse_sequence
 from stirap.units import mhz_to_rad_ns
 
-from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
+from oracles import dop853_populations
 
 FAST_GRID = GridConfig(dt_ns=0.5, sample_stride=20)
 
@@ -163,11 +163,8 @@ class TestSeparationSweep:
 
     def test_cells_match_dop853_oracle(self):
         # independent oracle for the cells acceptance criterion 2b reads: the
-        # same Lindblad equation, from sequence_hamiltonian,
-        # jump_operators and lindblad_rhs, under scipy's DOP853.  -200 ns fixes the common
-        # window at the acceptance sweep's +-280 ns.
-        from scipy.integrate import solve_ivp
-
+        # same Lindblad equation under scipy's DOP853 (oracles.dop853_populations).
+        # -200 ns fixes the common window at the acceptance sweep's +-280 ns.
         axis = (-200.0, -120.0, -110.0, -90.0, -70.0)
         cfg = ExperimentConfig(experiment=Experiment.SEPARATION_SWEEP,
                                grid=GridConfig(dt_ns=0.1, sample_stride=10),
@@ -176,23 +173,12 @@ class TestSeparationSweep:
         series = result.table("separation_sweep_timeseries")
         summary = result.table("separation_sweep")
         p = cfg.pulses
-        jumps = jump_operators(cfg.transmon)
-        rho0 = np.zeros((3, 3), dtype=complex)
-        rho0[0, 0] = 1.0
         for ts in axis[1:]:
             rows = series.rows[series.column("t_separation_ns") == ts]
             times = rows[:, 1] - ts / 2.0  # undo the shift to the 01 peak
             seq = two_pulse_sequence(mhz_to_rad_ns(p.omega01_mhz),
                                      mhz_to_rad_ns(p.omega12_mhz), p.sigma_ns, ts)
-
-            def rhs(t, y, seq=seq):
-                h = sequence_hamiltonian(seq, t)
-                return lindblad_rhs(y.view(complex).reshape(3, 3), h, jumps).ravel().view(float)
-
-            sol = solve_ivp(rhs, (times[0], times[-1]), rho0.ravel().view(float),
-                            method="DOP853", rtol=1e-11, atol=1e-13, t_eval=times)
-            assert sol.success
-            p2 = sol.y[16]  # real part of rho[2, 2]
+            p2 = dop853_populations(seq, cfg.transmon, times)[:, 2]
             assert np.max(np.abs(p2 - rows[:, 4])) <= 1e-8
             sustained = summary.column("sustained_p2")[summary.column("t_separation_ns") == ts][0]
             assert abs(sustained_max(p2, times, p.sigma_ns) - sustained) <= 1e-8
@@ -425,7 +411,7 @@ class TestPointMirror:
         half, whole = self.sweep_both_ways(monkeypatch, cfg)
         for name in ("final", "peak", "trace_drift"):
             assert np.max(np.abs(getattr(half, name) - getattr(whole, name))) <= 1e-14, name
-        assert np.array_equal(half.failed_step, whole.failed_step)
+        assert half.failures == whole.failures
         # the branches' populations differ, so the columns must be swapped
         for pops in (whole.final, whole.peak):
             assert np.max(np.abs(pops[:, 1] - pops[:, 2])) > 1e-3

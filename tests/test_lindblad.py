@@ -13,7 +13,7 @@ from stirap.pulses import (GaussianPulse, PhaseRamp, PulseSequence, SequenceKind
                            build_sequence, two_pulse_sequence)
 from stirap.units import mhz_to_rad_ns
 
-from oracles import jump_operators, lindblad_rhs, sequence_hamiltonian
+from oracles import dop853_populations, jump_operators, lindblad_rhs, sequence_hamiltonian
 
 OM01 = mhz_to_rad_ns(43.4)
 OM12 = mhz_to_rad_ns(38.2)
@@ -300,40 +300,6 @@ class TestEvolve:
         assert err.value.step == 0
 
 
-def dop853_populations(seq, params, times, ket=False, edges=()):
-    """Populations at the given times from scipy's DOP853 (rtol 1e-11).
-
-    An independent oracle for the batch kernel: the dense Hamiltonian of
-    sequence_hamiltonian (3-level, or 4-level for a split transmon) with
-    lindblad_rhs and jump_operators, or the Schrodinger equation for a ket.  The
-    integration restarts at each time in edges, and inside a piece the drive
-    is sampled 1e-9 ns inside it, so no step straddles a FastPulse edge.
-    """
-    from scipy.integrate import solve_ivp
-
-    jumps = jump_operators(params)
-    dim = 3 if params.split is None else 4
-    y = np.zeros(dim if ket else dim * dim, dtype=complex)
-    y[0] = 1.0
-    bounds = [times[0], *edges, times[-1]]
-    pops = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        def rhs(t, yr, lo=lo, hi=hi):
-            h = sequence_hamiltonian(seq, min(max(t, lo + 1e-9), hi - 1e-9), params.split)
-            z = yr.view(complex)
-            out = -1j * (h @ z) if ket else lindblad_rhs(z.reshape(dim, dim), h, jumps).ravel()
-            return out.view(float)
-
-        inside = times[(times >= lo) & (times < hi)] if hi < times[-1] else times[times >= lo]
-        sol = solve_ivp(rhs, (lo, hi), y.view(float), method="DOP853", rtol=1e-11,
-                        atol=1e-13, t_eval=inside, dense_output=True)
-        assert sol.success
-        states = sol.y.T.copy().view(complex)
-        pops.append(np.abs(states) ** 2 if ket else states[:, ::dim + 1].real)
-        y = sol.sol(hi).view(complex)
-    return np.vstack(pops)
-
-
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Run run_batch's process pool in-process; the list of each pool's max_workers."""
@@ -515,7 +481,7 @@ class TestBatchAgreement:
             n = len(seqs)
             asked.append(n)
             return _batch.BatchResult(np.zeros(1), np.zeros((n, 1, 3)), np.zeros((n, 3)), np.zeros((n, 3)),
-                                      np.zeros(n), np.zeros(n), np.full(n, -1))
+                                      np.zeros(n), np.zeros(n))
 
         asked = []
         monkeypatch.setattr(_batch, "evolve_chunk", stub)
@@ -560,16 +526,14 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0), wild[0],
                 two_pulse_sequence(OM01, OM12, 45.0, -60.0), wild[1]]
         chunk = evolve_chunk(seqs, device_params, grid)
-        steps = chunk.failed_step[[1, 3]].tolist()
+        assert [c for c, _, _ in chunk.failures] == [1, 3]
+        steps = [step for _, step, _ in chunk.failures]
         block = next(b for b in _chunk_drive(seqs, grid, device_params)[1] if b[0] < steps[0] <= b[1])
         first = block[0] + grid.sample_stride - block[0] % grid.sample_stride
         assert first < steps[0] < steps[1] <= block[1], (steps, block)
-        assert [c for c, _ in chunk.failures] == [1, 3]
-        failures = dict(chunk.failures)
         for c, seq in enumerate(seqs):
             alone = evolve_chunk([seq], device_params, grid)
-            assert alone.failed_step[0] == chunk.failed_step[c]
-            assert dict(alone.failures).get(0) == failures.get(c)
+            assert [(c, *rest) for _, *rest in alone.failures] == [f for f in chunk.failures if f[0] == c]
             assert alone.trace_drift.tobytes() == chunk.trace_drift[c:c + 1].tobytes()
             assert alone.min_eig.tobytes() == chunk.min_eig[c:c + 1].tobytes()
             assert alone.populations.tobytes() == chunk.populations[c:c + 1].tobytes()
@@ -688,8 +652,8 @@ class TestBatchAgreement:
         assert len(want.failures) == 1
         with pytest.raises(IntegrationFailureError) as err:
             evolve(seq, device_params, grid, rho0=rho0.astype(complex))
-        step = int(want.failed_step[0])
-        assert str(err.value) == want.failures[0][1]
+        _, step, message = want.failures[0]
+        assert str(err.value) == message
         assert err.value.step == step and err.value.t_ns == grid.t_start + step * grid.dt
         assert str(err.value).startswith({
             "trace": "trace drift 5.000e-01 at step 0 ",
@@ -743,23 +707,23 @@ class TestBatchAgreement:
         batch = run_batch([good, wild], device_params, grid)
         alone = run_batch([good], device_params, grid)
         assert np.array_equal(batch.populations[0], alone.populations[0])
-        assert [c for c, _ in batch.failures] == [1]
+        assert [c for c, _, _ in batch.failures] == [1]
         # the message names the first sampled step where the cell failed a check
         drift = np.abs(batch.populations[1].sum(axis=1) - 1.0)
         first = int(np.argmax(~(drift <= 1e-6)))
         step = first * grid.sample_stride
-        assert first > 0 and batch.failed_step[1] == step
-        assert batch.failures[0][1].endswith(
+        assert first > 0 and batch.failures[0][1] == step
+        assert batch.failures[0][2].endswith(
             f" at step {step} (t = {grid.t_start + step * grid.dt:.3f} ns)")
         # in a later chunk the failed cell keeps its index in the batch
         chunked = run_batch([good, good, wild, good], device_params, grid, chunk_size=2)
-        assert list(chunked.failures) == [(2, batch.failures[0][1])]
+        assert list(chunked.failures) == [(2, *batch.failures[0][1:])]
         # when every cell fails, the run raises for the first one
         with pytest.raises(IntegrationFailureError) as err:
             run_batch([wild, wild], device_params, grid)
         assert err.value.step == step
         assert err.value.t_ns == grid.t_start + step * grid.dt
-        assert str(err.value) == batch.failures[0][1]
+        assert str(err.value) == batch.failures[0][2]
 
     def test_drift_failure_names_step(self, device_params):
         # a state off unit trace (or norm) fails the drift check at step 0
@@ -793,12 +757,6 @@ class TestBatchAgreement:
         for run in (evolve, lambda seq, *a, **kw: run_batch([seq], *a, **kw)):
             with pytest.raises(ConfigurationError, match=rf"rho0 of shape \({shape[0]},"):
                 run(no_drive_sequence(), params, grid, rho0=rho0)
-
-    def test_empty_batch_is_rejected(self, device_params):
-        from stirap._batch import run_batch
-
-        with pytest.raises(ConfigurationError, match="at least one"):
-            run_batch([], device_params, TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE))
 
     def test_dissipator_has_the_structure_the_kernel_assumes(self, device_params):
         # the kernel's RHS X + X^H with X = -iH rho + D(rho)/2 is exact only when
