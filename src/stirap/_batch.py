@@ -247,11 +247,9 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     """
     if not seqs:
         raise ConfigurationError("a batch needs at least one pulse sequence")
-    drive, blocks, energies = _chunk_drive(seqs, grid, params)
     init, dsup = _initial_state(params, dissipative, rho0)
     n_cells, dim = len(seqs), params.n_levels
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
-    advance = realisation(y, dsup, energies, params, grid.dt, len(drive))
     steps = grid.sample_steps
     sampled = set(steps.tolist())
     pops = np.empty((n_cells, steps.size, dim)) if series else None
@@ -288,8 +286,11 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
         if held == cap:
             judge()
 
-    # a diverged cell overflows on its way to inf/nan; _sample_checks reports it
+    # a diverged cell, or one whose energies or drive leave float64's range, goes to
+    # inf/nan; _sample_checks reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        drive, blocks, energies = _chunk_drive(seqs, grid, params)
+        advance = realisation(y, dsup, energies, params, grid.dt, len(drive))
         take(y)  # step 0
         for k0, k1 in blocks:
             for k, yk in zip(range(k0 + 1, k1 + 1), advance(_drive_block(drive, grid, k0, k1))):

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from ._batch import BatchResult, evolve, run_batch
 from .config import Experiment, ExperimentConfig, config_hash
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .hamiltonian import TransmonParams
 from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
 from .lindblad import MAX_POINTS, MAX_SERIES_ROWS, TimeGrid, check_step
@@ -224,7 +224,8 @@ def plan(cfg: ExperimentConfig) -> Plan:
     kw, detunings = _seq_kwargs(cfg), None
     if cell is _DETUNED:
         sums, diffs = (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))
-        detunings = (mhz_to_rad_ns((sums + diffs) / 2.0), mhz_to_rad_ns((sums - diffs) / 2.0))
+        with np.errstate(over="ignore"):  # a detuning past float64 in rad/ns fails its cell when run
+            detunings = (mhz_to_rad_ns((sums + diffs) / 2.0), mhz_to_rad_ns((sums - diffs) / 2.0))
     drive = ((two_pulse_sequence(**kw),) if cell is _DETUNED else
              tuple(cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values())))
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
@@ -464,7 +465,9 @@ def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     tomo = cfg.tomography
     refs = synth_reference_traces(cfg.cavity, cfg.transmon, tomo.tau_max_ns, tomo.dtau_ns,
                                   tomo.decoherence_corrected_refs)
-    noise_std = tomo.noise_std_rel * trace_scale(refs)
+    noise_std = tomo.noise_std_rel * trace_scale(refs)  # floats: an overflow is inf, with no warning
+    if not math.isfinite(noise_std):  # before the manifest's strict JSON meets it
+        raise NumericalError(f"tomography noise_std {noise_std} is not finite")
     results = tomography_timeline(pops, refs, noise_std=noise_std,
                                   weight_ns=tomo.weight_ns, seed=cfg.seed)
     shift = _t01_peak(seq)

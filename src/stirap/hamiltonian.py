@@ -142,7 +142,7 @@ class CavityParams:
 
     def __post_init__(self):
         require_finite(self, "cavity")
-        if not self.kappa_mhz > 0:
+        if not 0.5 * mhz_to_rad_ns(self.kappa_mhz) > 0:  # also where the half-width in rad/ns underflows
             raise ConfigurationError("cavity linewidth kappa must be positive")
         if not all(g >= 0 for g in self.g_mhz):
             raise ConfigurationError("couplings g must be nonnegative")
@@ -152,35 +152,20 @@ class CavityParams:
         return self.f_res_mhz if self.f_meas_mhz is None else self.f_meas_mhz
 
 
-@dataclass(frozen=True)
-class DispersiveShifts:
-    """chi_{j,j+1} = g^2 / (omega_{j,j+1} - omega_res), all in MHz.
-
-    pulls_mhz[j] is the cavity frequency shift with the transmon in |j>,
-    relative to the transmon-in-|0> cavity line:
-    pull_j = chi_{j-1,j} + chi_{0,1} - chi_{j,j+1}, pull_0 = 0.
-    """
-
-    chi_mhz: Tuple[float, ...]
-    pulls_mhz: Tuple[float, ...]
-
-
-def dispersive_shifts(cav: CavityParams, bare_transitions_mhz: Sequence[float]) -> DispersiveShifts:
+def dispersive_shifts(cav: CavityParams, bare_transitions_mhz: Sequence[float]) -> Tuple[float, ...]:
+    """The cavity pulls, MHz: pulls[j] is the cavity frequency shift with the
+    transmon in |j>, relative to the transmon-in-|0> cavity line,
+    pull_j = chi_{j-1,j} + chi_{0,1} - chi_{j,j+1} and pull_0 = 0, where
+    chi_{j,j+1} = g^2 / (omega_{j,j+1} - omega_res)."""
     transitions = tuple(bare_transitions_mhz)
-    gs = cav.g_mhz[: len(transitions)]
-    if len(gs) < len(transitions):
+    if len(cav.g_mhz) < len(transitions):
         raise ConfigurationError("need one coupling g per transition")
     chis = []
-    for g, f in zip(gs, transitions):
+    for g, f in zip(cav.g_mhz, transitions):
         delta = f - cav.f_res_mhz
         if abs(delta) < 10.0 * g:
-            raise NonDispersiveError(
-                f"transition at {f} MHz too close to cavity: |Delta| = {abs(delta):.1f} < 10 g"
-            )
+            raise NonDispersiveError(f"transition at {f} MHz too close to cavity: "
+                                     f"|Delta| = {abs(delta):.1f} < 10 g")
         chis.append(g * g / delta)
-    pulls = [0.0]
-    for j in range(1, len(transitions) + 1):
-        chi_below = chis[j - 1]
-        chi_above = chis[j] if j < len(chis) else 0.0
-        pulls.append(chi_below + chis[0] - chi_above)
-    return DispersiveShifts(chi_mhz=tuple(chis), pulls_mhz=tuple(pulls))
+    above = [*chis[1:], 0.0]  # chi_{j,j+1} of each level j >= 1; the top level has none
+    return (0.0, *(below + chis[0] - up for below, up in zip(chis, above)))

@@ -95,7 +95,8 @@ class TimeGrid:
     @property
     def sample_steps(self) -> np.ndarray:
         """The sampled steps: 0, sample_stride, 2 sample_stride, ... and n_steps."""
-        return np.append(np.arange(0, self.n_steps, self.sample_stride), self.n_steps)
+        # a stride past n_steps samples as n_steps does, and past int64 numpy cannot step by it
+        return np.append(np.arange(0, self.n_steps, min(self.sample_stride, self.n_steps)), self.n_steps)
 
 
 def check_step(seq: PulseSequence, grid: TimeGrid) -> List[int]:

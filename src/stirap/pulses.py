@@ -50,8 +50,9 @@ class PhaseRamp:
             raise InvalidPulseError("phase ramp needs t_end > t_start")
 
     def value(self, t):
-        x = np.clip((np.asarray(t, dtype=float) - self.t_start_ns)
-                    / (self.t_end_ns - self.t_start_ns), 0.0, 1.0)
+        with np.errstate(over="ignore"):  # a ramp too short for float64 is a step
+            x = np.clip((np.asarray(t, dtype=float) - self.t_start_ns)
+                        / (self.t_end_ns - self.t_start_ns), 0.0, 1.0)
         return self.phi_total_rad * x * x * x * (x * (6.0 * x - 15.0) + 10.0)
 
 
@@ -67,8 +68,8 @@ class GaussianPulse:
     def __post_init__(self):
         if self.sigma_ns <= 0:
             raise InvalidPulseError(f"sigma must be positive, got {self.sigma_ns}")
-        if self.amplitude < 0:
-            raise InvalidPulseError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not 0 <= self.amplitude < math.inf:  # also NaN, and the inf of an MHz value past float64
+            raise InvalidPulseError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
     def envelope(self, t):
         t = np.asarray(t, dtype=float)
@@ -236,7 +237,7 @@ def rms_envelope_integral(seq: PulseSequence, points_per_sigma: int = 1000) -> f
     n = int(math.ceil((hi - lo) / step)) + 1
     t = np.linspace(lo, hi, n)
     o01, o12 = (np.abs(seq.complex_amplitude(tr, t)) for tr in (Transition.T01, Transition.T12))
-    return float(np.trapezoid(np.sqrt(o01**2 + o12**2), t))
+    return float(np.trapezoid(np.hypot(o01, o12), t))  # hypot: the squares overflow past 1e154 rad/ns
 
 
 def global_adiabaticity_metric(seq: PulseSequence) -> AdiabaticityReport:

@@ -74,7 +74,7 @@ def check_readout(cav: CavityParams, trans: TransmonParams, tau_max: float,
     if not tau_max / dtau <= MAX_POINTS:
         raise ConfigurationError(f"dtau = {dtau!r} ns gives {tau_max / dtau:.10g} tau samples up to "
                                  f"tau_max = {tau_max!r} ns, more than {MAX_POINTS}")
-    pulls = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz))).pulls_mhz[:3]
+    pulls = dispersive_shifts(cav, _ladder_transitions(trans, len(cav.g_mhz)))[:3]
     if len(pulls) < 3:
         raise ConfigurationError("need couplings for at least two transitions")
     return pulls
@@ -94,7 +94,7 @@ def synth_reference_traces(
     of the conversion factor eta.  With decoherence_corrected=True the
     |1> and |2> references include relaxation during readout: the cavity
     amplitude is propagated exactly, jointly with the decaying level
-    occupations, at any dtau.
+    occupations, at any dtau.  A trace out of float64's range is a NumericalError.
     """
     pulls = check_readout(cav, trans, tau_max, dtau)
     taus = np.arange(0.0, tau_max + dtau / 2, dtau)
@@ -103,12 +103,15 @@ def synth_reference_traces(
     deltas = [mhz_to_rad_ns(cav.f_res_mhz + pull - cav.f_meas) for pull in pulls]
 
     traces = []
-    for j in range(3):
-        if decoherence_corrected and j > 0:
-            amp = _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans)
-        else:
-            amp = _cavity_amplitude(taus, deltas[j], kappa, eps)
-        traces.append(Trace(taus, -2.0 * cav.eta * amp.real, 2.0 * cav.eta * amp.imag))
+    with np.errstate(over="ignore", invalid="ignore"):  # a trace out of float64's range ends in the check
+        for j in range(3):
+            if decoherence_corrected and j > 0:
+                amp = _decaying_state_amplitude(taus, dtau, j, deltas, kappa, eps, trans)
+            else:
+                amp = _cavity_amplitude(taus, deltas[j], kappa, eps)
+            traces.append(Trace(taus, -2.0 * cav.eta * amp.real, 2.0 * cav.eta * amp.imag))
+    if not np.isfinite([(r.I, r.Q) for r in traces]).all():
+        raise NumericalError("reference traces are not finite")
     return tuple(traces)
 
 
@@ -168,14 +171,15 @@ def mix_traces(
     q_mix = sum(pj * r.Q for pj, r in zip(p, refs))
     if noise_std > 0.0:
         rng = np.random.default_rng(seed)
-        i_mix = i_mix + rng.normal(0.0, noise_std, i_mix.size)
-        q_mix = q_mix + rng.normal(0.0, noise_std, q_mix.size)
+        with np.errstate(over="ignore"):  # an overflow ends in reconstruct_populations' cost check
+            i_mix = i_mix + rng.normal(0.0, noise_std, i_mix.size)
+            q_mix = q_mix + rng.normal(0.0, noise_std, q_mix.size)
     return Trace(refs[0].taus, i_mix, q_mix)
 
 
 def trace_scale(refs: Sequence[Trace]) -> float:
     """Full scale of the reference set: max |I|,|Q| over all traces."""
-    return max(max(np.abs(r.I).max(), np.abs(r.Q).max()) for r in refs)
+    return float(max(max(np.abs(r.I).max(), np.abs(r.Q).max()) for r in refs))
 
 
 def design_matrix(refs: Sequence[Trace], weight_ns: float) -> np.ndarray:
@@ -186,8 +190,7 @@ def design_matrix(refs: Sequence[Trace], weight_ns: float) -> np.ndarray:
 
 def _cost(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
     r = b - a @ x
-    with np.errstate(over="ignore"):
-        return float(r @ r)
+    return float(r @ r)
 
 
 def _simplex_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,22 +222,27 @@ def reconstruct_populations(meas: Trace, refs: Sequence[Trace], weight_ns: float
     Minimizes sum_tau exp(-2 tau / w) * |r_meas - sum_j p_j r_j|^2 in the
     reduced coordinates (p0, p1), p2 = 1 - p0 - p1, exactly by
     ``_simplex_solve``.  Raises SingularDesignError when the weighted
-    design's condition number exceeds 1e6; below that the reduced design
-    has full column rank.  A cost that is not finite raises NumericalError.
+    design's condition number exceeds 1e6 (below it the reduced design has
+    full column rank) or its normal equations underflow to singular, and,
+    with overflow silenced, NumericalError when the cost is not finite.
     """
     _check_grids([*refs, meas])
-    full_design = design_matrix(refs, weight_ns)
-    cond = float(np.linalg.cond(full_design))
-    if cond > 1e6:
-        raise SingularDesignError(f"reference traces too degenerate: condition {cond:.3e}")
-
-    w = np.exp(-meas.taus / weight_ns)
-    wb = np.concatenate([w * meas.I, w * meas.Q])
-    r2col = full_design[:, 2]
-    a = np.column_stack([full_design[:, 0] - r2col, full_design[:, 1] - r2col])
-    b = wb - r2col
-    x = _simplex_solve(a, b)
-    if not np.isfinite(cost := _cost(a, b, x)):  # a measured trace too large for float64 overflows it
+    with np.errstate(over="ignore", invalid="ignore"):  # a value out of float64's range ends in a check
+        full_design = design_matrix(refs, weight_ns)
+        cond = float(np.linalg.cond(full_design))
+        if cond > 1e6:
+            raise SingularDesignError(f"reference traces too degenerate: condition {cond:.3e}")
+        w = np.exp(-meas.taus / weight_ns)
+        wb = np.concatenate([w * meas.I, w * meas.Q])
+        r2col = full_design[:, 2]
+        a = np.column_stack([full_design[:, 0] - r2col, full_design[:, 1] - r2col])
+        b = wb - r2col
+        try:
+            x = _simplex_solve(a, b)
+        except np.linalg.LinAlgError:
+            raise SingularDesignError("normal equations of the reference traces are singular") from None
+        cost = _cost(a, b, x)
+    if not np.isfinite(cost):
         raise NumericalError(f"tomography cost {cost} is not finite")
     n_eff = 2 * np.sum(w**2)
     # p2 computed against the rounded sum keeps p0 + p1 + p2 == 1 exactly

@@ -326,12 +326,42 @@ class TestNumericalFailures:
         assert main(["tomography", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
     def test_overflowing_readout_noise_exits_3(self, tmp_path, capsys):
-        # a 1e300 relative readout noise overflows the inversion's cost in float64
-        cfg = write_config(tmp_path, {"tomography": {"noise_std_rel": 1e300},
-                                      "grid": {"dt_ns": 0.5, "sample_stride": 100}})
+        # a 1e300 relative readout noise overflows the inversion's cost in float64,
+        # a 1e200 homodyne scale its normal equations, and a 1e300 noise on a 1e10
+        # scale the noise itself; each ends typed, with no RuntimeWarning
+        for i, (data, key) in enumerate([
+                ({"tomography": {"noise_std_rel": 1e300}}, "tomography cost inf is not finite"),
+                ({"cavity": {"eta": 1e200}}, "tomography cost nan is not finite"),
+                ({"cavity": {"eta": 1e10}, "tomography": {"noise_std_rel": 1e300}},
+                 "tomography noise_std inf is not finite")]):
+            cfg = write_config(tmp_path, {**data, "grid": {"dt_ns": 0.5, "sample_stride": 100}}, f"{i}.json")
+            out = tmp_path / f"o{i}"
+            assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, data, code, key", [
+        ("tomography", {"cavity": {"kappa_mhz": 5e-324}}, EXIT_CONFIG, "kappa must be positive"),
+        ("tomography", {"cavity": {"kappa_mhz": 1e-310}, "tomography": {"decoherence_corrected_refs": True}},
+         EXIT_NUMERICAL, "reference traces are not finite"),
+        ("tomography", {"cavity": {"eta": 1e-310}}, EXIT_NUMERICAL,
+         "normal equations of the reference traces are singular"),
+        ("tomography", {"tomography": {"weight_ns": 1e-310}}, EXIT_NUMERICAL, "too degenerate: condition inf"),
+        ("run", {"pulses": {"delta01_mhz": sys.float_info.max}}, EXIT_NUMERICAL, "non-finite state"),
+        ("split", {"transmon": {"split": {"delta_split_mhz": sys.float_info.max}},
+                   "sweep": {"detuning_sum_mhz": [0.0], "detuning_diff_mhz": [0.0]}},
+         EXIT_NUMERICAL, "non-finite state"),
+        ("berry", {"berry": {"omega_rms_mhz": sys.float_info.max}}, EXIT_CONFIG, "amplitude must be finite"),
+    ], ids=["kappa-underflows-to-0", "kappa-subnormal", "eta-subnormal", "weight-subnormal",
+            "detuning-past-float64", "split-past-float64", "amplitude-past-float64"])
+    def test_float_extremes_fail_typed(self, tmp_path, capsys, command, data, code, key):
+        # found by fuzzing configs: a ZeroDivisionError, a LinAlgError or a
+        # RuntimeWarning escaped (2 pi f 1e-3 is inf past 2.9e307 MHz); each now
+        # exits typed, with no warning and no output
+        cfg = write_config(tmp_path, {**data, "grid": {"dt_ns": 0.5, "sample_stride": 100}})
         out = tmp_path / "o"
-        assert main(["tomography", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
-        assert "tomography cost inf is not finite" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_with_every_cell_failed_exits_3(self, tmp_path, capsys):
@@ -345,6 +375,16 @@ class TestNumericalFailures:
         assert main(["sweep-detuning", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert "at step" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_plane_detuning_past_float64_fails_its_cells(self, tmp_path, capsys):
+        big = sys.float_info.max
+        cfg = write_config(tmp_path, {"grid": {"dt_ns": 0.5, "sample_stride": 50},
+                                      "sweep": {"detuning_sum_mhz": [-big, 0.0, big], "detuning_diff_mhz": [0.0]}})
+        out = tmp_path / "o"
+        assert main(["sweep-detuning", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert "2 cell(s) failed" in capsys.readouterr().err
+        manifest = json.loads((out / "detuning_map_manifest.json").read_text())
+        assert [f["cell"] for f in manifest["failures"]] == [0, 2]
 
     def test_one_failed_cell_is_named_in_manifest(self, tmp_path, capsys):
         # a 2500 MHz one-photon detuning is unstable for RK4 at dt 0.5 ns
@@ -453,3 +493,24 @@ def test_oracles_import_neither_the_kernel_nor_the_runners():
     assert "stirap.hamiltonian" in origins  # the walk sees the imports
     banned = ("stirap._batch", "stirap.experiments", "stirap.lindblad")
     assert not [m for m in origins if m.startswith(banned)], sorted(origins)
+
+
+def test_every_record_field_is_read():
+    # "Names earn their place" for records: every dataclass field in
+    # src/stirap is read, as .field or as a quoted name, in src/stirap, the
+    # acceptance tests or perfbench/
+    root = Path(__file__).resolve().parent.parent
+    src = sorted((root / "src" / "stirap").glob("*.py"))
+    fields, reads = [], set()
+    for path in [*src, root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").rglob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+            elif path in src and isinstance(node, ast.ClassDef) and any(
+                    getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None)
+                    == "dataclass" for d in node.decorator_list):
+                fields += [f"{node.name}.{s.target.id}" for s in node.body if isinstance(s, ast.AnnAssign)]
+    assert "TomographyResult.iterations" in fields  # the walk sees the records
+    assert [f for f in fields if f.split(".")[1] not in reads] == []

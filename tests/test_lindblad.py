@@ -254,6 +254,11 @@ class TestEvolve:
         with pytest.raises(ConfigurationError, match="sample_stride"):
             TimeGrid(0.0, 100.0, dt=0.5, sample_stride=stride)
 
+    def test_stride_past_int64_samples_the_ends(self):
+        # the config fuzz's grid.sample_stride = 10**300 made an object array of steps
+        steps = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=10**300).sample_steps
+        assert steps.dtype.kind == "i" and steps.tolist() == [0, 200]
+
     def test_grid_accepts_numpy_integer_stride(self, device_params):
         seq = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
         want = evolve(seq, device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=100))

@@ -41,6 +41,9 @@ class TestGaussianEnvelope:
             GaussianPulse(Transition.T01, 1.0, 0.0, sigma_ns=0.0)
         with pytest.raises(InvalidPulseError):
             GaussianPulse(Transition.T01, -1.0, 0.0, sigma_ns=10.0)
+        for amplitude in (math.inf, math.nan):  # an amplitude past float64 in rad/ns is inf
+            with pytest.raises(InvalidPulseError, match="finite"):
+                GaussianPulse(Transition.T01, amplitude, 0.0, sigma_ns=10.0)
 
 
 class TestBuildSequence:
@@ -107,11 +110,13 @@ class TestGlobalAdiabaticity:
         assert 4.0 <= rep.global_metric <= 4.6
 
     def test_integral_endpoint_zero_separation(self):
-        om = mhz_to_rad_ns(40.0)
-        seq = two_pulse_sequence(om, om, 45.0, 0.0)
-        rep = global_adiabaticity_metric(seq)
-        exact = 2.0 * math.sqrt(math.pi) * 45.0 * om
-        assert abs(rep.pulse_area_integral - exact) / exact < 1e-6
+        # 1e200 rad/ns, the config fuzz's berry.omega_rms_mhz = 1e300 in kind,
+        # overflowed the squares of sqrt(O01^2 + O12^2)
+        for om in (mhz_to_rad_ns(40.0), 1e200):
+            seq = two_pulse_sequence(om, om, 45.0, 0.0)
+            rep = global_adiabaticity_metric(seq)
+            exact = 2.0 * math.sqrt(math.pi) * 45.0 * om
+            assert abs(rep.pulse_area_integral - exact) / exact < 1e-6
 
     def test_integral_endpoint_large_separation(self):
         om = mhz_to_rad_ns(40.0)
@@ -150,6 +155,11 @@ class TestPhaseRamp:
         assert ramp.value(-20.0) == 0.0
         assert abs(ramp.value(0.0) - math.pi / 2) < 1e-12
         assert ramp.value(30.0) == math.pi
+
+    def test_ramp_too_short_for_float64_is_a_step(self):
+        # the config fuzz's berry.ramp_span_ns = 1e-310: (t - t_start) / span overflows
+        ramp = PhaseRamp(0.0, 1e-310, 2.0)
+        assert ramp.value(np.array([-1.0, 0.0, 1.0])).tolist() == [0.0, 0.0, 2.0]
 
     def test_sequence_phase_evolution(self):
         ramp = PhaseRamp(-5.0, 5.0, 1.0)

@@ -71,9 +71,9 @@ class TestSynthReferenceTraces:
         from stirap.hamiltonian import dispersive_shifts
         from stirap.tomography import _ladder_transitions
 
-        shifts = dispersive_shifts(cav, _ladder_transitions(trans, 3))
+        pulls = dispersive_shifts(cav, _ladder_transitions(trans, 3))
         for j, r in enumerate(refs):
-            delta = mhz_to_rad_ns(shifts.pulls_mhz[j])
+            delta = mhz_to_rad_ns(pulls[j])
 
             def rhs(t, y):
                 a = y[0] + 1j * y[1]
@@ -110,7 +110,7 @@ class TestSynthReferenceTraces:
 
         cav, trans = CavityParams(), TransmonParams(**rates)
         refs = synth_reference_traces(cav, trans, TOMO.tau_max_ns, dtau, decoherence_corrected=True)
-        pulls = dispersive_shifts(cav, _ladder_transitions(trans, 3)).pulls_mhz[:3]
+        pulls = dispersive_shifts(cav, _ladder_transitions(trans, 3))[:3]
         poles = np.array([1j * mhz_to_rad_ns(cav.f_res_mhz + pull - cav.f_meas)
                           + 0.5 * mhz_to_rad_ns(cav.kappa_mhz) for pull in pulls])
         eps = mhz_to_rad_ns(cav.epsilon_mhz)
