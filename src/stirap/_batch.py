@@ -46,7 +46,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationFailureError, InvalidStateError
+from .errors import ConfigurationError, NumericalError
 from .hamiltonian import TransmonParams
 from .lindblad import TimeGrid, check_step, dissipator
 from .pulses import PulseSequence, Transition
@@ -79,11 +79,10 @@ class BatchResult:
     states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim); evolve keeps them
 
 
-def raise_if_all_failed(result: BatchResult, grid: TimeGrid) -> None:
-    """Raise IntegrationFailureError for the first cell when every cell failed."""
+def raise_if_all_failed(result: BatchResult) -> None:
+    """Raise the first cell's failure, which names its step and time, when every cell failed."""
     if len(result.failures) == len(result.final):
-        _, step, message = result.failures[0]
-        raise IntegrationFailureError(message, step, grid.t_start + step * grid.dt)
+        raise NumericalError(result.failures[0][2])
 
 
 def _couplings(params: TransmonParams):
@@ -163,7 +162,7 @@ def _initial_state(params: TransmonParams, dissipative: bool, rho0: Optional[np.
     rho0 is |0><0| by default with dissipation and the ket |0> without; with
     d = params.n_levels, one of a shape other than (d,) or (d, d) raises
     ConfigurationError, a matrix not Hermitian to HERMITICITY_TOL
-    InvalidStateError.  A state vector without dissipation is propagated as
+    NumericalError.  A state vector without dissipation is propagated as
     a ket; with dissipation it stands for its projector.  A matrix without
     dissipation runs with a zero dissipator.
     """
@@ -178,7 +177,7 @@ def _initial_state(params: TransmonParams, dissipative: bool, rho0: Optional[np.
     if init.ndim == 1:
         return init, None
     if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
-        raise InvalidStateError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
+        raise NumericalError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
     dsup = dissipator(params) if dissipative else np.zeros((dim * dim, dim * dim), dtype=complex)
     # exactly Hermitian, which X + X^H keeps
     return 0.5 * (init + init.conj().T), dsup
@@ -429,11 +428,11 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
            dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
     """Integrate one cell by step matrices, keeping every sample's state: a batch of one.
 
-    rho0 is read as _initial_state says.  Raises IntegrationFailureError at
-    the first sample that fails _sample_checks.
+    rho0 is read as _initial_state says.  Raises NumericalError at the
+    first sample that fails _sample_checks.
     """
     result = _integrate([seq], params, grid, dissipative, rho0, True, True, _step_matrices)
-    raise_if_all_failed(result, grid)
+    raise_if_all_failed(result)
     return result
 
 
@@ -469,7 +468,7 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     cell.  Without series each cell keeps only its final and peak
     populations, so the result, and each worker's, holds O(cells) data.  A
     failed cell is recorded in failures while the others run on; when every
-    cell fails, IntegrationFailureError names the first one's step and time.
+    cell fails, NumericalError names the first one's step and time.
     No sequence, or a chunk_size that is not an integer >= 1, raises
     ConfigurationError.
     """
@@ -496,5 +495,5 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
         None if getattr(results[0], f) is None else np.concatenate([getattr(r, f) for r in results])
         for f in ("populations", "final", "peak", "trace_drift", "min_eig")),
         tuple((k * chunk_size + c, *rest) for k, r in enumerate(results) for c, *rest in r.failures))
-    raise_if_all_failed(result, grid)
+    raise_if_all_failed(result)
     return result

@@ -6,10 +6,10 @@ in the key names (sigma_ns, omega01_mhz, ...); config_from_dict walks
 the dataclass fields and their type hints, so unknown keys are rejected,
 value types are checked (a bool is not a number, an int field takes no
 float) and each section then validates its own values.  Axes are either
-explicit value lists or {"start", "stop", "step"} ranges over a name in
-SWEEP_AXES; experiments.plan checks which of them, and whether
-transmon.split, each experiment reads.  The config hash covers every
-field but workers and output.
+explicit value lists or {"start", "stop", "step"} ranges;
+experiments.plan checks which axes, and whether transmon.split, each
+experiment reads.  The config hash covers every field but workers and
+output.
 """
 
 from __future__ import annotations
@@ -149,10 +149,6 @@ class ExperimentConfig:
         return np.asarray(self.sweep.get(name, default), dtype=float)
 
 
-# Every sweep axis some experiment reads; experiments._EXPERIMENTS says which.
-SWEEP_AXES = frozenset({"t_separation_ns", "detuning_sum_mhz", "detuning_diff_mhz", "theta_fast_rad"})
-
-
 def _number(value, key: str):
     # JSON parsers accept NaN, +-Infinity, overflowing literals such as 1e400
     # and integers too large for a float, on which math.isfinite overflows
@@ -166,8 +162,6 @@ def _number(value, key: str):
 
 
 def _resolve_axis(name: str, spec) -> Tuple[float, ...]:
-    if name not in SWEEP_AXES:
-        raise ConfigurationError(f"unknown sweep axis {name!r}; expected one of {sorted(SWEEP_AXES)}")
     key = f"sweep.{name}"
     if isinstance(spec, (list, tuple)):
         values = tuple(float(_number(v, key)) for v in spec)

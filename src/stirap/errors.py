@@ -1,53 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""The package's failure contract, stated once.
 
-The CLI maps ConfigurationError (and subclasses) to exit code 2 and
-NumericalError (and subclasses) to exit code 3.
+Every failure the package raises is one of two types, and the CLI maps
+ConfigurationError to exit code 2 and NumericalError to exit code 3.  The
+message names the failure: an integration failure ends in
+"at step N (t = T ns)".
 """
 
 
-class StirapError(Exception):
-    """Base class for all package exceptions."""
-
-
-class ConfigurationError(StirapError):
+class ConfigurationError(Exception):
     """Invalid or inconsistent user-supplied configuration."""
 
 
-class InvalidPulseError(ConfigurationError):
-    """Pulse parameters violate their invariants (e.g. sigma <= 0)."""
-
-
-class NumericalError(StirapError):
-    """Base class for failures detected during computation."""
-
-
-class InvalidStateError(NumericalError):
-    """A quantum state violates hermiticity / trace / positivity bounds."""
-
-
-class PreconditionError(NumericalError):
-    """A documented operation precondition does not hold."""
-
-
-class UndefinedFrameError(PreconditionError):
-    """Dark state requested where it is not defined (both drives off)."""
-
-
-class NonDispersiveError(NumericalError):
-    """Cavity parameters outside the dispersive regime."""
-
-
-class IntegrationFailureError(NumericalError):
-    """Time integration violated a state invariant mid-run."""
-
-    def __init__(self, message: str, step: int, t_ns: float):
-        super().__init__(message)
-        self.step = step
-        self.t_ns = t_ns
-
-
-class SingularDesignError(NumericalError):
-    """Tomography reference traces are too degenerate to invert."""
+class NumericalError(Exception):
+    """A failure detected during computation."""
 
 
 class MaxIterationsError(NumericalError):
@@ -59,11 +24,3 @@ class MaxIterationsError(NumericalError):
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
-
-
-class NonAdiabaticRunError(NumericalError):
-    """Propagation leaked out of the dark state; phase oracle invalid."""
-
-    def __init__(self, message: str, leakage: float):
-        super().__init__(message)
-        self.leakage = leakage

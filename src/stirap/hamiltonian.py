@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NonDispersiveError, UndefinedFrameError
+from .errors import ConfigurationError, NumericalError
 from .units import mhz_to_rad_ns, rate_mhz_to_per_ns
 
 
@@ -116,12 +116,12 @@ def dark_state(a01, a12) -> np.ndarray:
     so the |0> component is real.  Amplitude arrays give one state per sample,
     shape a01.shape + (3,).  It is the zero-energy eigenvector of the
     rotating-frame Hamiltonian at two-photon resonance, and it has no |1>
-    component.  A sample with both amplitudes 0 raises UndefinedFrameError.
+    component.  A sample with both amplitudes 0 raises NumericalError.
     """
     a01, a12 = np.broadcast_arrays(np.asarray(a01, dtype=complex), np.asarray(a12, dtype=complex))
     off = np.flatnonzero((a01 == 0) & (a12 == 0))
     if off.size:
-        raise UndefinedFrameError(f"dark state undefined with both drives off (sample {off[0]})")
+        raise NumericalError(f"dark state undefined with both drives off (sample {off[0]})")
     theta = np.arctan2(np.abs(a01), np.abs(a12))
     dark = np.zeros(a01.shape + (3,), dtype=complex)
     dark[..., 0] = np.cos(theta)
@@ -164,8 +164,8 @@ def dispersive_shifts(cav: CavityParams, bare_transitions_mhz: Sequence[float]) 
     for g, f in zip(cav.g_mhz, transitions):
         delta = f - cav.f_res_mhz
         if abs(delta) < 10.0 * g:
-            raise NonDispersiveError(f"transition at {f} MHz too close to cavity: "
-                                     f"|Delta| = {abs(delta):.1f} < 10 g")
+            raise NumericalError(f"transition at {f} MHz too close to cavity: "
+                                 f"|Delta| = {abs(delta):.1f} < 10 g")
         chis.append(g * g / delta)
     above = [*chis[1:], 0.0]  # chi_{j,j+1} of each level j >= 1; the top level has none
     return (0.0, *(below + chis[0] - up for below, up in zip(chis, above)))

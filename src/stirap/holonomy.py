@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._batch import evolve
-from .errors import ConfigurationError, NonAdiabaticRunError, PreconditionError
+from .errors import ConfigurationError, NumericalError
 from .hamiltonian import TransmonParams, dark_state
 from .lindblad import TimeGrid
 from .pulses import GaussianPulse, PhaseRamp, PulseSequence, Transition, global_adiabaticity_metric
@@ -86,14 +86,14 @@ class OraclePhase:
 
 
 def check_oracle_preconditions(seq: PulseSequence, metric_threshold: float) -> None:
-    """Raise PreconditionError unless both drive detunings are within 1e-12
+    """Raise NumericalError unless both drive detunings are within 1e-12
     rad/ns of zero and the global adiabaticity metric exceeds metric_threshold
     (stricter than transfer runs; phase errors are more sensitive)."""
     if abs(seq.delta01) > 1e-12 or abs(seq.delta12) > 1e-12:
-        raise PreconditionError("phase oracle needs zero drive detunings")
+        raise NumericalError("phase oracle needs zero drive detunings")
     metric = global_adiabaticity_metric(seq).global_metric
     if metric <= metric_threshold:
-        raise PreconditionError(f"global adiabaticity metric {metric:.2f} <= {metric_threshold}")
+        raise NumericalError(f"global adiabaticity metric {metric:.2f} <= {metric_threshold}")
 
 
 def adiabatic_phase_oracle(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
@@ -119,9 +119,7 @@ def adiabatic_phase_oracle(seq: PulseSequence, params: TransmonParams, grid: Tim
 
     leakage = float(1.0 - np.abs(overlaps[-1]) ** 2)
     if leakage > 0.01:
-        raise NonAdiabaticRunError(
-            f"dark-state leakage {leakage:.4f} exceeds 1%; oracle invalid", leakage=leakage
-        )
+        raise NumericalError(f"dark-state leakage {leakage:.4f} exceeds 1%; oracle invalid")
     phase_series = np.unwrap(np.angle(overlaps))
     return OraclePhase(gamma=float(phase_series[-1] - phase_series[0]), leakage=leakage)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidPulseError
+from .errors import ConfigurationError
 from .units import TWO_PI
 
 WINDOW_SIGMAS = 4.0  # envelope < 3.4e-4 of peak beyond this
@@ -47,7 +47,7 @@ class PhaseRamp:
 
     def __post_init__(self):
         if not self.t_end_ns > self.t_start_ns:
-            raise InvalidPulseError("phase ramp needs t_end > t_start")
+            raise ConfigurationError("phase ramp needs t_end > t_start")
 
     def value(self, t):
         with np.errstate(over="ignore"):  # a ramp too short for float64 is a step
@@ -67,9 +67,9 @@ class GaussianPulse:
 
     def __post_init__(self):
         if self.sigma_ns <= 0:
-            raise InvalidPulseError(f"sigma must be positive, got {self.sigma_ns}")
+            raise ConfigurationError(f"sigma must be positive, got {self.sigma_ns}")
         if not 0 <= self.amplitude < math.inf:  # also NaN, and the inf of an MHz value past float64
-            raise InvalidPulseError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+            raise ConfigurationError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
     def envelope(self, t):
         t = np.asarray(t, dtype=float)
@@ -96,9 +96,9 @@ class FastPulse:
 
     def __post_init__(self):
         if self.duration_ns <= 0:
-            raise InvalidPulseError(f"fast-pulse duration must be positive, got {self.duration_ns}")
+            raise ConfigurationError(f"fast-pulse duration must be positive, got {self.duration_ns}")
         if self.theta_rad < 0:
-            raise InvalidPulseError(f"fast-pulse angle must be nonnegative, got {self.theta_rad}")
+            raise ConfigurationError(f"fast-pulse angle must be nonnegative, got {self.theta_rad}")
 
     @property
     def amplitude(self) -> float:
@@ -218,9 +218,8 @@ def build_sequence(
 @dataclass(frozen=True)
 class AdiabaticityReport:
     global_metric: float  # (4/sqrt(pi)) sigma Omega, Omega in cycles/ns
-    pulse_area_integral: float  # integral of sqrt(O01^2 + O12^2) dt, rad
-    area_lower: float  # analytic t_s = 0 endpoint, 2 sqrt(pi) sigma Omega
-    area_upper: float  # analytic t_s -> inf endpoint, 2 sqrt(2 pi) sigma Omega
+    area_lower: float  # rms_envelope_integral's analytic t_s = 0 endpoint, 2 sqrt(pi) sigma Omega
+    area_upper: float  # its analytic t_s -> inf endpoint, 2 sqrt(2 pi) sigma Omega
 
 
 def rms_envelope_integral(seq: PulseSequence, points_per_sigma: int = 1000) -> float:
@@ -245,9 +244,8 @@ def global_adiabaticity_metric(seq: PulseSequence) -> AdiabaticityReport:
 
     Omega is the ordinary frequency Omega/2pi in cycles/ns, the reading
     that reproduces the headline safety factor of ~4 at the calibrated
-    drive parameters.  Also integrates sqrt(Omega01^2+Omega12^2) dt and
-    reports the analytic equal-amplitude endpoints
-    [2 sqrt(pi) s O, 2 sqrt(2 pi) s O] it must bracket.
+    drive parameters.  Also reports the analytic equal-amplitude endpoints
+    [2 sqrt(pi) s O, 2 sqrt(2 pi) s O] that rms_envelope_integral must bracket.
     """
     gaussians = [p for p in seq.pulses if isinstance(p, GaussianPulse)]
     if len(gaussians) != 2 or len(seq.pulses) != 2:
@@ -256,7 +254,6 @@ def global_adiabaticity_metric(seq: PulseSequence) -> AdiabaticityReport:
     sigma_geo = math.sqrt(gaussians[0].sigma_ns * gaussians[1].sigma_ns)
     metric = (4.0 / math.sqrt(math.pi)) * sigma_geo * (omega_geo / TWO_PI)
 
-    integral = rms_envelope_integral(seq)
     lower = 2.0 * math.sqrt(math.pi) * sigma_geo * omega_geo
     upper = 2.0 * math.sqrt(TWO_PI) * sigma_geo * omega_geo
-    return AdiabaticityReport(metric, integral, lower, upper)
+    return AdiabaticityReport(metric, lower, upper)

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, SingularDesignError
+from .errors import ConfigurationError, NumericalError
 from .hamiltonian import CavityParams, TransmonParams, dispersive_shifts
 from .lindblad import MAX_POINTS
 from .units import mhz_to_rad_ns
@@ -70,7 +70,7 @@ def check_readout(cav: CavityParams, trans: TransmonParams, tau_max: float,
     """The cavity pulls of |0>, |1> and |2>, MHz, for a readout on the tau
     axis 0, dtau, ..., tau_max.  Rejects, in this order, an axis of more than
     MAX_POINTS samples, a transition outside the dispersive regime
-    (NonDispersiveError) and couplings for fewer than two transitions."""
+    (NumericalError) and couplings for fewer than two transitions."""
     if not tau_max / dtau <= MAX_POINTS:
         raise ConfigurationError(f"dtau = {dtau!r} ns gives {tau_max / dtau:.10g} tau samples up to "
                                  f"tau_max = {tau_max!r} ns, more than {MAX_POINTS}")
@@ -117,9 +117,10 @@ def synth_reference_traces(
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a): 18 Taylor terms of a / 2^s (norm <= 1/2, truncation below
-    1e-22), squared s times (Moler & Van Loan, SIAM Review 45, 3 (2003))."""
+    1e-22), squared s times (Moler & Van Loan, SIAM Review 45, 3 (2003)).
+    The scale 2^-s is exact, where 2^s overflows at s = 1024."""
     s = max(0, int(np.frexp(np.abs(a).sum(axis=1).max())[1]) + 1)
-    a = a / 2.0**s
+    a = a * 2.0**-s
     term = out = np.eye(len(a), dtype=a.dtype)
     for k in range(1, 19):
         term = term @ a / k
@@ -221,17 +222,17 @@ def reconstruct_populations(meas: Trace, refs: Sequence[Trace], weight_ns: float
 
     Minimizes sum_tau exp(-2 tau / w) * |r_meas - sum_j p_j r_j|^2 in the
     reduced coordinates (p0, p1), p2 = 1 - p0 - p1, exactly by
-    ``_simplex_solve``.  Raises SingularDesignError when the weighted
-    design's condition number exceeds 1e6 (below it the reduced design has
-    full column rank) or its normal equations underflow to singular, and,
-    with overflow silenced, NumericalError when the cost is not finite.
+    ``_simplex_solve``.  Raises NumericalError when the weighted design's
+    condition number exceeds 1e6 (below it the reduced design has full
+    column rank), its normal equations underflow to singular or, with
+    overflow silenced, the cost is not finite.
     """
     _check_grids([*refs, meas])
     with np.errstate(over="ignore", invalid="ignore"):  # a value out of float64's range ends in a check
         full_design = design_matrix(refs, weight_ns)
         cond = float(np.linalg.cond(full_design))
         if cond > 1e6:
-            raise SingularDesignError(f"reference traces too degenerate: condition {cond:.3e}")
+            raise NumericalError(f"reference traces too degenerate: condition {cond:.3e}")
         w = np.exp(-meas.taus / weight_ns)
         wb = np.concatenate([w * meas.I, w * meas.Q])
         r2col = full_design[:, 2]
@@ -240,7 +241,7 @@ def reconstruct_populations(meas: Trace, refs: Sequence[Trace], weight_ns: float
         try:
             x = _simplex_solve(a, b)
         except np.linalg.LinAlgError:
-            raise SingularDesignError("normal equations of the reference traces are singular") from None
+            raise NumericalError("normal equations of the reference traces are singular") from None
         cost = _cost(a, b, x)
     if not np.isfinite(cost):
         raise NumericalError(f"tomography cost {cost} is not finite")

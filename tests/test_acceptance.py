@@ -26,7 +26,7 @@ from stirap.experiments import (
 from stirap.hamiltonian import CavityParams, SplitSpec, TransmonParams
 from stirap.holonomy import ParameterPath, berry_phase, berry_vs_oracle, plateau_phase_sequence
 from stirap.lindblad import TimeGrid
-from stirap.pulses import SequenceKind, build_sequence, global_adiabaticity_metric
+from stirap.pulses import SequenceKind, build_sequence, global_adiabaticity_metric, rms_envelope_integral
 from stirap.tomography import (
     mix_traces,
     reconstruct_populations,
@@ -204,13 +204,13 @@ def test_criterion_3_detuning_map():
 
 def test_criterion_4_global_adiabaticity(stirap_sequence):
     rep = global_adiabaticity_metric(stirap_sequence)
+    integral = rms_envelope_integral(stirap_sequence)
     in_band = 4.0 <= rep.global_metric <= 4.6
-    within = (rep.area_lower * (1 - 1e-4) <= rep.pulse_area_integral
-              <= rep.area_upper * (1 + 1e-4))
+    within = rep.area_lower * (1 - 1e-4) <= integral <= rep.area_upper * (1 + 1e-4)
     ok = in_band and within
     report("4 (global adiabaticity)", ok,
            f"metric (cyclic) = {rep.global_metric:.3f} (target 4.3 +- 0.3); "
-           f"integral {rep.pulse_area_integral:.4f} rad within "
+           f"integral {integral:.4f} rad within "
            f"[{rep.area_lower:.4f}, {rep.area_upper:.4f}] to 1e-4")
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from stirap import _batch, experiments
 from stirap.cli import _SUBCOMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from stirap.config import SWEEP_AXES, Experiment, config_hash, load_config
+from stirap.config import Experiment, config_hash, load_config
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -94,9 +94,9 @@ class TestValidateConfig:
             "start": -100, "stop": 0, "step": 1e-7}}}, "step 1e-07 gives 1000000001 values"),
         ("sweep-separation", {"experiment": "separation_sweep", "sweep": {"t_separation_ns": {
             "start": -100, "stop": 0, "step": 1e-320}}}, "step 1e-320 gives inf values"),
-        # an axis no experiment reads is rejected as the file is parsed
+        # an axis no experiment reads is rejected like any axis its experiment does not read
         ("sweep-detuning", {"experiment": "detuning_map", "sweep": {"bogus_axis": [0.0]}},
-         "unknown sweep axis 'bogus_axis'; expected one of"),
+         "sweep axis 'bogus_axis' is not read by detuning_map"),
         # a sweep that keeps every cell's series: 8e7 rows, 1.9 GB of populations
         ("sweep-separation", {"experiment": "separation_sweep", "grid": {"dt_ns": 0.00057, "sample_stride": 1}},
          "81 cells x 982458 samples are more than 10000000 series rows"),
@@ -352,12 +352,18 @@ class TestNumericalFailures:
                    "sweep": {"detuning_sum_mhz": [0.0], "detuning_diff_mhz": [0.0]}},
          EXIT_NUMERICAL, "non-finite state"),
         ("berry", {"berry": {"omega_rms_mhz": sys.float_info.max}}, EXIT_CONFIG, "amplitude must be finite"),
+        # M dtau's row-sum norm is past 2^1023, where the exact propagator's scale 2^s overflows
+        ("tomography", {"cavity": {"epsilon_mhz": 1.5e307},
+                        "tomography": {"decoherence_corrected_refs": True, "dtau_ns": 1000}},
+         EXIT_NUMERICAL, "reference traces are not finite"),
     ], ids=["kappa-underflows-to-0", "kappa-subnormal", "eta-subnormal", "weight-subnormal",
-            "detuning-past-float64", "split-past-float64", "amplitude-past-float64"])
+            "detuning-past-float64", "split-past-float64", "amplitude-past-float64",
+            "readout-propagator-past-float64"])
     def test_float_extremes_fail_typed(self, tmp_path, capsys, command, data, code, key):
-        # found by fuzzing configs: a ZeroDivisionError, a LinAlgError or a
-        # RuntimeWarning escaped (2 pi f 1e-3 is inf past 2.9e307 MHz); each now
-        # exits typed, with no warning and no output
+        # found by fuzzing and probing configs: a ZeroDivisionError, a
+        # LinAlgError, an OverflowError or a RuntimeWarning escaped (2 pi f 1e-3
+        # is inf past 2.9e307 MHz); each now exits typed, with no warning and
+        # no output
         cfg = write_config(tmp_path, {**data, "grid": {"dt_ns": 0.5, "sample_stride": 100}})
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == code
@@ -432,10 +438,9 @@ class TestSweepCommands:
 def test_each_experiment_has_one_table_entry_one_runner_and_one_subcommand():
     # a structural guard: run_experiment is the only public runner, one
     # table row says what each experiment reads and how experiments builds
-    # and runs it, and config's parser knows exactly the rows' axes
+    # and runs it
     table = experiments._EXPERIMENTS
     assert sorted(table, key=list(Experiment).index) == list(Experiment)
-    assert SWEEP_AXES == set().union(*(axes for _, axes, _, _ in table.values()))
     runners = {e: row[0] for e, row in table.items()}
     assert len(set(runners.values())) == len(Experiment)
     assert sorted(_SUBCOMMANDS.values(), key=list(Experiment).index) == list(Experiment)
@@ -514,3 +519,22 @@ def test_every_record_field_is_read():
                 fields += [f"{node.name}.{s.target.id}" for s in node.body if isinstance(s, ast.AnnAssign)]
     assert "TomographyResult.iterations" in fields  # the walk sees the records
     assert [f for f in fields if f.split(".")[1] not in reads] == []
+
+
+def test_every_raise_is_one_of_the_two_failure_types():
+    # the failure contract: every raise in src/stirap names ConfigurationError
+    # (exit 2) or NumericalError (exit 3), __main__'s SystemExit aside, and
+    # errors.py defines no other exception class but MaxIterationsError,
+    # which perfbench imports
+    src = Path(__file__).resolve().parent.parent / "src" / "stirap"
+    raised = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add((path.name, exc and ast.unparse(exc)))
+    assert ("__main__.py", "SystemExit") in raised  # the walk sees the raises
+    assert {name for _, name in raised - {("__main__.py", "SystemExit")}} == {"ConfigurationError", "NumericalError"}
+    classes = [node.name for node in ast.walk(ast.parse((src / "errors.py").read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert sorted(classes) == ["ConfigurationError", "MaxIterationsError", "NumericalError"]

@@ -17,7 +17,7 @@ from stirap.config import (
     config_from_dict,
     config_hash,
 )
-from stirap.errors import ConfigurationError, NonDispersiveError
+from stirap.errors import ConfigurationError, NumericalError
 from stirap.experiments import (
     SweepResult,
     Table,
@@ -503,6 +503,18 @@ class TestBerry:
         # steps 0, 7, ..., 7196, and then the last one
         assert np.array_equal(path.column("t_ns"), np.append(grid.times[::7], grid.times[-1]))
 
+    def test_run_integrates_no_pulse_area(self, monkeypatch):
+        # the oracle's precondition, checked by plan and again by the oracle,
+        # reads only the global metric, so no envelope integral is computed
+        from stirap import pulses
+
+        calls = []
+        integral = pulses.rms_envelope_integral
+        monkeypatch.setattr(pulses, "rms_envelope_integral",
+                            lambda *args, **kwargs: calls.append(args) or integral(*args, **kwargs))
+        run_experiment(cfg_with(experiment=Experiment.BERRY))
+        assert len(calls) == 0
+
 
 class TestEmission:
     @pytest.fixture()
@@ -642,8 +654,9 @@ class TestConfigParsing:
             config_from_dict({"pulse": {}})
         with pytest.raises(ConfigurationError):
             config_from_dict({"pulses": {"omega01_megahertz": 1.0}})
-        with pytest.raises(ConfigurationError):
-            config_from_dict({"sweep": {"bogus_axis": [1, 2]}})
+        # an axis no experiment reads is rejected by plan, which every run calls first
+        with pytest.raises(ConfigurationError, match="sweep axis 'bogus_axis' is not read by time_evolution"):
+            plan(config_from_dict({"sweep": {"bogus_axis": [1, 2]}}))
 
     def test_axis_range_resolution(self):
         cfg = config_from_dict({"sweep": {"t_separation_ns":
@@ -791,7 +804,7 @@ class TestPlan:
         (Experiment.TOMOGRAPHY_TIMELINE, {"cavity": CavityParams(g_mhz=(80.0,))},
          ConfigurationError, "need couplings for at least two transitions"),
         (Experiment.TOMOGRAPHY_TIMELINE, {"cavity": CavityParams(f_res_mhz=5300.0)},
-         NonDispersiveError, "transition at 5270.0 MHz too close to cavity"),
+         NumericalError, "transition at 5270.0 MHz too close to cavity"),
     ], ids=["tau_axis", "sample_stride", "one_coupling", "non_dispersive"])
     def test_build_checks_fire_before_evolve(self, monkeypatch, experiment, changes, error, message):
         def no_integration(*args, **kwargs):

@@ -18,9 +18,9 @@ import warnings
 from dataclasses import is_dataclass
 from typing import Union, get_args, get_origin, get_type_hints
 
-from stirap.config import SWEEP_AXES, Experiment, ExperimentConfig, config_from_dict
+from stirap.config import Experiment, ExperimentConfig, config_from_dict
 from stirap.errors import ConfigurationError, NumericalError
-from stirap.experiments import emit, plan, run_experiment
+from stirap.experiments import _EXPERIMENTS, emit, plan, run_experiment
 from stirap.hamiltonian import SplitSpec
 
 SEED = 0
@@ -170,4 +170,5 @@ def test_every_numeric_field_is_drawn():
             elif inner in (int, float) or get_origin(inner) is tuple:
                 yield section, name
 
-    assert set(numeric(ExperimentConfig, None)) | {("sweep", axis) for axis in SWEEP_AXES} == set(FIELDS)
+    axes = {("sweep", axis) for _, reads, _, _ in _EXPERIMENTS.values() for axis in reads}
+    assert set(numeric(ExperimentConfig, None)) | axes == set(FIELDS)

@@ -3,7 +3,7 @@ import pytest
 
 from stirap._batch import evolve
 from stirap.config import TomographyConfig
-from stirap.errors import ConfigurationError, SingularDesignError
+from stirap.errors import ConfigurationError, NumericalError
 from stirap.hamiltonian import CavityParams, TransmonParams
 from stirap.lindblad import TimeGrid
 from stirap.pulses import SequenceKind, build_sequence
@@ -298,7 +298,7 @@ class TestReconstruction:
 
     def test_degenerate_design_raises(self, refs):
         same = [Trace(refs[0].taus, refs[0].I, refs[0].Q)] * 3
-        with pytest.raises(SingularDesignError):
+        with pytest.raises(NumericalError, match="reference traces too degenerate: condition"):
             reconstruct_populations(mix_traces((1.0, 0.0, 0.0), same), same, W)
 
 
