@@ -8,10 +8,10 @@ density matrix is held cells-last, shape (d*d, n_cells); a dissipationless
 run from a state vector, |0> by default, propagates the vector, shape
 (d, n_cells), by the Schrodinger equation, with RHS -iH psi.
 
-The RK4 has two realisations, and both run through one block loop
-(_integrate) that judges the sampled states, a buffer of at most
-SAMPLE_ENTRIES entries at a time, by one _sample_checks call.
-evolve_chunk's row kernel uses that the Lindblad generator
+RK4 and the generator are written once, as the row kernel's calls, which
+run two ways through one block loop (_integrate) that judges the sampled
+states, a buffer of at most SAMPLE_ENTRIES entries at a time, by one
+_sample_checks call.  The row kernel uses that the Lindblad generator
 preserves Hermiticity: a density matrix's RHS is X + X^H with
 X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
 its jumps move population only), so both modes run only row updates from
@@ -22,17 +22,18 @@ out positional: 49 (d = 3) or 73 (d = 4) per density-matrix step, plus
 three copies of a substep's drive coefficients into one buffer.  No step
 calls BLAS and each cell's arithmetic is independent of its chunk, so
 results are bit-identical at any chunk size and however chunks are
-distributed over workers.  evolve runs one cell as the same RK4 written as
-step matrices (y <- M y per step), whose M for a block of steps come from
-a few batched matrix products; it takes run_batch's arguments for one
-sequence and returns the same BatchResult with every sample's state.
+distributed over workers.  evolve_chunk steps its cells by these calls,
+and evolve one cell by step matrices (y <- M y per step) whose columns are
+the calls' step of a basis, DRIVE_BLOCK steps at a time; evolve takes
+run_batch's arguments for one sequence and returns the same BatchResult
+with every sample's state.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
-the scheme 4th order for smooth drives.  Both realisations sample it one
-block of steps at a time (_drive_block), and a FastPulse edge on a grid point
-starts a block: the block ending there takes its last sample from the left
-limit of the drive and the next its first from the right limit, so no stage
-straddles the discontinuity; lindblad.check_step rejects an edge off the grid.
+the scheme 4th order for smooth drives.  Both ways sample it one block
+of steps at a time (_drive_block), and a FastPulse edge on a grid point ends
+a block: the block ending there takes its last sample from the left limit of
+the drive and the next its first from the right limit, so no stage straddles
+the discontinuity; lindblad.check_step rejects an edge off the grid.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .pulses import PulseSequence, Transition
 CHUNK_SIZE = 128  # fewest cells a default chunk of a larger batch holds
 BLOCK = 256  # steps whose drive is sampled at a time
 SAMPLE_ENTRIES = 1 << 16  # most sampled state entries held before they are judged
-DRIVE_BLOCK = 32  # steps whose drive coefficients evolve_chunk tabulates at a time
+DRIVE_BLOCK = 32  # steps whose drive coefficients the row kernel tabulates at a time
 EDGE_CLIP = 1e-9  # a FastPulse edge is sampled this many steps dt to each side
 # no entry of a state within the drift and eigenvalue (or norm) bounds exceeds
 # about 1 + 4e-6, so this names a divergence before round-off hides it
@@ -124,12 +125,12 @@ def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: Transmon
     one column when every cell has the same pulses, so the cells share one
     drive (their detunings enter only the energies), and one per cell
     otherwise.  The blocks [k0, k1) are cut every BLOCK steps and at every
-    column's edge steps.  The energies have shape (params.n_levels, n_cells):
+    column's edge step but n_steps.  The energies have shape (params.n_levels, n_cells):
     0, d01 plus each branch's offset, and d01 + d12.
     """
     drive = [(seq, check_step(seq, grid))
              for seq in (seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs)]
-    cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)))
+    cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)) - {grid.n_steps})
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
     d01 = np.array([seq.delta01 for seq in seqs])
     energies = np.zeros((params.n_levels, len(seqs)))
@@ -230,7 +231,7 @@ def _sample_checks(y: np.ndarray, ket: bool, steps: np.ndarray, grid: TimeGrid):
 def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
                dissipative: bool, rho0: Optional[np.ndarray], store_states: bool, series: bool,
                realisation) -> BatchResult:
-    """The block loop both realisations run through.
+    """The block loop both ways of stepping run through.
 
     realisation(y, dsup, energies, params, dt, n_drive) returns advance(rows),
     which takes y, the cells-last initial state, through one _chunk_drive
@@ -303,52 +304,49 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
 
 def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
                    params: TransmonParams, dt: float, n_drive: int):
-    """evolve's realisation: one cell's RK4 as a product of step matrices.
+    """evolve's realisation: one cell's RK4 as step matrices, y <- M y per step.
 
-    For y' = G(t) y (G = -iH for a ket, the Liouvillian
-    -i(H (x) I - I (x) H^T) + D on the row-major vec of rho) one RK4 step is
-    y <- M y, M = I + dt/6 (G_a + 2 G_b B1 + 2 G_b B2 + G_c B3) with
-    B1 = I + dt/2 G_a, B2 = I + dt/2 G_b B1, B3 = I + dt G_b B2 (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.1); a block's M come from a few
-    batched matrix products.
+    An RK4 step is linear in the state, so M's columns are the row kernel's
+    step of a basis: the unit vectors for a ket, and for a density matrix,
+    which the kernel steps only when Hermitian, E_aa, E_ab + E_ba and
+    i(E_ab - E_ba) for a < b, M first mapping vec rho to their coordinates.
+    One kernel step of DRIVE_BLOCK * len(y) columns, column (k, j) basis
+    state j driven by the substeps of step k, gives DRIVE_BLOCK steps' M.
     """
-    eye_h = np.eye(params.n_levels)
-
-    def liouvillian(h: np.ndarray) -> np.ndarray:
-        """-iH for a ket; -i(H (x) I - I (x) H^T) on the row-major vec of rho."""
-        return -1j * h if dsup is None else -1j * (np.kron(h, eye_h) - np.kron(eye_h, h.T))
-
-    # H is linear in the drive, so G(t) = G0 + sum_j (A_j(t) P_j + conj(A_j(t)) Q_j)
-    g0 = liouvillian(np.diag(energies[:, 0])) + (0.0 if dsup is None else dsup)
-    couplings = _couplings(params)
-    basis = np.array([liouvillian(0.5 * w * np.outer(eye_h[i], eye_h[j])).ravel()
-                      for r, c, _, w in couplings for i, j in ((r, c), (c, r))])
-
-    def generators(rows: np.ndarray) -> np.ndarray:
-        coefs = np.stack([f(rows[tr]) for _, _, tr, _ in couplings for f in (np.asarray, np.conj)], axis=1)
-        return g0 + (coefs @ basis).reshape(-1, *g0.shape)
-
-    eye = np.eye(len(y))
+    n, e = len(y), np.eye(params.n_levels)
+    if dsup is None:
+        basis = np.eye(n, dtype=complex)
+    else:
+        basis = np.array([(s * np.outer(e[a], e[b]) + np.conj(s) * np.outer(e[b], e[a])).ravel()
+                          for a in range(len(e)) for b in range(a, len(e))
+                          for s in ((0.5,) if a == b else (1.0, 1j))]).T
+        coords = basis.conj().T / (np.abs(basis) ** 2).sum(axis=0)[:, None]  # exactly basis^-1
+    cols = np.tile(basis, DRIVE_BLOCK)  # column k * n + j holds basis state j
+    yb = cols.copy()
+    kernel = _row_kernel(yb, dsup, np.repeat(energies, cols.shape[1], axis=1), params, dt, cols.shape[1])
+    drive = np.zeros((2, 3, DRIVE_BLOCK, n), dtype=complex)  # each column's start, midpoint, end
     v = y[:, 0]
 
     def advance(rows: np.ndarray):
         nonlocal v
-        rows = rows[:, :, 0]  # each step's start, midpoint, end
-        ga = generators(rows[:, :-1:2])
-        gb = generators(rows[:, 1::2])
-        gb_b1 = gb @ (eye + (0.5 * dt) * ga)
-        gb_b2 = gb @ (eye + (0.5 * dt) * gb_b1)
-        gc_b3 = generators(rows[:, 2::2]) @ (eye + dt * gb_b2)
-        for m in eye + (dt / 6.0) * (ga + 2.0 * gb_b1 + 2.0 * gb_b2 + gc_b3):
-            v = m @ v
-            yield v[:, None]
+        steps = rows.shape[1] // 2
+        substeps = np.stack([rows[:, s:s + 2 * steps:2, 0] for s in range(3)], axis=1)
+        for k0 in range(0, steps, DRIVE_BLOCK):
+            run = substeps[:, :, k0:k0 + DRIVE_BLOCK]
+            drive[:, :, :run.shape[2]] = run[..., None]
+            np.copyto(yb, cols)
+            next(kernel(drive.reshape(2, 3, -1)))
+            ms = yb.reshape(n, DRIVE_BLOCK, n).transpose(1, 0, 2)[:run.shape[2]]
+            for m in (ms if dsup is None else ms @ coords):
+                v = m @ v
+                yield v[:, None]
 
     return advance
 
 
 def _row_kernel(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
                 params: TransmonParams, dt: float, n_drive: int):
-    """evolve_chunk's realisation: RK4 by row updates on the cells-last y, in place."""
+    """The one RK4 step, by row updates on the cells-last y, in place."""
     ket = dsup is None
     dim, n_cells = params.n_levels, y.shape[1]
     couplings = _couplings(params)

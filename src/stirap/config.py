@@ -144,6 +144,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"sweep axis {name!r} is empty")
             if not all(math.isfinite(v) for v in values):
                 raise ConfigurationError(f"sweep axis {name!r} holds a non-finite value")
+            if not all(a < b for a, b in zip(values, values[1:])):  # the analyses read ascending axes
+                raise ConfigurationError(f"sweep axis {name!r} is not strictly increasing")
 
     def axis(self, name: str, default: Tuple[float, ...]) -> np.ndarray:
         return np.asarray(self.sweep.get(name, default), dtype=float)

@@ -103,7 +103,7 @@ def check_step(seq: PulseSequence, grid: TimeGrid) -> List[int]:
     """Reject a grid step coarser than sigma/50 of the narrowest Gaussian
     pulse, and a FastPulse edge inside the grid that is not within 1e-9 ns
     of a grid point (a step would integrate through it); returns the steps
-    k, 0 < k < n_steps, whose grid point is a FastPulse edge."""
+    k, 0 < k <= n_steps, whose grid point is a FastPulse edge."""
     sig = min((p.sigma_ns for p in seq.pulses if isinstance(p, GaussianPulse)), default=None)
     if sig is not None and grid.dt > sig / 50.0 + 1e-12:
         raise ConfigurationError(
@@ -115,7 +115,7 @@ def check_step(seq: PulseSequence, grid: TimeGrid) -> List[int]:
             for e in (p.start_ns, p.start_ns + p.duration_ns):
                 k = round((e - grid.t_start) / grid.dt)
                 if abs(grid.t_start + k * grid.dt - e) < 1e-9:
-                    if 0 < k < grid.n_steps:
+                    if 0 < k <= grid.n_steps:
                         steps.add(k)
                 elif grid.t_start < e < grid.t_start + grid.n_steps * grid.dt:
                     raise ConfigurationError(

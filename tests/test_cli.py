@@ -97,12 +97,19 @@ class TestValidateConfig:
         # an axis no experiment reads is rejected like any axis its experiment does not read
         ("sweep-detuning", {"experiment": "detuning_map", "sweep": {"bogus_axis": [0.0]}},
          "sweep axis 'bogus_axis' is not read by detuning_map"),
+        # the analyses read an axis in ascending order, so one listed out of order
+        # or with a repeated value is rejected
+        ("sweep-separation", {"experiment": "separation_sweep", "sweep": {
+            "t_separation_ns": [60, -90, 30, -30, 90, 0, -60]}}, "'t_separation_ns' is not strictly increasing"),
+        ("sweep-detuning", {"experiment": "detuning_map", "sweep": {"detuning_sum_mhz": [-2, 0, 0, 2]}},
+         "'detuning_sum_mhz' is not strictly increasing"),
         # a sweep that keeps every cell's series: 8e7 rows, 1.9 GB of populations
         ("sweep-separation", {"experiment": "separation_sweep", "grid": {"dt_ns": 0.00057, "sample_stride": 1}},
          "81 cells x 982458 samples are more than 10000000 series rows"),
     ], ids=["axis", "split", "no_split", "no_experiment", "dt_coarse", "too_many_steps",
             "fast_edge", "tau_axis", "t_s_positive", "sample_stride", "one_coupling",
-            "range_too_fine", "range_overflows", "bogus_axis", "series_rows"])
+            "range_too_fine", "range_overflows", "bogus_axis", "unsorted_axis", "repeated_value",
+            "series_rows"])
     def test_checks_what_the_experiment_reads_as_the_run_does(self, monkeypatch, tmp_path, capsys,
                                                                command, data, key):
         assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, command, data, EXIT_CONFIG, key)

@@ -704,7 +704,7 @@ class TestConfigParsing:
 
 class TestPlan:
     @pytest.mark.parametrize("experiment, sweep, calls", [
-        (Experiment.DETUNING_MAP, {"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (1.0, -1.0)}, 1),
+        (Experiment.DETUNING_MAP, {"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (-1.0, 1.0)}, 1),
         (Experiment.SEPARATION_SWEEP, {"t_separation_ns": (-90.0, -60.0, 40.0)}, 3),
     ], ids=["plane", "separation_sweep"])
     def test_checks_the_step_once_per_distinct_pulses(self, monkeypatch, experiment, sweep, calls):
@@ -763,12 +763,12 @@ class TestPlan:
 
     def test_cells_run_over_the_axes_product(self):
         cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
-                       sweep={"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (1.0, -1.0)})
+                       sweep={"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (-1.0, 1.0)})
         p = plan(cfg)
         assert list(p.axes) == ["detuning_sum_mhz", "detuning_diff_mhz"]
         cells = p.cell_values()
         assert cells["detuning_sum_mhz"].tolist() == [-2.0, -2.0, 0.0, 0.0, 3.0, 3.0]
-        assert cells["detuning_diff_mhz"].tolist() == [1.0, -1.0] * 3
+        assert cells["detuning_diff_mhz"].tolist() == [-1.0, 1.0] * 3
         assert len(p.drive) == 1
         assert [list(pair) for pair in zip(*(d.tolist() for d in p.detunings))] == [
             [mhz_to_rad_ns((s + d) / 2.0), mhz_to_rad_ns((s - d) / 2.0)]
