@@ -1,32 +1,32 @@
 """Vectorized many-trajectory RK4: the package's one integrator.
 
-Integrates a batch of independent systems that share the time grid, the
-transmon and its dissipator (lindblad.dissipator) but differ in their
-pulse sequences (amplitudes, detunings, timing).  The transmon fixes the
-level count d (TransmonParams.n_levels): 3, or 4 with a split |1>.  A
-density matrix is held cells-last, shape (d*d, n_cells); a dissipationless
-run from a state vector, |0> by default, propagates the vector, shape
-(d, n_cells), by the Schrodinger equation, with RHS -iH psi.
+Integrates a batch of independent cells (a Cells record) that share the
+time grid, the transmon and its loss channels (lindblad.dissipator) but
+differ in their drive and detunings.  The transmon fixes the level count d
+(TransmonParams.n_levels): 3, or 4 with a split |1>.  A density matrix is
+held cells-last, shape (d*d, n_cells); a dissipationless run from a state
+vector, |0> by default, propagates the vector, shape (d, n_cells), by the
+Schrodinger equation, with RHS -iH psi.
 
 RK4 and the generator are written once, as the row kernel's calls, which
 run two ways through one block loop (_integrate) that judges the sampled
 states, a buffer of at most SAMPLE_ENTRIES entries at a time, by one
 _sample_checks call.  The row kernel uses that the Lindblad generator
 preserves Hermiticity: a density matrix's RHS is X + X^H with
-X = -iH rho + D(rho)/2 (D's diagonal is real and symmetric in (a, b) and
-its jumps move population only), so both modes run only row updates from
-the fixed sparsity of H and D, one group of terms with a common row offset
-per call (_offset_groups), and every state is exactly Hermitian.  A chunk
-builds its RK4 step once, as (ufunc, operands) calls over fixed views with
-out positional: 49 (d = 3) or 73 (d = 4) per density-matrix step, plus
-three copies of a substep's drive coefficients into one buffer.  No step
-calls BLAS and each cell's arithmetic is independent of its chunk, so
-results are bit-identical at any chunk size and however chunks are
-distributed over workers.  evolve_chunk steps its cells by these calls,
-and evolve one cell by step matrices (y <- M y per step) whose columns are
-the calls' step of a basis, DRIVE_BLOCK steps at a time; evolve takes
-run_batch's arguments for one sequence and returns the same BatchResult
-with every sample's state.
+X = -iH rho + D(rho)/2 (a channel damps each entry at a real rate symmetric
+in (a, b), and its jump moves population only), so both modes run only row
+updates from H's couplings and D's channels, one group of terms with a
+common row offset per call (_offset_groups), and every state is exactly
+Hermitian.  A chunk builds its RK4 step once, as (ufunc, operands) calls
+over fixed views with out positional: 49 (d = 3) or 73 (d = 4) per
+density-matrix step, plus three copies of a substep's drive coefficients
+into one buffer.  No step calls BLAS and each cell's arithmetic is
+independent of its chunk, so results are bit-identical at any chunk size
+and however chunks are distributed over workers.  evolve_chunk steps its
+cells by these calls, and evolve one cell by step matrices (y <- M y per
+step) whose columns are the calls' step of a basis, DRIVE_BLOCK steps at a
+time; evolve takes run_batch's arguments for one sequence and returns the
+same BatchResult with every sample's state.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  Both ways sample it one block
@@ -38,6 +38,7 @@ the discontinuity; lindblad.check_step rejects an edge off the grid.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -80,10 +81,30 @@ class BatchResult:
     states: Optional[np.ndarray] = None  # (n_cells, n_samples, dim*dim or dim); evolve keeps them
 
 
-def raise_if_all_failed(result: BatchResult) -> None:
-    """Raise the first cell's failure, which names its step and time, when every cell failed."""
-    if len(result.failures) == len(result.final):
-        raise NumericalError(result.failures[0][2])
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """A batch's cells: drive holds a pulse sequence per cell, or one whose pulses all
+    share, and delta01 and delta12 each cell's detunings, rad/ns, as float64 arrays
+    (a drive sequence's own go unread).  len() counts them, at least one; a slice is a chunk."""
+
+    drive: Tuple[PulseSequence, ...]
+    delta01: np.ndarray
+    delta12: np.ndarray
+
+    def __post_init__(self):
+        if not len(self):
+            raise ConfigurationError("a batch needs at least one pulse sequence")
+
+    @classmethod
+    def of(cls, seqs: Sequence[PulseSequence]) -> "Cells":
+        """One cell per sequence, at its own detunings."""
+        return cls(tuple(seqs), *(np.array([getattr(s, d) for s in seqs], float) for d in ("delta01", "delta12")))
+
+    def __len__(self) -> int:
+        return len(self.delta01)
+
+    def __getitem__(self, s: slice) -> "Cells":
+        return Cells(self.drive if len(self.drive) == 1 else self.drive[s], self.delta01[s], self.delta12[s])
 
 
 def _couplings(params: TransmonParams):
@@ -118,24 +139,19 @@ def _slice(rows: Sequence[int]) -> slice:
     return slice(rows[0], rows[-1] + 1, (rows[-1] - rows[0]) // max(len(rows) - 1, 1) or None)
 
 
-def _chunk_drive(seqs: Sequence[PulseSequence], grid: TimeGrid, params: TransmonParams):
+def _chunk_drive(cells: Cells, grid: TimeGrid, params: TransmonParams):
     """The drive columns, the time blocks and the level energies, cells last.
 
-    A drive column is (sequence, its edge steps, from lindblad.check_step):
-    one column when every cell has the same pulses, so the cells share one
-    drive (their detunings enter only the energies), and one per cell
-    otherwise.  The blocks [k0, k1) are cut every BLOCK steps and at every
-    column's edge step but n_steps.  The energies have shape (params.n_levels, n_cells):
-    0, d01 plus each branch's offset, and d01 + d12.
+    A drive column is (sequence, its edge steps, from lindblad.check_step), one per sequence
+    of cells.drive.  The blocks [k0, k1) are cut every BLOCK steps and at every column's edge
+    step but n_steps.  The energies, (n_levels, n_cells), are 0, d01 + each branch's offset, d01 + d12.
     """
-    drive = [(seq, check_step(seq, grid))
-             for seq in (seqs[:1] if all(s.pulses == seqs[0].pulses for s in seqs[1:]) else seqs)]
+    drive = [(seq, check_step(seq, grid)) for seq in cells.drive]
     cuts = sorted(set(range(0, grid.n_steps, BLOCK)).union(*(edges for _, edges in drive)) - {grid.n_steps})
     blocks = list(zip(cuts, cuts[1:] + [grid.n_steps]))
-    d01 = np.array([seq.delta01 for seq in seqs])
-    energies = np.zeros((params.n_levels, len(seqs)))
-    energies[1:-1] = d01 + np.array([[offset] for offset, _ in params.branches])
-    energies[-1] = d01 + np.array([seq.delta12 for seq in seqs])
+    energies = np.zeros((params.n_levels, len(cells)))
+    energies[1:-1] = cells.delta01 + np.array([[offset] for offset, _ in params.branches])
+    energies[-1] = cells.delta01 + cells.delta12
     return drive, blocks, energies
 
 
@@ -158,14 +174,14 @@ def _drive_block(drive, grid: TimeGrid, k0: int, k1: int) -> np.ndarray:
 
 
 def _initial_state(params: TransmonParams, dissipative: bool, rho0: Optional[np.ndarray]):
-    """The validated initial state and the dissipator superoperator, None for a ket.
+    """The validated initial state and the dissipator's channels, None for a ket.
 
     rho0 is |0><0| by default with dissipation and the ket |0> without; with
     d = params.n_levels, one of a shape other than (d,) or (d, d) raises
     ConfigurationError, a matrix not Hermitian to HERMITICITY_TOL
     NumericalError.  A state vector without dissipation is propagated as
     a ket; with dissipation it stands for its projector.  A matrix without
-    dissipation runs with a zero dissipator.
+    dissipation runs with no channel.
     """
     dim = params.n_levels
     if rho0 is None:
@@ -179,9 +195,8 @@ def _initial_state(params: TransmonParams, dissipative: bool, rho0: Optional[np.
         return init, None
     if (dev := np.abs(init - init.conj().T).max()) > HERMITICITY_TOL:
         raise NumericalError(f"rho0 not Hermitian: deviation {dev:.3e} > {HERMITICITY_TOL:.1e}")
-    dsup = dissipator(params) if dissipative else np.zeros((dim * dim, dim * dim), dtype=complex)
     # exactly Hermitian, which X + X^H keeps
-    return 0.5 * (init + init.conj().T), dsup
+    return 0.5 * (init + init.conj().T), dissipator(params) if dissipative else ()
 
 
 def _sample_checks(y: np.ndarray, ket: bool, steps: np.ndarray, grid: TimeGrid):
@@ -228,12 +243,12 @@ def _sample_checks(y: np.ndarray, ket: bool, steps: np.ndarray, grid: TimeGrid):
     return p, drift, eig, bad
 
 
-def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
+def _integrate(cells: Cells, params: TransmonParams, grid: TimeGrid,
                dissipative: bool, rho0: Optional[np.ndarray], store_states: bool, series: bool,
                realisation) -> BatchResult:
     """The block loop both ways of stepping run through.
 
-    realisation(y, dsup, energies, params, dt, n_drive) returns advance(rows),
+    realisation(y, channels, energies, params, dt, n_drive) returns advance(rows),
     which takes y, the cells-last initial state, through one _chunk_drive
     block given its _drive_block rows (n_drive columns) and yields the state
     after each step.  The states at the sampled steps (step 0 first) are
@@ -242,13 +257,10 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     when it is full or at a block's end, and folded into the result: each
     cell's final and peak populations, maximum drift and minimum
     eigenvalue, its first failing sample's step and message, and, with
-    series, its populations at every sample; a failed cell runs on.  No
-    sequence raises ConfigurationError.
+    series, its populations at every sample; a failed cell runs on.
     """
-    if not seqs:
-        raise ConfigurationError("a batch needs at least one pulse sequence")
-    init, dsup = _initial_state(params, dissipative, rho0)
-    n_cells, dim = len(seqs), params.n_levels
+    init, channels = _initial_state(params, dissipative, rho0)
+    n_cells, dim = len(cells), params.n_levels
     y = np.repeat(init.reshape(-1, 1), n_cells, axis=1)
     steps = grid.sample_steps
     sampled = set(steps.tolist())
@@ -265,7 +277,7 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     def judge():
         nonlocal held, done
         at, block = steps[done:done + held], buf[:, :held * n_cells]
-        p, drift, eig, bad = _sample_checks(block, dsup is None, np.repeat(at, n_cells), grid)
+        p, drift, eig, bad = _sample_checks(block, channels is None, np.repeat(at, n_cells), grid)
         p = p.reshape(dim, held, n_cells)
         if series:
             pops[:, done:done + held] = p.T
@@ -289,8 +301,8 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
     # a diverged cell, or one whose energies or drive leave float64's range, goes to
     # inf/nan; _sample_checks reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        drive, blocks, energies = _chunk_drive(seqs, grid, params)
-        advance = realisation(y, dsup, energies, params, grid.dt, len(drive))
+        drive, blocks, energies = _chunk_drive(cells, grid, params)
+        advance = realisation(y, channels, energies, params, grid.dt, len(drive))
         take(y)  # step 0
         for k0, k1 in blocks:
             for k, yk in zip(range(k0 + 1, k1 + 1), advance(_drive_block(drive, grid, k0, k1))):
@@ -302,7 +314,7 @@ def _integrate(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Time
                        tuple((c, *failed[c]) for c in sorted(failed)), states)
 
 
-def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
+def _step_matrices(y: np.ndarray, channels: Optional[tuple], energies: np.ndarray,
                    params: TransmonParams, dt: float, n_drive: int):
     """evolve's realisation: one cell's RK4 as step matrices, y <- M y per step.
 
@@ -314,7 +326,7 @@ def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarr
     state j driven by the substeps of step k, gives DRIVE_BLOCK steps' M.
     """
     n, e = len(y), np.eye(params.n_levels)
-    if dsup is None:
+    if channels is None:
         basis = np.eye(n, dtype=complex)
     else:
         basis = np.array([(s * np.outer(e[a], e[b]) + np.conj(s) * np.outer(e[b], e[a])).ravel()
@@ -323,7 +335,7 @@ def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarr
         coords = basis.conj().T / (np.abs(basis) ** 2).sum(axis=0)[:, None]  # exactly basis^-1
     cols = np.tile(basis, DRIVE_BLOCK)  # column k * n + j holds basis state j
     yb = cols.copy()
-    kernel = _row_kernel(yb, dsup, np.repeat(energies, cols.shape[1], axis=1), params, dt, cols.shape[1])
+    kernel = _row_kernel(yb, channels, np.repeat(energies, cols.shape[1], axis=1), params, dt, cols.shape[1])
     drive = np.zeros((2, 3, DRIVE_BLOCK, n), dtype=complex)  # each column's start, midpoint, end
     v = y[:, 0]
 
@@ -337,33 +349,37 @@ def _step_matrices(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarr
             np.copyto(yb, cols)
             next(kernel(drive.reshape(2, 3, -1)))
             ms = yb.reshape(n, DRIVE_BLOCK, n).transpose(1, 0, 2)[:run.shape[2]]
-            for m in (ms if dsup is None else ms @ coords):
+            for m in (ms if channels is None else ms @ coords):
                 v = m @ v
                 yield v[:, None]
 
     return advance
 
 
-def _row_kernel(y: np.ndarray, dsup: Optional[np.ndarray], energies: np.ndarray,
+def _row_kernel(y: np.ndarray, channels: Optional[tuple], energies: np.ndarray,
                 params: TransmonParams, dt: float, n_drive: int):
     """The one RK4 step, by row updates on the cells-last y, in place."""
-    ket = dsup is None
+    ket = channels is None
     dim, n_cells = params.n_levels, y.shape[1]
     couplings = _couplings(params)
 
     if ket:
         ldiag, jumps = -1j * energies, []
     else:
-        # X's diagonal at vec index a*dim + b: (-i(E_a - E_b) + D[k, k]) / 2
+        # X's diagonal at vec index a*dim + b: (-i(E_a - E_b) + D_ab) / 2, where channel
+        # (i, j, rate) adds rate * ([a = b = i = j] - ([a = j] + [b = j]) / 2) to D_ab
+        e, d = np.eye(dim), np.zeros((dim, dim))
+        for i, j, rate in channels:
+            d += rate * (np.outer(e[i], e[i]) * (i == j) - 0.5 * (e[j][:, None] + e[j]))
         ldiag = (-0.5j * (energies[:, None, :] - energies[None, :, :])).reshape(dim * dim, n_cells)
-        ldiag += 0.5 * np.diag(dsup)[:, None]
-        jumps = [(k, l, 0.5 * dsup[k, l]) for k, l in zip(*np.nonzero(dsup)) if k != l]
+        ldiag += 0.5 * d.reshape(-1, 1)
+        jumps = [(i, j, complex(0.5 * rate)) for i, j, rate in channels if i != j]  # complex: no cast per call
 
     # term 2j adds -i H[r, c] y[c, :] to row r of X and term 2j + 1 -i H[c, r] y[r, :]
     # to row c, for coupling j, and a jump its rate times rho_ll to rho_kk; a row of X
     # sums its diagonal term, then its coupling terms and its jumps, each in list order
     groups = _offset_groups([t for r, c, _, _ in couplings for t in ((r, c), (c, r))])
-    jump_groups = _offset_groups([(k // (dim + 1), l // (dim + 1)) for k, l, _ in jumps])
+    jump_groups = _offset_groups([(i, j) for i, j, _ in jumps])
     terms = [j for _, _, idx in groups for j in idx]  # group by group
 
     def coefficients(rows: np.ndarray) -> np.ndarray:
@@ -429,12 +445,13 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
     rho0 is read as _initial_state says.  Raises NumericalError at the
     first sample that fails _sample_checks.
     """
-    result = _integrate([seq], params, grid, dissipative, rho0, True, True, _step_matrices)
-    raise_if_all_failed(result)
+    result = _integrate(Cells.of([seq]), params, grid, dissipative, rho0, True, True, _step_matrices)
+    if result.failures:
+        raise NumericalError(result.failures[0][2])
     return result
 
 
-def evolve_chunk(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
+def evolve_chunk(seqs: Cells, params: TransmonParams, grid: TimeGrid,
                  dissipative: bool = True, rho0: Optional[np.ndarray] = None,
                  store_states: bool = False, series: bool = True) -> BatchResult:
     """Integrate one chunk of cells on a shared grid by the row kernel.
@@ -446,7 +463,7 @@ def evolve_chunk(seqs: Sequence[PulseSequence], params: TransmonParams, grid: Ti
     return _integrate(seqs, params, grid, dissipative, rho0, store_states, series, _row_kernel)
 
 
-def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeGrid,
+def run_batch(seqs: Cells, params: TransmonParams, grid: TimeGrid,
               dissipative: bool = True, rho0: Optional[np.ndarray] = None,
               workers: int = 1, chunk_size: Optional[int] = None, series: bool = True) -> BatchResult:
     """Run all cells chunk by chunk, optionally over a process pool.
@@ -466,12 +483,11 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     cell.  Without series each cell keeps only its final and peak
     populations, so the result, and each worker's, holds O(cells) data.  A
     failed cell is recorded in failures while the others run on; when every
-    cell fails, NumericalError names the first one's step and time.
-    No sequence, or a chunk_size that is not an integer >= 1, raises
-    ConfigurationError.
+    cell fails, NumericalError names the first one's step and time, and a
+    chunk that runs out of memory or whose worker process dies raises
+    NumericalError naming its cells.  A chunk_size that is not an integer
+    >= 1 raises ConfigurationError.
     """
-    if not seqs:
-        raise ConfigurationError("a batch needs at least one pulse sequence")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     width = min(workers, cpus)
     if chunk_size is None:
@@ -483,15 +499,21 @@ def run_batch(seqs: Sequence[PulseSequence], params: TransmonParams, grid: TimeG
     procs = min(width, len(chunks))
     if procs > 1:
         import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=procs) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = list(map(run, chunks))
+    results = []
+    with cf.ProcessPoolExecutor(max_workers=procs) if procs > 1 else contextlib.nullcontext() as pool:
+        try:
+            for r in (pool.map if pool else map)(run, chunks):
+                results.append(r)
+        # numpy's _ArrayMemoryError is a MemoryError, and a pool's BrokenProcessPool a BrokenExecutor
+        except (MemoryError, cf.BrokenExecutor if pool else MemoryError) as exc:
+            a = len(results) * chunk_size
+            what = "memory ran out" if isinstance(exc, MemoryError) else "a worker process died"
+            raise NumericalError(f"cells {a} to {min(a + chunk_size, len(seqs)) - 1}: {what} ({exc})") from None
 
     result = results[0] if len(results) == 1 else BatchResult(results[0].times, *(
         None if getattr(results[0], f) is None else np.concatenate([getattr(r, f) for r in results])
         for f in ("populations", "final", "peak", "trace_drift", "min_eig")),
         tuple((k * chunk_size + c, *rest) for k, r in enumerate(results) for c, *rest in r.failures))
-    raise_if_all_failed(result)
+    if len(result.failures) == len(result.final):  # the first names its step and time
+        raise NumericalError(result.failures[0][2])
     return result

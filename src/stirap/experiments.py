@@ -2,7 +2,7 @@
 
 run_experiment(cfg) is the one way to run an experiment.  Its row of
 _EXPERIMENTS says what it reads and how it runs; plan(cfg) makes every
-check a run makes before it integrates and builds the Plan of its drive
+check a run makes before it integrates and builds the Plan of its cells
 and one time grid (validate-config runs it alone), then the row's runner
 integrates the plan and returns a SweepResult holding named tables;
 emit() writes them as CSV or JSON plus a manifest.
@@ -19,12 +19,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import __version__
-from ._batch import BatchResult, evolve, run_batch
+from ._batch import BatchResult, Cells, evolve, run_batch
 from .config import Experiment, ExperimentConfig, config_hash
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import TransmonParams
@@ -172,14 +172,13 @@ _PLANE = ("detuning_sum_mhz", "detuning_diff_mhz")  # the detuning planes' axes
 class Plan:
     """What a run integrates, on one time grid.  axes holds each swept axis's
     values (its _EXPERIMENTS row's order); the cells run over their product,
-    the first axis slowest, or are one cell without an axis.  drive holds each
-    cell's sequence, or a plane's one sequence, whose pulses its cells share
-    with their own delta01 and delta12 (detunings, rad/ns, in cell order)."""
+    the first axis slowest, or are one cell without an axis.  cells holds each
+    cell's sequence, or a plane's one sequence, whose pulses its cells share,
+    and every cell's detunings."""
 
-    drive: Tuple[PulseSequence, ...]
+    cells: Cells
     grid: TimeGrid
     axes: Dict[str, np.ndarray]
-    detunings: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def cell_values(self) -> Dict[str, np.ndarray]:
         """Each swept axis's value at every cell, in cell order."""
@@ -201,7 +200,7 @@ def _stirap(cfg: ExperimentConfig, kw: dict) -> PulseSequence:
 def plan(cfg: ExperimentConfig) -> Plan:
     """Check cfg as its run does before integrating, and build what it integrates:
     the sweep axes and transmon.split that its _EXPERIMENTS row reads, at most
-    MAX_POINTS cells, the drive (the row's sequence per cell, or a plane's one
+    MAX_POINTS cells, the cells (the row's sequence per cell, or a plane's one
     and its detunings), the grid on the drive's windows (berry steps at most
     0.05 ns), at most MAX_SERIES_ROWS cells x samples unless a plane, which
     keeps no series, check_step once per drive sequence, and the time-evolution
@@ -221,28 +220,29 @@ def plan(cfg: ExperimentConfig) -> Plan:
     if n_cells > MAX_POINTS:
         raise ConfigurationError(f"the sweep's {' x '.join(str(len(v)) for v in axes.values())} "
                                  f"= {n_cells} cells are more than {MAX_POINTS}")
-    kw, detunings = _seq_kwargs(cfg), None
+    kw = _seq_kwargs(cfg)
     if cell is _DETUNED:
         sums, diffs = (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))
         with np.errstate(over="ignore"):  # a detuning past float64 in rad/ns fails its cell when run
-            detunings = (mhz_to_rad_ns((sums + diffs) / 2.0), mhz_to_rad_ns((sums - diffs) / 2.0))
-    drive = ((two_pulse_sequence(**kw),) if cell is _DETUNED else
-             tuple(cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values())))
+            cells = Cells((two_pulse_sequence(**kw),), mhz_to_rad_ns((sums + diffs) / 2.0),
+                          mhz_to_rad_ns((sums - diffs) / 2.0))
+    else:
+        cells = Cells.of([cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values())])
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
-    grid = TimeGrid(min(s.window[0] for s in drive), max(s.window[1] for s in drive),
+    grid = TimeGrid(min(s.window[0] for s in cells.drive), max(s.window[1] for s in cells.drive),
                     dt=dt, sample_stride=cfg.grid.sample_stride)
-    if detunings is None and len(drive) * grid.sample_steps.size > MAX_SERIES_ROWS:
-        raise ConfigurationError(f"{len(drive)} cells x {grid.sample_steps.size} samples are more than "
+    if cell is not _DETUNED and len(cells) * grid.sample_steps.size > MAX_SERIES_ROWS:
+        raise ConfigurationError(f"{len(cells)} cells x {grid.sample_steps.size} samples are more than "
                                  f"{MAX_SERIES_ROWS} series rows; raise grid.sample_stride")
-    for seq in drive:
+    for seq in cells.drive:
         check_step(seq, grid)
     if cfg.experiment is Experiment.TIME_EVOLUTION:
-        _summary_windows(drive[0], grid)
+        _summary_windows(cells.drive[0], grid)
     elif cfg.experiment is Experiment.TOMOGRAPHY_TIMELINE:
         check_readout(cfg.cavity, cfg.transmon, cfg.tomography.tau_max_ns, cfg.tomography.dtau_ns)
     elif cfg.experiment is Experiment.BERRY:
-        check_oracle_preconditions(drive[0], cfg.berry.metric_threshold)
-    return Plan(drive, grid, axes, detunings)
+        check_oracle_preconditions(cells.drive[0], cfg.berry.metric_threshold)
+    return Plan(cells, grid, axes)
 
 
 def _summary_windows(seq: PulseSequence, grid: TimeGrid) -> List[np.ndarray]:
@@ -276,9 +276,9 @@ def _point_symmetric(plan: Plan, params: TransmonParams) -> bool:
     the one at offset's.  With both axes symmetric about 0, (-s, -d) is cell
     K-1-k of the K cells when (s, d) is cell k, if the cells share one drive.
     """
-    return (len(plan.drive) == 1
+    return (len(plan.cells.drive) == 1
             and all(np.array_equal(a, -a[::-1]) for a in plan.axes.values())
-            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None for p in plan.drive[0].pulses)
+            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None for p in plan.cells.drive[0].pulses)
             and sorted((-o, w) for o, w in params.branches) == sorted(params.branches))
 
 
@@ -297,20 +297,15 @@ def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchR
                                                           if c < n_cells // 2))))
 
 
-def _sweep(cfg: ExperimentConfig, plan: Plan):
-    """Batch the plan's cells; returns the batch and one record
-    {"cell", <axis>: value, ..., "error"} per failed cell.  A plane's cells
-    are built here on its drive's one pulse tuple, and its batch keeps only
-    their final and peak populations.  When _point_symmetric holds only the
-    first ceil(K/2) of the K cells are integrated and the rest is _mirrored."""
-    n_cells = math.prod(len(values) for values in plan.axes.values())
-    mirror = _point_symmetric(plan, cfg.transmon)
+def _sweep(cfg: ExperimentConfig, plan: Plan, series: bool = True):
+    """Batch the plan's cells; returns the batch and one record {"cell", <axis>: value,
+    ..., "error"} per failed cell.  Without series the batch keeps each cell's final and
+    peak populations only.  When _point_symmetric holds only the first ceil(K/2) of the
+    K cells are integrated and the rest is _mirrored."""
+    n_cells, mirror = len(plan.cells), _point_symmetric(plan, cfg.transmon)
     ran = (n_cells + 1) // 2 if mirror else n_cells
-    seqs = plan.drive[:ran] if plan.detunings is None else [
-        PulseSequence(plan.drive[0].pulses, d01, d12)
-        for d01, d12 in zip(*(d[:ran].tolist() for d in plan.detunings))]
-    batch = run_batch(seqs, cfg.transmon, plan.grid, dissipative=cfg.dissipative, workers=cfg.workers,
-                      series=plan.detunings is None)
+    batch = run_batch(plan.cells[:ran], cfg.transmon, plan.grid, dissipative=cfg.dissipative,
+                      workers=cfg.workers, series=series)
     if mirror:
         batch = _mirrored(batch, n_cells, cfg.transmon)
     cells = plan.cell_values()
@@ -341,7 +336,7 @@ def _result(cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
 def _run_time_evolution(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Single STIRAP run at the configured parameters, with and without
     dissipation; emits the sampled populations and a summary."""
-    seq, grid = plan.drive[0], plan.grid
+    seq, grid = plan.cells.drive[0], plan.grid
     res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
     res_u = evolve(seq, cfg.transmon, grid, dissipative=False)
     times, shift = res_d.times, _t01_peak(seq)
@@ -372,7 +367,7 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                                 for ts, p in zip(ts_axis, p2)]))
     # each cell's times are measured from its own 01-pulse peak
     series = _series("separation_sweep_timeseries", "t_separation_ns", ts_axis,
-                     [_t01_peak(seq) for seq in plan.drive], batch)
+                     [_t01_peak(seq) for seq in plan.cells.drive], batch)
     sust = summary.column("sustained_p2")
     return _result(cfg, plan.axes, [summary, series], failures,
                    argmax_sustained_ts_ns=repr(float(ts_axis[int(sust.argmax())])),
@@ -381,7 +376,7 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _plane(cfg: ExperimentConfig, plan: Plan, name: str):
     """The detuning plane's axes, per-cell final and peak populations, and failed cells."""
-    batch, failures = _sweep(cfg, plan)
+    batch, failures = _sweep(cfg, plan, series=False)
     cells = plan.cell_values()
     final = batch.final
     p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>
@@ -418,7 +413,7 @@ def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Fast 01 rotation followed by STIRAP, swept over the rotation angle."""
     thetas = plan.axes["theta_fast_rad"]
     batch, failures = _sweep(cfg, plan)
-    t01 = _t01_peak(plan.drive[0])
+    t01 = _t01_peak(plan.cells.drive[0])
     late = batch.times >= t01
     summary = Table("hybrid",
                     ("theta_fast_rad", "final_p2", "peak_p2", "late_p0_alternations"),
@@ -432,7 +427,7 @@ def _run_hybrid(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _run_reversal(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Three-pulse sequence: transfer to |2> and adiabatically back to |0>."""
-    res = evolve(plan.drive[0], cfg.transmon, plan.grid, dissipative=cfg.dissipative)
+    res = evolve(plan.cells.drive[0], cfg.transmon, plan.grid, dissipative=cfg.dissipative)
     pops = res.populations[0]
     series = Table("reversal_timeseries", ("t_ns", "p0", "p1", "p2"),
                    np.column_stack([res.times, pops]))
@@ -459,7 +454,7 @@ def _run_split_map(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Simulate STIRAP, synthesize reference traces, and push every sampled
     state through the mix-and-invert measurement pipeline."""
-    seq = plan.drive[0]
+    seq = plan.cells.drive[0]
     sim = evolve(seq, cfg.transmon, plan.grid, dissipative=cfg.dissipative)
     pops = sim.populations[0]
     tomo = cfg.tomography
@@ -483,7 +478,7 @@ def _run_tomography_timeline(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 
 def _run_berry(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Geometric phase of a plateau sequence versus the propagation oracle."""
-    seq, grid = plan.drive[0], plan.grid
+    seq, grid = plan.cells.drive[0], plan.grid
     res = berry_vs_oracle(seq, cfg.transmon, grid, metric_threshold=cfg.berry.metric_threshold)
     summary = Table("berry",
                     ("gamma_berry_rad", "gamma_oracle_rad", "mismatch_rad", "leakage"),

@@ -2,11 +2,11 @@
 
 drho/dt = -i[H(t), rho] + sum_k rate_k * (L rho L^dag - {L^dag L, rho}/2)
 
-The dissipator enters the batch kernel as one d^2 x d^2 matrix, d the
-transmon's level count (TransmonParams.n_levels).  The one integrator is
-the fixed-step RK4 of _batch, which runs a sweep (run_batch) or one cell
-(evolve); the dense right-hand side and jump operators the tests check it
-against live in tests/oracles.py.
+The dissipator enters the batch kernel as the transmon's loss channels,
+each a jump |i><j| and its rate, on d levels (TransmonParams.n_levels).
+The one integrator is the fixed-step RK4 of _batch, which runs a sweep
+(run_batch) or one cell (evolve); the dense right-hand side and jump
+operators the tests check it against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,12 +23,9 @@ from .hamiltonian import TransmonParams
 from .pulses import FastPulse, GaussianPulse, PulseSequence
 
 
-def dissipator(params: TransmonParams) -> np.ndarray:
-    """The dissipator of the 3- or 4-level transmon on the row-major vec of rho.
-
-    Channel (i, j, rate) is the jump L = |i><j| and adds
-    rate * (L (x) L* - (L^dag L (x) I + I (x) (L^dag L)^T) / 2); channels of
-    rate <= 0 are skipped.  Relaxation lowers |1> -> |0> (rate G10) and
+def dissipator(params: TransmonParams) -> Tuple[Tuple[int, int, float], ...]:
+    """The 3- or 4-level transmon's loss channels (i, j, rate), each the jump
+    L = |i><j| at rate 1/ns, rate > 0.  Relaxation lowers |1> -> |0> (rate G10) and
     |2> -> |1> (rate G21); pure dephasing uses the level projectors |1><1|
     and |2><2| at twice the measured dephasing rates, so that the 0-1
     coherence decays at gamma_phi10.  Every intermediate level of
@@ -37,20 +34,12 @@ def dissipator(params: TransmonParams) -> np.ndarray:
     relaxation rates scaled by its squared weight, so the decoupled-branch
     limit reproduces the 3-level dynamics exactly.
     """
-    dim = params.n_levels
-    top, levels = dim - 1, list(enumerate(params.branches, start=1))
+    top, levels = params.n_levels - 1, list(enumerate(params.branches, start=1))
     channels = ([(0, i, w * w * params.gamma10) for i, (_, w) in levels]
                 + [(i, top, w * w * params.gamma21) for i, (_, w) in levels]
                 + [(i, i, 2.0 * params.gamma_phi10) for i, _ in levels]
                 + [(top, top, 2.0 * params.gamma_phi21)])
-    eye = np.eye(dim, dtype=complex)
-    sup = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i, j, rate in channels:
-        if rate > 0.0:
-            ll = np.outer(eye[i], eye[j])
-            lld = np.outer(eye[j], eye[j])  # L^dag L = |j><j|, real and symmetric
-            sup += rate * (np.kron(ll, ll.conj()) - 0.5 * (np.kron(lld, eye) + np.kron(eye, lld)))
-    return sup
+    return tuple(c for c in channels if c[2] > 0.0)
 
 
 # The most steps a TimeGrid, samples a tomography tau axis, values a sweep

@@ -1,9 +1,9 @@
 """Dense reference forms of the rotating-frame Hamiltonians and the master equation.
 
 The batch kernel assembles its right-hand side from a coupling list and the
-superoperator of stirap.lindblad.dissipator; these are the textbook matrices,
+loss channels of stirap.lindblad.dissipator; these are the textbook matrices,
 built from the complex drive amplitudes and detunings, the jump operators
-the tests check it against, and dop853_populations, the tests' one DOP853
+the tests check those channels against, and dop853_populations, the tests' one DOP853
 solution of the master equation they define.  They import nothing from
 stirap._batch, stirap.lindblad or stirap.experiments, so an error in the
 kernel or its dissipator cannot leak into its references.

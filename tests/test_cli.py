@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -313,6 +314,11 @@ class TestRun:
                                      "p2_hat", "residual"]
 
 
+def dying_chunk(*args, **kwargs):
+    """A chunk whose worker process dies, as one that the OOM killer ends."""
+    os._exit(9)
+
+
 class TestNumericalFailures:
     def test_non_adiabatic_berry_exits_3(self, monkeypatch, tmp_path, capsys):
         assert_rejected_as_the_run(monkeypatch, tmp_path, capsys, "berry",
@@ -387,6 +393,34 @@ class TestNumericalFailures:
         out = tmp_path / "o"
         assert main(["sweep-detuning", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert "at step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_chunk_out_of_memory_exits_3(self, monkeypatch, tmp_path, capsys):
+        # numpy's _ArrayMemoryError is a MemoryError; the run exits typed, naming the chunk's cells
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.53 GiB")
+
+        monkeypatch.setattr(_batch, "evolve_chunk", out_of_memory)
+        cfg = write_config(tmp_path, {**FAST, "sweep": {"t_separation_ns": [-90.0, -60.0]}})
+        out = tmp_path / "o"
+        assert main(["sweep-separation", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: cells 0 to 1: memory ran out (Unable to allocate 1.53 GiB)\n", err
+        assert not out.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                        reason="a pool worker runs the patched evolve_chunk only when forked from this process")
+    def test_dead_pool_worker_exits_3(self, monkeypatch, tmp_path, capsys):
+        # a worker that dies breaks run_batch's 2-process pool; the run exits typed,
+        # naming the cells of the first chunk left without a result
+        monkeypatch.setattr(_batch, "evolve_chunk", dying_chunk)
+        monkeypatch.setattr(_batch, "CHUNK_SIZE", 1)  # the two cells make two chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = write_config(tmp_path, {**FAST, "sweep": {"t_separation_ns": [-90.0, -60.0]}})
+        out = tmp_path / "o"
+        assert main(["sweep-separation", "--workers", "2", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cells 0 to 0: a worker process died ("), err
         assert not out.exists()
 
     def test_plane_detuning_past_float64_fails_its_cells(self, tmp_path, capsys):

@@ -430,9 +430,9 @@ class TestPointMirror:
                                                      "detuning_diff_mhz": (-3.0, 0.0, 3.5)}))
         else:
             ramp = PhaseRamp(-50.0, 50.0, 1.0)
-            (s,) = p.drive
-            p = dataclasses.replace(p, drive=(dataclasses.replace(s, pulses=(
-                dataclasses.replace(s.pulses[0], phase_ramp=ramp), *s.pulses[1:])),))
+            (s,) = p.cells.drive
+            p = dataclasses.replace(p, cells=dataclasses.replace(p.cells, drive=(dataclasses.replace(s, pulses=(
+                dataclasses.replace(s.pulses[0], phase_ramp=ramp), *s.pulses[1:])),)))
         assert not experiments._point_symmetric(p, cfg.transmon)
 
     def test_a_sweep_of_more_than_one_drive_is_not_point_symmetric(self):
@@ -457,7 +457,7 @@ class TestPlaneReduction:
         (Experiment.DETUNING_MAP, TransmonParams(), (-4.0, 1.0, 3.0), False),
         (Experiment.SPLIT_MAP, TransmonParams(split=SplitSpec(15.0)), (-4.0, 0.0, 4.0), True),
     ], ids=["mirrored", "unmirrored", "split_mirrored"])
-    def test_final_and_peak_are_those_of_the_series(self, monkeypatch, experiment, transmon, diffs, mirrored):
+    def test_final_and_peak_are_those_of_the_series(self, experiment, transmon, diffs, mirrored):
         # a plane's batch keeps no series, only each cell's populations at the
         # last sample and their maxima over the samples, bit for bit those of
         # the series batch of the same cells
@@ -465,9 +465,7 @@ class TestPlaneReduction:
                        sweep={"detuning_sum_mhz": (-3.0, 0.0, 3.0), "detuning_diff_mhz": diffs})
         p = plan(cfg)
         assert experiments._point_symmetric(p, cfg.transmon) is mirrored
-        batch = experiments._sweep(cfg, p)[0]
-        monkeypatch.setattr(experiments, "run_batch",
-                            lambda *args, **kwargs: run_batch(*args, **{**kwargs, "series": True}))
+        batch = experiments._sweep(cfg, p, series=False)[0]
         series = experiments._sweep(cfg, p)[0]
         assert batch.populations is None
         assert batch.final.tobytes() == series.populations[:, -1].tobytes()
@@ -718,11 +716,15 @@ class TestPlan:
         plan(cfg_with(experiment=experiment, sweep=sweep))
         assert len(checked) == calls
 
-    @pytest.mark.parametrize("shift, handed", [(0.0, 10_000), (0.5, 5_000)], ids=["all", "mirrored"])
+    @pytest.mark.parametrize("shift, handed", [(0.0, 1_000_000), (0.5, 500_000)], ids=["all", "mirrored"])
     def test_a_plane_builds_and_checks_one_drive(self, monkeypatch, shift, handed):
-        # a 100 x 100 plane: one sequence built and checked, the detunings as arrays, and
-        # _sweep hands run_batch each cell's two_pulse_sequence at its detunings, all of
-        # them holding one pulse tuple
+        # a 1000 x 1000 plane: one sequence built and checked, the detunings as arrays, and
+        # _sweep hands run_batch the plan's cells, the integrated ones as views of its
+        # arrays, building no PulseSequence and allocating next to nothing
+        import tracemalloc
+
+        from stirap.pulses import PulseSequence
+
         calls = {"two_pulse_sequence": 0, "check_step": 0}
 
         def counting(name, f):
@@ -733,33 +735,47 @@ class TestPlan:
 
         monkeypatch.setattr(experiments, "two_pulse_sequence", counting("two_pulse_sequence", two_pulse_sequence))
         monkeypatch.setattr(experiments, "check_step", counting("check_step", check_step))
-        axis = tuple(v + shift for v in range(-50, 50))  # symmetric about 0 with the shift
+        axis = tuple(v + shift for v in range(-500, 500))  # symmetric about 0 with the shift
         cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
                        sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
         p = plan(cfg)
         assert calls == {"two_pulse_sequence": 1, "check_step": 1}
-        assert [d.shape for d in p.detunings] == [(10_000,), (10_000,)]
+        assert len(p.cells.drive) == 1
+        assert [d.shape for d in (p.cells.delta01, p.cells.delta12)] == [(1_000_000,), (1_000_000,)]
 
         class Handed(Exception):
             pass
 
-        seqs = []
+        handed_cells, built = [], []
 
         def capture(cells, *args, **kwargs):
-            seqs.extend(cells)
+            handed_cells.append(cells)
             raise Handed
 
+        post_init = PulseSequence.__post_init__
+        monkeypatch.setattr(PulseSequence, "__post_init__", lambda seq: built.append(seq) or post_init(seq))
         monkeypatch.setattr(experiments, "run_batch", capture)
-        with pytest.raises(Handed):
-            experiments._sweep(cfg, p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Handed):
+                experiments._sweep(cfg, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (cells,) = handed_cells
+        assert built == [] and peak < 5e6, (len(built), peak)
+        assert len(cells) == handed and cells.drive is p.cells.drive
+        for mine, planned in ((cells.delta01, p.cells.delta01), (cells.delta12, p.cells.delta12)):
+            assert np.shares_memory(mine, planned) and np.array_equal(mine, planned[:handed])
+        # each cell's detunings are those its own two_pulse_sequence would state
         pc = cfg.pulses
-        per_cell = [two_pulse_sequence(mhz_to_rad_ns(pc.omega01_mhz), mhz_to_rad_ns(pc.omega12_mhz),
-                                       pc.sigma_ns, pc.t_separation_ns, mhz_to_rad_ns((s + d) / 2.0),
-                                       mhz_to_rad_ns((s - d) / 2.0), pc.phi01_rad, pc.phi12_rad)
-                    for s in axis for d in axis]
-        assert len(seqs) == handed
-        assert seqs == per_cell[:handed]
-        assert all(seq.pulses is seqs[0].pulses for seq in seqs)
+        for k in range(0, handed, 997):
+            s, d = axis[k // len(axis)], axis[k % len(axis)]
+            seq = two_pulse_sequence(mhz_to_rad_ns(pc.omega01_mhz), mhz_to_rad_ns(pc.omega12_mhz),
+                                     pc.sigma_ns, pc.t_separation_ns, mhz_to_rad_ns((s + d) / 2.0),
+                                     mhz_to_rad_ns((s - d) / 2.0), pc.phi01_rad, pc.phi12_rad)
+            assert seq.pulses == cells.drive[0].pulses
+            assert (cells.delta01[k], cells.delta12[k]) == (seq.delta01, seq.delta12), k
 
     def test_cells_run_over_the_axes_product(self):
         cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
@@ -769,8 +785,8 @@ class TestPlan:
         cells = p.cell_values()
         assert cells["detuning_sum_mhz"].tolist() == [-2.0, -2.0, 0.0, 0.0, 3.0, 3.0]
         assert cells["detuning_diff_mhz"].tolist() == [-1.0, 1.0] * 3
-        assert len(p.drive) == 1
-        assert [list(pair) for pair in zip(*(d.tolist() for d in p.detunings))] == [
+        assert len(p.cells.drive) == 1
+        assert [list(pair) for pair in zip(p.cells.delta01.tolist(), p.cells.delta12.tolist())] == [
             [mhz_to_rad_ns((s + d) / 2.0), mhz_to_rad_ns((s - d) / 2.0)]
             for s, d in zip(cells["detuning_sum_mhz"].tolist(), cells["detuning_diff_mhz"].tolist())]
         assert p.grid == TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=20)
@@ -778,13 +794,12 @@ class TestPlan:
     def test_sweep_grid_spans_every_cell(self):
         p = plan(cfg_with(experiment=Experiment.SEPARATION_SWEEP,
                           sweep={"t_separation_ns": (-90.0, 40.0)}))
-        assert [s.window for s in p.drive] == [(-225.0, 225.0), (-200.0, 200.0)]
+        assert [s.window for s in p.cells.drive] == [(-225.0, 225.0), (-200.0, 200.0)]
         assert (p.grid.t_start, p.grid.t_end) == (-225.0, 225.0)
 
     @pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
     def test_runners_build_no_sequence_and_no_grid(self, monkeypatch, small_config, experiment):
-        # plan builds the drive and the grid; a runner only integrates and analyses,
-        # and a plane's _sweep puts each cell's detunings on its one drive's pulses
+        # plan builds the cells and the grid; a runner only integrates and analyses
         cfg = small_config(experiment)
         p = plan(cfg)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stirap._batch import evolve
+from stirap._batch import Cells, evolve
 from stirap.config import GridConfig, PulseConfig
 from stirap.errors import ConfigurationError, NumericalError
 from stirap.hamiltonian import SplitSpec, TransmonParams, dark_state
@@ -23,6 +23,11 @@ FAST = PulseConfig().fast_duration_ns
 
 def no_drive_sequence(sigma=45.0):
     return two_pulse_sequence(0.0, 0.0, sigma, 0.0)
+
+
+def oracle_channels(params):
+    """(i, j, rate) of each of tests/oracles.jump_operators' |i><j| of rate > 0, in its order."""
+    return tuple((*map(int, np.argwhere(ll)[0]), rate) for rate, ll in jump_operators(params) if rate > 0)
 
 
 class TestBuildDissipators:
@@ -80,14 +85,13 @@ class TestBuildDissipators:
         assert np.max(np.abs(rho01 - expected)) < 1e-8
 
     def test_split_system_weighted_rates(self):
+        # with weights (1, 0) only the |1a> branch relaxes: the oracle's zero-rate
+        # jumps |0><1b| and |1b><2| are no channel, and the others are the channels
         params = TransmonParams(split=SplitSpec(15.0, (1.0, 0.0)))
-        sup = dissipator(params)
-        # a jump |i><j| moves population at its rate from rho_jj (vec index 5 j)
-        # to rho_ii (5 i); with weights (1, 0) only the |1a> branch relaxes
-        assert abs(sup[0, 5] - params.gamma10) < 1e-15  # |1a> -> |0>
-        assert sup[0, 10] == 0.0  # |1b> -> |0>, zero rate, absent
-        assert abs(sup[5, 15] - params.gamma21) < 1e-15  # |2> -> |1a>
-        assert sup[10, 15] == 0.0  # |2> -> |1b>
+        channels = dissipator(params)
+        assert channels == oracle_channels(params)
+        assert [(i, j) for i, j, _ in channels] == [(0, 1), (1, 3), (1, 1), (2, 2), (3, 3)]
+        assert channels[:2] == ((0, 1, params.gamma10), (1, 3, params.gamma21))
 
 
 class TestLindbladRhs:
@@ -120,20 +124,13 @@ class TestLindbladRhs:
         with pytest.raises(ConfigurationError):
             lindblad_rhs(np.diag([1.0, 0.0, 0.0, 0.0]), np.zeros((3, 3)), [])
 
-    def test_superoperator_matches_direct_form(self, rng):
-        # the kernel's dissipator against the oracle's own jump operators,
-        # at 3 levels and on the 4-level split with unequal branch weights
+    def test_superoperator_matches_direct_form(self):
+        # the dissipator, stated as its channels, against the oracle's own jump
+        # operators, at 3 levels and on the 4-level split with unequal branch weights
         split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
-        for params, dim in ((TransmonParams(), 3), (split, 4)):
-            sup = dissipator(params)
-            jumps = jump_operators(params)
-            for _ in range(20):
-                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                rho = m @ m.conj().T
-                rho /= np.trace(rho).real
-                direct = lindblad_rhs(rho, np.zeros((dim, dim), dtype=complex), jumps)
-                via_sup = (sup @ rho.reshape(-1)).reshape(dim, dim)
-                assert np.max(np.abs(direct - via_sup)) < 1e-14
+        for params, n_channels in ((TransmonParams(), 4), (split, 7)):
+            assert dissipator(params) == oracle_channels(params)
+            assert len(dissipator(params)) == n_channels
 
 
 class TestEvolve:
@@ -293,7 +290,7 @@ class TestEvolve:
         grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=30)
         assert grid.sample_steps.tolist() == [0, 30, 60, 90, 120, 150, 180, 200]
         for res in (evolve(no_drive_sequence(), device_params, grid),
-                    evolve_chunk([no_drive_sequence()], device_params, grid)):
+                    evolve_chunk(Cells.of([no_drive_sequence()]), device_params, grid)):
             assert np.array_equal(res.times, grid.times[grid.sample_steps])
 
     def test_integration_failure_names_step(self, device_params):
@@ -349,7 +346,7 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
                                    delta01=mhz_to_rad_ns(d), delta12=mhz_to_rad_ns(-d))
                 for d in (-6.0, 4.0)]
-        batch = run_batch(seqs, params, grid)
+        batch = run_batch(Cells.of(seqs), params, grid)
         assert not batch.failures
         for i, seq in enumerate(seqs):
             want = dop853_populations(seq, params, batch.times)
@@ -369,7 +366,7 @@ class TestBatchAgreement:
                                    delta12=mhz_to_rad_ns(2.0)),
                 PulseSequence((ramped, GaussianPulse(Transition.T01, OM01, 30.0, 45.0)),
                               mhz_to_rad_ns(5.0), mhz_to_rad_ns(2.0))]
-        batch = run_batch(seqs, params, grid, dissipative=False, rho0=np.eye(dim)[0])
+        batch = run_batch(Cells.of(seqs), params, grid, dissipative=False, rho0=np.eye(dim)[0])
         assert not batch.failures
         for i, seq in enumerate(seqs):
             want = dop853_populations(seq, params, batch.times, ket=True)
@@ -388,9 +385,9 @@ class TestBatchAgreement:
         gaps = []
         for dt in (0.2, 0.1):
             grid = TimeGrid(-225.0, 225.0, dt=dt, sample_stride=round(5.0 / dt))
-            default = run_batch(seqs, params, grid, dissipative=False)
-            ket = run_batch(seqs, params, grid, dissipative=False, rho0=np.eye(dim)[0])
-            matrix = run_batch(seqs, params, grid, dissipative=False, rho0=np.diag(np.eye(dim)[0]))
+            default = run_batch(Cells.of(seqs), params, grid, dissipative=False)
+            ket = run_batch(Cells.of(seqs), params, grid, dissipative=False, rho0=np.eye(dim)[0])
+            matrix = run_batch(Cells.of(seqs), params, grid, dissipative=False, rho0=np.diag(np.eye(dim)[0]))
             assert np.array_equal(default.populations, ket.populations)
             assert np.array_equal(default.trace_drift, ket.trace_drift)
             gaps.append(np.max(np.abs(default.populations - matrix.populations)))
@@ -405,7 +402,7 @@ class TestBatchAgreement:
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
                              t_s=-90.0, theta_fast=math.pi, fast_duration=fast_duration)
         grid = TimeGrid(seq.window[0], seq.window[1], dt=0.1, sample_stride=50)
-        batch = run_batch([seq], device_params, grid)
+        batch = run_batch(Cells.of([seq]), device_params, grid)
         fast = seq.pulses[0]
         want = dop853_populations(seq, device_params, batch.times,
                                   edges=(fast.start_ns + fast.duration_ns,))
@@ -425,30 +422,33 @@ class TestBatchAgreement:
         for k, theta, ts in ((2, math.pi / 2, -90.0), (5, math.pi, -90.0), (7, math.pi, -60.0)):
             seqs.insert(k, build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12,
                                           sigma=45.0, t_s=ts, theta_fast=theta, fast_duration=FAST))
-        a = run_batch(seqs, device_params, grid, chunk_size=3)
-        b = run_batch(seqs, device_params, grid, chunk_size=3)
+        a = run_batch(Cells.of(seqs), device_params, grid, chunk_size=3)
+        b = run_batch(Cells.of(seqs), device_params, grid, chunk_size=3)
         assert np.array_equal(a.populations, b.populations)
-        c = run_batch(seqs, device_params, grid, chunk_size=100)
+        c = run_batch(Cells.of(seqs), device_params, grid, chunk_size=100)
         assert np.array_equal(a.populations, c.populations)
         for i, seq in enumerate(seqs):
-            alone = run_batch([seq], device_params, grid)
+            alone = run_batch(Cells.of([seq]), device_params, grid)
             assert np.array_equal(c.populations[i], alone.populations[0]), i
 
     def test_shared_drive_split_plane_is_chunk_independent(self):
         # 4-level cells that differ only in detuning share one drive column;
-        # every field is the same at any chunk width, serial or over a pool
+        # every field is the same at any chunk width, serial or over a pool,
+        # and the same as with each cell's own sequence in a column of its own
         from stirap._batch import _chunk_drive, run_batch
 
         params = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
-        seqs = [two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0,
-                                   delta01=mhz_to_rad_ns(d01), delta12=mhz_to_rad_ns(d12))
-                for d01 in (-6.0, 0.0, 4.0) for d12 in (-3.0, 5.0)]
-        assert len(_chunk_drive(seqs, grid, params)[0]) == 1  # one drive column
-        want = run_batch(seqs, params, grid, chunk_size=len(seqs))
-        for chunk in (1, 3, len(seqs)):
+        pairs = [(d01, d12) for d01 in (-6.0, 0.0, 4.0) for d12 in (-3.0, 5.0)]
+        d01, d12 = (mhz_to_rad_ns(np.array(d)) for d in zip(*pairs))
+        cells = Cells((two_pulse_sequence(mhz_to_rad_ns(25.0), mhz_to_rad_ns(22.0), 45.0, -90.0),), d01, d12)
+        assert len(_chunk_drive(cells, grid, params)[0]) == 1  # one drive column
+        per_cell = Cells.of([PulseSequence(cells.drive[0].pulses, a, b) for a, b in zip(d01.tolist(), d12.tolist())])
+        assert len(_chunk_drive(per_cell, grid, params)[0]) == len(pairs)
+        want = run_batch(per_cell, params, grid, chunk_size=len(pairs))
+        for chunk in (1, 3, len(pairs)):
             for workers in (1, 2):
-                got = run_batch(seqs, params, grid, workers=workers, chunk_size=chunk)
+                got = run_batch(cells, params, grid, workers=workers, chunk_size=chunk)
                 for f in dataclasses.fields(want):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
 
@@ -462,10 +462,10 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts, delta01=mhz_to_rad_ns(d))
                 for ts in np.linspace(-100.0, -20.0, 13) for d in np.linspace(-5.0, 5.0, 10)]
         assert len(seqs) > CHUNK_SIZE
-        want = run_batch(seqs, device_params, grid, chunk_size=len(seqs))
+        want = run_batch(Cells.of(seqs), device_params, grid, chunk_size=len(seqs))
         for chunk in (1, 7, CHUNK_SIZE, len(seqs), None):
             for workers in (1, 2):
-                got = run_batch(seqs, device_params, grid, workers=workers, chunk_size=chunk)
+                got = run_batch(Cells.of(seqs), device_params, grid, workers=workers, chunk_size=chunk)
                 for f in dataclasses.fields(want):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (f.name, chunk)
 
@@ -491,7 +491,7 @@ class TestBatchAgreement:
         monkeypatch.setattr(_batch, "evolve_chunk", stub)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0)] * n_cells
-        got = _batch.run_batch(seqs, device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE),
+        got = _batch.run_batch(Cells.of(seqs), device_params, TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE),
                                workers=workers, chunk_size=chunk_size)
         assert asked == sizes and got.populations.shape[0] == n_cells
         procs = min(workers, cpus, len(sizes))
@@ -513,7 +513,7 @@ class TestBatchAgreement:
                                grid=GridConfig(dt_ns=0.5, sample_stride=50),
                                sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
         p = experiments.plan(cfg)
-        batches = [experiments._sweep(dataclasses.replace(cfg, workers=w), p)[0] for w in (1, 2, 8)]
+        batches = [experiments._sweep(dataclasses.replace(cfg, workers=w), p, series=False)[0] for w in (1, 2, 8)]
         assert inline_pool == [2, 2]
         for name in ("final", "peak", "trace_drift", "min_eig"):
             want = getattr(batches[0], name).tobytes()
@@ -529,14 +529,14 @@ class TestBatchAgreement:
                 for mhz, ts in ((1500.0, -90.0), (1000.0, -30.0))]
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0), wild[0],
                 two_pulse_sequence(OM01, OM12, 45.0, -60.0), wild[1]]
-        chunk = evolve_chunk(seqs, device_params, grid)
+        chunk = evolve_chunk(Cells.of(seqs), device_params, grid)
         assert [c for c, _, _ in chunk.failures] == [1, 3]
         steps = [step for _, step, _ in chunk.failures]
-        block = next(b for b in _chunk_drive(seqs, grid, device_params)[1] if b[0] < steps[0] <= b[1])
+        block = next(b for b in _chunk_drive(Cells.of(seqs), grid, device_params)[1] if b[0] < steps[0] <= b[1])
         first = block[0] + grid.sample_stride - block[0] % grid.sample_stride
         assert first < steps[0] < steps[1] <= block[1], (steps, block)
         for c, seq in enumerate(seqs):
-            alone = evolve_chunk([seq], device_params, grid)
+            alone = evolve_chunk(Cells.of([seq]), device_params, grid)
             assert [(c, *rest) for _, *rest in alone.failures] == [f for f in chunk.failures if f[0] == c]
             assert alone.trace_drift.tobytes() == chunk.trace_drift[c:c + 1].tobytes()
             assert alone.min_eig.tobytes() == chunk.min_eig[c:c + 1].tobytes()
@@ -549,9 +549,10 @@ class TestBatchAgreement:
         from stirap._batch import _couplings, _offset_groups
 
         params = device_params if dim == 3 else TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
-        sup = dissipator(params)
+        assert _couplings(params) == {3: ((1, 0, 0, 1.0), (1, 2, 1, 1.0)),
+                                      4: ((1, 0, 0, 0.8), (2, 0, 0, 0.6), (1, 3, 1, 0.8), (2, 3, 1, 0.6))}[dim]
         coupling_terms = [t for r, c, _, _ in _couplings(params) for t in ((r, c), (c, r))]
-        jump_terms = [(k // (dim + 1), l // (dim + 1)) for k, l in zip(*np.nonzero(sup)) if k != l]
+        jump_terms = [(i, j) for i, j, _ in dissipator(params) if i != j]
         for terms, n_groups in ((coupling_terms, 2 if dim == 3 else 4), (jump_terms, 1 if dim == 3 else 2)):
             groups = _offset_groups(terms)
             assert len(groups) == n_groups
@@ -577,13 +578,13 @@ class TestBatchAgreement:
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # os.cpu_count() counts the CPUs
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        got = run_batch(seqs, device_params, grid, workers=8, chunk_size=2)
+        got = run_batch(Cells.of(seqs), device_params, grid, workers=8, chunk_size=2)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        capped = run_batch(seqs, device_params, grid, workers=100000, chunk_size=1)
+        capped = run_batch(Cells.of(seqs), device_params, grid, workers=100000, chunk_size=1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        unknown = run_batch(seqs, device_params, grid, workers=4, chunk_size=1)
+        unknown = run_batch(Cells.of(seqs), device_params, grid, workers=4, chunk_size=1)
         assert inline_pool == [2, 3]
-        serial = run_batch(seqs, device_params, grid).populations
+        serial = run_batch(Cells.of(seqs), device_params, grid).populations
         for res in (got, capped, unknown):
             assert np.array_equal(res.populations, serial)
 
@@ -598,9 +599,9 @@ class TestBatchAgreement:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-90.0, -60.0, -30.0)]
-        got = _batch.run_batch(seqs, device_params, grid, workers=2, chunk_size=2)
+        got = _batch.run_batch(Cells.of(seqs), device_params, grid, workers=2, chunk_size=2)
         assert inline_pool == []
-        assert np.array_equal(got.populations, _batch.run_batch(seqs, device_params, grid).populations)
+        assert np.array_equal(got.populations, _batch.run_batch(Cells.of(seqs), device_params, grid).populations)
 
     def test_evolve_matches_one_cell_chunk(self, device_params):
         # evolve's RK4 step matrices are the kernel's RK4 on one cell, with the
@@ -623,7 +624,7 @@ class TestBatchAgreement:
             if seq is hybrid:
                 assert check_step(seq, grid)  # the fast pulse's edge lies on the grid
             got = evolve(seq, params, grid, dissipative, rho0)
-            want = evolve_chunk([seq], params, grid, dissipative, rho0, store_states=True)
+            want = evolve_chunk(Cells.of([seq]), params, grid, dissipative, rho0, store_states=True)
             assert not want.failures and not got.failures
             assert np.array_equal(got.times, want.times)
             assert got.states.shape == want.states.shape
@@ -652,7 +653,7 @@ class TestBatchAgreement:
         else:
             drive = mhz_to_rad_ns(1000.0 if "1000" in case else 5000.0)
             seq = two_pulse_sequence(drive, drive, 45.0, -90.0)
-        want = evolve_chunk([seq], device_params, grid, rho0=rho0)
+        want = evolve_chunk(Cells.of([seq]), device_params, grid, rho0=rho0)
         assert len(want.failures) == 1
         with pytest.raises(NumericalError) as err:
             evolve(seq, device_params, grid, rho0=rho0.astype(complex))
@@ -681,7 +682,7 @@ class TestBatchAgreement:
         monkeypatch.setattr(PulseSequence, "complex_amplitude", spy)
         grid = TimeGrid(-240.0, 240.0, dt=0.4, sample_stride=50)
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, ts) for ts in (-120.0, -90.0, -60.0)]
-        _batch.run_batch(seqs, device_params, grid)
+        _batch.run_batch(Cells.of(seqs), device_params, grid)
         evolve(seqs[1], device_params, grid)
         assert sizes and max(sizes) <= 2 * _batch.BLOCK + 1
 
@@ -709,8 +710,8 @@ class TestBatchAgreement:
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
         good = two_pulse_sequence(OM01, OM12, 45.0, -90.0)
         wild = two_pulse_sequence(mhz_to_rad_ns(5000.0), mhz_to_rad_ns(5000.0), 45.0, -90.0)
-        batch = run_batch([good, wild], device_params, grid)
-        alone = run_batch([good], device_params, grid)
+        batch = run_batch(Cells.of([good, wild]), device_params, grid)
+        alone = run_batch(Cells.of([good]), device_params, grid)
         assert np.array_equal(batch.populations[0], alone.populations[0])
         assert [c for c, _, _ in batch.failures] == [1]
         # the message names the first sampled step where the cell failed a check
@@ -721,11 +722,11 @@ class TestBatchAgreement:
         assert batch.failures[0][2].endswith(
             f" at step {step} (t = {grid.t_start + step * grid.dt:.3f} ns)")
         # in a later chunk the failed cell keeps its index in the batch
-        chunked = run_batch([good, good, wild, good], device_params, grid, chunk_size=2)
+        chunked = run_batch(Cells.of([good, good, wild, good]), device_params, grid, chunk_size=2)
         assert list(chunked.failures) == [(2, *batch.failures[0][1:])]
         # when every cell fails, the run raises for the first one
         with pytest.raises(NumericalError) as err:
-            run_batch([wild, wild], device_params, grid)
+            run_batch(Cells.of([wild, wild]), device_params, grid)
         assert str(err.value) == batch.failures[0][2]  # which names the step and time, as asserted above
 
     def test_drift_failure_names_step(self, device_params):
@@ -737,7 +738,7 @@ class TestBatchAgreement:
         for rho0, dissipative, what in ((np.diag([1.5, 0.0, 0.0]), True, "trace drift"),
                                         (np.array([1.2, 0.0, 0.0]), False, "norm drift")):
             with pytest.raises(NumericalError, match=rf"^{what} .* at step 0 \(t = 0\.000 ns\)$"):
-                run_batch([seq], device_params, grid, dissipative=dissipative, rho0=rho0)
+                run_batch(Cells.of([seq]), device_params, grid, dissipative=dissipative, rho0=rho0)
 
     def test_non_hermitian_rho0_is_rejected(self, device_params):
         from stirap._batch import run_batch
@@ -745,7 +746,7 @@ class TestBatchAgreement:
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         rho0[0, 1], rho0[1, 0] = 0.1, 0.2
         with pytest.raises(NumericalError, match="not Hermitian: deviation 1.000e-01"):
-            run_batch([no_drive_sequence()], device_params,
+            run_batch(Cells.of([no_drive_sequence()]), device_params,
                       TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE), rho0=rho0)
 
     @pytest.mark.parametrize("shape, dim", [((4, 4), 3), ((4,), 3), ((3,), 4), ((3, 4), 3)])
@@ -756,27 +757,9 @@ class TestBatchAgreement:
         rho0 = np.zeros(shape, dtype=complex)
         rho0[(0,) * len(shape)] = 1.0
         grid = TimeGrid(0.0, 100.0, dt=0.5, sample_stride=STRIDE)
-        for run in (evolve, lambda seq, *a, **kw: run_batch([seq], *a, **kw)):
+        for run in (evolve, lambda seq, *a, **kw: run_batch(Cells.of([seq]), *a, **kw)):
             with pytest.raises(ConfigurationError, match=rf"rho0 of shape \({shape[0]},"):
                 run(no_drive_sequence(), params, grid, rho0=rho0)
-
-    def test_dissipator_has_the_structure_the_kernel_assumes(self, device_params):
-        # the kernel's RHS X + X^H with X = -iH rho + D(rho)/2 is exact only when
-        # D's diagonal is real and symmetric in (a, b) and its off-diagonal
-        # entries are real rates from one population to another
-        split = TransmonParams(split=SplitSpec(15.0, (0.8, 0.6)))
-        for params, dim in ((device_params, 3), (split, 4)):
-            sup = dissipator(params)
-            diag = np.diag(sup).reshape(dim, dim)
-            assert np.all(diag.imag == 0.0) and np.array_equal(diag, diag.T)
-            k, l = np.nonzero(sup - np.diag(np.diag(sup)))
-            assert len(k) == 2 * (dim - 2)
-            assert np.all(k % (dim + 1) == 0) and np.all(l % (dim + 1) == 0)
-            assert np.all(sup[k, l].imag == 0.0)
-        from stirap._batch import _couplings
-
-        assert _couplings(device_params) == ((1, 0, 0, 1.0), (1, 2, 1, 1.0))
-        assert _couplings(split) == ((1, 0, 0, 0.8), (2, 0, 0, 0.6), (1, 3, 1, 0.8), (2, 3, 1, 0.6))
 
     def test_density_matrix_states_are_exactly_hermitian(self, device_params):
         # with RHS X + X^H every stored state is Hermitian bit for bit and its
@@ -789,7 +772,7 @@ class TestBatchAgreement:
             seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(d),
                                        delta12=mhz_to_rad_ns(-d))
                     for d in (-6.0, 0.0, 4.0)]
-            res = evolve_chunk(seqs, params, grid, store_states=True)
+            res = evolve_chunk(Cells.of(seqs), params, grid, store_states=True)
             assert not res.failures
             rho = res.states.reshape(len(seqs), -1, dim, dim)
             assert np.array_equal(rho, np.conj(np.swapaxes(rho, 2, 3)))
@@ -800,7 +783,7 @@ class TestBatchAgreement:
 
         grid = TimeGrid(-225.0, 225.0, dt=2.0, sample_stride=10)
         with pytest.raises(ConfigurationError, match="sigma/50"):
-            run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0)], device_params, grid)
+            run_batch(Cells.of([two_pulse_sequence(OM01, OM12, 45.0, -90.0)]), device_params, grid)
 
     @pytest.mark.parametrize("fast_duration", [10.05, 10.01])
     def test_fast_pulse_edge_off_the_grid_is_rejected(self, device_params, fast_duration):
@@ -816,7 +799,7 @@ class TestBatchAgreement:
         with pytest.raises(ConfigurationError, match=match):
             evolve(seq, device_params, grid)
         with pytest.raises(ConfigurationError, match=match):
-            run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0), seq], device_params, grid)
+            run_batch(Cells.of([two_pulse_sequence(OM01, OM12, 45.0, -90.0), seq]), device_params, grid)
 
     def test_fast_pulse_edges_on_or_outside_the_grid_pass(self):
         seq = build_sequence(SequenceKind.HYBRID, omega01=OM01, omega12=OM12, sigma=45.0,
@@ -837,7 +820,7 @@ class TestBatchAgreement:
         lo, hi = seq.window  # -80 to 90 ns
         short, longer = (TimeGrid(lo, t_end, dt=0.1, sample_stride=1) for t_end in (hi, hi + 1.0))
         assert check_step(seq, short) == [1600, 1700]
-        for integrate in (evolve, lambda s, *args: run_batch([s], *args)):
+        for integrate in (evolve, lambda s, *args: run_batch(Cells.of([s]), *args)):
             at_end, past = (integrate(seq, device_params, grid).populations[0] for grid in (short, longer))
             assert np.array_equal(at_end, past[:short.n_steps + 1])
 
@@ -847,16 +830,15 @@ class TestBatchAgreement:
 
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE)
         with pytest.raises(ConfigurationError, match=r"chunk_size must be an integer >= 1"):
-            run_batch([two_pulse_sequence(OM01, OM12, 45.0, -90.0)], device_params, grid,
+            run_batch(Cells.of([two_pulse_sequence(OM01, OM12, 45.0, -90.0)]), device_params, grid,
                       chunk_size=chunk_size)
 
-    @pytest.mark.parametrize("entry", ["run_batch", "evolve_chunk"])
-    def test_empty_cell_list_is_rejected(self, device_params, entry):
-        from stirap import _batch
-
-        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE)
+    def test_empty_cell_list_is_rejected(self):
+        # a batch's cells are at least one, whether listed or sharing a drive
         with pytest.raises(ConfigurationError, match="at least one pulse sequence"):
-            getattr(_batch, entry)([], device_params, grid)
+            Cells.of([])
+        with pytest.raises(ConfigurationError, match="at least one pulse sequence"):
+            Cells((no_drive_sequence(),), np.empty(0), np.empty(0))
 
 
 def eigvalsh_checks(y, dim, steps, grid):
@@ -939,6 +921,6 @@ class TestSampleChecks:
         seqs = [two_pulse_sequence(OM01, OM12, 45.0, -90.0, delta01=mhz_to_rad_ns(d1),
                                    delta12=mhz_to_rad_ns(d2))
                 for d1 in (-6.0, 0.0, 4.0) for d2 in (-5.0, 0.0, 3.0)]
-        res = run_batch(seqs, device_params, grid)
+        res = run_batch(Cells.of(seqs), device_params, grid)
         assert not res.failures
         assert 0 < sum(received) <= len(seqs)

@@ -79,3 +79,18 @@ def test_each_experiment_opens_its_build_and_integration_spans(small_config, exp
     assert "pulses.build" in names, names
     integrated = "batch.run_batch" if experiments._EXPERIMENTS[experiment][1] else "lindblad.evolve"
     assert integrated in names, names
+
+
+def test_chunk_span_notes_the_integrated_cells(small_config):
+    # batch.cell_steps_per_s is the cells x steps noted on the batch.evolve_chunk
+    # spans over their time, so the note must count a plane's cells, not the one
+    # drive sequence they share
+    cfg = small_config(Experiment.DETUNING_MAP)
+    p = experiments.plan(cfg)
+    assert len(p.cells) == 4 and len(p.cells.drive) == 1
+    assert not experiments._point_symmetric(p, cfg.transmon)  # so every cell is integrated
+    tracer = load_tracing().Tracer("guard")
+    with tracer.installed():
+        experiments.run_experiment(cfg)
+    chunks = [s for s in tracer.spans if s.name == "batch.evolve_chunk"]
+    assert [(s.attrs["cells"], s.attrs["steps"]) for s in chunks] == [(4, p.grid.n_steps)]
