@@ -833,12 +833,16 @@ class TestBatchAgreement:
             run_batch(Cells.of([two_pulse_sequence(OM01, OM12, 45.0, -90.0)]), device_params, grid,
                       chunk_size=chunk_size)
 
-    def test_empty_cell_list_is_rejected(self):
-        # a batch's cells are at least one, whether listed or sharing a drive
-        with pytest.raises(ConfigurationError, match="at least one pulse sequence"):
-            Cells.of([])
-        with pytest.raises(ConfigurationError, match="at least one pulse sequence"):
-            Cells((no_drive_sequence(),), np.empty(0), np.empty(0))
+    @pytest.mark.parametrize("entry", ["run_batch", "evolve_chunk"])
+    def test_empty_cell_list_is_rejected(self, device_params, entry):
+        # a batch's cells are at least one, whether listed or sharing a drive; the Cells
+        # record both entries take rejects none, so neither entry runs an empty batch
+        from stirap import _batch
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=STRIDE)
+        for empty in (lambda: Cells.of([]), lambda: Cells((no_drive_sequence(),), np.empty(0), np.empty(0))):
+            with pytest.raises(ConfigurationError, match="at least one pulse sequence"):
+                getattr(_batch, entry)(empty(), device_params, grid)
 
 
 def eigvalsh_checks(y, dim, steps, grid):
