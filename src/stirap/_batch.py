@@ -26,7 +26,9 @@ and however chunks are distributed over workers.  evolve_chunk steps its
 cells by these calls, and evolve one cell by step matrices (y <- M y per
 step) whose columns are the calls' step of a basis, DRIVE_BLOCK steps at a
 time; evolve takes run_batch's arguments for one sequence and returns the
-same BatchResult with every sample's state.
+same BatchResult with every sample's state.  run_batch chunks the cells,
+integrating only the first half of point-symmetric ones, and _assemble
+builds the whole result, in which a failed cell reads NaN.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  Both ways sample it one block
@@ -51,7 +53,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .hamiltonian import TransmonParams
 from .lindblad import TimeGrid, check_step, dissipator
-from .pulses import PulseSequence, Transition
+from .pulses import GaussianPulse, PulseSequence, Transition
 
 CHUNK_SIZE = 128  # fewest cells a default chunk of a larger batch holds
 BLOCK = 256  # steps whose drive is sampled at a time
@@ -73,7 +75,7 @@ INTEGRATION_TOL = 1e-6
 class BatchResult:
     times: np.ndarray  # (n_samples,)
     populations: Optional[np.ndarray]  # (n_cells, n_samples, dim); None unless the series is kept
-    final: np.ndarray  # (n_cells, dim) populations at the last sample
+    final: np.ndarray  # (n_cells, dim) populations at the last sample, NaN for a cell run_batch failed
     peak: np.ndarray  # (n_cells, dim) each level's largest sampled population, NaN if any is
     trace_drift: np.ndarray  # (n_cells,) max |trace - 1|, or |norm^2 - 1| for a ket
     min_eig: np.ndarray  # (n_cells,)
@@ -463,38 +465,85 @@ def evolve_chunk(seqs: Cells, params: TransmonParams, grid: TimeGrid,
     return _integrate(seqs, params, grid, dissipative, rho0, store_states, series, _row_kernel)
 
 
+def _point_symmetric(cells: Cells, params: TransmonParams) -> bool:
+    """Whether cell K-1-k has cell k's populations, the branches swapped by offset negation.
+
+    Negating both detunings maps the master equation onto its complex conjugate, up to a
+    diagonal gauge, when every drive phase is constant and the (-offset, weight) pairs are
+    the (offset, weight) pairs; decay and dephasing commute with both, and both fix |0>.
+    So it holds when the cells share one drive of constant-phase Gaussians and each
+    detuning array is its reverse negated, compared a block at a time (no O(cells) temporary).
+    """
+    return (len(cells.drive) == 1
+            and all(np.array_equal(d[a:a + SAMPLE_ENTRIES], -d[::-1][a:a + SAMPLE_ENTRIES])
+                    for d in (cells.delta01, cells.delta12) for a in range(0, len(d), SAMPLE_ENTRIES))
+            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None for p in cells.drive[0].pulses)
+            and sorted((-o, w) for o, w in params.branches) == sorted(params.branches))
+
+
+def _assemble(results, chunk_size: int, n_cells: int, params: TransmonParams, grid: TimeGrid) -> BatchResult:
+    """The batch of all n_cells cells from its chunks' results, which hold the first ones in order.
+    Each cell n_cells-1-k past them mirrors cell k (_point_symmetric): its branch columns swapped, its
+    failure record under its own cell.  A failed cell's final and peak, and its populations from its
+    first failing sample on, read NaN.  A single chunk with no mirrored cell comes back uncopied."""
+    ran, branches = sum(len(r.final) for r in results), params.branches
+    back = np.arange(n_cells - ran)[::-1]  # the cells each mirrored cell copies, in cell order
+    cols = [0, *(1 + (branches.index((-o, w)) if o else i) for i, (o, w) in enumerate(branches)),
+            len(branches) + 1] if back.size else slice(None)
+
+    def join(name):
+        parts = [getattr(r, name) for r in results]
+        if parts[0] is None or (len(parts) == 1 and not back.size):
+            return parts[0]
+        out = np.empty((n_cells, *parts[0].shape[1:]))
+        np.concatenate(parts, out=out[:ran])
+        out[ran:] = out[back] if out.ndim == 1 else out[back][..., cols]
+        return out
+
+    failures = tuple((k * chunk_size + c, *rest) for k, r in enumerate(results) for c, *rest in r.failures)
+    if len(failures) == ran:  # the first names its step and time
+        raise NumericalError(failures[0][2])
+    failures = tuple(sorted(failures + tuple((n_cells - 1 - c, *rest) for c, *rest in failures if c < back.size)))
+    pops, final, peak, drift, min_eig = map(join, ("populations", "final", "peak", "trace_drift", "min_eig"))
+    for c, step, _ in failures:
+        final[c] = peak[c] = np.nan
+        if pops is not None:
+            pops[c, np.searchsorted(grid.sample_steps, step):] = np.nan
+    return BatchResult(results[0].times, pops, final, peak, drift, min_eig, failures)
+
+
 def run_batch(seqs: Cells, params: TransmonParams, grid: TimeGrid,
               dissipative: bool = True, rho0: Optional[np.ndarray] = None,
               workers: int = 1, chunk_size: Optional[int] = None, series: bool = True) -> BatchResult:
-    """Run all cells chunk by chunk, optionally over a process pool.
+    """Run all cells chunk by chunk, optionally over a process pool, and _assemble the result.
 
-    One width sizes the chunks and the pool: min(workers, the CPUs the
-    process may run on), counted by os.sched_getaffinity, else
-    os.cpu_count().  A chunk is a slice of chunk_size cells.  By default the
-    cells fall into min(width, n_cells // CHUNK_SIZE) chunks, at least one,
-    of equal size but the last, which may hold fewer: a worker process pays
-    the kernel's per-step numpy dispatch in full, so a chunk of fewer than
-    CHUNK_SIZE cells would not repay its fork, and a chunk beyond the width
-    would only wait for a CPU.  The pool has one process per chunk, at most
-    the width, and is not started when that is one.  Each cell's arithmetic
-    is independent of its chunk, so every partition, serial or parallel,
-    produces identical bytes.  A chunk whose cells do not share a drive
-    holds a drive block of (2, 2 BLOCK + 1, cells) complex values, 16 kB per
-    cell.  Without series each cell keeps only its final and peak
-    populations, so the result, and each worker's, holds O(cells) data.  A
-    failed cell is recorded in failures while the others run on; when every
-    cell fails, NumericalError names the first one's step and time, and a
-    chunk that runs out of memory or whose worker process dies raises
-    NumericalError naming its cells.  A chunk_size that is not an integer
-    >= 1 raises ConfigurationError.
+    From the default rho0, cells that are _point_symmetric integrate only the first
+    ceil(n_cells / 2).  One width sizes the chunks and the pool: min(workers, the CPUs
+    the process may run on), counted by os.sched_getaffinity, else os.cpu_count().  A
+    chunk is a slice of chunk_size integrated cells.  By default they fall into
+    min(width, n // CHUNK_SIZE) chunks, at least one, of equal size but the last, which
+    may hold fewer: a worker process pays the kernel's per-step numpy dispatch in full,
+    so a chunk of fewer than CHUNK_SIZE cells would not repay its fork, and a chunk
+    beyond the width would only wait for a CPU.  The pool has one process per chunk, at
+    most the width, and is not started when that is one.  Each cell's arithmetic is
+    independent of its chunk, so every partition, serial or parallel, produces identical
+    bytes.  A chunk whose cells do not share a drive holds a drive block of
+    (2, 2 BLOCK + 1, cells) complex values, 16 kB per cell.  Without series each cell
+    keeps only its final and peak populations, so the result, and each worker's, holds
+    O(cells) data.  A failed cell is recorded in failures while the others run on; when
+    every cell fails, NumericalError names the first one's step and time, and a chunk
+    that runs out of memory or whose worker process dies raises NumericalError naming
+    its cells.  A chunk_size that is not an integer >= 1 raises ConfigurationError.
     """
+    n_cells = len(seqs)
+    ran = n_cells - n_cells // 2 if rho0 is None and _point_symmetric(seqs, params) else n_cells
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     width = min(workers, cpus)
     if chunk_size is None:
-        chunk_size = -(-len(seqs) // max(1, min(width, len(seqs) // CHUNK_SIZE)))
+        chunk_size = -(-ran // max(1, min(width, ran // CHUNK_SIZE)))
     elif not (isinstance(chunk_size, numbers.Integral) and chunk_size >= 1):
         raise ConfigurationError(f"chunk_size must be an integer >= 1, got {chunk_size!r}")
-    chunks = [seqs[a:a + chunk_size] for a in range(0, len(seqs), chunk_size)]
+    chunks = [seqs[a:min(a + chunk_size, ran)] for a in range(0, ran, chunk_size)]
     run = partial(evolve_chunk, params=params, grid=grid, dissipative=dissipative, rho0=rho0, series=series)
     procs = min(width, len(chunks))
     if procs > 1:
@@ -508,12 +557,5 @@ def run_batch(seqs: Cells, params: TransmonParams, grid: TimeGrid,
         except (MemoryError, cf.BrokenExecutor if pool else MemoryError) as exc:
             a = len(results) * chunk_size
             what = "memory ran out" if isinstance(exc, MemoryError) else "a worker process died"
-            raise NumericalError(f"cells {a} to {min(a + chunk_size, len(seqs)) - 1}: {what} ({exc})") from None
-
-    result = results[0] if len(results) == 1 else BatchResult(results[0].times, *(
-        None if getattr(results[0], f) is None else np.concatenate([getattr(r, f) for r in results])
-        for f in ("populations", "final", "peak", "trace_drift", "min_eig")),
-        tuple((k * chunk_size + c, *rest) for k, r in enumerate(results) for c, *rest in r.failures))
-    if len(result.failures) == len(result.final):  # the first names its step and time
-        raise NumericalError(result.failures[0][2])
-    return result
+            raise NumericalError(f"cells {a} to {min(a + chunk_size, ran) - 1}: {what} ({exc})") from None
+    return _assemble(results, chunk_size, n_cells, params, grid)

@@ -5,7 +5,9 @@ _EXPERIMENTS says what it reads and how it runs; plan(cfg) makes every
 check a run makes before it integrates and builds the Plan of its cells
 and one time grid (validate-config runs it alone), then the row's runner
 integrates the plan and returns a SweepResult holding named tables;
-emit() writes them as CSV or JSON plus a manifest.
+emit() writes them as CSV or JSON plus a manifest.  A sweep hands
+run_batch all its cells, which mirrors a point-symmetric plane, and a
+failed cell's populations read NaN, as every analysis through it does.
 Outputs are byte-deterministic for a given config and seed: no timestamps,
 fixed float formatting, fixed cell ordering, and noise seeds derived from
 (seed, cell index).  Time axes of emitted series are measured from the
@@ -24,20 +26,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import __version__
-from ._batch import BatchResult, Cells, evolve, run_batch
+from ._batch import Cells, evolve, run_batch
 from .config import Experiment, ExperimentConfig, config_hash
 from .errors import ConfigurationError, NumericalError
-from .hamiltonian import TransmonParams
 from .holonomy import berry_vs_oracle, check_oracle_preconditions, plateau_phase_sequence, realized_path
 from .lindblad import MAX_POINTS, MAX_SERIES_ROWS, TimeGrid, check_step
-from .pulses import (
-    GaussianPulse,
-    PulseSequence,
-    SequenceKind,
-    Transition,
-    build_sequence,
-    two_pulse_sequence,
-)
+from .pulses import GaussianPulse, PulseSequence, SequenceKind, Transition, build_sequence, two_pulse_sequence
 from .tomography import check_readout, synth_reference_traces, tomography_timeline, trace_scale
 from .units import mhz_to_rad_ns
 
@@ -265,49 +259,12 @@ def _t01_peak(seq: PulseSequence) -> float:
     return seq.gaussian_centers(Transition.T01)[0]
 
 
-def _point_symmetric(plan: Plan, params: TransmonParams) -> bool:
-    """Whether cell K-1-k has cell k's populations, the branches swapped by offset negation.
-
-    Negating both detunings maps the master equation onto its complex
-    conjugate up to a diagonal gauge when every drive phase is constant and
-    the branches mirror: the (-offset, weight) pairs are the (offset, weight)
-    pairs.  Decay and dephasing commute with both and |0><0| is real, so the
-    populations at (-s, -d) are those at (s, d), the level at -offset taking
-    the one at offset's.  With both axes symmetric about 0, (-s, -d) is cell
-    K-1-k of the K cells when (s, d) is cell k, if the cells share one drive.
-    """
-    return (len(plan.cells.drive) == 1
-            and all(np.array_equal(a, -a[::-1]) for a in plan.axes.values())
-            and all(isinstance(p, GaussianPulse) and p.phase_ramp is None for p in plan.cells.drive[0].pulses)
-            and sorted((-o, w) for o, w in params.branches) == sorted(params.branches))
-
-
-def _mirrored(half: BatchResult, n_cells: int, params: TransmonParams) -> BatchResult:
-    """The batch of all n_cells cells from that of the first ceil(n_cells / 2):
-    cell n_cells-1-k takes cell k's result, its branch columns swapped by
-    offset negation (_point_symmetric), and its failure record under its own cell."""
-    back = np.arange(n_cells // 2)[::-1]  # the cells each mirrored cell copies, in cell order
-    branches = params.branches
-    cols = [0, *(1 + (branches.index((-o, w)) if o else i) for i, (o, w) in enumerate(branches)),
-            len(branches) + 1]
-    return BatchResult(half.times, *(None if a is None else np.concatenate([a, a[back][..., cols]])
-                                     for a in (half.populations, half.final, half.peak)),
-                       *(np.concatenate([a, a[back]]) for a in (half.trace_drift, half.min_eig)),
-                       tuple(sorted(half.failures + tuple((n_cells - 1 - c, *rest) for c, *rest in half.failures
-                                                          if c < n_cells // 2))))
-
-
 def _sweep(cfg: ExperimentConfig, plan: Plan, series: bool = True):
     """Batch the plan's cells; returns the batch and one record {"cell", <axis>: value,
     ..., "error"} per failed cell.  Without series the batch keeps each cell's final and
-    peak populations only.  When _point_symmetric holds only the first ceil(K/2) of the
-    K cells are integrated and the rest is _mirrored."""
-    n_cells, mirror = len(plan.cells), _point_symmetric(plan, cfg.transmon)
-    ran = (n_cells + 1) // 2 if mirror else n_cells
-    batch = run_batch(plan.cells[:ran], cfg.transmon, plan.grid, dissipative=cfg.dissipative,
+    peak populations only."""
+    batch = run_batch(plan.cells, cfg.transmon, plan.grid, dissipative=cfg.dissipative,
                       workers=cfg.workers, series=series)
-    if mirror:
-        batch = _mirrored(batch, n_cells, cfg.transmon)
     cells = plan.cell_values()
     failures = [{"cell": int(c), **{k: float(v[c]) for k, v in cells.items()}, "error": msg}
                 for c, _, msg in batch.failures]
@@ -335,10 +292,10 @@ def _result(cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
 
 def _run_time_evolution(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
     """Single STIRAP run at the configured parameters, with and without
-    dissipation; emits the sampled populations and a summary."""
+    dissipation (one run without); emits the sampled populations and a summary."""
     seq, grid = plan.cells.drive[0], plan.grid
     res_d = evolve(seq, cfg.transmon, grid, dissipative=cfg.dissipative)
-    res_u = evolve(seq, cfg.transmon, grid, dissipative=False)
+    res_u = evolve(seq, cfg.transmon, grid, dissipative=False) if cfg.dissipative else res_d
     times, shift = res_d.times, _t01_peak(seq)
     in_overlap, between = _summary_windows(seq, grid)
     pd, pu = res_d.populations[0], res_u.populations[0]
@@ -370,7 +327,7 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
                      [_t01_peak(seq) for seq in plan.cells.drive], batch)
     sust = summary.column("sustained_p2")
     return _result(cfg, plan.axes, [summary, series], failures,
-                   argmax_sustained_ts_ns=repr(float(ts_axis[int(sust.argmax())])),
+                   argmax_sustained_ts_ns=repr(float(ts_axis[int(np.nanargmax(sust))])),
                    positive_ts_alternations=str(count_alternations(sust[ts_axis > 0])))
 
 

@@ -251,12 +251,31 @@ class TestRun:
         # integers too large for a float, which JSON allows without an exponent
         ({"pulses": {"sigma_ns": 10**400}}, "pulses.sigma_ns"),
         ({"sweep": {"t_separation_ns": [10**400]}}, "sweep.t_separation_ns"),
+        ({"output": {"format": "xml"}}, "output format"),
+        ({"sweep": {"t_separation_ns": {"start": 0, "stop": 1, "step": 1, "stride": 2}}}, "unknown keys ['stride']"),
+        ({"sweep": {"t_separation_ns": {"start": 0, "stop": 1}}}, "missing 'step'"),
+        ({"sweep": {"t_separation_ns": {"start": 1, "stop": 0, "step": 1}}}, "stop >= start"),
+        ({"sweep": {"t_separation_ns": 5}}, "'t_separation_ns' must be a list"),
+        ({"cavity": {"g_mhz": [80.0, -113.1, 138.6]}}, "couplings g must be nonnegative"),
     ])
     def test_malformed_config(self, tmp_path, capsys, command, data, key):
         cfg = write_config(tmp_path, data)
         out = tmp_path / "o"
         extra = [] if command == "validate-config" else ["--out", str(out)]
         assert main([command, "--config", cfg, *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, key", [
+        ({"sweep": {"theta_fast_rad": [-0.5, 0.0]}}, "fast-pulse angle must be nonnegative, got -0.5"),
+        ({"pulses": {"fast_duration_ns": 0}}, "fast-pulse duration must be positive, got 0"),
+    ])
+    def test_malformed_hybrid_config(self, tmp_path, capsys, data, key):
+        # only the hybrid builds a fast pulse, so only its plan rejects one
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["hybrid", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err, err
         assert not out.exists()

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from stirap import experiments
-from stirap._batch import evolve, run_batch
+from stirap import _batch, experiments
+from stirap._batch import Cells, evolve, run_batch
 from stirap.config import (
     Experiment,
     ExperimentConfig,
@@ -125,6 +125,16 @@ class TestTimeEvolution:
         table = result.table("time_evolution")
         assert np.max(np.abs(table.column("p0") - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("dissipative, runs", [(True, [True, False]), (False, [False])])
+    def test_the_unitary_run_is_the_run_without_dissipation(self, monkeypatch, dissipative, runs):
+        # without dissipation the run is its own dissipationless run, integrated once
+        calls = []
+        monkeypatch.setattr(experiments, "evolve", lambda *a, **kw: calls.append(kw) or evolve(*a, **kw))
+        result = run_experiment(cfg_with(dissipative=dissipative))
+        assert [kw["dissipative"] for kw in calls] == runs
+        main, unitary = (result.table(name).rows for name in ("time_evolution", "time_evolution_unitary"))
+        assert np.array_equal(main, unitary) == (not dissipative)
+
     def test_population_rows_sum_to_one(self):
         result = run_experiment(cfg_with())
         for name in ("time_evolution", "time_evolution_unitary"):
@@ -192,6 +202,21 @@ def tiny_map():
     return run_experiment(cfg)
 
 
+def test_separation_argmax_skips_failed_cells():
+    # at 400 MHz on both drives and dt 0.9 ns the cells at -20, 0 and 20 ns fail
+    # while their entries are still finite; they read NaN, and the sustained
+    # maximum is taken over the other cells
+    cfg = cfg_with(experiment=Experiment.SEPARATION_SWEEP,
+                   pulses=PulseConfig(omega01_mhz=400.0, omega12_mhz=400.0),
+                   grid=GridConfig(dt_ns=0.9, sample_stride=20),
+                   sweep={"t_separation_ns": (-120.0, -60.0, -20.0, 0.0, 20.0, 60.0, 120.0)})
+    result = run_experiment(cfg)
+    assert [f["t_separation_ns"] for f in result.failures] == [-20.0, 0.0, 20.0]
+    summary = result.table("separation_sweep").rows
+    assert np.isnan(summary[2:5, 1:]).all() and np.isfinite(summary[[0, 1, 5, 6]]).all()
+    assert result.metadata["argmax_sustained_ts_ns"] == "-120.0"
+
+
 class TestDetuningMap:
     def test_origin_cell_matches_time_evolution(self, tiny_map):
         table = tiny_map.table("detuning_map")
@@ -226,6 +251,20 @@ class TestDetuningMap:
         diagnostics = result.table("detuning_map_diagnostics")
         assert np.isnan(diagnostics.column("fwhm_sum_mhz")).all()
         assert np.isnan(diagnostics.column("fwhm_ratio")).all()
+
+    def test_failed_cells_read_nan_though_they_stay_finite(self):
+        # the +-1000 MHz sum rows fail at dt 0.5 ns with entries near 1e248, still
+        # finite; their rows, and every diagnostic taken through them, read NaN
+        cfg = cfg_with(experiment=Experiment.DETUNING_MAP,
+                       sweep={"detuning_sum_mhz": (-1000.0, 0.0, 1000.0), "detuning_diff_mhz": (-1.0, 0.0, 1.0)})
+        result = run_experiment(cfg)
+        failed = [0, 1, 2, 6, 7, 8]
+        assert [f["cell"] for f in result.failures] == failed
+        rows = result.table("detuning_map").rows
+        assert np.isnan(rows[failed, 2:]).all() and np.isfinite(rows[3:6]).all()
+        diagnostics = result.table("detuning_map_diagnostics")
+        for col in ("fwhm_sum_mhz", "fwhm_ratio", "diff_mirror_asymmetry"):
+            assert np.isnan(diagnostics.column(col)).all(), col
 
 
 @pytest.fixture(scope="module")
@@ -362,25 +401,33 @@ class TestPointMirror:
     """A point-symmetric plane integrates its first half and mirrors the rest."""
 
     @staticmethod
-    def run_both_ways(monkeypatch, cfg):
-        """The result with the mirror, the result without it, and the cells each batch ran."""
-        ran = []
+    def counting_chunks(monkeypatch):
+        """The cells of each chunk evolve_chunk integrates from now on."""
+        chunks, evolve_chunk = [], _batch.evolve_chunk
 
         def counting(seqs, *args, **kwargs):
-            ran.append(len(seqs))
-            return run_batch(seqs, *args, **kwargs)
+            chunks.append(seqs)
+            return evolve_chunk(seqs, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "run_batch", counting)
+        monkeypatch.setattr(_batch, "evolve_chunk", counting)
+        return chunks
+
+    @classmethod
+    def run_both_ways(cls, monkeypatch, cfg):
+        """The result with the mirror, the result without it, and the cells each run integrated."""
+        chunks = cls.counting_chunks(monkeypatch)
         mirrored = run_experiment(cfg)
-        monkeypatch.setattr(experiments, "_point_symmetric", lambda plan, params: False)
-        return mirrored, run_experiment(cfg), ran
+        half = sum(map(len, chunks))
+        monkeypatch.setattr(_batch, "_point_symmetric", lambda cells, params: False)
+        full = run_experiment(cfg)
+        return mirrored, full, [half, sum(map(len, chunks)) - half]
 
     @staticmethod
     def sweep_both_ways(monkeypatch, cfg):
         """_sweep's batch with the mirror and without it."""
         p, batches = plan(cfg), []
         for mirror in (True, False):
-            monkeypatch.setattr(experiments, "_point_symmetric", lambda plan, params: mirror)
+            monkeypatch.setattr(_batch, "_point_symmetric", lambda cells, params: mirror)
             batches.append(experiments._sweep(cfg, p)[0])
         return batches
 
@@ -389,7 +436,7 @@ class TestPointMirror:
     def test_three_level_plane_is_bit_equal(self, monkeypatch, dissipative, diffs):
         cfg = cfg_with(experiment=Experiment.DETUNING_MAP, dissipative=dissipative,
                        sweep={"detuning_sum_mhz": (-3.0, 0.0, 3.0), "detuning_diff_mhz": diffs})
-        assert experiments._point_symmetric(plan(cfg), cfg.transmon)
+        assert _batch._point_symmetric(plan(cfg).cells, cfg.transmon)
         mirrored, full, ran = self.run_both_ways(monkeypatch, cfg)
         n_cells = 3 * len(diffs)
         assert ran == [(n_cells + 1) // 2, n_cells]
@@ -416,13 +463,50 @@ class TestPointMirror:
         for pops in (whole.final, whole.peak):
             assert np.max(np.abs(pops[:, 1] - pops[:, 2])) > 1e-3
 
+    @staticmethod
+    def hand_built():
+        """Seven cells under one drive whose detuning arrays are their reverses negated, and a grid."""
+        seq = two_pulse_sequence(mhz_to_rad_ns(43.4), mhz_to_rad_ns(38.2), 45.0, -90.0)
+        d01, d12 = (mhz_to_rad_ns(np.array(d)) for d in ((-5.0, -2.0, 0.5, 0.0, -0.5, 2.0, 5.0),
+                                                         (3.0, -1.0, 4.0, 0.0, -4.0, 1.0, -3.0)))
+        return Cells((seq,), d01, d12), TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=20)
+
+    @pytest.mark.parametrize("dissipative", [True, False])
+    def test_hand_built_antisymmetric_cells_are_mirrored(self, monkeypatch, dissipative):
+        # run_batch reads the symmetry from the cells, not from a plan's axes
+        cells, grid = self.hand_built()
+        d01, d12 = cells.delta01, cells.delta12
+        chunks = self.counting_chunks(monkeypatch)
+        mirrored = run_batch(cells, TransmonParams(), grid, dissipative=dissipative)
+        (chunk,) = chunks
+        assert len(chunk) == 4 and all(np.shares_memory(a, b) for a, b in ((chunk.delta01, d01), (chunk.delta12, d12)))
+        monkeypatch.setattr(_batch, "_point_symmetric", lambda cells, params: False)
+        full = run_batch(cells, TransmonParams(), grid, dissipative=dissipative)
+        assert len(chunks[-1]) == 7
+        for f in dataclasses.fields(full):
+            assert np.array_equal(getattr(mirrored, f.name), getattr(full, f.name)), f.name
+
+    def test_an_explicit_initial_state_is_not_mirrored(self, monkeypatch):
+        # the gauge that takes a cell onto its mirror flips the sign of |1>, so the mirror
+        # holds from |0> but not from (|0> + |1>)/sqrt(2); run_batch then integrates every cell
+        cells, grid = self.hand_built()
+        rho0 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        outs, evolve_chunk = [], _batch.evolve_chunk
+        monkeypatch.setattr(_batch, "evolve_chunk", lambda *a, **kw: outs.append(evolve_chunk(*a, **kw)) or outs[-1])
+        got = run_batch(cells, TransmonParams(), grid, dissipative=False, rho0=rho0)
+        (out,) = outs  # one chunk of all 7 cells, its arrays handed back without a copy
+        assert len(out.final) == 7 and all(getattr(got, f) is getattr(out, f) for f in ("populations", "final"))
+        half = _batch.evolve_chunk(cells[:4], TransmonParams(), grid, dissipative=False, rho0=rho0)
+        forced = _batch._assemble([half], 4, 7, TransmonParams(), grid)
+        assert np.max(np.abs(forced.final - got.final)) > 1e-2
+
     @pytest.mark.parametrize("change", ["weights", "axis", "phase_ramp"])
     def test_predicate_needs_every_condition(self, change):
         axis = (-3.0, 0.0, 3.0)
         cfg = cfg_with(experiment=Experiment.SPLIT_MAP, transmon=TransmonParams(split=SplitSpec(15.0)),
                        sweep={"detuning_sum_mhz": axis, "detuning_diff_mhz": axis})
         p = plan(cfg)
-        assert experiments._point_symmetric(p, cfg.transmon)
+        assert _batch._point_symmetric(p.cells, cfg.transmon)
         if change == "weights":
             cfg = dataclasses.replace(cfg, transmon=TransmonParams(split=SplitSpec(15.0, (0.8, 0.6))))
         elif change == "axis":
@@ -433,12 +517,12 @@ class TestPointMirror:
             (s,) = p.cells.drive
             p = dataclasses.replace(p, cells=dataclasses.replace(p.cells, drive=(dataclasses.replace(s, pulses=(
                 dataclasses.replace(s.pulses[0], phase_ramp=ramp), *s.pulses[1:])),)))
-        assert not experiments._point_symmetric(p, cfg.transmon)
+        assert not _batch._point_symmetric(p.cells, cfg.transmon)
 
     def test_a_sweep_of_more_than_one_drive_is_not_point_symmetric(self):
         # t_s -> -t_s is no symmetry of the populations, though the axis is symmetric about 0
         cfg = cfg_with(experiment=Experiment.SEPARATION_SWEEP, sweep={"t_separation_ns": (-40.0, 0.0, 40.0)})
-        assert not experiments._point_symmetric(plan(cfg), cfg.transmon)
+        assert not _batch._point_symmetric(plan(cfg).cells, cfg.transmon)
 
     def test_failed_cell_and_its_mirror_are_each_recorded(self, monkeypatch):
         # the 1e5 MHz cells are unstable for RK4 at dt 0.5 ns; only the first runs
@@ -464,7 +548,7 @@ class TestPlaneReduction:
         cfg = cfg_with(experiment=experiment, transmon=transmon,
                        sweep={"detuning_sum_mhz": (-3.0, 0.0, 3.0), "detuning_diff_mhz": diffs})
         p = plan(cfg)
-        assert experiments._point_symmetric(p, cfg.transmon) is mirrored
+        assert _batch._point_symmetric(p.cells, cfg.transmon) is mirrored
         batch = experiments._sweep(cfg, p, series=False)[0]
         series = experiments._sweep(cfg, p)[0]
         assert batch.populations is None
@@ -719,8 +803,9 @@ class TestPlan:
     @pytest.mark.parametrize("shift, handed", [(0.0, 1_000_000), (0.5, 500_000)], ids=["all", "mirrored"])
     def test_a_plane_builds_and_checks_one_drive(self, monkeypatch, shift, handed):
         # a 1000 x 1000 plane: one sequence built and checked, the detunings as arrays, and
-        # _sweep hands run_batch the plan's cells, the integrated ones as views of its
-        # arrays, building no PulseSequence and allocating next to nothing
+        # _sweep hands evolve_chunk, through run_batch and its point mirror, the integrated
+        # cells as views of the plan's arrays, building no PulseSequence and allocating
+        # next to nothing
         import tracemalloc
 
         from stirap.pulses import PulseSequence
@@ -754,7 +839,7 @@ class TestPlan:
 
         post_init = PulseSequence.__post_init__
         monkeypatch.setattr(PulseSequence, "__post_init__", lambda seq: built.append(seq) or post_init(seq))
-        monkeypatch.setattr(experiments, "run_batch", capture)
+        monkeypatch.setattr(_batch, "evolve_chunk", capture)
         tracemalloc.start()
         try:
             with pytest.raises(Handed):

@@ -83,6 +83,8 @@ class TestBuildDissipators:
         rho01 = np.array([s.reshape(3, 3)[0, 1] for s in res.states[0]])
         expected = 0.5 * np.exp(-params.gamma_phi10 * res.times)
         assert np.max(np.abs(rho01 - expected)) < 1e-8
+        # with dissipation a state vector stands for its projector, bit for bit
+        assert np.array_equal(evolve(no_drive_sequence(), params, grid, rho0=psi).states, res.states)
 
     def test_split_system_weighted_rates(self):
         # with weights (1, 0) only the |1a> branch relaxes: the oracle's zero-rate
@@ -705,6 +707,7 @@ class TestBatchAgreement:
         assert peak < 4e6
 
     def test_diverged_cell_is_isolated(self, device_params):
+        from stirap import _batch
         from stirap._batch import run_batch
 
         grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=50)
@@ -715,12 +718,19 @@ class TestBatchAgreement:
         assert np.array_equal(batch.populations[0], alone.populations[0])
         assert [c for c, _, _ in batch.failures] == [1]
         # the message names the first sampled step where the cell failed a check
-        drift = np.abs(batch.populations[1].sum(axis=1) - 1.0)
+        raw = _batch.evolve_chunk(Cells.of([good, wild]), device_params, grid)
+        drift = np.abs(raw.populations[1].sum(axis=1) - 1.0)
         first = int(np.argmax(~(drift <= 1e-6)))
         step = first * grid.sample_stride
         assert first > 0 and batch.failures[0][1] == step
         assert batch.failures[0][2].endswith(
             f" at step {step} (t = {grid.t_start + step * grid.dt:.3f} ns)")
+        # the failed cell reads NaN from that sample on, its drift and eigenvalue as measured
+        assert np.array_equal(batch.populations[1][:first], raw.populations[1][:first])
+        assert np.isnan(batch.populations[1][first:]).all()
+        assert np.isnan(batch.final[1]).all() and np.isnan(batch.peak[1]).all()
+        for name in ("trace_drift", "min_eig"):
+            assert np.array_equal(getattr(batch, name), getattr(raw, name), equal_nan=True), name
         # in a later chunk the failed cell keeps its index in the batch
         chunked = run_batch(Cells.of([good, good, wild, good]), device_params, grid, chunk_size=2)
         assert list(chunked.failures) == [(2, *batch.failures[0][1:])]

@@ -88,7 +88,7 @@ def test_chunk_span_notes_the_integrated_cells(small_config):
     cfg = small_config(Experiment.DETUNING_MAP)
     p = experiments.plan(cfg)
     assert len(p.cells) == 4 and len(p.cells.drive) == 1
-    assert not experiments._point_symmetric(p, cfg.transmon)  # so every cell is integrated
+    assert not _batch._point_symmetric(p.cells, cfg.transmon)  # so every cell is integrated
     tracer = load_tracing().Tracer("guard")
     with tracer.installed():
         experiments.run_experiment(cfg)
