@@ -25,10 +25,10 @@ independent of its chunk, so results are bit-identical at any chunk size
 and however chunks are distributed over workers.  evolve_chunk steps its
 cells by these calls, and evolve one cell by step matrices (y <- M y per
 step) whose columns are the calls' step of a basis, DRIVE_BLOCK steps at a
-time; evolve takes run_batch's arguments for one sequence and returns the
-same BatchResult with every sample's state.  run_batch chunks the cells,
-integrating only the first half of point-symmetric ones, and _assemble
-builds the whole result, in which a failed cell reads NaN.
+time; evolve takes run_batch's arguments for one sequence and keeps every
+sample's state.  run_batch chunks the cells, integrating only the first
+half of point-symmetric ones, and _assemble builds every result, evolve's
+a batch of one, in which a failed cell reads NaN.
 
 H(t) is sampled at every RK4 substep time (t, t+dt/2, t+dt), which keeps
 the scheme 4th order for smooth drives.  Both ways sample it one block
@@ -444,13 +444,11 @@ def evolve(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
            dissipative: bool = True, rho0: Optional[np.ndarray] = None) -> BatchResult:
     """Integrate one cell by step matrices, keeping every sample's state: a batch of one.
 
-    rho0 is read as _initial_state says.  Raises NumericalError at the
-    first sample that fails _sample_checks.
+    rho0 is read as _initial_state says.  _assemble builds the result, and raises
+    NumericalError at the first sample that fails _sample_checks.
     """
-    result = _integrate(Cells.of([seq]), params, grid, dissipative, rho0, True, True, _step_matrices)
-    if result.failures:
-        raise NumericalError(result.failures[0][2])
-    return result
+    return _assemble([_integrate(Cells.of([seq]), params, grid, dissipative, rho0, True, True, _step_matrices)],
+                     1, params, grid)
 
 
 def evolve_chunk(seqs: Cells, params: TransmonParams, grid: TimeGrid,
@@ -481,12 +479,13 @@ def _point_symmetric(cells: Cells, params: TransmonParams) -> bool:
             and sorted((-o, w) for o, w in params.branches) == sorted(params.branches))
 
 
-def _assemble(results, chunk_size: int, n_cells: int, params: TransmonParams, grid: TimeGrid) -> BatchResult:
-    """The batch of all n_cells cells from its chunks' results, which hold the first ones in order.
-    Each cell n_cells-1-k past them mirrors cell k (_point_symmetric): its branch columns swapped, its
-    failure record under its own cell.  A failed cell's final and peak, and its populations from its
+def _assemble(results, n_cells: int, params: TransmonParams, grid: TimeGrid) -> BatchResult:
+    """The BatchResult of n_cells cells, run_batch's or evolve's, from its chunks', which hold the first ones in
+    order.  Each cell n_cells-1-k past them mirrors cell k (_point_symmetric): its branch columns swapped,
+    its failure record under its own cell.  A failed cell's final and peak, and its populations from its
     first failing sample on, read NaN.  A single chunk with no mirrored cell comes back uncopied."""
-    ran, branches = sum(len(r.final) for r in results), params.branches
+    starts = np.cumsum([0, *(len(r.final) for r in results)]).tolist()  # each chunk's first cell, then ran
+    ran, branches = starts[-1], params.branches
     back = np.arange(n_cells - ran)[::-1]  # the cells each mirrored cell copies, in cell order
     cols = [0, *(1 + (branches.index((-o, w)) if o else i) for i, (o, w) in enumerate(branches)),
             len(branches) + 1] if back.size else slice(None)
@@ -495,21 +494,22 @@ def _assemble(results, chunk_size: int, n_cells: int, params: TransmonParams, gr
         parts = [getattr(r, name) for r in results]
         if parts[0] is None or (len(parts) == 1 and not back.size):
             return parts[0]
-        out = np.empty((n_cells, *parts[0].shape[1:]))
+        out = np.empty((n_cells, *parts[0].shape[1:]), dtype=parts[0].dtype)
         np.concatenate(parts, out=out[:ran])
         out[ran:] = out[back] if out.ndim == 1 else out[back][..., cols]
         return out
 
-    failures = tuple((k * chunk_size + c, *rest) for k, r in enumerate(results) for c, *rest in r.failures)
+    failures = tuple((a + c, *rest) for a, r in zip(starts, results) for c, *rest in r.failures)
     if len(failures) == ran:  # the first names its step and time
         raise NumericalError(failures[0][2])
     failures = tuple(sorted(failures + tuple((n_cells - 1 - c, *rest) for c, *rest in failures if c < back.size)))
-    pops, final, peak, drift, min_eig = map(join, ("populations", "final", "peak", "trace_drift", "min_eig"))
+    pops, final, peak, drift, min_eig, states = map(join, ("populations", "final", "peak", "trace_drift",
+                                                           "min_eig", "states"))
     for c, step, _ in failures:
         final[c] = peak[c] = np.nan
         if pops is not None:
             pops[c, np.searchsorted(grid.sample_steps, step):] = np.nan
-    return BatchResult(results[0].times, pops, final, peak, drift, min_eig, failures)
+    return BatchResult(results[0].times, pops, final, peak, drift, min_eig, failures, states)
 
 
 def run_batch(seqs: Cells, params: TransmonParams, grid: TimeGrid,
@@ -558,4 +558,4 @@ def run_batch(seqs: Cells, params: TransmonParams, grid: TimeGrid,
             a = len(results) * chunk_size
             what = "memory ran out" if isinstance(exc, MemoryError) else "a worker process died"
             raise NumericalError(f"cells {a} to {min(a + chunk_size, ran) - 1}: {what} ({exc})") from None
-    return _assemble(results, chunk_size, n_cells, params, grid)
+    return _assemble(results, n_cells, params, grid)

@@ -2,21 +2,20 @@
 
 run_experiment(cfg) is the one way to run an experiment.  Its row of
 _EXPERIMENTS says what it reads and how it runs; plan(cfg) makes every
-check a run makes before it integrates and builds the Plan of its cells
-and one time grid (validate-config runs it alone), then the row's runner
-integrates the plan and returns a SweepResult holding named tables;
-emit() writes them as CSV or JSON plus a manifest.  A sweep hands
-run_batch all its cells, which mirrors a point-symmetric plane, and a
-failed cell's populations read NaN, as every analysis through it does.
-Outputs are byte-deterministic for a given config and seed: no timestamps,
-fixed float formatting, fixed cell ordering, and noise seeds derived from
-(seed, cell index).  Time axes of emitted series are measured from the
-01-pulse peak.
+check a run makes before it integrates and builds the Plan of its cells,
+their axis values and one time grid (validate-config runs it alone), then
+the row's runner integrates the plan and returns a SweepResult holding
+named tables; emit() writes them as CSV or JSON plus a manifest.  A sweep
+hands run_batch all its cells, which mirrors a point-symmetric plane, and
+a failed cell's populations read NaN, as every analysis through it does,
+its alternation counts too.  Outputs are byte-deterministic for a given
+config and seed: no timestamps, fixed float formatting, fixed cell
+ordering, and noise seeds derived from (seed, cell index).  Time axes of
+emitted series are measured from the 01-pulse peak.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,9 +84,12 @@ def overlap_window(seq: PulseSequence) -> Tuple[float, float]:
     return (mid - half, mid + half)
 
 
-def count_alternations(values: np.ndarray, threshold: float = 1e-4) -> int:
-    """Number of rise/fall alternations (local extrema) in a series."""
-    dv = np.diff(np.asarray(values, dtype=float))
+def count_alternations(values: np.ndarray, threshold: float = 1e-4) -> float:
+    """Rise/fall alternations (local extrema) in a series: an int, or nan if it holds a non-finite value."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        return math.nan
+    dv = np.diff(values)
     signs = np.sign(dv[np.abs(dv) > threshold])  # threshold >= 0, so no sign is 0
     if signs.size < 2:
         return 0
@@ -166,18 +168,14 @@ _PLANE = ("detuning_sum_mhz", "detuning_diff_mhz")  # the detuning planes' axes
 class Plan:
     """What a run integrates, on one time grid.  axes holds each swept axis's
     values (its _EXPERIMENTS row's order); the cells run over their product,
-    the first axis slowest, or are one cell without an axis.  cells holds each
-    cell's sequence, or a plane's one sequence, whose pulses its cells share,
-    and every cell's detunings."""
+    the first axis slowest, or are one cell without an axis, and values each
+    axis's value at every cell.  cells holds each cell's sequence, or a
+    plane's one sequence, whose pulses its cells share, and their detunings."""
 
     cells: Cells
     grid: TimeGrid
     axes: Dict[str, np.ndarray]
-
-    def cell_values(self) -> Dict[str, np.ndarray]:
-        """Each swept axis's value at every cell, in cell order."""
-        grids = np.meshgrid(*self.axes.values(), indexing="ij")
-        return {name: g.ravel() for name, g in zip(self.axes, grids)}
+    values: Dict[str, np.ndarray]
 
 
 def _seq_kwargs(cfg: ExperimentConfig) -> dict:
@@ -215,13 +213,14 @@ def plan(cfg: ExperimentConfig) -> Plan:
         raise ConfigurationError(f"the sweep's {' x '.join(str(len(v)) for v in axes.values())} "
                                  f"= {n_cells} cells are more than {MAX_POINTS}")
     kw = _seq_kwargs(cfg)
+    values = {axis: g.ravel() for axis, g in zip(axes, np.meshgrid(*axes.values(), indexing="ij"))}
     if cell is _DETUNED:
-        sums, diffs = (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))
+        sums, diffs = values.values()
         with np.errstate(over="ignore"):  # a detuning past float64 in rad/ns fails its cell when run
             cells = Cells((two_pulse_sequence(**kw),), mhz_to_rad_ns((sums + diffs) / 2.0),
                           mhz_to_rad_ns((sums - diffs) / 2.0))
     else:
-        cells = Cells.of([cell(cfg, kw, *map(float, values)) for values in itertools.product(*axes.values())])
+        cells = Cells.of([cell(cfg, kw, *(float(v[k]) for v in values.values())) for k in range(n_cells)])
     dt = min(cfg.grid.dt_ns, 0.05) if cfg.experiment is Experiment.BERRY else cfg.grid.dt_ns
     grid = TimeGrid(min(s.window[0] for s in cells.drive), max(s.window[1] for s in cells.drive),
                     dt=dt, sample_stride=cfg.grid.sample_stride)
@@ -236,7 +235,7 @@ def plan(cfg: ExperimentConfig) -> Plan:
         check_readout(cfg.cavity, cfg.transmon, cfg.tomography.tau_max_ns, cfg.tomography.dtau_ns)
     elif cfg.experiment is Experiment.BERRY:
         check_oracle_preconditions(cells.drive[0], cfg.berry.metric_threshold)
-    return Plan(cells, grid, axes)
+    return Plan(cells, grid, axes, values)
 
 
 def _summary_windows(seq: PulseSequence, grid: TimeGrid) -> List[np.ndarray]:
@@ -265,8 +264,7 @@ def _sweep(cfg: ExperimentConfig, plan: Plan, series: bool = True):
     peak populations only."""
     batch = run_batch(plan.cells, cfg.transmon, plan.grid, dissipative=cfg.dissipative,
                       workers=cfg.workers, series=series)
-    cells = plan.cell_values()
-    failures = [{"cell": int(c), **{k: float(v[c]) for k, v in cells.items()}, "error": msg}
+    failures = [{"cell": int(c), **{k: float(v[c]) for k, v in plan.values.items()}, "error": msg}
                 for c, _, msg in batch.failures]
     return batch, failures
 
@@ -334,14 +332,12 @@ def _run_separation_sweep(cfg: ExperimentConfig, plan: Plan) -> SweepResult:
 def _plane(cfg: ExperimentConfig, plan: Plan, name: str):
     """The detuning plane's axes, per-cell final and peak populations, and failed cells."""
     batch, failures = _sweep(cfg, plan, series=False)
-    cells = plan.cell_values()
     final = batch.final
     p1 = final[:, 1:-1].sum(axis=1)  # both branches of a split |1>
     table = Table(name,
                   ("detuning_sum_mhz", "detuning_diff_mhz",
                    "final_p0", "final_p1", "final_p2", "peak_p2"),
-                  np.column_stack([cells["detuning_sum_mhz"], cells["detuning_diff_mhz"],
-                                   final[:, 0], p1, final[:, -1], batch.peak[:, -1]]))
+                  np.column_stack([*plan.values.values(), final[:, 0], p1, final[:, -1], batch.peak[:, -1]]))
     return (*plan.axes.values(), table, failures)
 
 

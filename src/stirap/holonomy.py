@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 import numpy as np
 
@@ -79,12 +80,6 @@ def realized_path(seq: PulseSequence, times: np.ndarray) -> ParameterPath:
     return ParameterPath(np.column_stack([times, theta, phi12 - phi01]))
 
 
-@dataclass(frozen=True)
-class OraclePhase:
-    gamma: float
-    leakage: float
-
-
 def check_oracle_preconditions(seq: PulseSequence, metric_threshold: float) -> None:
     """Raise NumericalError unless both drive detunings are within 1e-12
     rad/ns of zero and the global adiabaticity metric exceeds metric_threshold
@@ -97,8 +92,8 @@ def check_oracle_preconditions(seq: PulseSequence, metric_threshold: float) -> N
 
 
 def adiabatic_phase_oracle(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
-                           metric_threshold: float) -> OraclePhase:
-    """Propagate the dark state and read off the geometric phase.
+                           metric_threshold: float) -> Tuple[float, float]:
+    """Propagate the dark state and return (geometric phase, leakage).
 
     Requires check_oracle_preconditions.  The dark state has an exact 0 on
     |1> and, with both detunings within 1e-12 rad/ns, energy <D|H|D> of at
@@ -121,7 +116,7 @@ def adiabatic_phase_oracle(seq: PulseSequence, params: TransmonParams, grid: Tim
     if leakage > 0.01:
         raise NumericalError(f"dark-state leakage {leakage:.4f} exceeds 1%; oracle invalid")
     phase_series = np.unwrap(np.angle(overlaps))
-    return OraclePhase(gamma=float(phase_series[-1] - phase_series[0]), leakage=leakage)
+    return float(phase_series[-1] - phase_series[0]), leakage
 
 
 def plateau_phase_sequence(theta: float, phi_total: float, sigma: float, omega_rms: float,
@@ -147,13 +142,13 @@ def plateau_phase_sequence(theta: float, phi_total: float, sigma: float, omega_r
 def berry_vs_oracle(seq: PulseSequence, params: TransmonParams, grid: TimeGrid,
                     metric_threshold: float) -> PhaseResult:
     """Compare the path integral against the propagation oracle."""
-    oracle = adiabatic_phase_oracle(seq, params, grid, metric_threshold)
+    gamma_o, leakage = adiabatic_phase_oracle(seq, params, grid, metric_threshold)
     half = replace(grid, sample_stride=max(1, grid.sample_stride // 2))
     path = realized_path(seq, grid.times[half.sample_steps])
     gamma_b = berry_phase(path)
     return PhaseResult(
         gamma_berry=gamma_b,
-        gamma_oracle=oracle.gamma,
-        mismatch=abs(wrap_angle(gamma_b - oracle.gamma)),
-        leakage=oracle.leakage,
+        gamma_oracle=gamma_o,
+        mismatch=abs(wrap_angle(gamma_b - gamma_o)),
+        leakage=leakage,
     )

@@ -509,14 +509,22 @@ def test_each_experiment_has_one_table_entry_one_runner_and_one_subcommand():
         n for n in vars(experiments) if n.startswith("_run_"))
 
 
-def test_python_m_stirap():
+def test_python_m_stirap(tmp_path, capsys):
+    # python -m stirap runs __main__.py in a new interpreter: cli.main's line and exit codes
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(path):
+        return subprocess.run([sys.executable, "-m", "stirap", "validate-config", "--config", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
     path = CONFIGS / "paper_defaults.json"
-    proc = subprocess.run([sys.executable, "-m", "stirap", "validate-config", "--config", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run(path)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout == f"ok {config_hash(load_config(path))}\n"
+    assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+    assert proc.stdout == capsys.readouterr().out == f"ok {config_hash(load_config(path))}\n"
+    proc = run(write_config(tmp_path, {"grids": {}}))
+    assert proc.returncode == EXIT_CONFIG and "configuration error" in proc.stderr, proc.stderr
 
 
 def test_import_loads_no_scipy():

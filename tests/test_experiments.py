@@ -55,6 +55,10 @@ class TestHelpers:
         assert count_alternations(np.array([0.0, 1.0, 0.0, 1.0, 0.0])) == 3
         assert count_alternations(np.array([0.0, 1.0, 2.0, 3.0])) == 0
         assert count_alternations(np.array([0.0, 1e-6, 0.0, 1e-6])) == 0  # below threshold
+        # a series through a failed cell has no count, and a finite one's is an int
+        assert math.isnan(count_alternations(np.array([0.0, 1.0, math.nan, 1.0, 0.0])))
+        assert math.isnan(count_alternations(np.array([math.inf])))
+        assert str(count_alternations(np.array([0.0, 1.0, 0.0]))) == "1"
 
     def test_sustained_max(self):
         t = np.arange(0.0, 100.0, 1.0)
@@ -215,6 +219,9 @@ def test_separation_argmax_skips_failed_cells():
     summary = result.table("separation_sweep").rows
     assert np.isnan(summary[2:5, 1:]).all() and np.isfinite(summary[[0, 1, 5, 6]]).all()
     assert result.metadata["argmax_sustained_ts_ns"] == "-120.0"
+    # the positive separations hold the failed cell at 20 ns: no count, not the
+    # count of the cells at 60 and 120 ns alone
+    assert result.metadata["positive_ts_alternations"] == "nan"
 
 
 class TestDetuningMap:
@@ -333,6 +340,9 @@ class TestHybrid:
         assert [(f["cell"], f["theta_fast_rad"]) for f in result.failures] == [(1, 1000.0)]
         assert " at step " in result.failures[0]["error"]
         assert result.table("hybrid").column("final_p2")[0] > 0.2
+        # the failed cell's late |0> series is NaN from its failure on, so it has no count
+        counts = result.table("hybrid").column("late_p0_alternations")
+        assert math.isfinite(counts[0]) and math.isnan(counts[1])
 
 
 class TestReversal:
@@ -497,7 +507,7 @@ class TestPointMirror:
         (out,) = outs  # one chunk of all 7 cells, its arrays handed back without a copy
         assert len(out.final) == 7 and all(getattr(got, f) is getattr(out, f) for f in ("populations", "final"))
         half = _batch.evolve_chunk(cells[:4], TransmonParams(), grid, dissipative=False, rho0=rho0)
-        forced = _batch._assemble([half], 4, 7, TransmonParams(), grid)
+        forced = _batch._assemble([half], 7, TransmonParams(), grid)
         assert np.max(np.abs(forced.final - got.final)) > 1e-2
 
     @pytest.mark.parametrize("change", ["weights", "axis", "phase_ramp"])
@@ -867,7 +877,7 @@ class TestPlan:
                        sweep={"detuning_sum_mhz": (-2.0, 0.0, 3.0), "detuning_diff_mhz": (-1.0, 1.0)})
         p = plan(cfg)
         assert list(p.axes) == ["detuning_sum_mhz", "detuning_diff_mhz"]
-        cells = p.cell_values()
+        cells = p.values
         assert cells["detuning_sum_mhz"].tolist() == [-2.0, -2.0, 0.0, 0.0, 3.0, 3.0]
         assert cells["detuning_diff_mhz"].tolist() == [-1.0, 1.0] * 3
         assert len(p.cells.drive) == 1

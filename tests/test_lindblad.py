@@ -544,6 +544,22 @@ class TestBatchAgreement:
             assert alone.min_eig.tobytes() == chunk.min_eig[c:c + 1].tobytes()
             assert alone.populations.tobytes() == chunk.populations[c:c + 1].tobytes()
 
+    def test_assembled_chunks_of_any_lengths_match_one_chunk(self, device_params):
+        # _assemble offsets each chunk's failures by the cells of the chunks before
+        # it, whatever their lengths, and joins their states, complex, as one chunk holds them
+        from stirap._batch import _assemble, evolve_chunk
+
+        grid = TimeGrid(-225.0, 225.0, dt=0.5, sample_stride=10)
+        cells = Cells.of([two_pulse_sequence(OM01, OM12, 45.0, -90.0),
+                          two_pulse_sequence(mhz_to_rad_ns(1500.0), mhz_to_rad_ns(1500.0), 45.0, -90.0),
+                          two_pulse_sequence(OM01, OM12, 45.0, -60.0)])
+        whole = evolve_chunk(cells, device_params, grid, store_states=True)
+        parts = [evolve_chunk(cells[a:b], device_params, grid, store_states=True) for a, b in ((0, 1), (1, 3))]
+        got = _assemble(parts, 3, device_params, grid)
+        assert [c for c, _, _ in whole.failures] == [1] and got.failures == whole.failures
+        assert got.states.dtype == complex and got.states.tobytes() == whole.states.tobytes()
+        assert got.final[[0, 2]].tobytes() == whole.final[[0, 2]].tobytes() and np.isnan(got.final[1]).all()
+
     @pytest.mark.parametrize("dim", [3, 4])
     def test_offset_groups_step_forward_in_list_order(self, device_params, dim):
         # the row kernel's groups: both slices step forward, and each out row
