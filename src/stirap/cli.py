@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import Experiment, ExperimentConfig, OutputConfig, config_hash, load_config
+from .config import Experiment, ExperimentConfig, config_hash, load_config
 from .errors import ConfigurationError, NumericalError
 from .experiments import emit, plan, run_experiment
 
@@ -54,9 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    stage = "config"  # the stage a MemoryError names
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.command == "validate-config":
+            stage = "plan"
             plan(cfg)
             print(f"ok {config_hash(cfg)}")
             return EXIT_OK
@@ -66,16 +68,13 @@ def main(argv=None) -> int:
             replacements["workers"] = args.workers
         if args.no_dissipation:
             replacements["dissipative"] = False
-        out_cfg = cfg.output
-        if args.out is not None or args.format is not None:
-            out_cfg = OutputConfig(
-                dir=args.out if args.out is not None else cfg.output.dir,
-                format=args.format if args.format is not None else cfg.output.format,
-            )
-        replacements["output"] = out_cfg
+        output = {k: v for k, v in (("dir", args.out), ("format", args.format)) if v is not None}
+        replacements["output"] = dataclasses.replace(cfg.output, **output)
         cfg = dataclasses.replace(cfg, **replacements)
 
+        stage = "run"
         result = run_experiment(cfg)
+        stage = "emit"
         written = emit(result, cfg.output.dir, cfg.output.format)
         for path in written:
             print(path)
@@ -89,7 +88,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too; run_batch types its own
+        detail = f" ({exc})" if str(exc) else ""  # json.dumps raises a bare MemoryError
+        print(f"numerical failure: {stage}: memory ran out{detail}", file=sys.stderr)
+        return EXIT_NUMERICAL

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stirap import _batch, experiments
+from stirap import _batch, cli, experiments
 from stirap.cli import _SUBCOMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from stirap.config import Experiment, config_hash, load_config
 
@@ -426,6 +426,24 @@ class TestNumericalFailures:
         err = capsys.readouterr().err
         assert err == "numerical failure: cells 0 to 1: memory ran out (Unable to allocate 1.53 GiB)\n", err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, stub, stage, message", [
+        ("run", "load_config", "config", "Unable to allocate 2.00 GiB"),
+        ("validate-config", "plan", "plan", "Unable to allocate 2.00 GiB"),
+        ("run", "run_experiment", "run", "Unable to allocate 2.00 GiB"),
+        ("run", "emit", "emit", ""),  # json.dumps raises a bare MemoryError
+    ])
+    def test_out_of_memory_outside_run_batch_exits_3_naming_the_stage(self, monkeypatch, tmp_path, capsys,
+                                                                      command, stub, stage, message):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, stub, out_of_memory)
+        args = [command, "--config", write_config(tmp_path, FAST)]
+        assert main(args if command == "validate-config" else [*args, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        detail = f" ({message})" if message else ""
+        assert err == f"numerical failure: {stage}: memory ran out{detail}\n", err
 
     @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
                         reason="a pool worker runs the patched evolve_chunk only when forked from this process")
