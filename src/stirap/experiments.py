@@ -271,10 +271,11 @@ def _sweep(cfg: ExperimentConfig, plan: Plan, series: bool = True):
 
 def _series(name: str, axis: str, values, shifts, batch) -> Table:
     """Each 3-level cell's samples as (value, t - shift, p0, p1, p2) rows, cell by cell."""
-    t = batch.times
-    return Table(name, (axis, "t_ns", "p0", "p1", "p2"),
-                 np.vstack([np.column_stack([np.full(len(t), float(v)), t - shift, pops])
-                            for v, shift, pops in zip(values, shifts, batch.populations)]))
+    rows = np.empty((*batch.populations.shape[:2], 5))  # filled in place, so the table is held once
+    rows[:, :, 0] = np.reshape(values, (-1, 1))
+    np.subtract(batch.times, np.reshape(shifts, (-1, 1)), out=rows[:, :, 1])
+    rows[:, :, 2:] = batch.populations
+    return Table(name, (axis, "t_ns", "p0", "p1", "p2"), rows.reshape(-1, 5))
 
 
 def _result(cfg: ExperimentConfig, axes: Dict[str, np.ndarray],
@@ -477,63 +478,68 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
 
 def emit(result: SweepResult, out_dir, fmt: str = "csv") -> List[Path]:
     """Write tables plus a manifest; byte-deterministic given config+seed.
-    An output that cannot be written raises ConfigurationError naming it."""
+    An output that cannot be written raises ConfigurationError naming it; an emit
+    that fails, out of memory too, first removes what this call wrote."""
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
+    created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # the path, or one of its parents, is a file
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from None
-    written: List[Path] = []
-    path = out
+    manifest = {
+        "kind": result.kind,
+        "config_hash": result.metadata.get("config_hash", ""),
+        "version": __version__,
+        "format": fmt,
+        "tables": [t.name for t in result.tables],
+        "failures": result.failures,
+        "metadata": dict(result.metadata),
+    }
+    files = ([(f"{t.name}.csv", _table_texts(t, json_table=False)) for t in result.tables] if fmt == "csv"
+             else [(f"{result.kind}.json", _json_texts(result))])
+    written, complete = [], False
     try:
-        if fmt == "csv":
-            for table in result.tables:
-                path = out / f"{table.name}.csv"
-                # one row at a time, so the text of the whole table is never held
-                with path.open("w") as f:
-                    f.write(",".join(table.columns) + "\n")
-                    for row in table.rows:
-                        f.write(",".join(map(repr, row.tolist())) + "\n")
+        for name, texts in [*files, (f"{result.kind}_manifest.json", [_strict_json(manifest) + "\n"])]:
+            path = out / name
+            with path.open("w") as f:
                 written.append(path)
-        else:
-            payload = {
-                "metadata": dict(result.metadata),
-                "axes": {k: [float(v) for v in vals] for k, vals in result.axes.items()},
-                "data": {
-                    t.name: {"columns": list(t.columns), "rows": _json_rows(t.rows)}
-                    for t in result.tables
-                },
-                "failures": result.failures,
-            }
-            path = out / f"{result.kind}.json"
-            path.write_text(_strict_json(payload))
-            written.append(path)
-
-        manifest = {
-            "kind": result.kind,
-            "config_hash": result.metadata.get("config_hash", ""),
-            "version": __version__,
-            "format": fmt,
-            "tables": [t.name for t in result.tables],
-            "failures": result.failures,
-            "metadata": dict(result.metadata),
-        }
-        path = out / f"{result.kind}_manifest.json"
-        path.write_text(_strict_json(manifest))
-        written.append(path)
+                f.writelines(texts)
+        complete = True
     except OSError as exc:  # e.g. a directory where the file should be
         raise ConfigurationError(f"cannot write output {path}: {exc}") from None
+    finally:
+        if not complete:
+            for opened in written:
+                opened.unlink()
+            if created and not any(out.iterdir()):
+                out.rmdir()
     return written
 
 
-def _json_rows(values: np.ndarray) -> list:
-    """values as nested lists, a non-finite entry as None (JSON null)."""
-    finite = np.isfinite(values)
-    return values.tolist() if finite.all() else np.where(finite, values.astype(object), None).tolist()
+def _json_texts(result: SweepResult):
+    """The bytes of _strict_json on the payload {"axes", "data", "failures", "metadata"}."""
+    axes = {k: [float(v) for v in vals] for k, vals in result.axes.items()}
+    yield f'{{"axes":{_strict_json(axes)},"data":{{'
+    for i, t in enumerate(sorted(result.tables, key=lambda t: t.name)):  # keys sorted
+        yield f'{"," * (i > 0)}{_strict_json(t.name)}:'
+        yield from _table_texts(t, json_table=True)
+        yield "]}"
+    yield f'}},"failures":{_strict_json(result.failures)},"metadata":{_strict_json(result.metadata)}}}\n'
+
+
+def _table_texts(table: Table, json_table: bool):
+    """A table's text, made a row at a time from its values' reprs as it is written, so
+    the whole text is never held: its CSV file, or its JSON object up to the closing ]}."""
+    yield f'{{"columns":{_strict_json(table.columns)},"rows":[' if json_table else ",".join(table.columns) + "\n"
+    for k, row in enumerate(table.rows):
+        text = ",".join(map(repr, row.tolist()))
+        if json_table and "n" in text:  # JSON's null for inf and nan, the only reprs with an n
+            text = text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        yield f'{"," * (k > 0)}[{text}]' if json_table else text + "\n"
 
 
 def _strict_json(obj) -> str:
     """RFC 8259 JSON: a NaN or infinity left in obj raises ValueError."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

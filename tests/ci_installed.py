@@ -51,17 +51,35 @@ def validates(stirap, tmp):
     run(stirap, "validate-config", "--config", plane(tmp, "plane1000", list(range(-500, 500))), timeout=10)
 
 
-def plane151_under_100mb(stirap, tmp):
-    """A serial 151 x 151 plane at every step of dt 0.5 ns, bounded by its own peak RSS (not its siblings')."""
-    cfg = plane(tmp, "plane151", list(range(-75, 76)), grid={"dt_ns": 0.5, "sample_stride": 1})
-    argv = [*stirap, "sweep-detuning", "--workers", "1", "--config", cfg, "--out", str(tmp / "plane151")]
+def peak_mb(argv, what):
+    """Run argv, which must exit 0; returns its own peak RSS in MB (not its siblings')."""
     pid = os.posix_spawnp(argv[0], argv, os.environ,
                           file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
     _, status, usage = os.wait4(pid, 0)
-    expect(os.waitstatus_to_exitcode(status) == 0, f"the plane exited {os.waitstatus_to_exitcode(status)}")
-    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
-    expect(peak_mb < 100, f"the 151 x 151 plane peaked at {peak_mb:.0f} MB, not under 100 MB")
-    print(f"peak RSS {peak_mb:.0f} MB")
+    expect(os.waitstatus_to_exitcode(status) == 0, f"{what} exited {os.waitstatus_to_exitcode(status)}")
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def plane151_under_100mb(stirap, tmp):
+    """A serial 151 x 151 plane at every step of dt 0.5 ns, bounded by its own peak RSS."""
+    cfg = plane(tmp, "plane151", list(range(-75, 76)), grid={"dt_ns": 0.5, "sample_stride": 1})
+    peak = peak_mb([*stirap, "sweep-detuning", "--workers", "1", "--config", cfg, "--out", str(tmp / "plane151")],
+                   "the plane")
+    expect(peak < 100, f"the 151 x 151 plane peaked at {peak:.0f} MB, not under 100 MB")
+    print(f"peak RSS {peak:.0f} MB")
+
+
+def json_emit_like_csv(stirap, tmp):
+    """Both formats are written a row at a time: a 100-cell separation sweep at every step of dt 0.1 ns
+    (560 100 series rows) peaks in JSON at no more than 1.1 times its CSV run."""
+    (tmp / "sweep100.json").write_text(json.dumps({
+        "experiment": "separation_sweep", "grid": {"dt_ns": 0.1, "sample_stride": 1},
+        "sweep": {"t_separation_ns": {"start": -200, "stop": 196, "step": 4}}}))
+    peak = {fmt: peak_mb([*stirap, "sweep-separation", "--format", fmt, "--config", str(tmp / "sweep100.json"),
+                          "--out", str(tmp / f"sweep100_{fmt}")], f"the {fmt} sweep") for fmt in ("csv", "json")}
+    expect(peak["json"] <= 1.1 * peak["csv"],
+           f"the sweep peaked at {peak['json']:.0f} MB in JSON, over 1.1 x its {peak['csv']:.0f} MB in CSV")
+    print(f"peak RSS {peak['json']:.0f} MB in JSON, {peak['csv']:.0f} MB in CSV")
 
 
 def plane41_pooled(stirap, tmp):
@@ -103,7 +121,8 @@ if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
-        for check in (validates, plane151_under_100mb, plane41_pooled, split25_pooled, failed43_pooled):
+        for check in (validates, plane151_under_100mb, json_emit_like_csv, plane41_pooled, split25_pooled,
+                      failed43_pooled):
             start = time.perf_counter()
             try:
                 check(sys.argv[1:], Path(tmp))

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import re
@@ -689,7 +690,8 @@ class TestEmission:
         assert json_path.read_bytes() == (json.dumps(
             payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode()
 
-    def test_csv_memory_is_bounded_by_a_row(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_memory_is_bounded_by_a_row(self, tmp_path, fmt):
         # rows are written one at a time: the text of a 200 000-row table
         # (about 18 MB) is never held, nor a list of all its values
         import tracemalloc
@@ -698,12 +700,92 @@ class TestEmission:
         result = SweepResult(kind="big", axes={}, tables=[Table("big", tuple("abcde"), rows)])
         tracemalloc.start()
         try:
-            emit(result, tmp_path, "csv")
+            path = emit(result, tmp_path, fmt)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        assert (tmp_path / "big.csv").stat().st_size > 15e6
+        assert path.stat().st_size > 15e6
+
+    def test_json_is_strict_json_of_the_whole_payload(self, tmp_path):
+        # the JSON file is written a row at a time with the bytes json.dumps gives
+        # the whole payload: tables keyed in sorted order, names escaped, an
+        # empty table's rows [], a failure record in its place
+        tables = [Table(name, cols, rows) for name, cols, rows in (
+            ("zeta", ("t_ns", "p"), np.array([[0.5, 1.0], [1.5, math.nan]])),
+            ('al"pha\\', ("x",), np.empty((0, 1))),
+            ("mid", ("a", "b", "c"), np.array([[math.inf, -0.0, 2.0]])))]
+        failures = [{"cell": 1, "t_separation_ns": -90.0, "error": "trace drift at step 3"}]
+        result = SweepResult(kind="k", axes={"t_ns": np.array([0.5, 1.5]), "a": np.array([2.0])},
+                             tables=tables, metadata={"config_hash": "h", "x": "1"}, failures=failures)
+        payload = {"metadata": result.metadata, "failures": failures,
+                   "axes": {k: v.tolist() for k, v in result.axes.items()},
+                   "data": {t.name: {"rows": [[v if math.isfinite(v) else None for v in row]
+                                              for row in t.rows.tolist()], "columns": list(t.columns)}
+                            for t in tables}}
+        path = emit(result, tmp_path, "json")[0]
+        assert path.read_bytes() == (json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("error, raised", [
+        (OSError(errno.ENOSPC, "No space left on device"), ConfigurationError),
+        (MemoryError(), MemoryError),
+    ], ids=["disk_full", "memory"])
+    def test_failed_emit_leaves_nothing_behind(self, tmp_path, monkeypatch, fmt, error, raised):
+        # the second file (the second table's CSV, or the JSON's manifest) cannot be
+        # written: the first file, the second and the directory made for them go,
+        # and a directory that was there stays, empty
+        from pathlib import Path
+
+        class Failing:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.f.close()
+
+            def write(self, text):
+                raise error
+
+            writelines = write
+
+        real_open, opened = Path.open, []
+
+        def second_fails(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            opened.append(path)
+            return Failing(f) if len(opened) % 2 == 0 else f
+
+        monkeypatch.setattr(Path, "open", second_fails)
+        result = SweepResult(kind="k", axes={}, tables=[Table(n, ("x",), np.ones((3, 1))) for n in "ab"])
+        for out in (tmp_path / "out", tmp_path):
+            with pytest.raises(raised):
+                emit(result, out, fmt)
+        assert len(opened) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_series_is_held_once(self):
+        # _series fills one array: a 200-cell, 451-sample table, not its
+        # per-cell pieces and then their stack
+        import tracemalloc
+        from types import SimpleNamespace
+
+        times = np.linspace(-225.0, 225.0, 451)
+        batch = SimpleNamespace(times=times, populations=np.random.default_rng(3).random((200, 451, 3)))
+        values, shifts = np.linspace(-200.0, 0.0, 200), np.linspace(-100.0, 0.0, 200)
+        tracemalloc.start()
+        try:
+            table = experiments._series("s", "t_separation_ns", values, shifts, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.rows.shape == (200 * 451, 5)
+        assert np.array_equal(table.rows[451], [values[1], times[0] - shifts[1], *batch.populations[1, 0]])
+        assert peak < 1.25 * table.rows.nbytes, peak / table.rows.nbytes
 
     @pytest.mark.parametrize("experiment, overrides, axes", [
         # both 600 MHz pulses peaking at once (t_s = 0) leave RK4's stable step
